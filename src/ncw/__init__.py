@@ -46,7 +46,6 @@ from .gauge import (
     nc_projection_invariance_check,
 )
 from .solver import (
-    DegreeBound,
     SymmetryBasis,
     classify,
     solve_symmetries,
@@ -106,7 +105,6 @@ __all__ = [
     "gauge_bracket",
     "infinitesimal_gauge",
     "nc_projection_invariance_check",
-    "DegreeBound",
     "SymmetryBasis",
     "classify",
     "solve_symmetries",

@@ -38,12 +38,13 @@ from .solver import (
     classify,
     structure_constants,
 )
-from .structures import NCBStructure
+from .structures import NCBStructure, field_strength, metric_gradient
 from .tensors import (
     TensorField,
+    apply_metric,
     directional,
     gradient,
-    one_form,
+    pairing,
     vector,
     vector_bracket,
 )
@@ -74,34 +75,22 @@ class ExtendedElement:
 
 def boost_for_coriolis(x: TensorField, s: NCBStructure) -> TensorField:
     """The unique boost 1-form (modulo theta) fixing U: psi = h([U, X])."""
-    _require_coriolis(x, s)
-    dim = s.base.dimension
-    bracket = vector_bracket(s.u, x)
-    comps = []
-    for a in range(dim):
-        acc = Poly.zero(dim)
-        for k in range(dim):
-            acc = acc + s.transverse.comp(a, k) * bracket.comp(k)
-        comps.append(acc)
-    return one_form(dim, comps)
+    _require(x, s, "coriolis")
+    return apply_metric(s.transverse, vector_bracket(s.u, x))
 
 
-def _require_coriolis(x: TensorField, s: NCBStructure) -> None:
+_PRESERVED = {
+    "coriolis": "the metric pair",
+    "milne": "the raised symbols",
+    "galilei": "the connection",
+}
+
+
+def _require(x: TensorField, s: NCBStructure, flavor: str) -> None:
+    """Raise NotInFlavorError unless x is a symmetry of the given flavor."""
     flags = classify(x, s.induced_nc())
-    if not flags.is_coriolis:
-        raise NotInFlavorError("field does not preserve the metric pair")
-
-
-def _require_milne(x: TensorField, s: NCBStructure) -> None:
-    flags = classify(x, s.induced_nc())
-    if not flags.is_milne:
-        raise NotInFlavorError("field does not preserve the raised symbols")
-
-
-def _require_galilei(x: TensorField, s: NCBStructure) -> None:
-    flags = classify(x, s.induced_nc())
-    if not flags.is_galilei:
-        raise NotInFlavorError("field does not preserve the connection")
+    if not getattr(flags, f"is_{flavor}"):
+        raise NotInFlavorError(f"field does not preserve {_PRESERVED[flavor]}")
 
 
 def extended_cor_bracket(
@@ -109,8 +98,8 @@ def extended_cor_bracket(
 ) -> ExtendedElement:
     """Semidirect bracket ([X, X'], X(f') - X'(f)) on metric-pair
     stabilizer pairs."""
-    _require_coriolis(e1.x, s)
-    _require_coriolis(e2.x, s)
+    _require(e1.x, s, "coriolis")
+    _require(e2.x, s, "coriolis")
     return ExtendedElement(
         vector_bracket(e1.x, e2.x),
         directional(e1.x, e2.f) - directional(e2.x, e1.f),
@@ -130,7 +119,7 @@ def milne_f_split(
     inconsistent over the polynomial ansatz, which signals that X does not
     extend to the observer stabilizer.
     """
-    _require_milne(x, s)
+    _require(x, s, "milne")
     g = s.base
     dim = g.dimension
     rhs_vec = vector_bracket(s.v, x)
@@ -180,17 +169,7 @@ def milne_f_split(
     f = Poly(dim, {m: particular[col_of[m]] for m in monos})
     f_x = f - time_part(f)
     # the time-only strip leaves gamma(df) unchanged; re-verify exactly
-    check = vector(
-        dim,
-        [
-            sum(
-                (g.gamma.comp(a, k) * f_x.partial(k) for k in range(dim)),
-                Poly.zero(dim),
-            )
-            for a in range(dim)
-        ],
-    )
-    if not (check - rhs_vec).is_zero:
+    if not (metric_gradient(g, f_x) - rhs_vec).is_zero:
         raise ExtensionError("observer-stabilizer solve failed verification")
     return f_x, True
 
@@ -203,7 +182,7 @@ def extended_mil_bracket(
     The parameter part X(xi' + f_X') - X'(xi + f_X) - f_[X,X'] lands back in
     the time functions; a residue with spatial dependence raises."""
     for e in (e1, e2):
-        _require_milne(e.x, s)
+        _require(e.x, s, "milne")
         if not e.f.depends_only_on([0]):
             raise ExtensionError("observer-stabilizer parameter must depend on time only")
     f1, ok1 = milne_f_split(e1.x, s)
@@ -260,26 +239,15 @@ def galilei_f_solve(
 
     Returns (f, True) with the primitive vanishing at the origin, or
     (0, False) when the right side is not closed (X does not extend)."""
-    _require_galilei(x, s)
-    g = s.base
-    dim = g.dimension
-    lv = vector_bracket(x, s.v)
-    lowered = []
-    for a in range(dim):
-        acc = Poly.zero(dim)
-        for k in range(dim):
-            acc = acc + s.transverse.comp(a, k) * lv.comp(k)
-        lowered.append(acc)
-    scalar = -directional(x, s.phi)
-    for k in range(dim):
-        scalar = scalar + lowered[k] * s.v.comp(k)
-    alpha = [scalar * g.theta.comp(a) - lowered[a] for a in range(dim)]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if alpha[b].partial(a) != alpha[a].partial(b):
-                return Poly.zero(dim), False
-    f = _radial_primitive(alpha, dim)
-    if [gradient(f).comp(a) for a in range(dim)] != alpha:
+    _require(x, s, "galilei")
+    dim = s.base.dimension
+    lowered = apply_metric(s.transverse, vector_bracket(x, s.v))
+    scalar = pairing(lowered, s.v) - directional(x, s.phi)
+    alpha = s.base.theta.scale(scalar) - lowered
+    if not field_strength(alpha).is_zero:
+        return Poly.zero(dim), False
+    f = _radial_primitive(alpha.components, dim)
+    if gradient(f) != alpha:
         raise ExtensionError("primitive failed verification")
     return f, True
 
@@ -308,7 +276,7 @@ def extended_gal_bracket(
     parameter output is again constant (central extension)."""
     dim = s.base.dimension
     for e in (e1, e2):
-        _require_galilei(e.x, s)
+        _require(e.x, s, "galilei")
         if not e.f.depends_only_on([]):
             raise ExtensionError("full-stabilizer parameter must be constant")
     f1, ok1 = galilei_f_solve(e1.x, s)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .linalg import RationalMatrix
@@ -181,7 +182,7 @@ class AffineDiffeo:
             uppers = idx[: t.p]
             lowers = idx[t.p :]
             total = Poly.zero(dim)
-            for src in _all_indices(dim, t.p + t.q):
+            for src in product(range(dim), repeat=t.p + t.q):
                 factor = Fraction(1)
                 for a, k in zip(uppers, src[: t.p]):
                     factor *= self.linear.entries[a][k]
@@ -192,12 +193,6 @@ class AffineDiffeo:
             return total
 
         return TensorField.build(dim, t.p, t.q, entry)
-
-
-def _all_indices(dim: int, rank: int):
-    from itertools import product
-
-    return product(range(dim), repeat=rank)
 
 
 @dataclass(frozen=True)

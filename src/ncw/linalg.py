@@ -293,20 +293,7 @@ def sparse_solve(
         elim.add_row(augmented)
     if ncols in elim.pivot_rows:
         return None
-    elim._back_substitute()
-    particular = [Fraction(0)] * ncols
-    for pc, row in elim.pivot_rows.items():
-        particular[pc] = row.get(ncols, Fraction(0))
-    kernel: list[SparseRow] = []
-    pivots = sorted(elim.pivot_rows)
-    pivot_set = set(pivots)
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v: SparseRow = {fc: Fraction(1)}
-        for pc in pivots:
-            coeff = elim.pivot_rows[pc].get(fc)
-            if coeff:
-                v[pc] = -coeff
-        kernel.append(v)
+    # the rhs column is free and last; its kernel vector carries -particular
+    *kernel, last = elim.kernel()
+    particular = [-last.get(c, Fraction(0)) for c in range(ncols)]
     return particular, kernel

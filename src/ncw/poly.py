@@ -319,7 +319,3 @@ def time_part(p: Poly) -> Poly:
     images = [Poly.variable(p.dimension, 0)]
     images += [Poly.zero(p.dimension) for _ in range(p.dimension - 1)]
     return p.substitute(images)
-
-
-def poly_iter_terms(p: Poly) -> Iterator[tuple[Exponent, Fraction]]:
-    return iter(p.terms.items())

@@ -80,10 +80,6 @@ def emit_report(report: Report, structured: bool) -> str:
 # ----------------------------------------------------------------------
 # renderers for domain objects
 
-def rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 def field_components(t: TensorField) -> list[str]:
     return [str(c) for c in t.components]
 
@@ -160,5 +156,5 @@ def basis_payload(basis: SymmetryBasis) -> dict[str, Any]:
 
 def constants_payload(constants: list[list[list[Fraction]]]) -> list:
     return [
-        [[rational_str(v) for v in row] for row in plane] for plane in constants
+        [[str(v) for v in row] for row in plane] for plane in constants
     ]

@@ -62,17 +62,6 @@ class NotInFlavorError(ValueError):
     equations; the message names the first violated condition."""
 
 
-@dataclass(frozen=True)
-class DegreeBound:
-    """Maximum time-degree of the coefficient functions in the ansatz."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("degree bound must be non-negative")
-
-
 def ansatz_monomials(dimension: int, degree: int) -> list[Exponent]:
     """Component monomials admitted at the given bound, canonically ordered."""
     out = [
@@ -109,11 +98,11 @@ def _condition_polys(s: NCStructure, x: TensorField, flavor: Flavor) -> list[Pol
 
 
 def solve_symmetries(
-    s: NCStructure, flavor: str, degree: int | DegreeBound
+    s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
     fl = canonical_flavor(flavor)
-    d = degree.d if isinstance(degree, DegreeBound) else int(degree)
+    d = int(degree)
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     dim = s.base.dimension

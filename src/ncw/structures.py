@@ -72,19 +72,13 @@ class GalileiStructure:
             for b in range(a + 1, dim):
                 if self.gamma.comp(a, b) != self.gamma.comp(b, a):
                     raise StructureError(f"gamma not symmetric at ({a},{b})")
-        for a in range(dim):
-            kernel_comp = Poly.zero(dim)
-            for k in range(dim):
-                kernel_comp = kernel_comp + self.gamma.comp(a, k) * self.theta.comp(k)
+        for a, kernel_comp in enumerate(apply_metric(self.gamma, self.theta).components):
             if not kernel_comp.is_zero:
                 raise StructureError(
                     f"theta is not in the kernel of gamma (component {a})"
                 )
-        for a in range(dim):
-            for b in range(dim):
-                closed = self.theta.comp(b).partial(a) - self.theta.comp(a).partial(b)
-                if not closed.is_zero:
-                    raise StructureError("theta must be closed")
+        if not field_strength(self.theta).is_zero:
+            raise StructureError("theta must be closed")
         points = [[Fraction(0)] * dim]
         if sample_points:
             points += [[Fraction(v) for v in pt] for pt in sample_points]
@@ -108,20 +102,12 @@ class GalileiStructure:
             raise StructureError(
                 f"gamma has rank {g.rank()} (expected {self.n}) at {point}"
             )
-        # restrict to a coordinate complement of theta and check positive
+        # restrict to a coordinate complement of theta (every axis but the
+        # last one theta has a component on) and check positive
         # definiteness by Sylvester's criterion
-        basis = _complement_covectors(theta_val)
-        restricted = [
-            [
-                sum(
-                    u[a] * g.entries[a][b] * v[b]
-                    for a in range(dim)
-                    for b in range(dim)
-                )
-                for v in basis
-            ]
-            for u in basis
-        ]
+        last = max(a for a, v in enumerate(theta_val) if v)
+        axes = [a for a in range(dim) if a != last]
+        restricted = [[g.entries[a][b] for b in axes] for a in axes]
         for k in range(1, self.n + 1):
             minor = RationalMatrix(k, k, [row[:k] for row in restricted[:k]])
             if minor.det() <= 0:
@@ -129,22 +115,6 @@ class GalileiStructure:
                     f"gamma restricted transverse to theta is not positive "
                     f"definite at {point} (leading minor {k})"
                 )
-
-
-def _complement_covectors(theta_val: Sequence[Fraction]) -> list[list[Fraction]]:
-    """n coordinate covectors spanning a complement of theta, greedily."""
-    dim = len(theta_val)
-    chosen: list[list[Fraction]] = []
-    rows = [list(theta_val)]
-    for j in range(dim):
-        cand = [Fraction(1) if i == j else Fraction(0) for i in range(dim)]
-        trial = RationalMatrix.from_rows(rows + [cand])
-        if trial.rank() == len(rows) + 1:
-            chosen.append(cand)
-            rows.append(cand)
-        if len(chosen) == dim - 1:
-            break
-    return chosen
 
 
 def flat_galilei(n: int) -> GalileiStructure:
@@ -338,10 +308,8 @@ def geodesic_connection(g: GalileiStructure, u: TensorField) -> Connection:
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("geodesic connection needs theta(U) = 1")
-    for a in range(dim):
-        for b in range(dim):
-            if not (g.theta.comp(b).partial(a) - g.theta.comp(a).partial(b)).is_zero:
-                raise StructureError("geodesic connection needs theta closed")
+    if not field_strength(g.theta).is_zero:
+        raise StructureError("geodesic connection needs theta closed")
     h = transverse_metric(g, u)
     half = Fraction(1, 2)
 
@@ -448,11 +416,9 @@ class NCBStructure:
         if pairing(self.base.theta, self.u) != Poly.const(dim, 1):
             raise StructureError("U must satisfy theta(U) = 1")
         h = self.transverse
+        hu = apply_metric(h, self.u)
         for a in range(dim):
-            total = Poly.zero(dim)
-            for k in range(dim):
-                total = total + h.comp(a, k) * self.u.comp(k)
-            if not total.is_zero:
+            if not hu.comp(a).is_zero:
                 raise StructureError("transverse metric does not annihilate U")
             for b in range(dim):
                 lhs = Poly.zero(dim)
@@ -486,7 +452,6 @@ def observer_and_potential(
     g: GalileiStructure, u: TensorField, a_form: TensorField
 ) -> tuple[TensorField, Poly]:
     """V = U - gamma(A);  phi = gamma(A,A)/2 - A(U)."""
-    dim = g.dimension
     raised = apply_metric(g.gamma, a_form)
     v = u - raised
     phi = pairing(a_form, raised) * Fraction(1, 2) - pairing(a_form, u)
@@ -504,18 +469,9 @@ def potential_to_gauge(
     dim = g.dimension
     if pairing(g.theta, v) != Poly.const(dim, 1):
         raise StructureError("potential_to_gauge needs theta(V) = 1")
-    h = transverse_metric(g, u)
-    lowered = [Poly.zero(dim)] * dim
-    vv = Poly.zero(dim)
-    for a in range(dim):
-        acc = Poly.zero(dim)
-        for k in range(dim):
-            acc = acc + h.comp(a, k) * v.comp(k)
-        lowered[a] = acc
-        vv = vv + acc * v.comp(a)
-    scalar = vv * Fraction(1, 2) - phi
-    comps = [scalar * g.theta.comp(a) - lowered[a] for a in range(dim)]
-    return one_form(dim, comps)
+    lowered = apply_metric(transverse_metric(g, u), v)
+    scalar = pairing(lowered, v) * Fraction(1, 2) - phi
+    return g.theta.scale(scalar) - lowered
 
 
 def ncb_structure(

@@ -39,8 +39,8 @@ def _index_tuples(dimension: int, rank: int) -> Iterable[tuple[int, ...]]:
 class TensorField:
     """Dense (p,q) tensor field with Poly components.
 
-    VectorField is the p=1, q=0 case and one-forms the p=0, q=1 case; both
-    are plain TensorFields built with the helpers below.
+    Vector fields are the p=1, q=0 case and one-forms the p=0, q=1 case;
+    both are plain TensorFields built with the helpers below.
     """
 
     dimension: int
@@ -136,9 +136,6 @@ def one_form(dimension: int, components: Sequence[Poly]) -> TensorField:
     return TensorField(dimension, 0, 1, tuple(components))
 
 
-VectorField = TensorField
-
-
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Tensor product; upper slots of a then of b, lower slots likewise."""
     if a.dimension != b.dimension:
@@ -174,22 +171,31 @@ def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
     return TensorField.build(n, t.p - 1, t.q - 1, entry)
 
 
-def apply_metric(gamma: TensorField, form: TensorField) -> TensorField:
-    """Raise a 1-form with a (2,0) metric-like tensor: (gamma(w))^a = gamma^{ak} w_k."""
-    n = gamma.dimension
+def apply_metric(t: TensorField, w: TensorField) -> TensorField:
+    """Contract a 2-tensor with a field on its second slot: t^{ak} w_k for a
+    (2,0) tensor and a 1-form (a vector), t_{ak} V^k for a (0,2) tensor and a
+    vector field (a 1-form)."""
+    if (t.p, t.q, w.p, w.q) not in ((2, 0, 0, 1), (0, 2, 1, 0)) or t.dimension != w.dimension:
+        raise ValueError(
+            "apply_metric needs a (2,0) tensor with a 1-form or a (0,2) tensor "
+            "with a vector field, of one dimension"
+        )
+    n = t.dimension
 
     def entry(idx: tuple[int, ...]) -> Poly:
         (a,) = idx
         total = Poly.zero(n)
         for k in range(n):
-            total = total + gamma.comp(a, k) * form.comp(k)
+            total = total + t.comp(a, k) * w.comp(k)
         return total
 
-    return TensorField.build(n, 1, 0, entry)
+    return TensorField.build(n, w.q, w.p, entry)
 
 
 def pairing(form: TensorField, vec: TensorField) -> Poly:
     """w_a X^a for a 1-form and a vector field."""
+    if (form.p, form.q, vec.p, vec.q) != (0, 1, 1, 0) or form.dimension != vec.dimension:
+        raise ValueError("pairing needs a 1-form, then a vector field, of one dimension")
     n = form.dimension
     total = Poly.zero(n)
     for k in range(n):
@@ -332,32 +338,14 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
 
     slots=1: G_a^{bc} = gamma^{bk} G_ak^c, returned as comp(b, c, a);
     slots=2: G^{abc} = gamma^{ak} gamma^{bl} G_kl^c, returned as comp(a, b, c).
+    The symbols are viewed as the (1,2)-shaped field comp(c, a, b) = G_ab^c
+    and raised by raise_connection_transport.
     """
     if gamma.dimension != g.dimension:
         raise ValueError("dimension mismatch")
     n = g.dimension
-    if slots == 1:
-
-        def entry_one(idx: tuple[int, ...]) -> Poly:
-            b, c, a = idx
-            total = Poly.zero(n)
-            for k in range(n):
-                total = total + gamma.comp(b, k) * g.symbol(a, k, c)
-            return total
-
-        return TensorField.build(n, 2, 1, entry_one)
-    if slots == 2:
-
-        def entry_two(idx: tuple[int, ...]) -> Poly:
-            a, b, c = idx
-            total = Poly.zero(n)
-            for k in range(n):
-                for l in range(n):
-                    total = total + gamma.comp(a, k) * gamma.comp(b, l) * g.symbol(k, l, c)
-            return total
-
-        return TensorField.build(n, 3, 0, entry_two)
-    raise ValueError("slots must be 1 or 2")
+    symbols = TensorField.build(n, 1, 2, lambda idx: g.symbol(idx[1], idx[2], idx[0]))
+    return raise_connection_transport(symbols, gamma, slots)
 
 
 def raise_connection_transport(

@@ -142,6 +142,10 @@ class TestProperties:
             else:
                 assert sparse is not None
                 assert tuple(sparse[0]) == dense[0]
+                densified = [
+                    tuple(v.get(c, Fraction(0)) for c in range(cols)) for v in sparse[1]
+                ]
+                assert densified == dense[1]
 
 
 class TestMatrixOps:

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from ncw.poly import Poly
+from ncw.structures import standard_structure
 from ncw.tensors import (
     Connection,
     TensorField,
+    apply_metric,
     check_newtonian,
     contract,
     covariant_derivative,
@@ -18,6 +20,7 @@ from ncw.tensors import (
     lie_derivative,
     lie_derivative_connection,
     one_form,
+    pairing,
     raise_connection,
     raise_connection_transport,
     tensor_product,
@@ -204,6 +207,44 @@ class TestRaiseConnection:
         g = standard_connection(1, phi)
         assert raise_connection(g, flat_gamma(1), 2).is_zero
         assert raise_connection(g, flat_gamma(1), 1).is_zero
+
+
+class TestMetricContractions:
+    def test_apply_metric_rejects_mismatched_shapes(self):
+        rng = random.Random(40)
+        upper = random_tensor(rng, 3, 2, 0)
+        lower = random_tensor(rng, 3, 0, 2)
+        form = random_tensor(rng, 3, 0, 1)
+        vec = random_tensor(rng, 3, 1, 0)
+        for t, w in [
+            (upper, vec),
+            (lower, form),
+            (random_tensor(rng, 3, 1, 1), form),
+            (form, upper),
+            (upper, random_tensor(rng, 2, 0, 1)),
+        ]:
+            with pytest.raises(ValueError):
+                apply_metric(t, w)
+
+    def test_pairing_rejects_mismatched_shapes(self):
+        rng = random.Random(41)
+        form = random_tensor(rng, 3, 0, 1)
+        vec = random_tensor(rng, 3, 1, 0)
+        for w, v in [
+            (vec, form),
+            (form, form),
+            (random_tensor(rng, 3, 0, 2), vec),
+            (form, random_tensor(rng, 2, 1, 0)),
+        ]:
+            with pytest.raises(ValueError):
+                pairing(w, v)
+
+    def test_transverse_metric_annihilates_unit_field(self):
+        phi = Poly.variable(3, 1) ** 2 + Poly.variable(3, 0) * Poly.variable(3, 2)
+        s = standard_structure(2, phi)
+        hu = apply_metric(s.transverse, s.u)
+        assert (hu.p, hu.q) == (0, 1)
+        assert hu.is_zero
 
 
 class TestCovariantDerivative:
