@@ -122,11 +122,8 @@ def cmd_validate(built: BuiltStructure, args, report: Report) -> None:
 
 def cmd_connection(built: BuiltStructure, args, report: Report) -> None:
     ncb = _require_ncb(built, "connection")
-    from .structures import geodesic_connection
-
-    ug = geodesic_connection(ncb.base, ncb.u)
     conn = ncb.induced_connection()
-    report.results["geodesic_part"] = connection_entries(ug)
+    report.results["geodesic_part"] = connection_entries(ncb.geodesic_part)
     report.results["force_form"] = [
         {"index": [a, b], "value": str(ncb.force.comp(a, b))}
         for a in range(ncb.base.dimension)
@@ -222,7 +219,7 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
                     {"pair": [i, j], "x": field_components(out.x), "parameter": str(out.f)}
                 )
         report.results["bracket_table"] = table
-        noncentral, witness = noncentrality_check(ncb, args.degree)
+        noncentral, witness = noncentrality_check(ncb, basis)
         report.results["noncentral"] = noncentral
         if witness:
             report.results["noncentrality_witness"] = {

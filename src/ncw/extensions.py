@@ -109,9 +109,7 @@ def extended_cor_bracket(
 # ----------------------------------------------------------------------
 # observer stabilizer
 
-def milne_f_split(
-    x: TensorField, s: NCBStructure, max_degree: int | None = None
-) -> tuple[Poly, bool]:
+def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     """Solve gamma(df) = [V, X] for polynomial f and normalize by stripping
     the time-only part, so f_X(t, 0) = 0.
 
@@ -127,11 +125,7 @@ def milne_f_split(
     gamma_degree = max(
         (c.total_degree() for c in g.gamma.components if not c.is_zero), default=0
     )
-    degree = (
-        max_degree
-        if max_degree is not None
-        else max(rhs_degree, 0) + gamma_degree + 2
-    )
+    degree = max(rhs_degree, 0) + gamma_degree + 2
     monos = grlex_monomials(dim, degree)
     col_of = {m: i for i, m in enumerate(monos)}
 
@@ -204,19 +198,19 @@ def extended_mil_bracket(
 
 
 def noncentrality_check(
-    s: NCBStructure, degree: int
+    s: NCBStructure, basis: SymmetryBasis
 ) -> tuple[bool, tuple[int, Poly] | None]:
     """Whether the observer-stabilizer extension acts nontrivially on its
     time-function ideal.
 
-    Scans brackets of solved milne basis elements against pure parameters
-    t^k; returns the first witness (basis index, parameter output)."""
-    from .solver import solve_symmetries
-
-    basis = solve_symmetries(s.induced_nc(), "milne", degree)
+    Scans brackets of the solved milne basis elements against pure
+    parameters t^k, k up to the basis degree; returns the first witness
+    (basis index, parameter output)."""
+    if basis.flavor != "milne":
+        raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
     dim = s.base.dimension
     zero_x = TensorField.zero(dim, 1, 0)
-    for k in range(1, max(degree, 1) + 1):
+    for k in range(1, max(basis.degree, 1) + 1):
         xi = Poly.monomial(dim, (k,) + (0,) * (dim - 1))
         for i, x in enumerate(basis.fields):
             out = extended_mil_bracket(

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import RationalMatrix, sparse_solve
-from .poly import Poly, grlex_monomials
+from .linalg import RationalMatrix
+from .poly import Poly
 from .tensors import (
     Connection,
     TensorField,
@@ -63,6 +63,17 @@ class GalileiStructure:
         return self.n + 1
 
     def validate(self, sample_points: Sequence[Sequence[object]] | None = None) -> None:
+        self._check_pair()
+        if not field_strength(self.theta).is_zero:
+            raise StructureError("theta must be closed")
+        points = [[Fraction(0)] * self.dimension]
+        if sample_points:
+            points += [[Fraction(v) for v in pt] for pt in sample_points]
+        for pt in points:
+            self._check_point(pt)
+
+    def _check_pair(self) -> None:
+        """Shapes, the symmetry of gamma and gamma(theta) = 0."""
         dim = self.dimension
         if (self.gamma.p, self.gamma.q) != (2, 0) or self.gamma.dimension != dim:
             raise StructureError("gamma must be a (2,0) tensor of matching dimension")
@@ -77,13 +88,6 @@ class GalileiStructure:
                 raise StructureError(
                     f"theta is not in the kernel of gamma (component {a})"
                 )
-        if not field_strength(self.theta).is_zero:
-            raise StructureError("theta must be closed")
-        points = [[Fraction(0)] * dim]
-        if sample_points:
-            points += [[Fraction(v) for v in pt] for pt in sample_points]
-        for pt in points:
-            self._check_point(pt)
 
     def _check_point(self, point: Sequence[Fraction]) -> None:
         dim = self.dimension
@@ -134,163 +138,86 @@ def flat_galilei(n: int) -> GalileiStructure:
 # ----------------------------------------------------------------------
 # transverse metric
 
-def transverse_metric(
-    g: GalileiStructure, u: TensorField, max_degree: int | None = None
-) -> TensorField:
+def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     """The symmetric (0,2) tensor determined by the two contractions
     h_ak gamma^{kb} = delta_a^b - U^b theta_a  and  h_ak U^k = 0.
 
-    Found by an exact linear solve over polynomial coefficients; a direct
-    formula handles the flat pair.  Raises StructureError when the system
-    is inconsistent (gamma rank deficiency beyond the theta kernel) or not
-    uniquely solvable.
+    Closed form: for a unit field W (theta(W) = 1) and N = gamma + W(x)W,
+
+      h(X, Y) = N^{-1}(X - theta(X) U, Y - theta(Y) U).
+
+    N theta = W gives N^{-1} W = theta, and with it both contractions
+    follow from N^{-1} N = 1 once gamma is symmetric with theta in its
+    kernel, so those preconditions are all that is checked.  N^{-1} is
+    adj(N)/det(N); h is polynomial exactly when det(N) is a nonzero
+    constant, and StructureError names the determinant otherwise.  W is
+    e_j / theta_j for the first constant nonzero theta_j (U when there is
+    none), so that N does not depend on U.
     """
+    g._check_pair()
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("transverse metric needs theta(U) = 1")
-    if _is_flat_pair(g):
-        return _flat_transverse(g, u)
-    return _solve_transverse(g, u, max_degree)
-
-
-def _is_flat_pair(g: GalileiStructure) -> bool:
-    dim = g.dimension
-    for a in range(dim):
-        expected_theta = Poly.const(dim, 1) if a == 0 else Poly.zero(dim)
-        if g.theta.comp(a) != expected_theta:
-            return False
-        for b in range(dim):
-            expected = (
-                Poly.const(dim, 1) if (a == b and a >= 1) else Poly.zero(dim)
-            )
-            if g.gamma.comp(a, b) != expected:
-                return False
-    return True
-
-
-def _flat_transverse(g: GalileiStructure, u: TensorField) -> TensorField:
-    # h_AB = delta_AB, h_0B = -U^B, h_00 = sum_B (U^B)^2
-    dim = g.dimension
+    theta = g.theta.components
+    j = next((j for j, c in enumerate(theta) if c.total_degree() == 0), None)
+    w = u.components if j is None else [
+        Poly.const(dim, 1 / theta[j].coefficient((0,) * dim)) if k == j else Poly.zero(dim)
+        for k in range(dim)
+    ]
+    adj, det = _adjugate(
+        [[g.gamma.comp(a, b) + w[a] * w[b] for b in range(dim)] for a in range(dim)]
+    )
+    if det.is_zero:
+        raise StructureError(
+            "gamma + W(x)W is singular; gamma is rank deficient beyond the theta kernel"
+        )
+    if det.total_degree() > 0:
+        raise StructureError(
+            f"det(gamma + W(x)W) = {det} is not a nonzero constant; the "
+            "transverse metric of U is not polynomial"
+        )
+    inverse = 1 / det.coefficient((0,) * dim)
+    n_inv = TensorField.build(dim, 0, 2, lambda idx: adj[idx[0]][idx[1]] * inverse)
+    # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
+    m = apply_metric(n_inv, u)
+    s = pairing(m, u)
 
     def entry(idx):
         a, b = idx
-        if a >= 1 and b >= 1:
-            return Poly.const(dim, 1) if a == b else Poly.zero(dim)
-        if a == 0 and b >= 1:
-            return -u.comp(b)
-        if b == 0 and a >= 1:
-            return -u.comp(a)
-        total = Poly.zero(dim)
-        for k in range(1, dim):
-            total = total + u.comp(k) * u.comp(k)
-        return total
-
-    return TensorField.build(dim, 0, 2, entry)
-
-
-def _solve_transverse(
-    g: GalileiStructure, u: TensorField, max_degree: int | None
-) -> TensorField:
-    dim = g.dimension
-
-    def degree(t: TensorField) -> int:
-        return max((c.total_degree() for c in t.components), default=-1)
-
-    base = max(
-        0,
-        degree(g.gamma),
-        degree(g.theta) + degree(u),
-        2 * max(0, degree(u)),
-    )
-    cap = max_degree if max_degree is not None else 2 * base + 4
-    attempt = base
-    while True:
-        result = _try_transverse(g, u, attempt)
-        if result is not None:
-            return result
-        if attempt >= cap:
-            raise StructureError(
-                "transverse metric system is inconsistent up to degree "
-                f"{cap}; gamma is rank deficient beyond the theta kernel"
-            )
-        attempt = min(cap, attempt + 2)
-
-
-def _try_transverse(
-    g: GalileiStructure, u: TensorField, degree: int
-) -> TensorField | None:
-    dim = g.dimension
-    monos = grlex_monomials(dim, degree)
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    col_of = {
-        (pair, m): i * len(monos) + j
-        for i, pair in enumerate(pairs)
-        for j, m in enumerate(monos)
-    }
-    ncols = len(pairs) * len(monos)
-
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    row_index: dict[tuple, int] = {}
-
-    def row_for(key: tuple) -> int:
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append({})
-            rhs.append(Fraction(0))
-        return row_index[key]
-
-    def add_lhs(key: tuple, col: int, coeff: Fraction) -> None:
-        r = rows[row_for(key)]
-        acc = r.get(col, Fraction(0)) + coeff
-        if acc:
-            r[col] = acc
-        else:
-            r.pop(col, None)
-
-    # first identity: h_ak gamma^{kb} = delta - U theta, componentwise
-    for a in range(dim):
-        for b in range(dim):
-            target = -u.comp(b) * g.theta.comp(a)
-            if a == b:
-                target = target + 1
-            for k in range(dim):
-                pair = (min(a, k), max(a, k))
-                for m, c0 in g.gamma.comp(k, b).terms.items():
-                    for mm in monos:
-                        combined = tuple(x + y for x, y in zip(m, mm))
-                        add_lhs(("g1", a, b, combined), col_of[(pair, mm)], c0)
-            for m, c0 in target.terms.items():
-                rhs[row_for(("g1", a, b, m))] += c0
-    # second identity: h_ak U^k = 0
-    for a in range(dim):
-        for k in range(dim):
-            pair = (min(a, k), max(a, k))
-            for m, c0 in u.comp(k).terms.items():
-                for mm in monos:
-                    combined = tuple(x + y for x, y in zip(m, mm))
-                    add_lhs(("g2", a, combined), col_of[(pair, mm)], c0)
-
-    solution = sparse_solve(rows, rhs, ncols)
-    if solution is None:
-        return None
-    particular, kernel = solution
-    if kernel:
-        raise StructureError(
-            "transverse metric is not unique; gamma violates the rank condition"
+        return (
+            n_inv.comp(a, b)
+            - theta[a] * m.comp(b)
+            - m.comp(a) * theta[b]
+            + s * theta[a] * theta[b]
         )
 
-    def entry(idx):
-        a, b = idx
-        pair = (min(a, b), max(a, b))
-        terms = {}
-        for j, m in enumerate(monos):
-            coeff = particular[col_of[(pair, m)]]
-            if coeff:
-                terms[m] = coeff
-        return Poly(dim, terms)
-
     return TensorField.build(dim, 0, 2, entry)
+
+
+def _adjugate(a: list[list[Poly]]) -> tuple[list[list[Poly]], Poly]:
+    """(adj A, det A) by the Faddeev-LeVerrier recursion
+
+      M_1 = 1,  c_k = -tr(A M_k) / k,  M_{k+1} = A M_k + c_k 1,
+
+    which divides only by integers: det A = (-1)^n c_n and
+    adj A = (-1)^(n+1) M_n."""
+    n = len(a)
+    dim = a[0][0].dimension
+    m = [[Poly.const(dim, 1) if i == l else Poly.zero(dim) for l in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [
+            [
+                sum((a[i][j] * m[j][l] for j in range(n) if a[i][j]), Poly.zero(dim))
+                for l in range(n)
+            ]
+            for i in range(n)
+        ]
+        c = sum((am[i][i] for i in range(n)), Poly.zero(dim)) * Fraction(-1, k)
+        if k == n:
+            break
+        m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
+    sign = (-1) ** n
+    return [[-sign * x for x in row] for row in m], sign * c
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +232,16 @@ def geodesic_connection(g: GalileiStructure, u: TensorField) -> Connection:
     with h the transverse metric of U and round-bracket symmetrization
     carrying the 1/2 weight.
     """
+    return _geodesic_connection(g, u, transverse_metric(g, u))
+
+
+def _geodesic_connection(
+    g: GalileiStructure, u: TensorField, h: TensorField
+) -> Connection:
+    """geodesic_connection with the transverse metric h of U given."""
     dim = g.dimension
-    if pairing(g.theta, u) != Poly.const(dim, 1):
-        raise StructureError("geodesic connection needs theta(U) = 1")
     if not field_strength(g.theta).is_zero:
         raise StructureError("geodesic connection needs theta closed")
-    h = transverse_metric(g, u)
     half = Fraction(1, 2)
 
     def fn(a, b, c):
@@ -358,22 +289,6 @@ def assemble_connection(
         return total
 
     return Connection.build(dim, fn)
-
-
-def closedness_defect(form: TensorField) -> Poly:
-    """Sum of |d form| components as a single witness polynomial; zero iff closed."""
-    dim = form.dimension
-    total = Poly.zero(dim)
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                d = (
-                    form.comp(b, c).partial(a)
-                    - form.comp(a, c).partial(b)
-                    + form.comp(a, b).partial(c)
-                )
-                total = total + d * d
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -429,16 +344,22 @@ class NCBStructure:
                     rhs = rhs + 1
                 if lhs != rhs:
                     raise StructureError("transverse metric contraction failed")
-        if not closedness_defect(self.force).is_zero:
-            raise StructureError("force form is not closed")
+        if not (self.force - field_strength(self.a_form)).is_zero:
+            raise StructureError("force form is not the field strength of A")
         v_expect, phi_expect = observer_and_potential(self.base, self.u, self.a_form)
         if not (self.v - v_expect).is_zero or self.phi != phi_expect:
             raise StructureError("observer dictionary out of sync")
 
     @cached_property
+    def geodesic_part(self) -> Connection:
+        """The geodesic connection of U, on the cached transverse metric."""
+        return _geodesic_connection(self.base, self.u, self.transverse)
+
+    @cached_property
     def _induced(self) -> NCStructure:
-        ug = geodesic_connection(self.base, self.u)
-        conn = assemble_connection(ug, self.base.theta, self.force, self.base.gamma)
+        conn = assemble_connection(
+            self.geodesic_part, self.base.theta, self.force, self.base.gamma
+        )
         return NCStructure(self.base, conn)
 
     def induced_connection(self) -> Connection:

@@ -64,9 +64,12 @@ class TensorField:
         return self.p + self.q
 
     def _offset(self, indices: Sequence[int]) -> int:
+        n = self.dimension
         off = 0
         for i in indices:
-            off = off * self.dimension + i
+            if not 0 <= i < n:
+                raise ValueError(f"index {i} out of range for dimension {n}")
+            off = off * n + i
         return off
 
     def comp(self, *indices: int) -> Poly:
@@ -277,6 +280,8 @@ class Connection:
 
     def symbol(self, a: int, b: int, c: int) -> Poly:
         n = self.dimension
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            raise ValueError(f"symbol index ({a},{b},{c}) out of range for dimension {n}")
         return self.symbols[(a * n + b) * n + c]
 
     @classmethod

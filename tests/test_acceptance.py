@@ -458,7 +458,7 @@ def test_criterion_09_bargmann_algebra():
 
 def test_criterion_10_noncentrality():
     s = flat_structure(2)
-    flag, witness = noncentrality_check(s, 2)
+    flag, witness = noncentrality_check(s, solve_symmetries(s.induced_nc(), "milne", 2))
     ok = flag and witness is not None
     # the hallmark witness: time translation against the parameter t
     e1 = ExtendedElement(basis_vector(3, 0), Poly.zero(3))

@@ -109,6 +109,29 @@ class TestValidate:
         assert probed["passed"] is False
         assert "vanishes" in probed["detail"]
 
+    def test_sheared_n6_passes(self, capsys, tmp_path):
+        # its transverse metric has degree 10
+        lines = ["n = 6", "gamma[1][1] = 1", "theta[0] = 1", "U[0] = 1", "A[0] = 0"]
+        lines += [f"gamma[{a}][{a}] = x1^2 + 1" for a in range(2, 7)]
+        for a in range(1, 6):
+            lines += [f"gamma[{a}][{a + 1}] = x1", f"gamma[{a + 1}][{a}] = x1"]
+        path = tmp_path / "sheared6.ncw"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 0
+        assert "passed: True" in out
+
+    def test_gamma_outside_the_invariants_is_an_input_error(self, capsys, tmp_path):
+        # gauge data needs the transverse metric, whose preconditions are
+        # the symmetry of gamma and gamma(theta) = 0
+        path = tmp_path / "kernel.ncw"
+        path.write_text(
+            "n = 1\ngamma[0][0] = 2\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\n"
+        )
+        code, _, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2
+        assert "theta is not in the kernel of gamma (component 0)" in err
+
     def test_syntax_error_position(self, capsys, tmp_path):
         path = tmp_path / "syntax.ncw"
         path.write_text("flat n=2\nphi = ?\n")
@@ -127,6 +150,22 @@ class TestConnectionAndCurvature:
         comps = payload["results"]["components"]
         assert {"index": [0, 0, 1], "value": "2*x1"} in comps
         assert len(comps) == 1
+
+    def test_transverse_metric_is_computed_once(self, capsys, monkeypatch):
+        import ncw.structures
+
+        calls = []
+        original = ncw.structures.transverse_metric
+
+        def counted(g, u):
+            calls.append(1)
+            return original(g, u)
+
+        monkeypatch.setattr(ncw.structures, "transverse_metric", counted)
+        sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
+        code, _, _ = run(capsys, "connection", "--input", str(sheared))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_flat_curvature(self, capsys, flat2):
         code, out, _ = run(capsys, "curvature", "--input", flat2, "--format", "json")

@@ -407,9 +407,15 @@ class TestTwistedObserver:
 class TestNonCentrality:
     def test_standard_structure_is_noncentral(self):
         s = flat_structure(2)
-        flag, witness = noncentrality_check(s, 2)
+        flag, witness = noncentrality_check(s, solve_symmetries(s.induced_nc(), "milne", 2))
         assert flag
         assert witness is not None and not witness[1].is_zero
+
+    def test_needs_a_milne_basis(self):
+        s = flat_structure(2)
+        basis = solve_symmetries(s.induced_nc(), "galilei", 1)
+        with pytest.raises(ValueError, match="milne basis"):
+            noncentrality_check(s, basis)
 
     def test_full_stabilizer_center_is_central(self):
         s = flat_structure(2)

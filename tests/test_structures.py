@@ -1,7 +1,9 @@
 """Structure construction: transverse metrics, the geodesic connection, the
 force-form assembly, and the observer/potential dictionary."""
 
+import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,6 @@ from ncw.structures import (
     potential_to_gauge,
     standard_structure,
     transverse_metric,
-    _solve_transverse,
 )
 from ncw.tensors import (
     Connection,
@@ -146,6 +147,7 @@ class TestTransverseMetric:
                 assert total.is_zero
 
     def test_generic_solver_matches_flat_formula(self):
+        # on the flat pair: h_AB = delta_AB, h_0B = -U^B, h_00 = sum_B (U^B)^2
         rng = random.Random(22)
         g = flat_galilei(2)
         for _ in range(5):
@@ -153,9 +155,19 @@ class TestTransverseMetric:
                 3,
                 [Poly.const(3, 1), random_poly(rng, 3, 1), random_poly(rng, 3, 1)],
             )
-            fast = transverse_metric(g, u)
-            generic = _solve_transverse(g, u, None)
-            assert (fast - generic).is_zero
+
+            def flat(idx):
+                a, b = idx
+                if a >= 1 and b >= 1:
+                    return Poly.const(3, 1) if a == b else Poly.zero(3)
+                if a == 0 and b >= 1:
+                    return -u.comp(b)
+                if b == 0 and a >= 1:
+                    return -u.comp(a)
+                return u.comp(1) * u.comp(1) + u.comp(2) * u.comp(2)
+
+            expected = TensorField.build(3, 0, 2, flat)
+            assert (transverse_metric(g, u) - expected).is_zero
 
     def test_sheared_metric_inverse_block(self):
         g = sheared_galilei()
@@ -189,6 +201,88 @@ class TestTransverseMetric:
         )
         with pytest.raises(StructureError, match="rank deficient"):
             transverse_metric(g, basis_vector(3, 0))
+
+    def test_nonconstant_determinant_is_not_polynomial(self):
+        # gamma^11 = 1 + x1^2 is a valid pair whose h_11 = 1/(1 + x1^2)
+        dim = 2
+        x1 = var(dim, 1)
+        gamma = TensorField.build(
+            dim, 2, 0, lambda idx: 1 + x1 * x1 if idx == (1, 1) else Poly.zero(dim)
+        )
+        g = GalileiStructure(1, gamma, one_form(dim, [Poly.const(dim, 1), Poly.zero(dim)]))
+        g.validate()
+        with pytest.raises(StructureError, match=r"det\(gamma \+ W\(x\)W\) = x1\^2 \+ 1"):
+            transverse_metric(g, basis_vector(dim, 0))
+
+    def test_pair_preconditions_share_the_validate_messages(self):
+        dim = 2
+        theta = one_form(dim, [Poly.const(dim, 1), Poly.zero(dim)])
+        skew = TensorField.build(
+            dim, 2, 0, lambda idx: Poly.const(dim, 1) if idx == (0, 1) else Poly.zero(dim)
+        )
+        full = TensorField.build(dim, 2, 0, lambda idx: Poly.const(dim, 1))
+        for gamma, message in [
+            (skew, r"gamma not symmetric at \(0,1\)"),
+            (full, r"theta is not in the kernel of gamma \(component 0\)"),
+        ]:
+            g = GalileiStructure(1, gamma, theta)
+            with pytest.raises(StructureError, match=message):
+                g.validate()
+            with pytest.raises(StructureError, match=message):
+                transverse_metric(g, basis_vector(dim, 0))
+
+    def test_nonconstant_clock_form_falls_back_to_the_unit_field(self):
+        # theta = d(t + (t + x1)^2) has no constant component, so W = U;
+        # gamma = v v^T with theta(v) = 0
+        dim = 2
+        s = var(dim, 0) + var(dim, 1)
+        theta = one_form(dim, [1 + 2 * s, 2 * s])
+        v = [2 * s, -(1 + 2 * s)]
+        gamma = TensorField.build(dim, 2, 0, lambda idx: v[idx[0]] * v[idx[1]])
+        g = GalileiStructure(1, gamma, theta)
+        g.validate()
+        u = vector(dim, [Poly.const(dim, 1), Poly.const(dim, -1)])
+        _assert_transverse_contractions(g, u, transverse_metric(g, u))
+
+    def test_sheared_n6_is_polynomial_of_degree_10(self):
+        g, u = sheared_n6()
+        start = time.perf_counter()
+        h = transverse_metric(g, u)
+        assert time.perf_counter() - start < 5
+        assert max(c.total_degree() for c in h.components) == 10
+        _assert_transverse_contractions(g, u, h)
+        s = ncb_structure(g, u, TensorField.zero(7, 0, 1))
+        s.validate()
+        assert (s.transverse - h).is_zero
+
+
+def sheared_n6():
+    """gamma^11 = 1, gamma^AA = 1 + x1^2 (A = 2..6), gamma^{A,A+1} = x1
+    (A = 1..5), theta = dt, U = d_t: a unimodular spatial block whose
+    inverse has degree 10."""
+    dim = 7
+    x1 = var(dim, 1)
+    entries = {(1, 1): Poly.const(dim, 1)}
+    for a in range(2, 7):
+        entries[a, a] = 1 + x1 * x1
+    for a in range(1, 6):
+        entries[a, a + 1] = entries[a + 1, a] = x1
+    gamma = TensorField.build(dim, 2, 0, lambda idx: entries.get(idx, Poly.zero(dim)))
+    theta = one_form(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * 6)
+    return GalileiStructure(6, gamma, theta), basis_vector(dim, 0)
+
+
+def _assert_transverse_contractions(g, u, h):
+    dim = g.dimension
+    for a in range(dim):
+        for b in range(dim):
+            assert h.comp(a, b) == h.comp(b, a)
+            lhs = sum(
+                (h.comp(a, k) * g.gamma.comp(k, b) for k in range(dim)), Poly.zero(dim)
+            )
+            expected = -u.comp(b) * g.theta.comp(a) + (1 if a == b else 0)
+            assert lhs == expected
+        assert sum((h.comp(a, k) * u.comp(k) for k in range(dim)), Poly.zero(dim)).is_zero
 
 
 class TestGeodesicConnection:
@@ -376,6 +470,16 @@ class TestNCBInvariants:
             s = ncb_structure(g, u, a)
             s.validate()
             s.induced_nc().validate()
+
+    def test_force_must_be_the_field_strength_of_the_gauge_form(self):
+        s = flat_structure(1)
+        x1 = var(2, 1)
+        force = TensorField.build(
+            2, 0, 2, lambda idx: {(0, 1): x1, (1, 0): -x1}.get(idx, Poly.zero(2))
+        )
+        bad = dataclasses.replace(s, force=force)
+        with pytest.raises(StructureError, match="field strength"):
+            bad.validate()
 
     def test_boosted_ether_field(self):
         # Eq-built connection for U = d_t + t d_1 on flat data stays Newtonian

@@ -110,3 +110,31 @@ def test_raise_connection_matches_sympy_sums():
                     )
                     assert same(once.comp(b, c, a), expect_once, xs)
                     assert same(twice.comp(a, b, c), expect_twice, xs)
+
+
+def test_transverse_metric_matches_the_sympy_inverse():
+    # gamma = L L^T on the spatial block, L unit lower triangular, so
+    # det(gamma + U U^T) = 1; with U^0 = 1 the transverse metric is
+    # (gamma + U U^T)^{-1} - theta theta^T for theta = dt
+    from ncw.structures import GalileiStructure, transverse_metric
+    from ncw.tensors import one_form, vector
+
+    for rng, dim, xs in cases():
+        n = dim - 1
+        lower = sympy.Matrix(
+            n, n, lambda i, j: 1 if i == j else random_expr(rng, xs) if i > j else 0
+        )
+        gamma = sympy.zeros(dim, dim)
+        gamma[1:, 1:] = lower * lower.T
+        u = sympy.Matrix([1] + [random_expr(rng, xs) for _ in range(n)])
+        theta = sympy.Matrix([1] + [0] * n)
+        expected = (gamma + u * u.T).inv() - theta * theta.T
+        g = GalileiStructure(
+            n,
+            TensorField(dim, 2, 0, tuple(to_poly(sympy.expand(e), xs) for e in gamma)),
+            one_form(dim, [to_poly(e, xs) for e in theta]),
+        )
+        h = transverse_metric(g, vector(dim, [to_poly(e, xs) for e in u]))
+        for a in range(dim):
+            for b in range(dim):
+                assert same(h.comp(a, b), sympy.expand(sympy.cancel(expected[a, b])), xs)

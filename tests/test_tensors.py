@@ -447,3 +447,17 @@ class TestBracketAndHelpers:
         syms[(0 * dim + 1) * dim + 0] = Poly.const(dim, 1)  # G_01^0 != G_10^0
         with pytest.raises(ValueError):
             Connection(dim, tuple(syms))
+
+
+class TestIndexRange:
+    def test_component_index_out_of_range_raises(self):
+        t = TensorField.zero(3, 0, 2)
+        for indices in [(0, 3), (0, 4), (3, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="out of range"):
+                t.comp(*indices)
+
+    def test_symbol_index_out_of_range_raises(self):
+        conn = Connection.zero(3)
+        for indices in [(0, 0, 3), (3, 0, 0), (0, 3, 0), (0, 0, -1), (-1, 0, 0)]:
+            with pytest.raises(ValueError, match="out of range"):
+                conn.symbol(*indices)
