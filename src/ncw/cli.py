@@ -85,7 +85,7 @@ def _structure_summary(built: BuiltStructure) -> dict:
     if doc.preset:
         out["preset"] = doc.preset
     if doc.phi is not None:
-        out["phi"] = str(parse_expression(doc.phi, doc.n + 1))
+        out["phi"] = str(doc.potential)
     out["shape"] = doc.data_shape()
     return out
 

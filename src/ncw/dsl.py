@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from .poly import Poly
 from .structures import (
     GalileiStructure,
@@ -233,7 +234,12 @@ class ExpressionParser:
 
 def parse_expression(text: str, dimension: int) -> Poly:
     """Parse one standalone polynomial expression."""
-    stream = _TokenStream(tokenize(text))
+    return _parse_tokens(tokenize(text), dimension)
+
+
+def _parse_tokens(tokens: list[Token], dimension: int) -> Poly:
+    """Parse one expression from its tokens; errors carry their positions."""
+    stream = _TokenStream(tokens)
     poly = ExpressionParser(stream, dimension).parse()
     tok = stream.peek()
     if tok.kind not in ("NEWLINE", "END"):
@@ -249,8 +255,10 @@ class StructureDocument:
     name: str | None = None
     n: int | None = None
     preset: str | None = None  # "flat" | "standard"
-    phi: str | None = None  # raw expression text
-    components: dict[str, dict[tuple[int, ...], str]] = field(default_factory=dict)
+    # each expression as its own tokens, closed by an END token at the end
+    # of its line, so that parse errors point into the document
+    phi: list[Token] | None = None
+    components: dict[str, dict[tuple[int, ...], list[Token]]] = field(default_factory=dict)
 
     FIELD_RANKS = {"gamma": 2, "theta": 1, "U": 1, "A": 1, "V": 1, "Gamma": 3}
 
@@ -272,6 +280,12 @@ class StructureDocument:
                 f"or observer data must be provided (found: {shapes or 'none'})"
             )
         return shapes[0]
+
+    @cached_property
+    def potential(self) -> Poly:
+        """phi over dimension n+1, parsed once (zero when absent)."""
+        dim = self.n + 1
+        return Poly.zero(dim) if self.phi is None else _parse_tokens(self.phi, dim)
 
 
 def parse_structure(text: str) -> StructureDocument:
@@ -322,17 +336,17 @@ def _parse_preset_header(stream: _TokenStream, doc: StructureDocument) -> None:
                 )
             doc.n = int(num.text)
         else:
-            doc.phi = _collect_expression_text(stream)
+            doc.phi = _expression_tokens(stream)
     if doc.preset == "standard" and doc.phi is None:
         raise StructureError("standard preset requires phi = <expression>")
 
 
-def _collect_expression_text(stream: _TokenStream) -> str:
-    parts = []
+def _expression_tokens(stream: _TokenStream) -> list[Token]:
+    tokens = []
     while stream.peek().kind not in ("NEWLINE", "END"):
-        tok = stream.next()
-        parts.append(tok.text)
-    return " ".join(parts)
+        tokens.append(stream.next())
+    end = stream.peek()
+    return tokens + [Token("END", "", end.line, end.col)]
 
 
 def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
@@ -367,7 +381,7 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         return
     if name == "phi":
         stream.expect_symbol("=")
-        doc.phi = _collect_expression_text(stream)
+        doc.phi = _expression_tokens(stream)
         return
     if name in StructureDocument.FIELD_RANKS:
         rank = StructureDocument.FIELD_RANKS[name]
@@ -380,14 +394,14 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
             indices.append(int(num.text))
             stream.expect_symbol("]")
         eq = stream.expect_symbol("=")
-        expr_text = _collect_expression_text(stream)
+        expr_tokens = _expression_tokens(stream)
         slot = doc.components.setdefault(name, {})
         key_idx = tuple(indices)
         if key_idx in slot:
             raise ParseError(
                 f"duplicate component {name}{list(indices)}", eq.line, eq.col
             )
-        slot[key_idx] = expr_text
+        slot[key_idx] = expr_tokens
         return
     raise ParseError(f"unknown directive {name!r}", key.line, key.col)
 
@@ -416,8 +430,7 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         if doc.preset == "flat":
             ncb = flat_structure(n)
         else:
-            phi = parse_expression(doc.phi or "0", dim)
-            ncb = standard_structure(n, phi)
+            ncb = standard_structure(n, doc.potential)
         if validate:
             ncb.validate()
         nc = ncb.induced_nc()
@@ -428,12 +441,12 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
     def tensor_from(name: str, p: int, q: int):
         entries = doc.components.get(name, {})
         comps = {}
-        for idx, text in entries.items():
+        for idx, tokens in entries.items():
             if any(not 0 <= i <= n for i in idx):
                 raise StructureError(
                     f"{name} index {idx} out of range for n={n}"
                 )
-            comps[idx] = parse_expression(text, dim)
+            comps[idx] = _parse_tokens(tokens, dim)
 
         def entry(idx):
             return comps.get(tuple(idx), Poly.zero(dim))
@@ -454,10 +467,10 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
     if shape == "explicit":
         entries = doc.components.get("Gamma", {})
         symbols = {}
-        for idx, text in entries.items():
+        for idx, tokens in entries.items():
             if any(not 0 <= i <= n for i in idx):
                 raise StructureError(f"Gamma index {idx} out of range for n={n}")
-            symbols[idx] = parse_expression(text, dim)
+            symbols[idx] = _parse_tokens(tokens, dim)
         conn = Connection.build(
             dim, lambda a, b, c: symbols.get((a, b, c), Poly.zero(dim))
         )
@@ -471,8 +484,7 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         a_form = tensor_from("A", 0, 1)
     else:
         v = tensor_from("V", 1, 0)
-        phi = parse_expression(doc.phi or "0", dim)
-        a_form = potential_to_gauge(base, u, v, phi)
+        a_form = potential_to_gauge(base, u, v, doc.potential)
     ncb = ncb_structure(base, u, a_form)
     if validate:
         ncb.validate()

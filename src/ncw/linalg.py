@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of Fractions with reduced-row-echelon elimination, nullspace
-bases in canonical echelon normal form, and inhomogeneous solving.  A sparse
-row-dict eliminator with the same pivoting discipline backs the larger
-systems assembled by the symmetry solver; both paths produce identical
-canonical kernels and are cross-checked in the test suite.
+One Gaussian elimination, SparseEliminator: sparse rational rows absorbed
+one at a time, pivoting on the least column index, so every kernel is the
+canonical echelon basis.  It backs both the large systems the symmetry
+solver assembles and the small dense RationalMatrix operations (rref,
+rank, inverse, nullspace, inhomogeneous solving).  Determinants and
+adjugates come from one division-free Faddeev-LeVerrier recursion that
+works over Fractions and Polys alike.
 """
 
 from __future__ import annotations
@@ -74,25 +76,14 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [v * inv for v in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RationalMatrix(self.rows, self.cols, m), tuple(pivots)
+        elim = SparseEliminator(self.cols)
+        for row in _sparse_rows(self):
+            elim.add_row(row)
+        rows = elim.reduced_rows()
+        pivots = tuple(sorted(rows))
+        reduced = [[rows[p].get(c, 0) for c in range(self.cols)] for p in pivots]
+        reduced += [[0] * self.cols] * (self.rows - len(pivots))
+        return RationalMatrix(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -100,23 +91,7 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        return adjugate(self.entries)[1] if self.rows else Fraction(1)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -140,17 +115,8 @@ def nullspace(matrix: RationalMatrix) -> list[Vector]:
     (ascending), carrying 1 in its own free column and 0 in every other free
     column, so the output is deterministic.
     """
-    red, pivots = matrix.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [Fraction(0)] * matrix.cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.entries[i][fc]
-        basis.append(tuple(v))
-    return basis
+    kernel = sparse_kernel(_sparse_rows(matrix), matrix.cols)
+    return [_dense(v, matrix.cols) for v in kernel]
 
 
 def solve_inhomogeneous(
@@ -164,18 +130,11 @@ def solve_inhomogeneous(
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = RationalMatrix(
-        matrix.rows,
-        matrix.cols + 1,
-        [list(row) + [Fraction(b)] for row, b in zip(matrix.entries, rhs)],
-    )
-    red, pivots = aug.rref()
-    if matrix.cols in pivots:
+    solution = sparse_solve(_sparse_rows(matrix), rhs, matrix.cols)
+    if solution is None:
         return None
-    particular = [Fraction(0)] * matrix.cols
-    for i, pc in enumerate(pivots):
-        particular[pc] = red.entries[i][matrix.cols]
-    return tuple(particular), nullspace(matrix)
+    particular, kernel = solution
+    return tuple(particular), [_dense(v, matrix.cols) for v in kernel]
 
 
 def inconsistency_certificate(
@@ -190,6 +149,38 @@ def inconsistency_certificate(
     return None
 
 
+def _sparse_rows(matrix: RationalMatrix) -> list["SparseRow"]:
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix.entries]
+
+
+def _dense(v: "SparseRow", ncols: int) -> Vector:
+    return tuple(v.get(c, Fraction(0)) for c in range(ncols))
+
+
+def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
+    """(adj A, det A) of a nonempty square matrix by the Faddeev-LeVerrier
+    recursion
+
+      M_1 = 1,  c_k = -tr(A M_k) / k,  M_{k+1} = A M_k + c_k 1,
+
+    which divides only by integers, so the entries may be Fractions or
+    Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n."""
+    n = len(a)
+    zero = a[0][0] * 0
+    m = [[zero + 1 if i == l else zero for l in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [
+            [sum((a[i][j] * m[j][l] for j in range(n) if a[i][j]), zero) for l in range(n)]
+            for i in range(n)
+        ]
+        c = sum((am[i][i] for i in range(n)), zero) * Fraction(-1, k)
+        if k == n:
+            break
+        m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
+    sign = (-1) ** n
+    return [[-sign * x for x in row] for row in m], sign * c
+
+
 # ----------------------------------------------------------------------
 # sparse eliminator (row dictionaries keyed by column index)
 
@@ -200,8 +191,8 @@ class SparseEliminator:
     """Incremental Gaussian elimination over sparse rational rows.
 
     Rows are absorbed one at a time; pivot columns are chosen as the least
-    column index of the reduced row, matching the dense rref discipline, so
-    the final kernel is the same canonical basis nullspace() produces.
+    column index of the reduced row, so the reduced rows and the kernel are
+    the canonical reduced row echelon form and echelon kernel basis.
     """
 
     def __init__(self, ncols: int):
@@ -232,7 +223,9 @@ class SparseEliminator:
         inv = 1 / reduced[lead]
         self.pivot_rows[lead] = {c: v * inv for c, v in reduced.items()}
 
-    def _back_substitute(self) -> None:
+    def reduced_rows(self) -> dict[int, SparseRow]:
+        """The pivot rows, keyed by lead column, after back substitution:
+        the nonzero rows of the reduced row echelon form."""
         for lead in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[lead]
             for other_lead, other in self.pivot_rows.items():
@@ -247,11 +240,11 @@ class SparseEliminator:
                         other[c] = acc
                     else:
                         other.pop(c, None)
+        return self.pivot_rows
 
     def kernel(self) -> list[SparseRow]:
         """Canonical kernel basis, one sparse vector per free column (ascending)."""
-        self._back_substitute()
-        pivots = sorted(self.pivot_rows)
+        pivots = sorted(self.reduced_rows())
         pivot_set = set(pivots)
         basis: list[SparseRow] = []
         for fc in range(self.ncols):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, adjugate
 from .poly import Poly
 from .tensors import (
     Connection,
@@ -63,17 +63,23 @@ class GalileiStructure:
         return self.n + 1
 
     def validate(self, sample_points: Sequence[Sequence[object]] | None = None) -> None:
-        self._check_pair()
+        self._valid_at_origin
+        for pt in sample_points or ():
+            self._check_point([Fraction(v) for v in pt])
+
+    @cached_property
+    def _valid_at_origin(self) -> bool:
+        """The global conditions and the origin, checked once per structure
+        (a failure is not cached and raises again on the next call)."""
+        self._valid_pair
         if not field_strength(self.theta).is_zero:
             raise StructureError("theta must be closed")
-        points = [[Fraction(0)] * self.dimension]
-        if sample_points:
-            points += [[Fraction(v) for v in pt] for pt in sample_points]
-        for pt in points:
-            self._check_point(pt)
+        self._check_point([Fraction(0)] * self.dimension)
+        return True
 
-    def _check_pair(self) -> None:
-        """Shapes, the symmetry of gamma and gamma(theta) = 0."""
+    @cached_property
+    def _valid_pair(self) -> bool:
+        """Shapes, the symmetry of gamma and gamma(theta) = 0, checked once."""
         dim = self.dimension
         if (self.gamma.p, self.gamma.q) != (2, 0) or self.gamma.dimension != dim:
             raise StructureError("gamma must be a (2,0) tensor of matching dimension")
@@ -88,6 +94,7 @@ class GalileiStructure:
                 raise StructureError(
                     f"theta is not in the kernel of gamma (component {a})"
                 )
+        return True
 
     def _check_point(self, point: Sequence[Fraction]) -> None:
         dim = self.dimension
@@ -102,19 +109,21 @@ class GalileiStructure:
         theta_val = [self.theta.comp(a).evaluate(point) for a in range(dim)]
         if all(v == 0 for v in theta_val):
             raise StructureError(f"theta vanishes at sample point {point}")
-        if g.rank() != self.n:
-            raise StructureError(
-                f"gamma has rank {g.rank()} (expected {self.n}) at {point}"
-            )
         # restrict to a coordinate complement of theta (every axis but the
         # last one theta has a component on) and check positive
-        # definiteness by Sylvester's criterion
+        # definiteness by Sylvester's criterion; theta != 0 spans gamma's
+        # kernel (_valid_pair), so passing it means rank n
         last = max(a for a, v in enumerate(theta_val) if v)
         axes = [a for a in range(dim) if a != last]
         restricted = [[g.entries[a][b] for b in axes] for a in axes]
         for k in range(1, self.n + 1):
             minor = RationalMatrix(k, k, [row[:k] for row in restricted[:k]])
             if minor.det() <= 0:
+                rank = g.rank()
+                if rank != self.n:
+                    raise StructureError(
+                        f"gamma has rank {rank} (expected {self.n}) at {point}"
+                    )
                 raise StructureError(
                     f"gamma restricted transverse to theta is not positive "
                     f"definite at {point} (leading minor {k})"
@@ -154,7 +163,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     e_j / theta_j for the first constant nonzero theta_j (U when there is
     none), so that N does not depend on U.
     """
-    g._check_pair()
+    g._valid_pair
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("transverse metric needs theta(U) = 1")
@@ -164,7 +173,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         Poly.const(dim, 1 / theta[j].coefficient((0,) * dim)) if k == j else Poly.zero(dim)
         for k in range(dim)
     ]
-    adj, det = _adjugate(
+    adj, det = adjugate(
         [[g.gamma.comp(a, b) + w[a] * w[b] for b in range(dim)] for a in range(dim)]
     )
     if det.is_zero:
@@ -192,32 +201,6 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         )
 
     return TensorField.build(dim, 0, 2, entry)
-
-
-def _adjugate(a: list[list[Poly]]) -> tuple[list[list[Poly]], Poly]:
-    """(adj A, det A) by the Faddeev-LeVerrier recursion
-
-      M_1 = 1,  c_k = -tr(A M_k) / k,  M_{k+1} = A M_k + c_k 1,
-
-    which divides only by integers: det A = (-1)^n c_n and
-    adj A = (-1)^(n+1) M_n."""
-    n = len(a)
-    dim = a[0][0].dimension
-    m = [[Poly.const(dim, 1) if i == l else Poly.zero(dim) for l in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [
-            [
-                sum((a[i][j] * m[j][l] for j in range(n) if a[i][j]), Poly.zero(dim))
-                for l in range(n)
-            ]
-            for i in range(n)
-        ]
-        c = sum((am[i][i] for i in range(n)), Poly.zero(dim)) * Fraction(-1, k)
-        if k == n:
-            break
-        m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
-    sign = (-1) ** n
-    return [[-sign * x for x in row] for row in m], sign * c
 
 
 # ----------------------------------------------------------------------

@@ -139,6 +139,50 @@ class TestValidate:
         assert code == 2
         assert "line 2" in err
 
+    def test_expression_error_points_into_the_document(self, capsys, tmp_path):
+        path = tmp_path / "gauge.ncw"
+        path.write_text(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1\ntheta[0] = 1\n"
+            "A[0] = x1 + * 2\nU[0] = 1\n"
+        )
+        code, _, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2
+        assert "line 5, column 13: expected a number" in err
+
+    def test_preset_phi_error_points_into_the_header(self, capsys, tmp_path):
+        path = tmp_path / "standard.ncw"
+        path.write_text("standard n=2 phi = x1 + x3\n")
+        code, _, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2
+        assert "line 1, column 25: variable x3 out of range" in err
+
+    def test_rank_loss_at_a_sample_point_is_named(self, capsys, tmp_path):
+        # gamma[2][2] = 1 + t vanishes at t = -1, leaving rank 1
+        path = tmp_path / "fading-metric.ncw"
+        path.write_text(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1 + t\ntheta[0] = 1\n"
+            "Gamma[0][0][1] = 0\n"
+        )
+        code, out, _ = run(
+            capsys, "validate", "--input", str(path), "--format", "json",
+            "--sample-point=-1,0,0",
+        )
+        assert code == 1
+        metric_pair = json.loads(out)["results"]["checks"][0]
+        assert metric_pair["name"] == "metric-pair"
+        assert metric_pair["detail"].startswith("gamma has rank 1 (expected 2) at [")
+
+    def test_rank_loss_at_the_origin_fails_every_check_alike(self, capsys, tmp_path):
+        path = tmp_path / "degenerate.ncw"
+        path.write_text("n = 1\ngamma[1][1] = x1^2\ntheta[0] = 1\nGamma[0][0][1] = 0\n")
+        argv = ["validate", "--input", str(path), "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert run(capsys, *argv) == (code, out, "")
+        detail = "gamma has rank 0 (expected 1) at [Fraction(0, 1), Fraction(0, 1)]"
+        checks = json.loads(out)["results"]["checks"]
+        assert [c["detail"] for c in checks] == [detail, detail]
+
 
 class TestConnectionAndCurvature:
     def test_standard_connection_components(self, capsys, standard2):
@@ -150,6 +194,34 @@ class TestConnectionAndCurvature:
         comps = payload["results"]["components"]
         assert {"index": [0, 0, 1], "value": "2*x1"} in comps
         assert len(comps) == 1
+
+    def test_metric_pair_is_checked_once_per_structure(self, capsys, monkeypatch):
+        from ncw.structures import GalileiStructure
+
+        points = []
+        original = GalileiStructure._check_point
+
+        def counted(self, point):
+            points.append(point)
+            return original(self, point)
+
+        pairs = []
+        pair_check = GalileiStructure.__dict__["_valid_pair"]
+        original_pair = pair_check.func
+
+        def counted_pair(self):
+            pairs.append(self)
+            return original_pair(self)
+
+        monkeypatch.setattr(GalileiStructure, "_check_point", counted)
+        monkeypatch.setattr(pair_check, "func", counted_pair)
+        sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
+        code, _, _ = run(
+            capsys, "solve", "--input", str(sheared), "--flavor", "mil", "--degree", "1"
+        )
+        assert code == 0
+        assert len(points) == 1
+        assert len(pairs) == 1
 
     def test_transverse_metric_is_computed_once(self, capsys, monkeypatch):
         import ncw.structures

@@ -4,6 +4,8 @@ finite action, and invariance of the induced Newton-Cartan data."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import basis_vector, random_one_form, random_poly, random_vector, var
 from ncw.gauge import (
     AffineDiffeo,
@@ -146,6 +148,10 @@ class TestFiniteAction:
         out = finite_gauge_apply(s, gt)
         out.validate()
         out.induced_nc().validate()
+
+    def test_singular_linear_part_rejected(self):
+        with pytest.raises(ValueError, match="affine map must be invertible"):
+            AffineDiffeo.make([[1, 0, 0], [2, 1, 3], [4, 2, 6]], [0, 0, 0])
 
     def test_pushforward_preserves_pairings(self):
         rng = random.Random(36)

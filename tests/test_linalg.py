@@ -1,4 +1,9 @@
-"""Exact linear algebra: nullspace and solver examples, canonical-form laws."""
+"""Exact linear algebra: nullspace and solver examples, canonical-form laws.
+
+The canonical forms are checked against sympy's dense Matrix (rref,
+nullspace, gauss_jordan_solve, det), which shares no ncw code; those tests
+skip when sympy is missing.
+"""
 
 import random
 from fractions import Fraction
@@ -65,6 +70,35 @@ def random_matrix(rng, rows, cols):
     )
 
 
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(v.numerator, v.denominator) for row in m.entries for v in row]
+    )
+
+
+def to_fractions(values):
+    return tuple(Fraction(int(v.p), int(v.q)) for v in values)
+
+
+def sympy_kernel(sympy, m):
+    return [to_fractions(col) for col in to_sympy(sympy, m).nullspace()]
+
+
+def sympy_solve(sympy, m, b):
+    """Particular solution with every free variable 0, or None if inconsistent."""
+    rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+    try:
+        solution, params = to_sympy(sympy, m).gauss_jordan_solve(rhs)
+    except ValueError:
+        return None
+    return to_fractions(solution.subs({p: 0 for p in params}))
+
+
 class TestProperties:
     def test_roundtrip_solutions(self):
         rng = random.Random(7)
@@ -94,12 +128,13 @@ class TestProperties:
                 assert own
             assert len(basis) + m.rank() == cols
 
-    def test_sparse_matches_dense(self):
+    def test_sparse_matches_dense(self, sympy):
         rng = random.Random(13)
         for _ in range(60):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             m = random_matrix(rng, rows, cols)
-            dense = nullspace(m)
+            dense = sympy_kernel(sympy, m)
+            assert nullspace(m) == dense
             sparse_rows = [
                 {c: v for c, v in enumerate(row) if v != 0} for row in m.entries
             ]
@@ -109,13 +144,13 @@ class TestProperties:
             ]
             assert densified == dense
 
-    def test_kernel_independent_of_row_order(self):
+    def test_kernel_independent_of_row_order(self, sympy):
         # canonical echelon kernels cannot depend on equation arrival order
         rng = random.Random(19)
         for _ in range(40):
             rows, cols = rng.randint(2, 7), rng.randint(1, 6)
             m = random_matrix(rng, rows, cols)
-            reference = nullspace(m)
+            reference = sympy_kernel(sympy, m)
             sparse_rows = [
                 {c: v for c, v in enumerate(row) if v != 0} for row in m.entries
             ]
@@ -126,26 +161,41 @@ class TestProperties:
             ]
             assert densified == reference
 
-    def test_sparse_solve_matches_dense(self):
+    def test_sparse_solve_matches_dense(self, sympy):
         rng = random.Random(17)
         for _ in range(60):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             m = random_matrix(rng, rows, cols)
             b = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
-            dense = solve_inhomogeneous(m, b)
+            particular = sympy_solve(sympy, m, b)
             sparse_rows = [
                 {c: v for c, v in enumerate(row) if v != 0} for row in m.entries
             ]
             sparse = sparse_solve(sparse_rows, b, cols)
-            if dense is None:
+            if particular is None:
                 assert sparse is None
+                assert solve_inhomogeneous(m, b) is None
             else:
                 assert sparse is not None
-                assert tuple(sparse[0]) == dense[0]
+                assert tuple(sparse[0]) == particular
                 densified = [
                     tuple(v.get(c, Fraction(0)) for c in range(cols)) for v in sparse[1]
                 ]
-                assert densified == dense[1]
+                assert densified == sympy_kernel(sympy, m)
+                assert solve_inhomogeneous(m, b) == (particular, densified)
+
+    def test_rref_matches_sympy(self, sympy):
+        rng = random.Random(23)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = random_matrix(rng, rows, cols)
+            reduced, pivots = m.rref()
+            expected, expected_pivots = to_sympy(sympy, m).rref()
+            assert pivots == expected_pivots
+            assert reduced.entries == tuple(
+                to_fractions(expected.row(i)) for i in range(rows)
+            )
+            assert m.rank() == len(expected_pivots)
 
 
 class TestMatrixOps:
@@ -161,6 +211,20 @@ class TestMatrixOps:
     def test_det(self):
         assert RationalMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
         assert RationalMatrix.from_rows([[Fraction(1, 2), 0], [7, 2]]).det() == 1
+
+    def test_det_of_empty_matrix_is_one(self):
+        assert RationalMatrix(0, 0, []).det() == 1
+        assert RationalMatrix.from_rows([]).det() == 1
+
+    def test_det_matches_sympy(self, sympy):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = RationalMatrix.from_rows(
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            )
+            expected = to_sympy(sympy, m).det()
+            assert m.det() == Fraction(int(expected.p), int(expected.q))
 
     @settings(max_examples=30)
     @given(st.integers(1, 4), st.integers(0, 1000))

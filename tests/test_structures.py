@@ -12,6 +12,7 @@ from helpers import basis_vector, random_one_form, random_poly, var
 from ncw.poly import Poly
 from ncw.structures import (
     GalileiStructure,
+    NCStructure,
     StructureError,
     assemble_connection,
     curl_defect,
@@ -96,6 +97,35 @@ class TestGalileiValidation:
         )
         with pytest.raises(StructureError, match="positive"):
             g.validate()
+
+    def test_indefinite_full_rank_metric_names_the_minor(self):
+        dim = 3
+        signs = {(1, 1): 1, (2, 2): -1}
+        g = GalileiStructure(
+            2,
+            TensorField.build(dim, 2, 0, lambda idx: Poly.const(dim, signs.get(idx, 0))),
+            one_form(dim, [Poly.const(dim, 1), Poly.zero(dim), Poly.zero(dim)]),
+        )
+        with pytest.raises(StructureError, match=r"not positive definite .* \(leading minor 2\)$"):
+            g.validate()
+
+    def test_failed_validation_raises_again_with_the_same_message(self):
+        # rank 0 at the origin; the cached global check must not cache failure
+        dim = 2
+        g = GalileiStructure(
+            1,
+            TensorField.build(dim, 2, 0, lambda idx: var(dim, 1) ** 2 if idx == (1, 1) else Poly.zero(dim)),
+            one_form(dim, [Poly.const(dim, 1), Poly.zero(dim)]),
+        )
+        flat = flat_structure(1)
+        stack = dataclasses.replace(flat, base=g)
+        nc = NCStructure(g, flat.induced_connection())
+        messages = set()
+        for check in (g.validate, g.validate, nc.validate, stack.validate, stack.validate):
+            with pytest.raises(StructureError) as exc:
+                check()
+            messages.add(str(exc.value))
+        assert messages == {"gamma has rank 0 (expected 1) at [Fraction(0, 1), Fraction(0, 1)]"}
 
     def test_open_clock_form_rejected(self):
         dim = 3
