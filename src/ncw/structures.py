@@ -98,6 +98,7 @@ class GalileiStructure:
 
     def _check_point(self, point: Sequence[Fraction]) -> None:
         dim = self.dimension
+        where = f"({', '.join(map(str, point))})"
         g = RationalMatrix(
             dim,
             dim,
@@ -108,7 +109,7 @@ class GalileiStructure:
         )
         theta_val = [self.theta.comp(a).evaluate(point) for a in range(dim)]
         if all(v == 0 for v in theta_val):
-            raise StructureError(f"theta vanishes at sample point {point}")
+            raise StructureError(f"theta vanishes at sample point {where}")
         # restrict to a coordinate complement of theta (every axis but the
         # last one theta has a component on) and check positive
         # definiteness by Sylvester's criterion; theta != 0 spans gamma's
@@ -122,11 +123,11 @@ class GalileiStructure:
                 rank = g.rank()
                 if rank != self.n:
                     raise StructureError(
-                        f"gamma has rank {rank} (expected {self.n}) at {point}"
+                        f"gamma has rank {rank} (expected {self.n}) at {where}"
                     )
                 raise StructureError(
                     f"gamma restricted transverse to theta is not positive "
-                    f"definite at {point} (leading minor {k})"
+                    f"definite at {where} (leading minor {k})"
                 )
 
 

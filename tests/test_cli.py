@@ -170,7 +170,24 @@ class TestValidate:
         assert code == 1
         metric_pair = json.loads(out)["results"]["checks"][0]
         assert metric_pair["name"] == "metric-pair"
-        assert metric_pair["detail"].startswith("gamma has rank 1 (expected 2) at [")
+        assert metric_pair["detail"].startswith("gamma has rank 1 (expected 2) at (")
+
+    def test_sample_point_is_rendered_in_the_report_grammar(self, capsys, tmp_path):
+        path = tmp_path / "fading-metric.ncw"
+        path.write_text(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1 + t\ntheta[0] = 1\n"
+            "Gamma[0][0][1] = 0\n"
+        )
+        detail = "gamma has rank 1 (expected 2) at (-1, 0, 0)"
+        argv = ["validate", "--input", str(path), "--sample-point=-1,0,0"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["results"]["checks"][0]["detail"] == detail
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert f"detail: {detail}\n" in out
+        _, out, _ = run(capsys, "validate", "--input", str(path), "--sample-point=-1,1/2,0")
+        assert "at (-1, 1/2, 0)" in out
 
     def test_rank_loss_at_the_origin_fails_every_check_alike(self, capsys, tmp_path):
         path = tmp_path / "degenerate.ncw"
@@ -179,7 +196,7 @@ class TestValidate:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert run(capsys, *argv) == (code, out, "")
-        detail = "gamma has rank 0 (expected 1) at [Fraction(0, 1), Fraction(0, 1)]"
+        detail = "gamma has rank 0 (expected 1) at (0, 0)"
         checks = json.loads(out)["results"]["checks"]
         assert [c["detail"] for c in checks] == [detail, detail]
 
