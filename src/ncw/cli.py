@@ -125,10 +125,7 @@ def cmd_connection(built: BuiltStructure, args, report: Report) -> None:
     conn = ncb.induced_connection()
     report.results["geodesic_part"] = connection_entries(ncb.geodesic_part)
     report.results["force_form"] = [
-        {"index": [a, b], "value": str(ncb.force.comp(a, b))}
-        for a in range(ncb.base.dimension)
-        for b in range(ncb.base.dimension)
-        if not ncb.force.comp(a, b).is_zero
+        {"index": list(idx), "value": str(value)} for idx, value in ncb.force.nonzero.items()
     ]
     report.results["components"] = connection_entries(conn)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .linalg import RationalMatrix
@@ -38,6 +37,10 @@ from .structures import (
 )
 from .tensors import (
     TensorField,
+    _dense,
+    _einsum,
+    _field,
+    _slots,
     apply_metric,
     directional,
     gradient,
@@ -121,6 +124,11 @@ def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
 # ----------------------------------------------------------------------
 # finite action
 
+def _entries(m: RationalMatrix) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of a matrix keyed (row, column)."""
+    return {(i, j): v for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
+
+
 @dataclass(frozen=True)
 class AffineDiffeo:
     """y = L x + c with L an invertible rational matrix."""
@@ -152,19 +160,11 @@ class AffineDiffeo:
         return self.linear.rows
 
     def inverse_images(self) -> list[Poly]:
-        """Polynomials expressing old coordinates in terms of new ones."""
+        """Polynomials expressing old coordinates in terms of new ones,
+        x = L^{-1}(y - c)."""
         dim = self.dimension
-        inv = self.linear.inverse()
-        images = []
-        for i in range(dim):
-            p = Poly.zero(dim)
-            for j in range(dim):
-                coeff = inv.entries[i][j]
-                if coeff:
-                    p = p + coeff * Poly.variable(dim, j)
-                p = p - coeff * Poly.const(dim, self.translation[j])
-            images.append(p)
-        return images
+        shifted = {(j,): Poly.variable(dim, j) - c for j, c in enumerate(self.translation)}
+        return list(_dense(dim, 1, _einsum("ij,j->i", _entries(self.linear.inverse()), shifted)))
 
     def push_scalar(self, f: Poly) -> Poly:
         return f.substitute(self.inverse_images())
@@ -172,27 +172,15 @@ class AffineDiffeo:
     def push_tensor(self, t: TensorField) -> TensorField:
         """Pushforward: L on each upper slot, L^{-1} transposed on each lower,
         components composed with the inverse map."""
-        dim = self.dimension
-        inv = self.linear.inverse()
         images = self.inverse_images()
-        moved = [c.substitute(images) for c in t.components]
-        moved_field = TensorField(dim, t.p, t.q, tuple(moved))
-
-        def entry(idx):
-            uppers = idx[: t.p]
-            lowers = idx[t.p :]
-            total = Poly.zero(dim)
-            for src in product(range(dim), repeat=t.p + t.q):
-                factor = Fraction(1)
-                for a, k in zip(uppers, src[: t.p]):
-                    factor *= self.linear.entries[a][k]
-                for b, k in zip(lowers, src[t.p :]):
-                    factor *= inv.entries[k][b]
-                if factor:
-                    total = total + moved_field.comp(*src) * factor
-            return total
-
-        return TensorField.build(dim, t.p, t.q, entry)
+        moved = {idx: c.substitute(images) for idx, c in t.nonzero.items()}
+        linear, inverse = _entries(self.linear), _entries(self.linear.inverse())
+        # L^a_k per upper slot, (L^{-1})^k_b per lower slot, then the moved field
+        out, src = _slots(t.rank, t.rank)
+        terms = [o + k if slot < t.p else k + o for slot, (o, k) in enumerate(zip(out, src))]
+        spec = ",".join(terms + [src]) + "->" + out
+        entries = _einsum(spec, *[linear] * t.p, *[inverse] * t.q, moved)
+        return _field(self.dimension, t.p, t.q, entries)
 
 
 @dataclass(frozen=True)

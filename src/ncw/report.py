@@ -85,22 +85,11 @@ def field_components(t: TensorField) -> list[str]:
 
 
 def connection_entries(conn: Connection) -> list[dict[str, Any]]:
-    n = conn.dimension
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                sym = conn.symbol(a, b, c)
-                if not sym.is_zero:
-                    out.append({"index": [a, b, c], "value": str(sym)})
-    return out
+    return [{"index": list(idx), "value": str(sym)} for idx, sym in conn.nonzero.items()]
 
 
 def curvature_entries(r: CurvatureField) -> list[dict[str, Any]]:
-    return [
-        {"index": list(idx), "value": str(value)}
-        for idx, value in r.nonzero_entries()
-    ]
+    return [{"index": list(idx), "value": str(value)} for idx, value in r.nonzero.items()]
 
 
 def generator_label(x: TensorField) -> str:

@@ -31,11 +31,16 @@ from .poly import Poly
 from .tensors import (
     Connection,
     TensorField,
+    _add,
+    _dense,
+    _derivative,
+    _einsum,
+    _field,
+    _neg,
     apply_metric,
     check_newtonian,
     covariant_derivative,
     curvature,
-    directional,
     gradient,
     one_form,
     pairing,
@@ -85,15 +90,13 @@ class GalileiStructure:
             raise StructureError("gamma must be a (2,0) tensor of matching dimension")
         if (self.theta.p, self.theta.q) != (0, 1) or self.theta.dimension != dim:
             raise StructureError("theta must be a 1-form of matching dimension")
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if self.gamma.comp(a, b) != self.gamma.comp(b, a):
-                    raise StructureError(f"gamma not symmetric at ({a},{b})")
-        for a, kernel_comp in enumerate(apply_metric(self.gamma, self.theta).components):
-            if not kernel_comp.is_zero:
-                raise StructureError(
-                    f"theta is not in the kernel of gamma (component {a})"
-                )
+        asymmetry = _add(self.gamma.nonzero, _neg(_einsum("ba->ab", self.gamma)))
+        if asymmetry:
+            raise StructureError("gamma not symmetric at ({},{})".format(*min(asymmetry)))
+        kernel = _einsum("ak,k->a", self.gamma, self.theta)
+        if kernel:
+            (a,) = min(kernel)
+            raise StructureError(f"theta is not in the kernel of gamma (component {a})")
         return True
 
     def _check_point(self, point: Sequence[Fraction]) -> None:
@@ -223,56 +226,35 @@ def _geodesic_connection(
     g: GalileiStructure, u: TensorField, h: TensorField
 ) -> Connection:
     """geodesic_connection with the transverse metric h of U given."""
-    dim = g.dimension
     if not field_strength(g.theta).is_zero:
         raise StructureError("geodesic connection needs theta closed")
+    # UG_ab^c = (P_abc + P_bac - gamma^{ck} d_k h_ab) / 2 with
+    # P_abc = gamma^{ck} d_a h_bk + d_a theta_b U^c
+    dh = _derivative(h)
+    p = _add(_einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", _derivative(g.theta), u))
+    ug = _add(p, _einsum("bac->abc", p), _neg(_einsum("kab,ck->abc", dh, g.gamma)))
     half = Fraction(1, 2)
-
-    def fn(a, b, c):
-        total = Poly.zero(dim)
-        for k in range(dim):
-            sym = (h.comp(b, k).partial(a) + h.comp(a, k).partial(b)) * half
-            total = total + g.gamma.comp(c, k) * (sym - h.comp(a, b).partial(k) * half)
-        dtheta_sym = (g.theta.comp(b).partial(a) + g.theta.comp(a).partial(b)) * half
-        return total + dtheta_sym * u.comp(c)
-
-    return Connection.build(dim, fn)
+    return Connection(g.dimension, _dense(g.dimension, 3, {i: v * half for i, v in ug.items()}))
 
 
 def field_strength(a_form: TensorField) -> TensorField:
     """F_ab = d_a A_b - d_b A_a; closed by construction."""
     if (a_form.p, a_form.q) != (0, 1):
         raise ValueError("field_strength needs a 1-form")
-    dim = a_form.dimension
-
-    def entry(idx):
-        a, b = idx
-        return a_form.comp(b).partial(a) - a_form.comp(a).partial(b)
-
-    return TensorField.build(dim, 0, 2, entry)
+    d = _derivative(a_form)
+    return _field(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
 
 
 def assemble_connection(
     ug: Connection, theta: TensorField, force: TensorField, gamma: TensorField
 ) -> Connection:
     """G_ab^c = UG_ab^c + theta_(a F_b)k gamma^{kc} with the 1/2 weight."""
-    dim = ug.dimension
-    for a in range(dim):
-        for b in range(dim):
-            if force.comp(a, b) != -force.comp(b, a):
-                raise StructureError("force form must be antisymmetric")
+    if _add(force.nonzero, _einsum("ba->ab", force)):
+        raise StructureError("force form must be antisymmetric")
+    q = _einsum("a,bk,kc->abc", theta, force, gamma)
     half = Fraction(1, 2)
-
-    def fn(a, b, c):
-        total = ug.symbol(a, b, c)
-        for k in range(dim):
-            mixed = (
-                theta.comp(a) * force.comp(b, k) + theta.comp(b) * force.comp(a, k)
-            ) * half
-            total = total + mixed * gamma.comp(k, c)
-        return total
-
-    return Connection.build(dim, fn)
+    mixed = {i: v * half for i, v in _add(q, _einsum("bac->abc", q)).items()}
+    return Connection(ug.dimension, _dense(ug.dimension, 3, _add(ug.nonzero, mixed)))
 
 
 # ----------------------------------------------------------------------
@@ -314,20 +296,18 @@ class NCBStructure:
         dim = self.base.dimension
         if pairing(self.base.theta, self.u) != Poly.const(dim, 1):
             raise StructureError("U must satisfy theta(U) = 1")
-        h = self.transverse
-        hu = apply_metric(h, self.u)
+        hu = _einsum("ak,k->a", self.transverse, self.u)
+        # h_ak gamma^{kb} + theta_a U^b - delta_a^b, which must vanish
+        defect = _add(
+            _einsum("ak,kb->ab", self.transverse, self.base.gamma),
+            _einsum("a,b->ab", self.base.theta, self.u),
+            {(a, a): Poly.const(dim, -1) for a in range(dim)},
+        )
         for a in range(dim):
-            if not hu.comp(a).is_zero:
+            if (a,) in hu:
                 raise StructureError("transverse metric does not annihilate U")
-            for b in range(dim):
-                lhs = Poly.zero(dim)
-                for k in range(dim):
-                    lhs = lhs + h.comp(a, k) * self.base.gamma.comp(k, b)
-                rhs = -self.u.comp(b) * self.base.theta.comp(a)
-                if a == b:
-                    rhs = rhs + 1
-                if lhs != rhs:
-                    raise StructureError("transverse metric contraction failed")
+            if any(row == a for row, _ in defect):
+                raise StructureError("transverse metric contraction failed")
         if not (self.force - field_strength(self.a_form)).is_zero:
             raise StructureError("force form is not the field strength of A")
         v_expect, phi_expect = observer_and_potential(self.base, self.u, self.a_form)
@@ -418,29 +398,14 @@ def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:
 
 def geodesic_defect(conn: Connection, u: TensorField) -> TensorField:
     """U^a (d_a U^c + G_ab^c U^b) as a vector field; zero iff U is geodesic."""
-    dim = conn.dimension
-    comps = []
-    for c in range(dim):
-        total = directional(u, u.comp(c))
-        for a in range(dim):
-            for b in range(dim):
-                total = total + u.comp(a) * conn.symbol(a, b, c) * u.comp(b)
-        comps.append(total)
-    return vector(dim, comps)
+    entries = _add(_einsum("a,ac->c", u, _derivative(u)), _einsum("a,abc,b->c", u, conn, u))
+    return _field(conn.dimension, 1, 0, entries)
 
 
 def curl_defect(
     conn: Connection, u: TensorField, h: TensorField
 ) -> TensorField:
     """Antisymmetric part of the h-lowered covariant derivative of U."""
-    dim = conn.dimension
     du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
-
-    def entry(idx):
-        a, b = idx
-        total = Poly.zero(dim)
-        for k in range(dim):
-            total = total + h.comp(b, k) * du.comp(k, a) - h.comp(a, k) * du.comp(k, b)
-        return total
-
-    return TensorField.build(dim, 0, 2, entry)
+    q = _einsum("bk,ka->ab", h, du)
+    return _field(conn.dimension, 0, 2, _add(q, _neg(_einsum("ba->ab", q))))

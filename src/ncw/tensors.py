@@ -20,19 +20,107 @@ Index conventions, fixed once here:
   insensitive to it (both sides flip together), which the tests assert.
 * ``covariant_derivative`` prepends the derivative index to the covariant
   slots: ``(DT).comp(uppers..., c, lowers...)`` is the c-derivative.
+
+Contractions go through one sparse kernel, ``_einsum(spec, *factors)``.  The
+spec uses numpy's subscripts: one letter per slot of each factor, in the
+factor's index order above, then ``->`` and the letters of the result, so
+``_einsum("bk,akcd->acbd", gamma, r)`` is gamma^{bk} R_akc^d keyed
+(a, c, b, d).  A letter repeated across or within factors is summed.  A
+factor is a field, read through its cached ``nonzero`` mapping from index
+tuple to component, or such a mapping itself.  An absent entry is zero: the
+kernel never visits it, and it leaves out every entry of the result that
+sums to zero.  The dense ``components`` / ``symbols`` tuple stays the only
+storage of a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate, product
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import Poly, Scalar
 
+Index = tuple[int, ...]
 
-def _index_tuples(dimension: int, rank: int) -> Iterable[tuple[int, ...]]:
+_LETTERS = "abcdefghijklmnopqrstuvwx"  # slot letters; y and z are left free
+
+
+def _index_tuples(dimension: int, rank: int) -> Iterable[Index]:
     return product(range(dimension), repeat=rank)
+
+
+def _nonzero(dimension: int, rank: int, components: Sequence[Poly]) -> dict[Index, Poly]:
+    return {idx: c for idx, c in zip(_index_tuples(dimension, rank), components) if c}
+
+
+def _dense(dimension: int, rank: int, entries: Mapping[Index, Poly]) -> tuple[Poly, ...]:
+    """The component tuple of sparse entries, absent ones zero."""
+    zero = Poly.zero(dimension)
+    return tuple(entries.get(idx, zero) for idx in _index_tuples(dimension, rank))
+
+
+def _slots(*counts: int) -> list[str]:
+    """Consecutive groups of distinct slot letters, one group per count."""
+    ends = list(accumulate(counts, initial=0))
+    return [_LETTERS[i:j] for i, j in zip(ends, ends[1:])]
+
+
+def _einsum(spec: str, *factors) -> dict[Index, Poly]:
+    """Sum of products over the repeated letters of spec; see the module
+    docstring.  Only nonzero entries are visited: each factor's entries are
+    grouped by the letters that earlier factors bind, and looked up by them."""
+    inputs, output = spec.split("->")
+    plans, seen = [], ""
+    for term, factor in zip(inputs.split(","), factors, strict=True):
+        first = {ch: term.index(ch) for ch in term}
+        joined = [ch for ch in first if ch in seen]
+        fresh = [ch for ch in first if ch not in seen]
+        groups: dict[Index, list] = {}
+        for idx, value in getattr(factor, "nonzero", factor).items():
+            if all(idx[pos] == idx[first[ch]] for pos, ch in enumerate(term)):
+                key = tuple(idx[first[ch]] for ch in joined)
+                groups.setdefault(key, []).append(([idx[first[ch]] for ch in fresh], value))
+        plans.append((joined, fresh, groups))
+        seen += term
+
+    def walk(i: int, bound: dict[str, int], acc):
+        if i == len(plans):
+            yield tuple(bound[ch] for ch in output), acc
+            return
+        joined, fresh, groups = plans[i]
+        for values, value in groups.get(tuple(bound[ch] for ch in joined), ()):
+            bound_next = {**bound, **dict(zip(fresh, values))}
+            yield from walk(i + 1, bound_next, value if acc is None else acc * value)
+
+    return _collect(walk(0, {}, None))
+
+
+def _collect(pairs: Iterable[tuple[Index, Poly]]) -> dict[Index, Poly]:
+    out: dict[Index, Poly] = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
+def _add(*parts: Mapping[Index, Poly]) -> dict[Index, Poly]:
+    """Entrywise sum of sparse entries, zero sums left out."""
+    return _collect(pair for part in parts for pair in part.items())
+
+
+def _neg(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
+    return {key: -value for key, value in entries.items()}
+
+
+def _derivative(x) -> dict[Index, Poly]:
+    """d_c x_idx keyed (c, *idx), over the nonzero entries of the field x."""
+    return {
+        (c, *idx): d
+        for idx, value in x.nonzero.items()
+        for c in range(x.dimension)
+        if (d := value.partial(c))
+    }
 
 
 @dataclass(frozen=True)
@@ -62,6 +150,11 @@ class TensorField:
     @property
     def rank(self) -> int:
         return self.p + self.q
+
+    @cached_property
+    def nonzero(self) -> dict[Index, Poly]:
+        """The nonzero components by index tuple, in index order."""
+        return _nonzero(self.dimension, self.rank, self.components)
 
     def _offset(self, indices: Sequence[int]) -> int:
         n = self.dimension
@@ -122,12 +215,13 @@ class TensorField:
         return all(c.is_zero for c in self.components)
 
     def __str__(self) -> str:
-        nonzero = [
-            f"[{','.join(map(str, idx))}]={c}"
-            for idx, c in zip(_index_tuples(self.dimension, self.rank), self.components)
-            if not c.is_zero
-        ]
+        nonzero = [f"[{','.join(map(str, idx))}]={c}" for idx, c in self.nonzero.items()]
         return f"Tensor({self.p},{self.q}){{{'; '.join(nonzero) or '0'}}}"
+
+
+def _field(dimension: int, p: int, q: int, entries: Mapping[Index, Poly]) -> TensorField:
+    """The (p,q) field of sparse entries, absent ones zero."""
+    return TensorField(dimension, p, q, _dense(dimension, p + q, entries))
 
 
 def vector(dimension: int, components: Sequence[Poly]) -> TensorField:
@@ -143,35 +237,20 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Tensor product; upper slots of a then of b, lower slots likewise."""
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    n = a.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        ua = idx[: a.p]
-        ub = idx[a.p : a.p + b.p]
-        la = idx[a.p + b.p : a.p + b.p + a.q]
-        lb = idx[a.p + b.p + a.q :]
-        return a.comp(*ua, *la) * b.comp(*ub, *lb)
-
-    return TensorField.build(n, a.p + b.p, a.q + b.q, entry)
+    ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
+    entries = _einsum(f"{ua}{la},{ub}{lb}->{ua}{ub}{la}{lb}", a, b)
+    return _field(a.dimension, a.p + b.p, a.q + b.q, entries)
 
 
 def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
     """Contract one contravariant slot against one covariant slot."""
     if not 0 <= upper_slot < t.p or not 0 <= lower_slot < t.q:
         raise ValueError("contraction slots out of range")
-    n = t.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        uppers = list(idx[: t.p - 1])
-        lowers = list(idx[t.p - 1 :])
-        total = Poly.zero(n)
-        for k in range(n):
-            full_up = uppers[:upper_slot] + [k] + uppers[upper_slot:]
-            full_lo = lowers[:lower_slot] + [k] + lowers[lower_slot:]
-            total = total + t.comp(*full_up, *full_lo)
-        return total
-
-    return TensorField.build(n, t.p - 1, t.q - 1, entry)
+    ups, lows = _slots(t.p, t.q)
+    term = ups + lows[:lower_slot] + ups[upper_slot] + lows[lower_slot + 1 :]
+    kept = ups[:upper_slot] + ups[upper_slot + 1 :] + lows[:lower_slot] + lows[lower_slot + 1 :]
+    entries = _einsum(f"{term}->{kept}", t)
+    return _field(t.dimension, t.p - 1, t.q - 1, entries)
 
 
 def apply_metric(t: TensorField, w: TensorField) -> TensorField:
@@ -183,27 +262,14 @@ def apply_metric(t: TensorField, w: TensorField) -> TensorField:
             "apply_metric needs a (2,0) tensor with a 1-form or a (0,2) tensor "
             "with a vector field, of one dimension"
         )
-    n = t.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        (a,) = idx
-        total = Poly.zero(n)
-        for k in range(n):
-            total = total + t.comp(a, k) * w.comp(k)
-        return total
-
-    return TensorField.build(n, w.q, w.p, entry)
+    return _field(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
 
 
 def pairing(form: TensorField, vec: TensorField) -> Poly:
     """w_a X^a for a 1-form and a vector field."""
     if (form.p, form.q, vec.p, vec.q) != (0, 1, 1, 0) or form.dimension != vec.dimension:
         raise ValueError("pairing needs a 1-form, then a vector field, of one dimension")
-    n = form.dimension
-    total = Poly.zero(n)
-    for k in range(n):
-        total = total + form.comp(k) * vec.comp(k)
-    return total
+    return _dense(form.dimension, 0, _einsum("k,k->", form, vec))[0]
 
 
 def gradient(f: Poly) -> TensorField:
@@ -270,13 +336,10 @@ class Connection:
         n = self.dimension
         if len(self.symbols) != n**3:
             raise ValueError("need dimension^3 Christoffel entries")
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    if self.symbol(a, b, c) != self.symbol(b, a, c):
-                        raise ValueError(
-                            f"connection has torsion at lower pair ({a},{b}), upper {c}"
-                        )
+        torsion = _add(self.nonzero, _neg(_einsum("bac->abc", self)))
+        if torsion:
+            a, b, c = min(torsion)
+            raise ValueError(f"connection has torsion at lower pair ({a},{b}), upper {c}")
 
     def symbol(self, a: int, b: int, c: int) -> Poly:
         n = self.dimension
@@ -303,15 +366,13 @@ class Connection:
     def is_zero(self) -> bool:
         return all(s.is_zero for s in self.symbols)
 
+    @cached_property
+    def nonzero(self) -> dict[Index, Poly]:
+        """The nonzero symbols keyed (a, b, c), in index order."""
+        return _nonzero(self.dimension, 3, self.symbols)
+
     def __str__(self) -> str:
-        n = self.dimension
-        nonzero = [
-            f"[{a}{b}^{c}]={self.symbol(a, b, c)}"
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if not self.symbol(a, b, c).is_zero
-        ]
+        nonzero = [f"[{a}{b}^{c}]={sym}" for (a, b, c), sym in self.nonzero.items()]
         return f"Connection{{{'; '.join(nonzero) or '0'}}}"
 
 
@@ -390,24 +451,16 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     """Covariant derivative; the derivative index is the first covariant slot."""
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
-    n = t.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        uppers = idx[: t.p]
-        c = idx[t.p]
-        lowers = idx[t.p + 1 :]
-        total = t.comp(*uppers, *lowers).partial(c)
-        for slot, a in enumerate(uppers):
-            for k in range(n):
-                swapped = uppers[:slot] + (k,) + uppers[slot + 1 :]
-                total = total + g.symbol(c, k, a) * t.comp(*swapped, *lowers)
-        for slot, b in enumerate(lowers):
-            for k in range(n):
-                swapped = lowers[:slot] + (k,) + lowers[slot + 1 :]
-                total = total - g.symbol(c, b, k) * t.comp(*uppers, *swapped)
-        return total
-
-    return TensorField.build(n, t.p, t.q + 1, entry)
+    ups, lows = _slots(t.p, t.q)
+    result = f"{ups}y{lows}"
+    parts = [_einsum(f"y{ups}{lows}->{result}", _derivative(t))]
+    for slot, a in enumerate(ups):
+        moved = ups[:slot] + "z" + ups[slot + 1 :]
+        parts.append(_einsum(f"yz{a},{moved}{lows}->{result}", g, t))
+    for slot, b in enumerate(lows):
+        moved = lows[:slot] + "z" + lows[slot + 1 :]
+        parts.append(_neg(_einsum(f"y{b}z,{ups}{moved}->{result}", g, t)))
+    return _field(t.dimension, t.p, t.q + 1, _add(*parts))
 
 
 @dataclass(frozen=True)
@@ -428,33 +481,21 @@ class CurvatureField:
     def negated(self) -> "CurvatureField":
         return CurvatureField(self.dimension, tuple(-c for c in self.components))
 
+    @cached_property
+    def nonzero(self) -> dict[Index, Poly]:
+        """The nonzero components keyed (a, b, c, d), in index order."""
+        return _nonzero(self.dimension, 4, self.components)
+
     def nonzero_entries(self) -> list[tuple[tuple[int, int, int, int], Poly]]:
-        n = self.dimension
-        out = []
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        v = self.comp(a, b, c, d)
-                        if not v.is_zero:
-                            out.append(((a, b, c, d), v))
-        return out
+        return list(self.nonzero.items())
 
 
 def curvature(g: Connection) -> CurvatureField:
-    """R_abc^d = d_a G_bc^d - d_b G_ac^d + G_ak^d G_bc^k - G_bk^d G_ac^k."""
-    n = g.dimension
-    comps = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    total = g.symbol(b, c, d).partial(a) - g.symbol(a, c, d).partial(b)
-                    for k in range(n):
-                        total = total + g.symbol(a, k, d) * g.symbol(b, c, k)
-                        total = total - g.symbol(b, k, d) * g.symbol(a, c, k)
-                    comps.append(total)
-    return CurvatureField(n, tuple(comps))
+    """R_abc^d = d_a G_bc^d - d_b G_ac^d + G_ak^d G_bc^k - G_bk^d G_ac^k,
+    taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k."""
+    s = _add(_derivative(g), _einsum("akd,bck->abcd", g, g))
+    r = _add(s, _neg(_einsum("bacd->abcd", s)))
+    return CurvatureField(g.dimension, _dense(g.dimension, 4, r))
 
 
 def check_newtonian(
@@ -467,16 +508,7 @@ def check_newtonian(
     """
     if r.dimension != gamma.dimension:
         raise ValueError("dimension mismatch")
-    n = r.dimension
-    for a in range(n):
-        for c in range(n):
-            for b in range(n):
-                for d in range(n):
-                    lhs = Poly.zero(n)
-                    rhs = Poly.zero(n)
-                    for k in range(n):
-                        lhs = lhs + gamma.comp(b, k) * r.comp(a, k, c, d)
-                        rhs = rhs + gamma.comp(d, k) * r.comp(c, k, a, b)
-                    if lhs != rhs:
-                        return False, (a, c, b, d)
-    return True, None
+    lhs = _einsum("bk,akcd->acbd", gamma, r)
+    rhs = _einsum("dk,ckab->acbd", gamma, r)
+    defect = _add(lhs, _neg(rhs))
+    return (False, min(defect)) if defect else (True, None)

@@ -371,6 +371,32 @@ class TestNewtonianCheck:
             assert check_newtonian(r, gamma)[0] == check_newtonian(r.negated(), gamma)[0]
 
 
+class TestAbsentMeansZero:
+    def test_curvature_and_newtonian_check_multiply_only_nonzero_entries(self, monkeypatch):
+        from ncw.structures import flat_structure
+
+        x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
+        structures = {
+            "flat n=3": flat_structure(3).induced_nc(),
+            "oscillator n=2": standard_structure(2, x1**2 + x2**2).induced_nc(),
+        }
+        original = Poly.__mul__
+        operands = []
+
+        def recorded(self, other):
+            operands.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", recorded)
+        monkeypatch.setattr(Poly, "__rmul__", recorded)
+        for name, s in structures.items():
+            operands.clear()
+            ok, _ = check_newtonian(curvature(s.connection), s.base.gamma)
+            assert ok, name
+            assert all(a and b for a, b in operands), name
+        assert operands  # the oscillator's curvature is not zero
+
+
 def random_coriolis_field(rng, n, degree=2):
     """Template fields preserving the flat pair: constant time component,
     spatial part omega(t).x + rho(t) with omega antisymmetric."""
