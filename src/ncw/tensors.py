@@ -64,6 +64,8 @@ def _dense(dimension: int, rank: int, entries: Mapping[Index, Poly]) -> tuple[Po
 def _slots(*counts: int) -> list[str]:
     """Consecutive groups of distinct slot letters, one group per count."""
     ends = list(accumulate(counts, initial=0))
+    if ends[-1] > len(_LETTERS):
+        raise ValueError(f"more than {len(_LETTERS)} slots in one contraction")
     return [_LETTERS[i:j] for i, j in zip(ends, ends[1:])]
 
 

@@ -1,7 +1,8 @@
 """The tensor operators against sympy sums that share no ncw code, on random
 curved inputs: the metric contractions, the raised connection symbols,
 the transverse metric, curvature, the covariant derivative, the geodesic
-and assembled connections, and the affine pushforward.
+and assembled connections, the geodesic and curl defects, and the affine
+pushforward.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -279,3 +280,28 @@ def test_push_tensor_matches_sympy_sums():
                         factor *= inv[k, b]
                     expect += moved[src] * factor
                 assert same(pushed.comp(*idx), expect, xs)
+
+
+def test_geodesic_and_curl_defects_match_sympy_sums():
+    from ncw.structures import curl_defect, geodesic_defect
+
+    for rng, dim, xs in cases():
+        sym, conn = random_connection(rng, xs)
+        u = random_grid(rng, xs, 1)
+        h = random_grid(rng, xs, 2)
+        u_t = TensorField(dim, 1, 0, tuple(to_poly(u[a,], xs) for a in range(dim)))
+        h_t = TensorField(dim, 0, 2, tuple(to_poly(h[idx], xs) for idx in sorted(h)))
+        r = range(dim)
+        # (DU)^c_a = d_a U^c + G_ak^c U^k
+        du = {
+            (c, a): u[c,].diff(xs[a]) + sum((sym[a, k, c] * u[k,] for k in r), qq(0, xs))
+            for c in r
+            for a in r
+        }
+        geodesic = geodesic_defect(conn, u_t)
+        curl = curl_defect(conn, u_t, h_t)
+        for c in r:
+            assert same(geodesic.comp(c), sum((u[a,] * du[c, a] for a in r), qq(0, xs)), xs)
+        for a, b in product(r, repeat=2):
+            expect = sum((h[b, k] * du[k, a] - h[a, k] * du[k, b] for k in r), qq(0, xs))
+            assert same(curl.comp(a, b), expect, xs)

@@ -487,3 +487,12 @@ class TestIndexRange:
         for indices in [(0, 0, 3), (3, 0, 0), (0, 3, 0), (0, 0, -1), (-1, 0, 0)]:
             with pytest.raises(ValueError, match="out of range"):
                 conn.symbol(*indices)
+
+    def test_contraction_beyond_the_slot_letters_raises(self):
+        # the kernel names each slot by a letter; 24 slots fit, 26 do not
+        two = Poly.const(1, 2)
+        t12 = TensorField(1, 12, 0, (two,))
+        assert tensor_product(t12, t12).comp(*[0] * 24) == Poly.const(1, 4)
+        t13 = TensorField(1, 13, 0, (two,))
+        with pytest.raises(ValueError, match="more than 24 slots"):
+            tensor_product(t13, t13)
