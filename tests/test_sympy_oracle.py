@@ -1,8 +1,9 @@
 """The tensor operators against sympy sums that share no ncw code, on random
 curved inputs: the metric contractions, the raised connection symbols,
 the transverse metric, curvature, the covariant derivative, the geodesic
-and assembled connections, the geodesic and curl defects, and the affine
-pushforward.
+and assembled connections, the geodesic and curl defects, the affine
+pushforward, the Lie derivatives of tensors and connections, the raised
+transport, the vector bracket and the directional derivative.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -305,3 +306,91 @@ def test_geodesic_and_curl_defects_match_sympy_sums():
         for a, b in product(r, repeat=2):
             expect = sum((h[b, k] * du[k, a] - h[a, k] * du[k, b] for k in r), qq(0, xs))
             assert same(curl.comp(a, b), expect, xs)
+
+
+def random_tensor(rng, xs, p, q):
+    grid = random_grid(rng, xs, p + q)
+    return grid, TensorField(len(xs), p, q, tuple(to_poly(grid[idx], xs) for idx in sorted(grid)))
+
+
+def test_lie_derivative_matches_sympy_sums():
+    from ncw.tensors import lie_derivative
+
+    for rng, dim, xs in cases():
+        x, x_t = random_tensor(rng, xs, 1, 0)
+        r = range(dim)
+        for p, q in ((2, 0), (0, 1), (1, 1)):
+            grid, t = random_tensor(rng, xs, p, q)
+            lt = lie_derivative(x_t, t)
+            assert (lt.p, lt.q) == (p, q)
+            for idx in product(r, repeat=p + q):
+                ups, lows = idx[:p], idx[p:]
+                expect = sum((x[k,] * grid[idx].diff(xs[k]) for k in r), qq(0, xs))
+                for k in r:
+                    for s in range(p):
+                        moved = ups[:s] + (k,) + ups[s + 1 :]
+                        expect -= x[ups[s],].diff(xs[k]) * grid[moved + lows]
+                    for s in range(q):
+                        moved = lows[:s] + (k,) + lows[s + 1 :]
+                        expect += x[k,].diff(xs[lows[s]]) * grid[ups + moved]
+                assert same(lt.comp(*idx), expect, xs)
+
+
+def test_lie_derivative_connection_matches_sympy_sums():
+    from ncw.tensors import lie_derivative_connection
+
+    for rng, dim, xs in cases():
+        sym, conn = random_connection(rng, xs)
+        x, x_t = random_tensor(rng, xs, 1, 0)
+        ld = lie_derivative_connection(x_t, conn)
+        assert (ld.p, ld.q) == (1, 2)
+        r = range(dim)
+        for c, a, b in product(r, repeat=3):
+            expect = x[c,].diff(xs[a]).diff(xs[b])
+            for k in r:
+                expect += x[k,] * sym[a, b, c].diff(xs[k])
+                expect += sym[k, b, c] * x[k,].diff(xs[a]) + sym[a, k, c] * x[k,].diff(xs[b])
+                expect -= sym[a, b, k] * x[c,].diff(xs[k])
+            assert same(ld.comp(c, a, b), expect, xs)
+
+
+def test_raise_connection_transport_matches_sympy_sums():
+    # a (1,2) field with no symmetry in its lower pair pins which slot
+    # each gamma contracts
+    from ncw.tensors import raise_connection_transport
+
+    for rng, dim, xs in cases():
+        gamma, gamma_t = two_tensor(rng, xs, 2, 0)
+        ld, ld_t = random_tensor(rng, xs, 1, 2)
+        once = raise_connection_transport(ld_t, gamma_t, 1)
+        twice = raise_connection_transport(ld_t, gamma_t, 2)
+        assert (once.p, once.q, twice.p, twice.q) == (2, 1, 3, 0)
+        r = range(dim)
+        for a, b, c in product(r, repeat=3):
+            expect_once = sum((gamma[b][k] * ld[c, a, k] for k in r), qq(0, xs))
+            expect_twice = sum(
+                (gamma[a][k] * gamma[b][l] * ld[c, k, l] for k in r for l in r), qq(0, xs)
+            )
+            assert same(once.comp(b, c, a), expect_once, xs)
+            assert same(twice.comp(a, b, c), expect_twice, xs)
+        with pytest.raises(ValueError):
+            raise_connection_transport(ld_t, gamma_t, 3)
+
+
+def test_vector_bracket_and_directional_derivative_match_sympy_sums():
+    from ncw.tensors import directional, vector_bracket
+
+    for rng, dim, xs in cases():
+        x, x_t = random_tensor(rng, xs, 1, 0)
+        y, y_t = random_tensor(rng, xs, 1, 0)
+        f = qq(random_expr(rng, xs), xs)
+        r = range(dim)
+        bracket = vector_bracket(x_t, y_t)
+        assert (bracket.p, bracket.q) == (1, 0)
+        for a in r:
+            expect = sum(
+                (x[k,] * y[a,].diff(xs[k]) - y[k,] * x[a,].diff(xs[k]) for k in r), qq(0, xs)
+            )
+            assert same(bracket.comp(a), expect, xs)
+        expect = sum((x[k,] * f.diff(xs[k]) for k in r), qq(0, xs))
+        assert same(directional(x_t, to_poly(f.as_expr(), xs)), expect, xs)
