@@ -101,7 +101,7 @@ def _require_ncb(built: BuiltStructure, command: str):
 
 def cmd_validate(built: BuiltStructure, args, report: Report) -> None:
     checks = []
-    points = [_parse_point(p, built.nc.base.dimension) for p in args.sample_point]
+    points = [_parse_point(p, built.base.dimension) for p in args.sample_point]
 
     def run(name, fn):
         try:
@@ -110,9 +110,9 @@ def cmd_validate(built: BuiltStructure, args, report: Report) -> None:
         except StructureError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
-    run("metric-pair", lambda: built.nc.base.validate(points))
+    run("metric-pair", lambda: built.base.validate(points))
     run("connection-compatibility-and-symmetry", lambda: built.nc.validate())
-    if built.ncb is not None:
+    if built.doc.data_shape() != "explicit":
         run("gauge-presentation", lambda: built.ncb.validate())
     report.results["checks"] = checks
     report.results["passed"] = all(c["passed"] for c in checks)

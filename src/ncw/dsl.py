@@ -411,9 +411,27 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
 
 @dataclass(frozen=True)
 class BuiltStructure:
+    """A realized document.  ncb is None for explicit connection data.  When
+    gauge or observer data cannot be realized because their Galilei pair
+    fails its checks, derived holds that failure, and nc and ncb raise it,
+    so that check commands report it as a verdict."""
+
     doc: StructureDocument
-    nc: NCStructure
-    ncb: NCBStructure | None  # None for explicit connection data
+    base: GalileiStructure
+    derived: tuple[NCStructure, NCBStructure | None] | StructureError
+
+    @property
+    def nc(self) -> NCStructure:
+        return self._parts()[0]
+
+    @property
+    def ncb(self) -> NCBStructure | None:
+        return self._parts()[1]
+
+    def _parts(self) -> tuple[NCStructure, NCBStructure | None]:
+        if isinstance(self.derived, StructureError):
+            raise self.derived
+        return self.derived
 
 
 def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStructure:
@@ -436,7 +454,7 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         nc = ncb.induced_nc()
         if validate:
             nc.validate()
-        return BuiltStructure(doc, nc, ncb)
+        return BuiltStructure(doc, ncb.base, (nc, ncb))
 
     def tensor_from(name: str, p: int, q: int):
         entries = doc.components.get(name, {})
@@ -477,21 +495,33 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         nc = NCStructure(base, conn)
         if validate:
             nc.validate()
-        return BuiltStructure(doc, nc, None)
+        return BuiltStructure(doc, base, (nc, None))
 
     u = tensor_from("U", 1, 0)
     if shape == "gauge":
-        a_form = tensor_from("A", 0, 1)
+        a_form, v, phi = tensor_from("A", 0, 1), None, None
     else:
-        v = tensor_from("V", 1, 0)
-        a_form = potential_to_gauge(base, u, v, doc.potential)
-    ncb = ncb_structure(base, u, a_form)
+        a_form, v, phi = None, tensor_from("V", 1, 0), doc.potential
+    try:
+        if a_form is None:
+            a_form = potential_to_gauge(base, u, v, phi)
+        ncb = ncb_structure(base, u, a_form)
+    except StructureError:
+        # the pair's shapes, symmetry and kernel, which the transverse
+        # metric needs, stay input errors; a pair failing its other checks
+        # is the cause, and a verdict
+        base._valid_pair
+        try:
+            base.validate()
+        except StructureError as failure:
+            return BuiltStructure(doc, base, failure)
+        raise
     if validate:
         ncb.validate()
     nc = ncb.induced_nc()
     if validate:
         nc.validate()
-    return BuiltStructure(doc, nc, ncb)
+    return BuiltStructure(doc, base, (nc, ncb))
 
 
 def _parse_component_assignments(

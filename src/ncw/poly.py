@@ -289,19 +289,20 @@ def _grlex_key(exps: Exponent) -> tuple[int, Exponent]:
 
 def grlex_monomials(dimension: int, max_degree: int) -> list[Exponent]:
     """All exponent tuples of total degree <= max_degree, graded-lex ascending."""
-
-    def exact(degree: int, slots: int) -> Iterator[Exponent]:
-        if slots == 1:
-            yield (degree,)
-            return
-        for e in range(degree, -1, -1):
-            for rest in exact(degree - e, slots - 1):
-                yield (e,) + rest
-
     out: list[Exponent] = []
     for degree in range(max_degree + 1):
-        out.extend(sorted(exact(degree, dimension), reverse=True))
+        out.extend(sorted(_exact_degree(degree, dimension), reverse=True))
     return out
+
+
+def _exact_degree(degree: int, slots: int) -> Iterator[Exponent]:
+    """The exponent tuples of the given length and total degree."""
+    if slots == 1:
+        yield (degree,)
+        return
+    for e in range(degree, -1, -1):
+        for rest in _exact_degree(degree - e, slots - 1):
+            yield (e,) + rest
 
 
 def _render_monomial(exps: Exponent) -> str:

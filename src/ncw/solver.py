@@ -84,17 +84,96 @@ class SymmetryBasis:
         return len(self.fields)
 
 
-def _condition_polys(s: NCStructure, x: TensorField, flavor: Flavor) -> list[Poly]:
-    """The defining equations of the flavor evaluated on x, flattened."""
+class _FormPoly:
+    """A polynomial whose coefficients are sparse linear forms in the ansatz
+    unknowns: terms maps an exponent tuple to {column: coefficient}, with no
+    empty form and no zero coefficient.  The components of the generic field
+    are of this type.  The tensor operators are linear in their vector field
+    and need of it only +, unary -, products with a Poly on either side
+    (Poly.__mul__ returns NotImplemented for it), partial and truth."""
+
+    __slots__ = ("dimension", "terms")
+
+    def __init__(self, dimension: int, terms: dict[Exponent, dict[int, Fraction]]):
+        self.dimension = dimension
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other: "_FormPoly") -> "_FormPoly":
+        out = {exps: dict(form) for exps, form in self.terms.items()}
+        for exps, form in other.terms.items():
+            _accumulate(out.setdefault(exps, {}), form, 1)
+        return _FormPoly(self.dimension, {e: form for e, form in out.items() if form})
+
+    def __neg__(self) -> "_FormPoly":
+        return _FormPoly(
+            self.dimension,
+            {e: {col: -v for col, v in form.items()} for e, form in self.terms.items()},
+        )
+
+    def __mul__(self, other: Poly) -> "_FormPoly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        out: dict[Exponent, dict[int, Fraction]] = {}
+        for e1, form in self.terms.items():
+            for e2, coeff in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                _accumulate(out.setdefault(exps, {}), form, coeff)
+        return _FormPoly(self.dimension, {e: form for e, form in out.items() if form})
+
+    __rmul__ = __mul__
+
+    def partial(self, axis: int) -> "_FormPoly":
+        out = {}
+        for exps, form in self.terms.items():
+            e = exps[axis]
+            if e:
+                key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
+                out[key] = form if e == 1 else {col: v * e for col, v in form.items()}
+        return _FormPoly(self.dimension, out)
+
+
+def _accumulate(target: dict[int, Fraction], form: dict[int, Fraction], factor) -> None:
+    """target += factor * form, zero coefficients dropped."""
+    if factor != 1:
+        form = {col: factor * v for col, v in form.items()}
+    for col, v in form.items():
+        if col not in target:
+            target[col] = v
+        elif acc := target[col] + v:
+            target[col] = acc
+        else:
+            del target[col]
+
+
+def _condition_rows(
+    s: NCStructure, flavor: Flavor, monos: Sequence[Exponent]
+) -> dict[tuple, dict[int, Fraction]]:
+    """The flavor's defining equations on the generic field
+    X^c = sum_j u_{c,j} m_j, whose unknown u_{c,j} is column c * len(monos) + j.
+    The operators run once per condition block; each (block, index, monomial)
+    term of the result is one row, keyed so."""
     g = s.base
-    out = list(lie_derivative(x, g.gamma).components)
-    out += list(lie_derivative(x, g.theta).components)
-    if flavor == "galilei":
-        out += list(lie_derivative_connection(x, s.connection).components)
-    elif flavor == "milne":
+    dim = g.dimension
+    x = vector(
+        dim,
+        [
+            _FormPoly(dim, {m: {c * len(monos) + j: Fraction(1)} for j, m in enumerate(monos)})
+            for c in range(dim)
+        ],
+    )
+    blocks = [lie_derivative(x, g.gamma), lie_derivative(x, g.theta)]
+    if flavor != "coriolis":
         ld = lie_derivative_connection(x, s.connection)
-        out += list(raise_connection_transport(ld, g.gamma, 1).components)
-    return out
+        blocks.append(ld if flavor == "galilei" else raise_connection_transport(ld, g.gamma, 1))
+    return {
+        (block, idx, exps): form
+        for block, field in enumerate(blocks)
+        for idx, poly in field.nonzero.items()
+        for exps, form in poly.terms.items()
+    }
 
 
 def solve_symmetries(
@@ -107,25 +186,8 @@ def solve_symmetries(
         raise ValueError("degree bound must be non-negative")
     dim = s.base.dimension
     monos = ansatz_monomials(dim, d)
-    ncols = dim * len(monos)
-
-    rows: dict[tuple[int, Exponent], dict[int, Fraction]] = {}
-    for comp in range(dim):
-        for j, mono in enumerate(monos):
-            col = comp * len(monos) + j
-            components = [Poly.zero(dim)] * dim
-            components[comp] = Poly.monomial(dim, mono)
-            basis_field = vector(dim, components)
-            for cond_index, poly in enumerate(_condition_polys(s, basis_field, fl)):
-                for exps, coeff in poly.terms.items():
-                    row = rows.setdefault((cond_index, exps), {})
-                    acc = row.get(col, Fraction(0)) + coeff
-                    if acc:
-                        row[col] = acc
-                    else:
-                        row.pop(col, None)
-
-    elim = SparseEliminator(ncols)
+    rows = _condition_rows(s, fl, monos)
+    elim = SparseEliminator(dim * len(monos))
     for key in sorted(rows):
         elim.add_row(rows[key])
     kernel = elim.kernel()

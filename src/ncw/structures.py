@@ -173,12 +173,10 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         raise StructureError("transverse metric needs theta(U) = 1")
     theta = g.theta.components
     j = next((j for j, c in enumerate(theta) if c.total_degree() == 0), None)
-    w = u.components if j is None else [
-        Poly.const(dim, 1 / theta[j].coefficient((0,) * dim)) if k == j else Poly.zero(dim)
-        for k in range(dim)
-    ]
+    w = u.nonzero if j is None else {(j,): Poly.const(dim, 1 / theta[j].coefficient((0,) * dim))}
+    n_entries = _add(g.gamma.nonzero, _einsum("a,b->ab", w, w))
     adj, det = adjugate(
-        [[g.gamma.comp(a, b) + w[a] * w[b] for b in range(dim)] for a in range(dim)]
+        [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
     )
     if det.is_zero:
         raise StructureError(
@@ -190,21 +188,17 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
             "transverse metric of U is not polynomial"
         )
     inverse = 1 / det.coefficient((0,) * dim)
-    n_inv = TensorField.build(dim, 0, 2, lambda idx: adj[idx[0]][idx[1]] * inverse)
+    n_inv = {(a, b): v * inverse for a, row in enumerate(adj) for b, v in enumerate(row) if v}
     # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
-    m = apply_metric(n_inv, u)
-    s = pairing(m, u)
-
-    def entry(idx):
-        a, b = idx
-        return (
-            n_inv.comp(a, b)
-            - theta[a] * m.comp(b)
-            - m.comp(a) * theta[b]
-            + s * theta[a] * theta[b]
-        )
-
-    return TensorField.build(dim, 0, 2, entry)
+    m = _einsum("k,kb->b", u, n_inv)
+    tm = _einsum("a,b->ab", g.theta, m)
+    entries = _add(
+        n_inv,
+        _neg(tm),
+        _neg(_einsum("ba->ab", tm)),
+        _einsum("a,b,k,k->ab", g.theta, g.theta, m, u),
+    )
+    return _field(dim, 0, 2, entries)
 
 
 # ----------------------------------------------------------------------

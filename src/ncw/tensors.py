@@ -31,6 +31,12 @@ tuple to component, or such a mapping itself.  An absent entry is zero: the
 kernel never visits it, and it leaves out every entry of the result that
 sums to zero.  The dense ``components`` / ``symbols`` tuple stays the only
 storage of a field.
+
+The kernel needs of an entry only ``+``, unary ``-``, ``*`` and truth, and
+the operators on a vector field X (``directional``, ``vector_bracket``,
+``lie_derivative``, ``lie_derivative_connection``) also ``partial`` of X's
+components.  They are linear in X, so the symmetry solver runs them once on
+a generic field whose components carry linear forms in the unknowns.
 """
 
 from __future__ import annotations
@@ -87,16 +93,20 @@ def _einsum(spec: str, *factors) -> dict[Index, Poly]:
         plans.append((joined, fresh, groups))
         seen += term
 
-    def walk(i: int, bound: dict[str, int], acc):
-        if i == len(plans):
-            yield tuple(bound[ch] for ch in output), acc
-            return
-        joined, fresh, groups = plans[i]
-        for values, value in groups.get(tuple(bound[ch] for ch in joined), ()):
-            bound_next = {**bound, **dict(zip(fresh, values))}
-            yield from walk(i + 1, bound_next, value if acc is None else acc * value)
+    return _collect(_walk(plans, output, 0, {}, None))
 
-    return _collect(walk(0, {}, None))
+
+def _walk(plans: list, output: str, i: int, bound: dict[str, int], acc):
+    """The products of _einsum's factors i.. under the letters bound so far,
+    keyed by the output letters.  A module-level generator, so that a call
+    leaves no reference cycle holding the plans."""
+    if i == len(plans):
+        yield tuple(bound[ch] for ch in output), acc
+        return
+    joined, fresh, groups = plans[i]
+    for values, value in groups.get(tuple(bound[ch] for ch in joined), ()):
+        bound_next = {**bound, **dict(zip(fresh, values))}
+        yield from _walk(plans, output, i + 1, bound_next, value if acc is None else acc * value)
 
 
 def _collect(pairs: Iterable[tuple[Index, Poly]]) -> dict[Index, Poly]:
@@ -283,17 +293,16 @@ def gradient(f: Poly) -> TensorField:
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
     n = vec.dimension
-    total = Poly.zero(n)
-    for k in range(n):
-        total = total + vec.comp(k) * f.partial(k)
-    return total
+    df = {(k,): d for k in range(n) if (d := f.partial(k))}
+    return _dense(n, 0, _einsum("k,k->", vec, df))[0]
 
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
     """[X, Y]^a = X^k d_k Y^a - Y^k d_k X^a."""
-    n = x.dimension
-    comps = [directional(x, y.comp(a)) - directional(y, x.comp(a)) for a in range(n)]
-    return vector(n, comps)
+    entries = _add(
+        _einsum("k,ka->a", x, _derivative(y)), _neg(_einsum("k,ka->a", y, _derivative(x)))
+    )
+    return _field(x.dimension, 1, 0, entries)
 
 
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
@@ -304,23 +313,17 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     """
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
-    n = t.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        uppers = idx[: t.p]
-        lowers = idx[t.p :]
-        total = directional(x, t.comp(*idx))
-        for slot, a in enumerate(uppers):
-            for k in range(n):
-                swapped = uppers[:slot] + (k,) + uppers[slot + 1 :]
-                total = total - x.comp(a).partial(k) * t.comp(*swapped, *lowers)
-        for slot, b in enumerate(lowers):
-            for k in range(n):
-                swapped = lowers[:slot] + (k,) + lowers[slot + 1 :]
-                total = total + x.comp(k).partial(b) * t.comp(*uppers, *swapped)
-        return total
-
-    return TensorField.build(n, t.p, t.q, entry)
+    ups, lows = _slots(t.p, t.q)
+    result = ups + lows
+    dx = _derivative(x)  # (k, a): d_k X^a
+    parts = [_einsum(f"z,z{result}->{result}", x, _derivative(t))]
+    for slot, a in enumerate(ups):
+        moved = ups[:slot] + "z" + ups[slot + 1 :]
+        parts.append(_neg(_einsum(f"z{a},{moved}{lows}->{result}", dx, t)))
+    for slot, b in enumerate(lows):
+        moved = lows[:slot] + "z" + lows[slot + 1 :]
+        parts.append(_einsum(f"{b}z,{ups}{moved}->{result}", dx, t))
+    return _field(t.dimension, t.p, t.q, _add(*parts))
 
 
 # ----------------------------------------------------------------------
@@ -387,18 +390,16 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
     n = g.dimension
-
-    def entry(idx: tuple[int, ...]) -> Poly:
-        c, a, b = idx
-        total = directional(x, g.symbol(a, b, c))
-        for k in range(n):
-            total = total + g.symbol(k, b, c) * x.comp(k).partial(a)
-            total = total + g.symbol(a, k, c) * x.comp(k).partial(b)
-            total = total - g.symbol(a, b, k) * x.comp(c).partial(k)
-        total = total + x.comp(c).partial(a).partial(b)
-        return total
-
-    return TensorField.build(n, 1, 2, entry)
+    dx = _derivative(x)  # (a, k): d_a X^k
+    ddx = _derivative(_field(n, 1, 1, dx))  # (a, b, c): d_a d_b X^c
+    entries = _add(
+        _einsum("z,zabc->cab", x, _derivative(g)),
+        _einsum("zbc,az->cab", g, dx),
+        _einsum("azc,bz->cab", g, dx),
+        _neg(_einsum("abz,zc->cab", g, dx)),
+        _einsum("abc->cab", ddx),
+    )
+    return _field(n, 1, 2, entries)
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -411,8 +412,7 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
     """
     if gamma.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    n = g.dimension
-    symbols = TensorField.build(n, 1, 2, lambda idx: g.symbol(idx[1], idx[2], idx[0]))
+    symbols = _field(g.dimension, 1, 2, _einsum("abc->cab", g))
     return raise_connection_transport(symbols, gamma, slots)
 
 
@@ -426,26 +426,9 @@ def raise_connection_transport(
     """
     n = ld.dimension
     if slots == 1:
-
-        def entry_one(idx: tuple[int, ...]) -> Poly:
-            b, c, a = idx
-            total = Poly.zero(n)
-            for k in range(n):
-                total = total + gamma.comp(b, k) * ld.comp(c, a, k)
-            return total
-
-        return TensorField.build(n, 2, 1, entry_one)
+        return _field(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
     if slots == 2:
-
-        def entry_two(idx: tuple[int, ...]) -> Poly:
-            a, b, c = idx
-            total = Poly.zero(n)
-            for k in range(n):
-                for l in range(n):
-                    total = total + gamma.comp(a, k) * gamma.comp(b, l) * ld.comp(c, k, l)
-            return total
-
-        return TensorField.build(n, 3, 0, entry_two)
+        return _field(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
     raise ValueError("slots must be 1 or 2")
 
 

@@ -200,6 +200,33 @@ class TestValidate:
         checks = json.loads(out)["results"]["checks"]
         assert [c["detail"] for c in checks] == [detail, detail]
 
+    @pytest.mark.parametrize(
+        "shape, data", [("gauge", "A[0] = 0\n"), ("observer", "V[0] = 1\nphi = x1\n")]
+    )
+    def test_rank_loss_of_derived_data_is_a_metric_pair_verdict(
+        self, capsys, tmp_path, shape, data
+    ):
+        # gamma loses rank at x1 = 0, so the transverse metric of U is not
+        # polynomial; the pair's failure is the verdict of every check
+        path = tmp_path / f"{shape}.ncw"
+        path.write_text(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = x1^2\ntheta[0] = 1\nU[0] = 1\n" + data
+        )
+        argv = ["validate", "--input", str(path), "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["structure"]["shape"] == shape
+        detail = "gamma has rank 1 (expected 2) at (0, 0, 0)"
+        checks = report["results"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "metric-pair", "connection-compatibility-and-symmetry", "gauge-presentation"
+        ]
+        assert [c["detail"] for c in checks] == [detail] * 3
+        assert run(capsys, *argv) == (code, out, "")
+        code, out, err = run(capsys, "curvature", "--input", str(path))
+        assert (code, out, err) == (2, "", f"input error: {detail}\n")
+
 
 class TestConnectionAndCurvature:
     def test_standard_connection_components(self, capsys, standard2):

@@ -2,14 +2,18 @@
 and structure constants."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import basis_vector, var
 from ncw.poly import Poly
+from ncw.dsl import build_structure, parse_structure
 from ncw.solver import (
+    FLAVORS,
     NotInFlavorError,
     SymmetryBasis,
+    _condition_rows,
     ansatz_monomials,
     classify,
     fit_affine_template,
@@ -19,7 +23,14 @@ from ncw.solver import (
     verify_coriolis_identity,
 )
 from ncw.structures import NCStructure, flat_galilei, flat_structure, standard_structure
-from ncw.tensors import Connection, lie_derivative, vector, vector_bracket
+from ncw.tensors import (
+    Connection,
+    lie_derivative,
+    lie_derivative_connection,
+    raise_connection_transport,
+    vector,
+    vector_bracket,
+)
 
 
 def cor_dim(n, d):
@@ -455,3 +466,41 @@ class TestDeterminism:
         assert len(b1.fields) == len(b2.fields)
         for f1, f2 in zip(b1.fields, b2.fields):
             assert (f1 - f2).is_zero
+
+
+def rows_column_by_column(s, flavor, monos):
+    """The rows of the flavor's defining equations assembled one column at a
+    time, from the one-monomial field of each column, keyed (condition
+    block, index, monomial) like the one-pass assembly."""
+    g = s.base
+    dim = g.dimension
+    rows = {}
+    for comp in range(dim):
+        for j, mono in enumerate(monos):
+            comps = [Poly.zero(dim)] * dim
+            comps[comp] = Poly.monomial(dim, mono)
+            x = vector(dim, comps)
+            ld = lie_derivative_connection(x, s.connection)
+            blocks = [lie_derivative(x, g.gamma), lie_derivative(x, g.theta)] + {
+                "coriolis": [],
+                "milne": [raise_connection_transport(ld, g.gamma, 1)],
+                "galilei": [ld],
+            }[flavor]
+            for block, field in enumerate(blocks):
+                for idx, poly in field.nonzero.items():
+                    for exps, coeff in poly.terms.items():
+                        rows.setdefault((block, idx, exps), {})[comp * len(monos) + j] = coeff
+    return rows
+
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+@pytest.mark.parametrize("sample", ["flat2", "oscillator", "sheared"])
+def test_one_pass_rows_equal_the_column_by_column_rows(sample):
+    s = build_structure(parse_structure((SAMPLES / f"{sample}.ncw").read_text())).nc
+    monos = ansatz_monomials(s.base.dimension, 2)
+    for flavor in FLAVORS:
+        rows = _condition_rows(s, flavor, monos)
+        assert rows == rows_column_by_column(s, flavor, monos), flavor
+        assert all(rows.values()), flavor

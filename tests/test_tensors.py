@@ -1,6 +1,7 @@
 """Tensor calculus: Lie derivatives, covariant derivative, curvature, and the
 Newtonian symmetry check, all against hand-expanded oracles."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -395,6 +396,54 @@ class TestAbsentMeansZero:
             assert ok, name
             assert all(a and b for a, b in operands), name
         assert operands  # the oscillator's curvature is not zero
+
+    def test_solver_and_classify_multiply_only_nonzero_entries(self, monkeypatch):
+        from ncw.solver import FLAVORS, _FormPoly, classify, solve_symmetries
+        from ncw.structures import flat_structure
+
+        x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
+        structures = {
+            "flat n=2": flat_structure(2).induced_nc(),
+            "oscillator n=2": standard_structure(2, x1**2 + x2**2).induced_nc(),
+        }
+        operands = []
+        for cls in (Poly, _FormPoly):
+            original = cls.__mul__
+
+            def recorded(self, other, original=original):
+                operands.append((self, other))
+                return original(self, other)
+
+            monkeypatch.setattr(cls, "__mul__", recorded)
+            monkeypatch.setattr(cls, "__rmul__", recorded)
+        outsider = vector(3, [Poly.zero(3), x1 * x2, x1])
+        for name, s in structures.items():
+            for flavor in FLAVORS:
+                operands.clear()
+                basis = solve_symmetries(s, flavor, 2)
+                assert operands, (name, flavor)
+                assert all(a and b for a, b in operands), (name, flavor)
+                operands.clear()
+                for x in basis.fields + (outsider,):
+                    classify(x, s)
+                assert operands, (name, flavor)
+                assert all(a and b for a, b in operands), (name, flavor)
+
+    def test_contractions_leave_no_reference_cycles(self):
+        from ncw.solver import solve_symmetries
+
+        t, x1, x2, x3 = (Poly.variable(4, i) for i in range(4))
+        s = standard_structure(3, x1**2 + x2**2 + t * x3).induced_nc()
+        curvature(s.connection)
+        gc.collect()
+        gc.disable()
+        try:
+            curvature(s.connection)
+            assert gc.collect() == 0
+            solve_symmetries(s, "galilei", 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def random_coriolis_field(rng, n, degree=2):
