@@ -292,9 +292,7 @@ def gradient(f: Poly) -> TensorField:
 
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
-    n = vec.dimension
-    df = {(k,): d for k in range(n) if (d := f.partial(k))}
-    return _dense(n, 0, _einsum("k,k->", vec, df))[0]
+    return _dense(vec.dimension, 0, _einsum("k,k->", vec, gradient(f)))[0]
 
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
