@@ -165,9 +165,12 @@ def _condition_rows(
         ],
     )
     blocks = [lie_derivative(x, g.gamma), lie_derivative(x, g.theta)]
-    if flavor != "coriolis":
-        ld = lie_derivative_connection(x, s.connection)
-        blocks.append(ld if flavor == "galilei" else raise_connection_transport(ld, g.gamma, 1))
+    if flavor == "galilei":
+        blocks.append(lie_derivative_connection(x, s.connection))
+    elif flavor == "milne":
+        blocks.append(
+            raise_connection_transport(lie_derivative_connection(x, s.connection), g.gamma, 1)
+        )
     return {
         (block, idx, exps): form
         for block, field in enumerate(blocks)
