@@ -11,6 +11,7 @@ from ncw.extensions import (
     BargmannElement,
     CocycleError,
     ExtendedElement,
+    ExtensionError,
     MilneStandardElement,
     bargmann_bracket,
     boost_for_coriolis,
@@ -427,6 +428,85 @@ class TestNonCentrality:
                 ExtendedElement(x, Poly.zero(3)), center, s
             )
             assert out.x.is_zero and out.f.is_zero
+
+
+class TestExtensionErrorContract:
+    """Which error each faulty operand raises, and which fault wins when a
+    pair has two: operands are checked in order, each for membership before
+    its parameter."""
+
+    STABILIZERS = {
+        "milne": (
+            extended_mil_bracket,
+            "field does not preserve the raised symbols",
+            "observer-stabilizer parameter must depend on time only",
+        ),
+        "galilei": (
+            extended_gal_bracket,
+            "field does not preserve the connection",
+            "full-stabilizer parameter must be constant",
+        ),
+    }
+    t, x1, x2 = var(3, 0), var(3, 1), var(3, 2)
+    zero = Poly.zero(3)
+    member = basis_vector(3, 1)
+    # preserves the metric pair only: in neither stabilizer
+    rotation = vector(3, [zero, t * x2, -t * x1])
+    # in the observer stabilizer, not in the full one
+    accelerating = vector(3, [zero, t**2, zero])
+
+    @pytest.mark.parametrize("flavor", ["milne", "galilei"])
+    def test_non_member_operand(self, flavor):
+        bracket, not_member, _ = self.STABILIZERS[flavor]
+        s = flat_structure(2)
+        inside = ExtendedElement(self.member, self.zero)
+        outside = ExtendedElement(self.rotation, self.zero)
+        for e1, e2 in [(outside, inside), (inside, outside)]:
+            with pytest.raises(NotInFlavorError, match=not_member):
+                bracket(e1, e2, s)
+
+    def test_full_stabilizer_rejects_an_observer_member(self):
+        s = flat_structure(2)
+        e1 = ExtendedElement(self.member, self.zero)
+        e2 = ExtendedElement(self.accelerating, self.zero)
+        extended_mil_bracket(e1, e2, s)
+        with pytest.raises(NotInFlavorError, match="preserve the connection"):
+            extended_gal_bracket(e1, e2, s)
+
+    @pytest.mark.parametrize("flavor", ["milne", "galilei"])
+    def test_parameter_outside_its_space(self, flavor):
+        bracket, _, bad_parameter = self.STABILIZERS[flavor]
+        s = flat_structure(2)
+        good = ExtendedElement(self.member, self.zero)
+        bad = ExtendedElement(self.member, self.x1 if flavor == "milne" else self.t)
+        for e1, e2 in [(bad, good), (good, bad)]:
+            with pytest.raises(ExtensionError, match=bad_parameter):
+                bracket(e1, e2, s)
+
+    @pytest.mark.parametrize("flavor", ["milne", "galilei"])
+    def test_first_fault_in_operand_order_wins(self, flavor):
+        bracket, not_member, bad_parameter = self.STABILIZERS[flavor]
+        s = flat_structure(2)
+        E = ExtendedElement
+        # one operand with both faults: membership is checked first
+        with pytest.raises(NotInFlavorError, match=not_member):
+            bracket(E(self.rotation, self.x1), E(self.member, self.zero), s)
+        # a bad parameter on the first operand beats a non-member second
+        with pytest.raises(ExtensionError, match=bad_parameter):
+            bracket(E(self.member, self.x1), E(self.rotation, self.zero), s)
+        # a non-member first beats a bad parameter on the second
+        with pytest.raises(NotInFlavorError, match=not_member):
+            bracket(E(self.rotation, self.zero), E(self.member, self.x1), s)
+
+    def test_basis_routines_check_hand_built_bases(self):
+        s = flat_structure(2)
+        nc = s.induced_nc()
+        gal = SymmetryBasis(nc, "galilei", 1, (self.member, self.accelerating))
+        with pytest.raises(NotInFlavorError, match="preserve the connection"):
+            gal_extension_cocycle(gal, s)
+        mil = SymmetryBasis(nc, "milne", 1, (self.rotation, self.member))
+        with pytest.raises(NotInFlavorError, match="preserve the raised symbols"):
+            noncentrality_check(s, mil)
 
 
 class TestGalileiSolve:
