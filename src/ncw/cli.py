@@ -26,12 +26,10 @@ from .dsl import (
 )
 from .extensions import (
     CocycleError,
-    ExtendedElement,
     ExtensionError,
+    _bracket,
     boost_for_coriolis,
     cocycle_triviality,
-    extended_cor_bracket,
-    extended_mil_bracket,
     gal_extension_cocycle,
     galilei_f_solve,
     milne_f_split,
@@ -179,42 +177,30 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
     report.flags["flavor"] = flavor
     report.flags["degree"] = args.degree
     report.results.update(basis_payload(basis))
-    dim = ncb.base.dimension
-    zero = Poly.zero(dim)
+    fields = basis.fields
+    pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))]
     if flavor == "coriolis":
         report.results["boost_forms"] = [
-            field_components(boost_for_coriolis(f, ncb)) for f in basis.fields
+            field_components(boost_for_coriolis(f, ncb)) for f in fields
         ]
-        sample = [
-            extended_cor_bracket(
-                ExtendedElement(basis.fields[i], zero),
-                ExtendedElement(basis.fields[j], zero),
-                ncb,
-            )
-            for i in range(len(basis.fields))
-            for j in range(i + 1, len(basis.fields))
-        ]
+        zero = Poly.zero(ncb.base.dimension)
+        sample = [_bracket(fields[i], zero, fields[j], zero, ncb, flavor) for i, j in pairs]
         report.results["bracket_table"] = [
             {"x": field_components(e.x), "parameter": str(e.f)} for e in sample
         ]
         report.results["extension"] = "semidirect by scalar functions"
     elif flavor == "milne":
-        splits = []
-        for f in basis.fields:
-            fx, ok = milne_f_split(f, ncb)
-            splits.append({"f": str(fx), "solvable": ok})
-        report.results["parameter_splits"] = splits
+        splits = [milne_f_split(f, ncb) for f in fields]
+        report.results["parameter_splits"] = [
+            {"f": str(fx), "solvable": ok} for fx, ok in splits
+        ]
+        params = [fx if ok else None for fx, ok in splits]
         table = []
-        for i in range(len(basis.fields)):
-            for j in range(i + 1, len(basis.fields)):
-                out = extended_mil_bracket(
-                    ExtendedElement(basis.fields[i], zero),
-                    ExtendedElement(basis.fields[j], zero),
-                    ncb,
-                )
-                table.append(
-                    {"pair": [i, j], "x": field_components(out.x), "parameter": str(out.f)}
-                )
+        for i, j in pairs:
+            out = _bracket(fields[i], params[i], fields[j], params[j], ncb, flavor)
+            table.append(
+                {"pair": [i, j], "x": field_components(out.x), "parameter": str(out.f)}
+            )
         report.results["bracket_table"] = table
         noncentral, witness = noncentrality_check(ncb, basis)
         report.results["noncentral"] = noncentral
@@ -227,11 +213,10 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
             "non-central by time functions" if noncentral else "central"
         )
     else:
-        solves = []
-        for f in basis.fields:
-            fx, ok = galilei_f_solve(f, ncb)
-            solves.append({"f": str(fx), "consistent": ok})
-        report.results["parameter_solves"] = solves
+        solves = [galilei_f_solve(f, ncb) for f in fields]
+        report.results["parameter_solves"] = [
+            {"f": str(fx), "consistent": ok} for fx, ok in solves
+        ]
         cocycle = gal_extension_cocycle(basis, ncb)
         report.results["cocycle"] = [[str(v) for v in row] for row in cocycle]
         result = cocycle_triviality(basis, cocycle)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .linalg import (
@@ -35,6 +36,8 @@ from .poly import Poly, grlex_monomials, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
+    _FormPoly,
+    _form_rows,
     classify,
     structure_constants,
 )
@@ -100,10 +103,64 @@ def extended_cor_bracket(
     stabilizer pairs."""
     _require(e1.x, s, "coriolis")
     _require(e2.x, s, "coriolis")
-    return ExtendedElement(
-        vector_bracket(e1.x, e2.x),
-        directional(e1.x, e2.f) - directional(e2.x, e1.f),
-    )
+    return _bracket(e1.x, e1.f, e2.x, e2.f, s, "coriolis")
+
+
+# flavor -> (the variables xi may depend on, the stabilizer, message for a
+# xi outside it, message for a bracket parameter outside it)
+_STABILIZERS = {
+    "milne": ([0], "the observer stabilizer",
+              "observer-stabilizer parameter must depend on time only",
+              "bracket parameter left the time functions"),
+    "galilei": ([], "the full stabilizer",
+                "full-stabilizer parameter must be constant",
+                "central parameter output is not constant"),
+}
+
+
+def _parameter(x: TensorField, s: NCBStructure, flavor: str) -> Poly | None:
+    """f_X of a field, membership checked by the solve; None when X does not
+    extend to the flavor's stabilizer."""
+    f, ok = milne_f_split(x, s) if flavor == "milne" else galilei_f_solve(x, s)
+    return f if ok else None
+
+
+def _bracket(
+    x1: TensorField, f1: Poly | None, x2: TensorField, f2: Poly | None,
+    s: NCBStructure, flavor: str,
+) -> ExtendedElement:
+    """([X, X'], X(f') - X'(f) - f_[X,X']) for checked operands with full
+    parameters f = xi + f_X (None: the operand does not extend).  Only the
+    bracket's own f_[X,X'] is solved here; it is absent for the metric-pair
+    stabilizer."""
+    xb = vector_bracket(x1, x2)
+    if flavor == "coriolis":
+        return ExtendedElement(xb, directional(x1, f2) - directional(x2, f1))
+    dependence, stabilizer, _, left = _STABILIZERS[flavor]
+    if f1 is None or f2 is None:
+        raise ExtensionError(f"element does not lie in {stabilizer}")
+    fb = _parameter(xb, s, flavor)
+    if fb is None:
+        raise ExtensionError(f"bracket left {stabilizer}")
+    out = directional(x1, f2) - directional(x2, f1) - fb
+    if not out.depends_only_on(dependence):
+        raise ExtensionError(left)
+    return ExtendedElement(xb, out)
+
+
+def _checked_bracket(
+    e1: ExtendedElement, e2: ExtendedElement, s: NCBStructure, flavor: str
+) -> ExtendedElement:
+    """The stabilizer bracket with each operand checked in turn: membership
+    (by its parameter solve), then the form of its xi."""
+    dependence, _, misplaced, _ = _STABILIZERS[flavor]
+    full = []
+    for e in (e1, e2):
+        f = _parameter(e.x, s, flavor)
+        if not e.f.depends_only_on(dependence):
+            raise ExtensionError(misplaced)
+        full.append(None if f is None else e.f + f)
+    return _bracket(e1.x, full[0], e2.x, full[1], s, flavor)
 
 
 # ----------------------------------------------------------------------
@@ -127,40 +184,16 @@ def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     )
     degree = max(rhs_degree, 0) + gamma_degree + 2
     monos = grlex_monomials(dim, degree)
-    col_of = {m: i for i, m in enumerate(monos)}
-
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
-    targets: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for a in range(dim):
-        for k in range(dim):
-            gam = g.gamma.comp(a, k)
-            if gam.is_zero:
-                continue
-            for m in monos:
-                if m[k] == 0:
-                    continue
-                dm = list(m)
-                dm[k] -= 1
-                for ge, gc in gam.terms.items():
-                    combined = tuple(p + q for p, q in zip(ge, dm))
-                    row = rows.setdefault((a, combined), {})
-                    coeff = gc * m[k]
-                    acc = row.get(col_of[m], Fraction(0)) + coeff
-                    if acc:
-                        row[col_of[m]] = acc
-                    else:
-                        row.pop(col_of[m], None)
-        for e, c in rhs_vec.comp(a).terms.items():
-            targets[(a, e)] = targets.get((a, e), Fraction(0)) + c
-
+    generic = _FormPoly(dim, {m: {j: Fraction(1)} for j, m in enumerate(monos)})
+    rows = _form_rows([metric_gradient(g, generic)])
+    targets = _form_rows([rhs_vec])
     keys = sorted(set(rows) | set(targets))
-    system_rows = [rows.get(k, {}) for k in keys]
-    system_rhs = [targets.get(k, Fraction(0)) for k in keys]
-    solution = sparse_solve(system_rows, system_rhs, len(monos))
+    rhs = [targets.get(k, Fraction(0)) for k in keys]
+    solution = sparse_solve([rows.get(k, {}) for k in keys], rhs, len(monos))
     if solution is None:
         return Poly.zero(dim), False
     particular, _ = solution
-    f = Poly(dim, {m: particular[col_of[m]] for m in monos})
+    f = Poly(dim, {m: particular[j] for j, m in enumerate(monos)})
     f_x = f - time_part(f)
     # the time-only strip leaves gamma(df) unchanged; re-verify exactly
     if not (metric_gradient(g, f_x) - rhs_vec).is_zero:
@@ -175,26 +208,7 @@ def extended_mil_bracket(
 
     The parameter part X(xi' + f_X') - X'(xi + f_X) - f_[X,X'] lands back in
     the time functions; a residue with spatial dependence raises."""
-    for e in (e1, e2):
-        _require(e.x, s, "milne")
-        if not e.f.depends_only_on([0]):
-            raise ExtensionError("observer-stabilizer parameter must depend on time only")
-    f1, ok1 = milne_f_split(e1.x, s)
-    f2, ok2 = milne_f_split(e2.x, s)
-    if not (ok1 and ok2):
-        raise ExtensionError("element does not lie in the observer stabilizer")
-    xb = vector_bracket(e1.x, e2.x)
-    fb, okb = milne_f_split(xb, s)
-    if not okb:
-        raise ExtensionError("bracket left the observer stabilizer")
-    out = (
-        directional(e1.x, e2.f + f2)
-        - directional(e2.x, e1.f + f1)
-        - fb
-    )
-    if not out.depends_only_on([0]):
-        raise ExtensionError("bracket parameter left the time functions")
-    return ExtendedElement(xb, out)
+    return _checked_bracket(e1, e2, s, "milne")
 
 
 def noncentrality_check(
@@ -210,14 +224,14 @@ def noncentrality_check(
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
     dim = s.base.dimension
     zero_x = TensorField.zero(dim, 1, 0)
+    # f_X once per element, on first use: a faulty element raises where the
+    # scan meets it
+    parameter = cache(lambda i: _parameter(basis.fields[i], s, "milne"))
     for k in range(1, max(basis.degree, 1) + 1):
+        # (0, t^k): the zero field's own f is zero
         xi = Poly.monomial(dim, (k,) + (0,) * (dim - 1))
         for i, x in enumerate(basis.fields):
-            out = extended_mil_bracket(
-                ExtendedElement(x, Poly.zero(dim)),
-                ExtendedElement(zero_x, xi),
-                s,
-            )
+            out = _bracket(x, parameter(i), zero_x, xi, s, "milne")
             if not out.f.is_zero:
                 return True, (i, out.f)
     return False, None
@@ -268,40 +282,24 @@ def extended_gal_bracket(
 ) -> ExtendedElement:
     """Bracket on full-stabilizer pairs (X, xi) with constant xi; the
     parameter output is again constant (central extension)."""
-    dim = s.base.dimension
-    for e in (e1, e2):
-        _require(e.x, s, "galilei")
-        if not e.f.depends_only_on([]):
-            raise ExtensionError("full-stabilizer parameter must be constant")
-    f1, ok1 = galilei_f_solve(e1.x, s)
-    f2, ok2 = galilei_f_solve(e2.x, s)
-    if not (ok1 and ok2):
-        raise ExtensionError("element does not lie in the full stabilizer")
-    xb = vector_bracket(e1.x, e2.x)
-    fb, okb = galilei_f_solve(xb, s)
-    if not okb:
-        raise ExtensionError("bracket left the full stabilizer")
-    out = directional(e1.x, e2.f + f2) - directional(e2.x, e1.f + f1) - fb
-    if not out.depends_only_on([]):
-        raise ExtensionError("central parameter output is not constant")
-    return ExtendedElement(xb, out)
+    return _checked_bracket(e1, e2, s, "galilei")
 
 
 def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fraction]]:
     """The central 2-cocycle induced on a solved full-symmetry basis:
     c_ij is the constant parameter output of the bracket of (X_i, 0) and
     (X_j, 0)."""
-    dim = s.base.dimension
-    zero = Poly.zero(dim)
-    k = len(basis.fields)
+    origin = (0,) * s.base.dimension
+    fields = basis.fields
+    k = len(fields)
     out = [[Fraction(0)] * k for _ in range(k)]
-    wrapped = [ExtendedElement(f, zero) for f in basis.fields]
+    # f_X once per element, on first use, as in noncentrality_check
+    parameter = cache(lambda i: _parameter(fields[i], s, "galilei"))
     for i in range(k):
         for j in range(i + 1, k):
-            val = extended_gal_bracket(wrapped[i], wrapped[j], s).f
-            const = val.coefficient((0,) * dim)
-            out[i][j] = const
-            out[j][i] = -const
+            val = _bracket(fields[i], parameter(i), fields[j], parameter(j), s, "galilei").f
+            out[i][j] = val.coefficient(origin)
+            out[j][i] = -out[i][j]
     return out
 
 

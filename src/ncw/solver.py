@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator, sparse_solve
@@ -55,6 +56,11 @@ def canonical_flavor(name: str) -> Flavor:
         return _ALIASES[name.lower()]  # type: ignore[return-value]
     except KeyError:
         raise ValueError(f"unknown symmetry flavor {name!r}") from None
+
+
+# desk-scale guard, like the DSL's input limits: the most ansatz columns
+# (components x admitted monomials) a solve assembles
+MAX_ANSATZ_COLUMNS = 20_000
 
 
 class NotInFlavorError(ValueError):
@@ -171,6 +177,12 @@ def _condition_rows(
         blocks.append(
             raise_connection_transport(lie_derivative_connection(x, s.connection), g.gamma, 1)
         )
+    return _form_rows(blocks)
+
+
+def _form_rows(blocks: Sequence[TensorField]) -> dict[tuple, object]:
+    """The (block, index, monomial) terms of a list of fields: for a field
+    over _FormPoly each is one linear row, for a Poly field one right side."""
     return {
         (block, idx, exps): form
         for block, field in enumerate(blocks)
@@ -188,6 +200,10 @@ def solve_symmetries(
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     dim = s.base.dimension
+    # components x monomials t^j x^alpha, j <= d, |alpha| <= d + 1 - j
+    columns = dim * sum(comb(d + dim - j, dim - 1) for j in range(d + 1))
+    if columns > MAX_ANSATZ_COLUMNS:
+        raise ValueError(f"ansatz of {columns} columns exceeds the limit {MAX_ANSATZ_COLUMNS}")
     monos = ansatz_monomials(dim, d)
     rows = _condition_rows(s, fl, monos)
     elim = SparseEliminator(dim * len(monos))

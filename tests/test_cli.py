@@ -369,6 +369,21 @@ class TestSolve:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_oversized_ansatz_is_refused_before_assembly(self, capsys, tmp_path):
+        from time import perf_counter
+
+        from ncw.solver import MAX_ANSATZ_COLUMNS
+
+        path = tmp_path / "flat9.ncw"
+        path.write_text("flat n=9\n")
+        start = perf_counter()
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--flavor", "gal", "--degree", "12"
+        )
+        assert perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert f"ansatz of 11440650 columns exceeds the limit {MAX_ANSATZ_COLUMNS}" in err
+
 
 class TestBrackets:
     def test_constants_reparse(self, capsys, flat2):

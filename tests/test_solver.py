@@ -65,6 +65,18 @@ class TestAnsatz:
                 )
                 assert len(monos) == manual
 
+    @pytest.mark.parametrize("n, d", [(1, 0), (1, 2), (2, 1), (3, 2)])
+    def test_column_guard_counts_the_ansatz_exactly(self, n, d, monkeypatch):
+        import ncw.solver
+
+        s = flat_structure(n).induced_nc()
+        columns = (n + 1) * len(ansatz_monomials(n + 1, d))
+        monkeypatch.setattr(ncw.solver, "MAX_ANSATZ_COLUMNS", columns)
+        solve_symmetries(s, "galilei", d)
+        monkeypatch.setattr(ncw.solver, "MAX_ANSATZ_COLUMNS", columns - 1)
+        with pytest.raises(ValueError, match=f"ansatz of {columns} columns exceeds the limit"):
+            solve_symmetries(s, "galilei", d)
+
 
 class TestFlatDimensions:
     @pytest.mark.parametrize("n", [1, 2, 3])

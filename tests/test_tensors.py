@@ -445,6 +445,57 @@ class TestAbsentMeansZero:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("flavor", ["coriolis", "milne", "galilei"])
+    def test_extend_checks_each_basis_element_once_per_routine(
+        self, flavor, monkeypatch, capsys
+    ):
+        """Membership checks and parameter solves in `ncw extend`: at most one
+        per basis element in each basis-level routine (the parameter list,
+        the bracket table, the noncentrality scan, the cocycle), plus one per
+        bracket for the bracket's own parameter; none per bracket for the
+        metric-pair stabilizer."""
+        from pathlib import Path
+
+        import ncw.cli
+        import ncw.extensions
+        import ncw.solver
+        from ncw.dsl import build_structure, parse_structure
+
+        sample = Path(__file__).resolve().parents[1] / "samples" / "flat2.ncw"
+        built = build_structure(parse_structure(sample.read_text(encoding="utf-8")))
+        k = ncw.solver.solve_symmetries(built.nc, flavor, 1).dimension
+        pairs = k * (k - 1) // 2
+        calls = {"classify": 0, "f_solve": 0}
+
+        def counted(fn, kind):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapper
+
+        classify = counted(ncw.solver.classify, "classify")
+        for module in (ncw.solver, ncw.extensions, ncw.cli):
+            monkeypatch.setattr(module, "classify", classify)
+        for name in ("milne_f_split", "galilei_f_solve"):
+            wrapped = counted(getattr(ncw.extensions, name), "f_solve")
+            for module in (ncw.extensions, ncw.cli):
+                monkeypatch.setattr(module, name, wrapped)
+        argv = ["extend", "--input", str(sample), "--flavor", flavor, "--degree", "1"]
+        assert ncw.cli.main(argv) == 0
+        capsys.readouterr()
+        bound = {
+            # boost forms
+            "coriolis": k,
+            # parameter list; bracket table; noncentrality scan of the k
+            # elements against t^1
+            "milne": k + (k + pairs) + (k + k),
+            # parameter list; cocycle
+            "galilei": k + (k + pairs),
+        }[flavor]
+        assert 0 < calls["classify"] <= bound
+        assert calls["f_solve"] <= (0 if flavor == "coriolis" else bound)
+
 
 def random_coriolis_field(rng, n, degree=2):
     """Template fields preserving the flat pair: constant time component,
