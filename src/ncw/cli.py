@@ -28,12 +28,12 @@ from .extensions import (
     CocycleError,
     ExtensionError,
     _bracket,
+    _cocycle,
+    _noncentrality,
     boost_for_coriolis,
     cocycle_triviality,
-    gal_extension_cocycle,
     galilei_f_solve,
     milne_f_split,
-    noncentrality_check,
 )
 from .gauge import GaugeElement, infinitesimal_gauge, nc_projection_invariance_check
 from .poly import Poly
@@ -202,7 +202,7 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
                 {"pair": [i, j], "x": field_components(out.x), "parameter": str(out.f)}
             )
         report.results["bracket_table"] = table
-        noncentral, witness = noncentrality_check(ncb, basis)
+        noncentral, witness = _noncentrality(ncb, basis, params.__getitem__)
         report.results["noncentral"] = noncentral
         if witness:
             report.results["noncentrality_witness"] = {
@@ -217,7 +217,8 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
         report.results["parameter_solves"] = [
             {"f": str(fx), "consistent": ok} for fx, ok in solves
         ]
-        cocycle = gal_extension_cocycle(basis, ncb)
+        params = [fx if ok else None for fx, ok in solves]
+        cocycle = _cocycle(basis, ncb, params.__getitem__)
         report.results["cocycle"] = [[str(v) for v in row] for row in cocycle]
         result = cocycle_triviality(basis, cocycle)
         verdict = "TRIVIAL" if result.trivial else "NONTRIVIAL"

@@ -4,7 +4,10 @@ describing spacetime structures, plus the polynomial expression grammar.
 Expressions: integers, rationals ``p/q``, the variables ``t, x1..xn``,
 operators ``+ - * ^`` and parentheses.  ``^`` takes a non-negative integer
 literal; ``/`` only joins integer literals into a rational.  There is no
-implicit multiplication.
+implicit multiplication.  ``-`` is always an operator (``t-1`` is
+``t - 1``); only a ``name`` value keeps its hyphens.  A product or power
+whose result could exceed MAX_TERMS terms, or an exponent of MAX_EXPONENT,
+is refused before it is expanded.
 
 A document is a sequence of lines; ``#`` starts a comment.  Either a preset
 header
@@ -30,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
+
 from .poly import Poly
 from .structures import (
     GalileiStructure,
@@ -53,6 +58,8 @@ class ParseError(ValueError):
 
 # desk-scale guards: keep pathological inputs from hanging the process
 MAX_EXPONENT = 256
+# the most terms a product or power may expand to, bounded before expanding
+MAX_TERMS = 1_000
 MAX_SPATIAL_DIMENSION = 9
 MAX_NESTING = 64
 
@@ -87,7 +94,7 @@ def tokenize(text: str) -> list[Token]:
                 col = end
             elif ch.isalpha() or ch == "_":
                 end = col
-                while end < len(line) and (line[end].isalnum() or line[end] in "_-"):
+                while end < len(line) and (line[end].isalnum() or line[end] == "_"):
                     end += 1
                 tokens.append(Token("IDENT", line[col:end], line_no, start))
                 col = end
@@ -158,8 +165,14 @@ class ExpressionParser:
     def _term(self) -> Poly:
         total = self._factor()
         while self.stream.at_symbol("*"):
-            self.stream.next()
-            total = total * self._factor()
+            tok = self.stream.next()
+            rhs = self._factor()
+            _check_expansion(
+                len(total.terms) * len(rhs.terms),
+                [total.degree_in(i) + rhs.degree_in(i) for i in range(self.dimension)],
+                tok,
+            )
+            total = total * rhs
         return total
 
     def _factor(self) -> Poly:
@@ -184,6 +197,13 @@ class ExpressionParser:
                     tok.line,
                     tok.col,
                 )
+            # a product of `power` of the base's m terms is one of the
+            # C(m + power - 1, power) multisets of them
+            _check_expansion(
+                comb(max(len(base.terms), 1) + power - 1, power),
+                [base.degree_in(i) * power for i in range(self.dimension)],
+                tok,
+            )
             return base**power
         return base
 
@@ -230,6 +250,21 @@ class ExpressionParser:
                 )
             return Poly.variable(self.dimension, index)
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+
+
+def _check_expansion(terms: int, degrees: list[int], tok: Token) -> None:
+    """Refuse a product or power before expanding it: its result has at most
+    `terms` terms and, in each variable, exactly the given degree, which must
+    stay within MAX_EXPONENT for the result to render back into the grammar."""
+    degree = max(degrees)
+    if degree > MAX_EXPONENT:
+        raise ParseError(
+            f"exponent {degree} exceeds the limit {MAX_EXPONENT}", tok.line, tok.col
+        )
+    if terms > MAX_TERMS:
+        raise ParseError(
+            f"expansion may exceed the limit {MAX_TERMS} terms", tok.line, tok.col
+        )
 
 
 def parse_expression(text: str, dimension: int) -> Poly:
@@ -357,7 +392,14 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         value = stream.next()
         if value.kind != "IDENT":
             raise ParseError("name must be an identifier", value.line, value.col)
-        doc.name = value.text
+        # a name may carry hyphens, which tokenize as minus signs: join the
+        # identifiers, numbers and '-' that follow it without a space
+        name = value.text
+        while (tok := stream.peek()).col == value.col + len(name) and (
+            tok.kind in ("IDENT", "NUMBER") or tok.text == "-"
+        ):
+            name += stream.next().text
+        doc.name = name
         return
     if name == "n":
         stream.expect_symbol("=")

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .linalg import (
     RationalMatrix,
@@ -139,7 +140,8 @@ def _bracket(
     dependence, stabilizer, _, left = _STABILIZERS[flavor]
     if f1 is None or f2 is None:
         raise ExtensionError(f"element does not lie in {stabilizer}")
-    fb = _parameter(xb, s, flavor)
+    # the zero field's own parameter is zero; no solve needed
+    fb = _parameter(xb, s, flavor) if not xb.is_zero else Poly.zero(xb.dimension)
     if fb is None:
         raise ExtensionError(f"bracket left {stabilizer}")
     out = directional(x1, f2) - directional(x2, f1) - fb
@@ -222,11 +224,17 @@ def noncentrality_check(
     (basis index, parameter output)."""
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
-    dim = s.base.dimension
-    zero_x = TensorField.zero(dim, 1, 0)
     # f_X once per element, on first use: a faulty element raises where the
     # scan meets it
-    parameter = cache(lambda i: _parameter(basis.fields[i], s, "milne"))
+    return _noncentrality(s, basis, cache(lambda i: _parameter(basis.fields[i], s, "milne")))
+
+
+def _noncentrality(
+    s: NCBStructure, basis: SymmetryBasis, parameter: Callable[[int], Poly | None]
+) -> tuple[bool, tuple[int, Poly] | None]:
+    """noncentrality_check with element i's f_X (or None) from parameter(i)."""
+    dim = s.base.dimension
+    zero_x = TensorField.zero(dim, 1, 0)
     for k in range(1, max(basis.degree, 1) + 1):
         # (0, t^k): the zero field's own f is zero
         xi = Poly.monomial(dim, (k,) + (0,) * (dim - 1))
@@ -289,12 +297,18 @@ def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fr
     """The central 2-cocycle induced on a solved full-symmetry basis:
     c_ij is the constant parameter output of the bracket of (X_i, 0) and
     (X_j, 0)."""
+    # f_X once per element, on first use, as in noncentrality_check
+    return _cocycle(basis, s, cache(lambda i: _parameter(basis.fields[i], s, "galilei")))
+
+
+def _cocycle(
+    basis: SymmetryBasis, s: NCBStructure, parameter: Callable[[int], Poly | None]
+) -> list[list[Fraction]]:
+    """gal_extension_cocycle with element i's f_X (or None) from parameter(i)."""
     origin = (0,) * s.base.dimension
     fields = basis.fields
     k = len(fields)
     out = [[Fraction(0)] * k for _ in range(k)]
-    # f_X once per element, on first use, as in noncentrality_check
-    parameter = cache(lambda i: _parameter(fields[i], s, "galilei"))
     for i in range(k):
         for j in range(i + 1, k):
             val = _bracket(fields[i], parameter(i), fields[j], parameter(j), s, "galilei").f
@@ -338,16 +352,18 @@ def cocycle_triviality(
     constants, closed = structure_constants(basis)
     if not closed:
         raise CocycleError("basis does not close; cocycle identity undefined")
-    for i in range(k):
-        for j in range(k):
+    # the cocycle identity sum_m C_ij^m c_ml + C_jl^m c_mi + C_li^m c_mj = 0
+    # is the cyclic sum of s_ijl = sum_m C_ij^m c_ml, built from the nonzero
+    # constants only; a triple with no entry in sums sums to zero
+    sums: dict[tuple[int, int, int], Fraction] = {}
+    for i, j, m in product(range(k), repeat=3):
+        if constants[i][j][m]:
             for l in range(k):
-                total = Fraction(0)
-                for m in range(k):
-                    total += constants[i][j][m] * c[m][l]
-                    total += constants[j][l][m] * c[m][i]
-                    total += constants[l][i][m] * c[m][j]
-                if total != 0:
-                    raise CocycleError("cocycle identity violated")
+                if c[m][l]:
+                    sums[i, j, l] = sums.get((i, j, l), 0) + constants[i][j][m] * c[m][l]
+    for i, j, l in sums:
+        if sums[i, j, l] + sums.get((j, l, i), 0) + sums.get((l, i, j), 0):
+            raise CocycleError("cocycle identity violated")
 
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     matrix = RationalMatrix.from_rows(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Literal, Sequence
 
-from .linalg import SparseEliminator, sparse_solve
+from .linalg import SparseEliminator
 from .poly import Exponent, Poly, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
@@ -264,24 +264,15 @@ def verify_coriolis_identity(x: TensorField, s: NCStructure) -> bool:
 # ----------------------------------------------------------------------
 # structure constants
 
-def _field_coefficients(fields: Sequence[TensorField]) -> tuple[list[dict], list]:
-    keys: dict[tuple[int, Exponent], int] = {}
-    vectors = []
-    for f in fields:
-        entries = {}
-        for comp in range(f.dimension):
-            for exps, coeff in f.comp(comp).terms.items():
-                key = (comp, exps)
-                idx = keys.setdefault(key, len(keys))
-                entries[idx] = coeff
-        vectors.append(entries)
-    return vectors, list(keys)
-
-
 def structure_constants(
     basis: SymmetryBasis,
 ) -> tuple[list[list[list[Fraction]]], bool]:
-    """Expand [X_i, X_j] in the basis by exact solve.
+    """Expand [X_i, X_j] in the basis through one elimination.
+
+    Row i holds X_i's (component, monomial) coefficients and a tag 1 in
+    column tag + i, after every data column.  A bracket reduced against
+    these rows either keeps a data column, and leaves the span, or keeps
+    only tags, which are minus its coordinates.
 
     Returns the 3-index constants c[i][j][k] and a closure flag; the flag is
     False when some bracket leaves the span (degree truncation need not be
@@ -289,39 +280,39 @@ def structure_constants(
     """
     if not basis.fields:
         raise ValueError("structure constants need a nonempty basis")
-    k = len(basis.fields)
-    dim = basis.fields[0].dimension
-    brackets = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            brackets[(i, j)] = vector_bracket(basis.fields[i], basis.fields[j])
-    all_fields = list(basis.fields) + list(brackets.values())
-    coeff_vectors, _ = _field_coefficients(all_fields)
-    basis_vecs = coeff_vectors[:k]
-    nrows = max((max(v, default=-1) for v in coeff_vectors), default=-1) + 1
-
-    # columns are basis elements; one row per (component, monomial) key
-    matrix_rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
-    for col, v in enumerate(basis_vecs):
-        for r, c in v.items():
-            matrix_rows[r][col] = c
+    fields = basis.fields
+    k = len(fields)
+    rows = [_form_rows([f]) for f in fields]
+    brackets = {
+        (i, j): _form_rows([vector_bracket(fields[i], fields[j])])
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    columns: dict[tuple, int] = {}
+    for terms in rows + list(brackets.values()):
+        for key in terms:
+            columns.setdefault(key, len(columns))
+    tag = len(columns)
+    elim = SparseEliminator(tag + k)
+    for i, terms in enumerate(rows):
+        elim.add_row({columns[key]: v for key, v in terms.items()} | {tag + i: Fraction(1)})
+    # a pivot among the tags is a linear relation between basis fields
+    dependent = max(elim.pivot_rows) >= tag
 
     constants = [
         [[Fraction(0)] * k for _ in range(k)] for _ in range(k)
     ]
     closed = True
-    for (i, j), bracket_vec in zip(brackets, coeff_vectors[k:]):
-        rhs = [bracket_vec.get(r, Fraction(0)) for r in range(nrows)]
-        sol = sparse_solve(matrix_rows, rhs, k)
-        if sol is None:
+    for (i, j), terms in brackets.items():
+        reduced = elim.reduce({columns[key]: v for key, v in terms.items()})
+        if min(reduced, default=tag) < tag:
             closed = False
             continue
-        particular, kernel = sol
-        if kernel:
+        if dependent:
             raise ValueError("basis is linearly dependent")
         for m in range(k):
-            constants[i][j][m] = particular[m]
-            constants[j][i][m] = -particular[m]
+            constants[j][i][m] = reduced.get(tag + m, Fraction(0))
+            constants[i][j][m] = -constants[j][i][m]
     return constants, closed
 
 

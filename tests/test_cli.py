@@ -228,6 +228,37 @@ class TestValidate:
         assert (code, out, err) == (2, "", f"input error: {detail}\n")
 
 
+class TestExpressionInputs:
+    @pytest.mark.parametrize("phi, shown", [("t-1", "t - 1"), ("x1-x2", "x1 - x2")])
+    def test_unspaced_subtraction_in_a_potential(self, capsys, tmp_path, phi, shown):
+        path = tmp_path / "standard.ncw"
+        path.write_text(f"standard n=2 phi = {phi}\n")
+        code, out, err = run(capsys, "validate", "--input", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["structure"]["phi"] == shown
+
+    def test_unspaced_subtraction_in_a_field(self, capsys, flat2):
+        code, out, err = run(
+            capsys, "classify", "--input", flat2, "--field", "X[1] = t-x2", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["flags"]["field"] == ["0", "t - x2", "0"]
+
+    def test_runaway_expansion_is_refused(self, capsys, tmp_path):
+        from time import perf_counter
+
+        from ncw.dsl import MAX_TERMS
+
+        path = tmp_path / "runaway.ncw"
+        spatial = "+".join(f"x{i}" for i in range(1, 10))
+        path.write_text(f"standard n=9 phi = (t+{spatial})^256\n")
+        start = perf_counter()
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert f"line 1, column 51: expansion may exceed the limit {MAX_TERMS} terms" in err
+
+
 class TestConnectionAndCurvature:
     def test_standard_connection_components(self, capsys, standard2):
         code, out, _ = run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import random_poly
 from ncw.dsl import (
+    MAX_TERMS,
     ParseError,
     build_structure,
     parse_expression,
@@ -193,6 +194,84 @@ class TestDocuments:
             parse_expression("(" * 100 + "1" + ")" * 100, 2)
         # long unary chains are iterative, not recursive
         assert parse_expression("-" * 3001 + "1", 2) == Poly.const(2, -1)
+
+
+class TestHyphens:
+    """'-' between operands is subtraction; only a name keeps its hyphens."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("t-1", "t - 1"),
+            ("x1-x2", "x1 - x2"),
+            ("t-x2", "t - x2"),
+            ("x2-t*x1", "-t*x1 + x2"),
+            ("t--1", "t + 1"),
+        ],
+    )
+    def test_subtraction_without_spaces(self, text, expected):
+        assert str(parse_expression(text, 3)) == expected
+
+    def test_preset_potential(self):
+        doc = parse_structure("standard n=2 phi = x1-x2\n")
+        assert doc.potential == Poly.variable(3, 1) - Poly.variable(3, 2)
+        assert build_structure(doc).ncb is not None
+
+    def test_field_component(self):
+        x = parse_field("X[1] = t-x2", 3)
+        assert x.comp(1) == Poly.variable(3, 0) - Poly.variable(3, 2)
+
+    @pytest.mark.parametrize("name", ["by-hand", "a-1", "two-x2-t", "a_b-c9"])
+    def test_name_keeps_its_hyphens(self, name):
+        assert parse_structure(f"name = {name}\nflat n=1\n").name == name
+
+    def test_spaced_hyphen_ends_the_name(self):
+        with pytest.raises(ParseError, match="column 11: expected a directive"):
+            parse_structure("name = by - hand\nflat n=1\n")
+
+
+class TestTermBudget:
+    """Products and powers are refused before expanding when their result
+    could exceed MAX_TERMS terms, or has an exponent above MAX_EXPONENT."""
+
+    def test_runaway_power_is_refused_at_once(self):
+        from time import perf_counter
+
+        text = "(t+" + "+".join(f"x{i}" for i in range(1, 10)) + ")^256"
+        start = perf_counter()
+        with pytest.raises(ParseError, match=f"exceed the limit {MAX_TERMS} terms"):
+            parse_expression(text, 10)
+        assert perf_counter() - start < 1
+
+    def test_largest_accepted_powers(self):
+        assert len(parse_expression("(t+x1+x2)^40", 3).terms) == 861
+        # C(m + p - 1, p) is exact for distinct variables
+        assert len(parse_expression("(t+x1+x2)^43", 3).terms) == 990 <= MAX_TERMS
+        with pytest.raises(ParseError, match="column 11: expansion may exceed"):
+            parse_expression("(t+x1+x2)^44", 3)
+
+    def test_product_bound(self):
+        def powers(var, count):
+            return "(" + "+".join(f"{var}^{k}" for k in range(count)) + ")"
+
+        # 31 * 33 = 1023 possible terms
+        with pytest.raises(ParseError, match="expansion may exceed"):
+            parse_expression(f"{powers('t', 31)}*{powers('x1', 33)}", 3)
+        assert len(parse_expression(f"{powers('t', 31)}*{powers('x1', 32)}", 3).terms) == 992
+
+    def test_result_exponents_stay_within_the_limit(self):
+        # t^260 would render as a report that does not parse again
+        with pytest.raises(ParseError, match="column 10: exponent 260 exceeds the limit 256"):
+            parse_expression("((t)^13)^20", 2)
+        with pytest.raises(ParseError, match="column 6: exponent 257 exceeds the limit 256"):
+            parse_expression("t^200*t^57", 2)
+        assert parse_expression("t^200*t^56", 2) == Poly.monomial(2, (256, 0))
+        assert parse_expression("(t^2)^128", 2) == Poly.monomial(2, (256, 0))
+
+    def test_zero_and_constant_bases(self):
+        assert parse_expression("0^0", 2) == Poly.const(2, 1)
+        assert parse_expression("0^256", 2).is_zero
+        assert parse_expression("(3/2)^256", 2) == Poly.const(2, Fraction(3, 2) ** 256)
 
 
 class TestParserRobustness:

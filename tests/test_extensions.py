@@ -696,3 +696,87 @@ class TestCocycles:
         bad = [[Fraction(1)] * k for _ in range(k)]
         with pytest.raises(CocycleError, match="antisymmetric"):
             cocycle_triviality(basis, bad)
+
+    def test_identity_check_agrees_with_the_dense_sum(self):
+        """The cocycle identity, checked over the nonzero constants only,
+        raises exactly when the full k^4 sum finds a violated triple."""
+        from ncw.solver import structure_constants
+
+        rng = random.Random(11)
+        s = flat_structure(2)
+        basis = solve_symmetries(s.induced_nc(), "galilei", 1)
+        constants, _ = structure_constants(basis)
+        k = basis.dimension
+
+        def violated(c):
+            return any(
+                sum(
+                    constants[i][j][m] * c[m][l]
+                    + constants[j][l][m] * c[m][i]
+                    + constants[l][i][m] * c[m][j]
+                    for m in range(k)
+                )
+                for i in range(k)
+                for j in range(k)
+                for l in range(k)
+            )
+
+        seen = set()
+        for trial in range(40):
+            if trial % 2:
+                lam = [Fraction(rng.randint(-2, 2)) for _ in range(k)]
+                c = coboundary_from_functional(basis, lam)
+            else:
+                c = [[Fraction(0)] * k for _ in range(k)]
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.sample(range(k), 2)
+                v = Fraction(rng.randint(-2, 2))
+                c[i][j] += v
+                c[j][i] -= v
+            expected = violated(c)
+            seen.add(expected)
+            if expected:
+                with pytest.raises(CocycleError, match="identity"):
+                    cocycle_triviality(basis, c)
+            else:
+                cocycle_triviality(basis, c)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("flavor", ["milne", "galilei"])
+def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
+    """`ncw extend` solves each basis element's f_X once, for its parameter
+    list, which the noncentrality scan and the cocycle reuse, and each
+    nonzero bracket's own parameter once; a zero bracket's parameter is zero
+    without a solve.  On flat n=2 at d=1 that is 12 solves per flavor, where
+    re-solving gave 23 (milne) and 27 (galilei)."""
+    from pathlib import Path
+
+    import ncw.cli
+    import ncw.extensions
+    from ncw.tensors import vector_bracket
+
+    sample = Path(__file__).resolve().parents[1] / "samples" / "flat2.ncw"
+    fields = solve_symmetries(flat_structure(2).induced_nc(), flavor, 1).fields
+    k = len(fields)
+    nonzero = sum(
+        not vector_bracket(fields[i], fields[j]).is_zero
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    solved = []
+    for name in ("milne_f_split", "galilei_f_solve"):
+        fn = getattr(ncw.extensions, name)
+
+        def counted(x, s, fn=fn):
+            solved.append(x)
+            return fn(x, s)
+
+        for module in (ncw.extensions, ncw.cli):
+            monkeypatch.setattr(module, name, counted)
+    argv = ["extend", "--input", str(sample), "--flavor", flavor, "--degree", "1"]
+    assert ncw.cli.main(argv) == 0
+    capsys.readouterr()
+    # the parameter list first, in basis order, then one solve per bracket
+    assert solved[:k] == list(fields)
+    assert len(solved) == k + nonzero == 12

@@ -386,6 +386,67 @@ class TestStructureConstants:
         assert bracket.comp(1) == 2 * var(3, 0)
 
 
+class TestStructureConstantsContract:
+    """Hand-built bases, which the solver did not produce: a dependent basis
+    raises only when some bracket lies in its span, and every call reduces
+    the basis once, one eliminator row per field, with no per-pair solve."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import ncw.linalg
+        import ncw.solver
+        from ncw.linalg import SparseEliminator
+
+        calls = {"add_row": 0}
+        add_row = SparseEliminator.add_row
+
+        def counting(elim, row):
+            calls["add_row"] += 1
+            return add_row(elim, row)
+
+        def no_solve(*args):
+            raise AssertionError("structure_constants ran a sparse_solve")
+
+        monkeypatch.setattr(SparseEliminator, "add_row", counting)
+        monkeypatch.setattr(ncw.linalg, "sparse_solve", no_solve)
+        monkeypatch.setattr(ncw.solver, "sparse_solve", no_solve, raising=False)
+        return calls
+
+    def test_dependent_basis_with_a_bracket_in_its_span_raises(self, counted):
+        s = flat_structure(1).induced_nc()
+        t = var(2, 0)
+        # [d_t, t d_x] = d_x, in the span of the repeated translation
+        fields = (
+            basis_vector(2, 0),
+            vector(2, [Poly.zero(2), t]),
+            basis_vector(2, 1),
+            basis_vector(2, 1).scale(Fraction(2)),
+        )
+        with pytest.raises(ValueError, match="basis is linearly dependent"):
+            structure_constants(SymmetryBasis(s, "coriolis", 1, fields))
+        assert counted["add_row"] == len(fields)
+
+    def test_dependent_basis_whose_brackets_leave_the_span_is_open(self, counted):
+        s = flat_structure(1).induced_nc()
+        t = var(2, 0)
+        x = basis_vector(2, 0)
+        y = vector(2, [Poly.zero(2), t**2])
+        # every bracket is +-[X, Y] = +-2t d_x, outside span{X, Y}
+        basis = SymmetryBasis(s, "coriolis", 2, (x, y, x + y))
+        constants, closed = structure_constants(basis)
+        assert not closed
+        assert constants == [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+        assert counted["add_row"] == 3
+
+    def test_one_row_per_basis_field_and_no_solve(self, counted):
+        s = flat_structure(2).induced_nc()
+        for flavor in FLAVORS:
+            basis = solve_symmetries(s, flavor, 1)
+            counted["add_row"] = 0
+            structure_constants(basis)
+            assert counted["add_row"] == basis.dimension
+
+
 class TestCurvedCoefficients:
     """The sheared structure: flat geometry written in polynomial curvilinear
     coordinates, so the connection has nonzero fully spatial symbols and the
