@@ -141,7 +141,7 @@ def _bracket(
     if f1 is None or f2 is None:
         raise ExtensionError(f"element does not lie in {stabilizer}")
     # the zero field's own parameter is zero; no solve needed
-    fb = _parameter(xb, s, flavor) if not xb.is_zero else Poly.zero(xb.dimension)
+    fb = Poly.zero(xb.dimension) if xb.is_zero else _parameter(xb, s, flavor)
     if fb is None:
         raise ExtensionError(f"bracket left {stabilizer}")
     out = directional(x1, f2) - directional(x2, f1) - fb
