@@ -11,11 +11,13 @@ as schema-versioned JSON with --format json.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .dsl import (
+    MAX_EXPONENT,
     BuiltStructure,
     ParseError,
     build_structure,
@@ -356,16 +358,31 @@ def main(argv: list[str] | None = None) -> int:
         doc = parse_structure(text)
         built = build_structure(doc, validate=validate_upfront)
         report.structure = _structure_summary(built)
-        COMMANDS[args.command](built, args, report)
-    except VerdictFalse:
-        print(emit_report(report, args.format == "json"), end="")
-        return 1
+        try:
+            COMMANDS[args.command](built, args, report)
+            code = 0
+        except VerdictFalse:
+            code = 1
+        rendered = _render(report, args.format == "json")
     except (ParseError, StructureError, NotInFlavorError, ExtensionError,
             CocycleError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(emit_report(report, args.format == "json"), end="")
-    return 0
+    print(rendered, end="")
+    return code
+
+
+def _render(report: Report, structured: bool) -> str:
+    """The report, refused when an expression in it has an exponent above
+    MAX_EXPONENT, which would not parse again."""
+    rendered = emit_report(report, structured)
+    exponent = max(map(int, re.findall(r"\^(\d+)", rendered)), default=0)
+    if exponent > MAX_EXPONENT:
+        raise ValueError(
+            f"report exponent {exponent} exceeds the limit {MAX_EXPONENT}; "
+            "it would not parse again"
+        )
+    return rendered
 
 
 if __name__ == "__main__":

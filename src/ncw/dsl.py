@@ -362,18 +362,23 @@ def _parse_preset_header(stream: _TokenStream, doc: StructureDocument) -> None:
             )
         stream.expect_symbol("=")
         if key.text == "n":
-            num = stream.next()
-            if num.kind != "NUMBER" or int(num.text) < 1:
-                raise ParseError("n must be a positive integer", num.line, num.col)
-            if int(num.text) > MAX_SPATIAL_DIMENSION:
-                raise ParseError(
-                    f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col
-                )
-            doc.n = int(num.text)
+            _parse_dimension(stream, doc)
         else:
             doc.phi = _expression_tokens(stream)
     if doc.preset == "standard" and doc.phi is None:
         raise StructureError("standard preset requires phi = <expression>")
+
+
+def _parse_dimension(stream: _TokenStream, doc: StructureDocument) -> None:
+    """The value of n, in a preset header or on its own line."""
+    num = stream.next()
+    if num.kind != "NUMBER" or int(num.text) < 1:
+        raise ParseError("n must be a positive integer", num.line, num.col)
+    if int(num.text) > MAX_SPATIAL_DIMENSION:
+        raise ParseError(f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col)
+    if doc.n is not None:
+        raise ParseError("duplicate n", num.line, num.col)
+    doc.n = int(num.text)
 
 
 def _expression_tokens(stream: _TokenStream) -> list[Token]:
@@ -403,23 +408,7 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         return
     if name == "n":
         stream.expect_symbol("=")
-        num = stream.next()
-        if num.kind != "NUMBER" or int(num.text) < 1:
-            raise ParseError("n must be a positive integer", num.line, num.col)
-        if int(num.text) > MAX_SPATIAL_DIMENSION:
-            raise ParseError(
-                f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col
-            )
-        if doc.n is not None:
-            raise ParseError("duplicate n", num.line, num.col)
-        doc.n = int(num.text)
-        return
-    if name == "preset":
-        stream.expect_symbol("=")
-        value = stream.next()
-        if value.kind != "IDENT" or value.text not in ("flat", "standard"):
-            raise ParseError("preset must be flat or standard", value.line, value.col)
-        doc.preset = value.text
+        _parse_dimension(stream, doc)
         return
     if name == "phi":
         stream.expect_symbol("=")

@@ -24,25 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from typing import Callable, Sequence
+from itertools import combinations, product
+from typing import Callable, NamedTuple, Sequence
 
-from .linalg import (
-    RationalMatrix,
-    inconsistency_certificate,
-    solve_inhomogeneous,
-    sparse_solve,
-)
-from .poly import Poly, grlex_monomials, time_part
-from .solver import (
-    NotInFlavorError,
-    SymmetryBasis,
-    _FormPoly,
-    _form_rows,
-    classify,
-    structure_constants,
-)
-from .structures import NCBStructure, field_strength, metric_gradient
+from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
+from .poly import Poly, time_part
+from .solver import NotInFlavorError, SymmetryBasis, classify, structure_constants
+from .structures import NCBStructure, metric_gradient
 from .tensors import (
     TensorField,
     apply_metric,
@@ -107,15 +95,39 @@ def extended_cor_bracket(
     return _bracket(e1.x, e1.f, e2.x, e2.f, s, "coriolis")
 
 
-# flavor -> (the variables xi may depend on, the stabilizer, message for a
-# xi outside it, message for a bracket parameter outside it)
+def _full_rhs(x: TensorField, s: NCBStructure) -> TensorField:
+    """alpha_X = (-X(phi) + h(L_X V, V)) theta - h(L_X V)."""
+    lowered = apply_metric(s.transverse, vector_bracket(x, s.v))
+    scalar = pairing(lowered, s.v) - directional(x, s.phi)
+    return s.base.theta.scale(scalar) - lowered
+
+
+class _Stabilizer(NamedTuple):
+    name: str
+    dependence: list[int]  # the variables xi may depend on
+    misplaced: str  # message for a xi outside them
+    operator: Callable[[Poly, NCBStructure], TensorField]  # D in D(f) = R(X)
+    rhs: Callable[[TensorField, NCBStructure], TensorField]  # R
+    xi_part: Callable[[Poly], Poly]  # g where the variables xi lacks vanish
+
+
+# each stabilizer's equation D(f) = R(X) for the full parameter f = xi + f_X;
+# D kills xi, so the solve's post-check and the bracket check share it
 _STABILIZERS = {
-    "milne": ([0], "the observer stabilizer",
-              "observer-stabilizer parameter must depend on time only",
-              "bracket parameter left the time functions"),
-    "galilei": ([], "the full stabilizer",
-                "full-stabilizer parameter must be constant",
-                "central parameter output is not constant"),
+    "milne": _Stabilizer(
+        "the observer stabilizer", [0],
+        "observer-stabilizer parameter must depend on time only",
+        lambda f, s: metric_gradient(s.base, f),
+        lambda x, s: vector_bracket(s.v, x),
+        time_part,
+    ),
+    "galilei": _Stabilizer(
+        "the full stabilizer", [],
+        "full-stabilizer parameter must be constant",
+        lambda f, s: gradient(f),
+        _full_rhs,
+        lambda f: Poly.const(f.dimension, f.coefficient((0,) * f.dimension)),
+    ),
 }
 
 
@@ -126,27 +138,60 @@ def _parameter(x: TensorField, s: NCBStructure, flavor: str) -> Poly | None:
     return f if ok else None
 
 
+def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> tuple[Poly, bool]:
+    """f_X of a member: the primitive of df over the variables xi does not
+    depend on, zero where they vanish, checked exactly against D(f) = R(X);
+    (0, False) when that part of df is not closed (X does not extend)."""
+    st = _STABILIZERS[flavor]
+    dim = s.base.dimension
+    rhs = st.rhs(x, s)
+    # h(gamma(df)) = df - theta U(f) agrees with df off the time axis
+    form = apply_metric(s.transverse, rhs) if flavor == "milne" else rhs
+    f = _radial_primitive(form, [a for a in range(dim) if a not in st.dependence])
+    if f is None:
+        return Poly.zero(dim), False
+    if not (st.operator(f, s) - rhs).is_zero:
+        raise ExtensionError(f"{st.name} parameter failed verification")
+    return f, True
+
+
+def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
+    """The polynomial f with d_a f = form_a along the given axes, zero where
+    their coordinates vanish; the other coordinates ride along as
+    parameters.  None when the form is not closed along the axes."""
+    comps = form.components
+    if any(comps[a].partial(b) != comps[b].partial(a) for a, b in combinations(axes, 2)):
+        return None
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for a in axes:
+        for exps, coeff in comps[a].terms.items():
+            key = exps[:a] + (exps[a] + 1,) + exps[a + 1:]
+            terms[key] = terms.get(key, 0) + coeff / (sum(exps[b] for b in axes) + 1)
+    return Poly(form.dimension, terms)
+
+
 def _bracket(
     x1: TensorField, f1: Poly | None, x2: TensorField, f2: Poly | None,
     s: NCBStructure, flavor: str,
 ) -> ExtendedElement:
     """([X, X'], X(f') - X'(f) - f_[X,X']) for checked operands with full
-    parameters f = xi + f_X (None: the operand does not extend).  Only the
-    bracket's own f_[X,X'] is solved here; it is absent for the metric-pair
-    stabilizer."""
+    parameters f = xi + f_X (None: the operand does not extend).
+
+    The gauge bracket is a homomorphism and each stabilizer a subalgebra, so
+    g = X(f') - X'(f) is a full parameter of [X, X']: f_[X,X'] is g less its
+    xi part, which is the output.  No solve; f_[X,X'] is checked exactly
+    against the stabilizer equation.  The metric-pair stabilizer has no
+    f_[X,X']."""
     xb = vector_bracket(x1, x2)
     if flavor == "coriolis":
         return ExtendedElement(xb, directional(x1, f2) - directional(x2, f1))
-    dependence, stabilizer, _, left = _STABILIZERS[flavor]
+    st = _STABILIZERS[flavor]
     if f1 is None or f2 is None:
-        raise ExtensionError(f"element does not lie in {stabilizer}")
-    # the zero field's own parameter is zero; no solve needed
-    fb = Poly.zero(xb.dimension) if xb.is_zero else _parameter(xb, s, flavor)
-    if fb is None:
-        raise ExtensionError(f"bracket left {stabilizer}")
-    out = directional(x1, f2) - directional(x2, f1) - fb
-    if not out.depends_only_on(dependence):
-        raise ExtensionError(left)
+        raise ExtensionError(f"element does not lie in {st.name}")
+    g = directional(x1, f2) - directional(x2, f1)
+    out = st.xi_part(g)
+    if not (st.operator(g - out, s) - st.rhs(xb, s)).is_zero:
+        raise ExtensionError(f"bracket left {st.name}")
     return ExtendedElement(xb, out)
 
 
@@ -155,12 +200,12 @@ def _checked_bracket(
 ) -> ExtendedElement:
     """The stabilizer bracket with each operand checked in turn: membership
     (by its parameter solve), then the form of its xi."""
-    dependence, _, misplaced, _ = _STABILIZERS[flavor]
+    st = _STABILIZERS[flavor]
     full = []
     for e in (e1, e2):
         f = _parameter(e.x, s, flavor)
-        if not e.f.depends_only_on(dependence):
-            raise ExtensionError(misplaced)
+        if not e.f.depends_only_on(st.dependence):
+            raise ExtensionError(st.misplaced)
         full.append(None if f is None else e.f + f)
     return _bracket(e1.x, full[0], e2.x, full[1], s, flavor)
 
@@ -169,38 +214,18 @@ def _checked_bracket(
 # observer stabilizer
 
 def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
-    """Solve gamma(df) = [V, X] for polynomial f and normalize by stripping
-    the time-only part, so f_X(t, 0) = 0.
+    """Solve gamma(df) = [V, X] for polynomial f with f_X(t, 0) = 0.
 
-    Returns (f_X, True) on success; (0, False) when the system is
-    inconsistent over the polynomial ansatz, which signals that X does not
-    extend to the observer stabilizer.
-    """
+    For theta without spatial components (ExtensionError otherwise), h turns
+    this into d_A f = h([V, X])_A, so f_X is the radial primitive of that
+    form over the spatial axes.  Returns (f_X, True), or (0, False) when the
+    form is not closed: X does not extend to the observer stabilizer."""
     _require(x, s, "milne")
-    g = s.base
-    dim = g.dimension
-    rhs_vec = vector_bracket(s.v, x)
-    rhs_degree = max((rhs_vec.comp(a).total_degree() for a in range(dim)), default=-1)
-    gamma_degree = max(
-        (c.total_degree() for c in g.gamma.components if not c.is_zero), default=0
-    )
-    degree = max(rhs_degree, 0) + gamma_degree + 2
-    monos = grlex_monomials(dim, degree)
-    generic = _FormPoly(dim, {m: {j: Fraction(1)} for j, m in enumerate(monos)})
-    rows = _form_rows([metric_gradient(g, generic)])
-    targets = _form_rows([rhs_vec])
-    keys = sorted(set(rows) | set(targets))
-    rhs = [targets.get(k, Fraction(0)) for k in keys]
-    solution = sparse_solve([rows.get(k, {}) for k in keys], rhs, len(monos))
-    if solution is None:
-        return Poly.zero(dim), False
-    particular, _ = solution
-    f = Poly(dim, {m: particular[j] for j, m in enumerate(monos)})
-    f_x = f - time_part(f)
-    # the time-only strip leaves gamma(df) unchanged; re-verify exactly
-    if not (metric_gradient(g, f_x) - rhs_vec).is_zero:
-        raise ExtensionError("observer-stabilizer solve failed verification")
-    return f_x, True
+    if any(not c.is_zero for c in s.base.theta.components[1:]):
+        raise ExtensionError(
+            "observer-stabilizer parameters need a clock theta without spatial components"
+        )
+    return _integrate(x, s, "milne")
 
 
 def extended_mil_bracket(
@@ -208,8 +233,8 @@ def extended_mil_bracket(
 ) -> ExtendedElement:
     """Bracket on observer-stabilizer pairs (X, xi), xi a function of time.
 
-    The parameter part X(xi' + f_X') - X'(xi + f_X) - f_[X,X'] lands back in
-    the time functions; a residue with spatial dependence raises."""
+    The parameter part X(xi' + f_X') - X'(xi + f_X) - f_[X,X'] is the time
+    part of X(xi' + f_X') - X'(xi + f_X)."""
     return _checked_bracket(e1, e2, s, "milne")
 
 
@@ -248,48 +273,21 @@ def _noncentrality(
 # ----------------------------------------------------------------------
 # full stabilizer
 
-def galilei_f_solve(
-    x: TensorField, s: NCBStructure
-) -> tuple[Poly, bool]:
+def galilei_f_solve(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     """Integrate  df = (-X(phi) + h(L_X V, V)) theta - h(L_X V)  exactly.
 
     Returns (f, True) with the primitive vanishing at the origin, or
     (0, False) when the right side is not closed (X does not extend)."""
     _require(x, s, "galilei")
-    dim = s.base.dimension
-    lowered = apply_metric(s.transverse, vector_bracket(x, s.v))
-    scalar = pairing(lowered, s.v) - directional(x, s.phi)
-    alpha = s.base.theta.scale(scalar) - lowered
-    if not field_strength(alpha).is_zero:
-        return Poly.zero(dim), False
-    f = _radial_primitive(alpha.components, dim)
-    if gradient(f) != alpha:
-        raise ExtensionError("primitive failed verification")
-    return f, True
-
-
-def _radial_primitive(alpha: Sequence[Poly], dim: int) -> Poly:
-    """Primitive of a closed polynomial 1-form, zero at the origin."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for a in range(dim):
-        for exps, coeff in alpha[a].terms.items():
-            bumped = list(exps)
-            bumped[a] += 1
-            key = tuple(bumped)
-            add = coeff / (sum(exps) + 1)
-            acc = terms.get(key, Fraction(0)) + add
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-    return Poly(dim, terms)
+    return _integrate(x, s, "galilei")
 
 
 def extended_gal_bracket(
     e1: ExtendedElement, e2: ExtendedElement, s: NCBStructure
 ) -> ExtendedElement:
     """Bracket on full-stabilizer pairs (X, xi) with constant xi; the
-    parameter output is again constant (central extension)."""
+    parameter output is the value of X(xi' + f_X') - X'(xi + f_X) at the
+    origin, again constant (central extension)."""
     return _checked_bracket(e1, e2, s, "galilei")
 
 

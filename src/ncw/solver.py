@@ -278,8 +278,6 @@ def structure_constants(
     False when some bracket leaves the span (degree truncation need not be
     bracket-stable), in which case that pair's constants are zero.
     """
-    if not basis.fields:
-        raise ValueError("structure constants need a nonempty basis")
     fields = basis.fields
     k = len(fields)
     rows = [_form_rows([f]) for f in fields]
@@ -297,7 +295,7 @@ def structure_constants(
     for i, terms in enumerate(rows):
         elim.add_row({columns[key]: v for key, v in terms.items()} | {tag + i: Fraction(1)})
     # a pivot among the tags is a linear relation between basis fields
-    dependent = max(elim.pivot_rows) >= tag
+    dependent = max(elim.pivot_rows, default=-1) >= tag
 
     constants = [
         [[Fraction(0)] * k for _ in range(k)] for _ in range(k)

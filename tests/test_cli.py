@@ -132,6 +132,14 @@ class TestValidate:
         assert code == 2
         assert "theta is not in the kernel of gamma (component 0)" in err
 
+    def test_preset_is_not_a_directive(self, capsys, tmp_path):
+        # presets are headers (flat n=2), not assignments
+        path = tmp_path / "preset.ncw"
+        path.write_text("n = 2\npreset = flat\n")
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "line 2, column 1: unknown directive 'preset'" in err
+
     def test_syntax_error_position(self, capsys, tmp_path):
         path = tmp_path / "syntax.ncw"
         path.write_text("flat n=2\nphi = ?\n")
@@ -436,16 +444,21 @@ class TestBrackets:
         assert any(v != 0 for v in values)
 
 
-    def test_empty_basis_is_an_input_error(self, capsys, tmp_path):
+    def test_empty_basis_has_no_constants(self, capsys, tmp_path):
+        # the empty algebra closes trivially: its constants are an empty table
         path = tmp_path / "driven.ncw"
-        path.write_text("standard n=1 phi = x1^3 + t*x1\n")
-        code, _, err = run(
+        path.write_text("standard n=1 phi = x1^4 + t*x1\n")
+        code, out, _ = run(
             capsys,
             "brackets", "--input", str(path),
-            "--flavor", "gal", "--degree", "2",
+            "--flavor", "gal", "--degree", "1",
+            "--format", "json",
         )
-        assert code == 2
-        assert "nonempty" in err
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["dimension"] == 0
+        assert results["closed"] is True
+        assert results["structure_constants"] == []
 
 
 class TestClassify:
@@ -515,6 +528,38 @@ class TestExtend:
         assert payload["results"]["extension"] == "semidirect by scalar functions"
 
 
+    def test_empty_galilei_algebra_is_a_trivial_extension(self, capsys, tmp_path):
+        path = tmp_path / "driven.ncw"
+        path.write_text("standard n=1 phi = x1^4 + t*x1\n")
+        code, out, _ = run(
+            capsys,
+            "extend", "--input", str(path),
+            "--flavor", "gal", "--degree", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["dimension"] == 0
+        assert results["cocycle"] == []
+        assert results["central_extension"] == "TRIVIAL"
+        assert results["coboundary_witness"] == []
+
+    def test_tilted_clock_has_no_observer_parameters(self, capsys, tmp_path):
+        # theta = dt + dx1: h(gamma(df)) no longer isolates the spatial
+        # derivatives of f, so the observer-stabilizer parameter is refused
+        path = tmp_path / "tilted.ncw"
+        path.write_text(
+            "n = 2\ngamma[0][0] = 1\ngamma[0][1] = -1\ngamma[1][0] = -1\n"
+            "gamma[1][1] = 1\ngamma[2][2] = 1\ntheta[0] = 1\ntheta[1] = 1\n"
+            "U[0] = 1\nA[0] = 0\n"
+        )
+        code, out, err = run(
+            capsys, "extend", "--input", str(path), "--flavor", "mil", "--degree", "1"
+        )
+        assert code == 2 and out == ""
+        assert "clock theta without spatial components" in err
+
+
 class TestGauge:
     def test_invariance_verdict(self, capsys, standard2):
         code, out, _ = run(
@@ -537,6 +582,22 @@ class TestGauge:
         code, _, err = run(capsys, "gauge", "--input", str(path), "--f", "t")
         assert code == 2
         assert "gauge or observer data" in err
+
+
+    def test_report_that_would_not_parse_again_is_refused(self, capsys, tmp_path):
+        # X(phi) = 2*x1^257: one degree above the parser's exponent limit
+        from ncw.dsl import MAX_EXPONENT
+
+        path = tmp_path / "standard1.ncw"
+        path.write_text("standard n=1 phi = x1^2\n")
+        argv = ["gauge", "--input", str(path), "--x", f"X[1] = x1^{MAX_EXPONENT}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"report exponent 257 exceeds the limit {MAX_EXPONENT}" in err
+        argv[-1] = f"X[1] = x1^{MAX_EXPONENT - 1}"
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["variation"]["phi"] == f"2*x1^{MAX_EXPONENT}"
 
 
 class TestShippedSamples:

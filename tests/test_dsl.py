@@ -180,6 +180,20 @@ class TestDocuments:
     def test_duplicate_assignments_rejected(self):
         with pytest.raises(ParseError, match="duplicate n"):
             parse_structure("n = 1\nn = 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("flat n=0\n", "line 1, column 8: n must be a positive integer"),
+            ("n = 0\n", "line 1, column 5: n must be a positive integer"),
+            ("flat n=2 n=3\n", "line 1, column 12: duplicate n"),
+            ("n = 2\nflat n=2\n", "line 2, column 8: duplicate n"),
+            ("standard n=x1 phi = 1\n", "n must be a positive integer"),
+        ],
+    )
+    def test_header_and_line_read_n_alike(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_structure(text)
         with pytest.raises(ParseError, match="duplicate component"):
             parse_structure("n = 1\ngamma[1][1] = 1\ngamma[1][1] = 2\n")
 

@@ -509,6 +509,28 @@ class TestExtensionErrorContract:
             noncentrality_check(s, mil)
 
 
+@pytest.mark.parametrize(
+    "flavor, stabilizer", [("milne", "observer"), ("galilei", "full")]
+)
+def test_bracket_checks_the_parameter_it_derives(flavor, stabilizer):
+    """The private bracket takes its operands' full parameters on trust and
+    derives f_[X,X'] from them without a solve; a wrong one must fail the
+    exact check against the stabilizer equation."""
+    from ncw.extensions import _bracket
+
+    s = flat_structure(2)
+    x1, x2 = var(3, 1), var(3, 2)
+    zero = Poly.zero(3)
+    translation = basis_vector(3, 1)
+    rotation = vector(3, [zero, -x2, x1])
+    # on the flat structure both fields have f_X = 0
+    good = _bracket(translation, zero, rotation, zero, s, flavor)
+    assert good.x == basis_vector(3, 2) and good.f.is_zero
+    # with f = x1^2 for the translation, g = 2 x1 x2 is no parameter of [X, X']
+    with pytest.raises(ExtensionError, match=f"bracket left the {stabilizer} stabilizer"):
+        _bracket(translation, x1 * x1, rotation, zero, s, flavor)
+
+
 class TestGalileiSolve:
     def test_boost_carries_linear_parameter(self):
         s = flat_structure(2)
@@ -746,24 +768,20 @@ class TestCocycles:
 @pytest.mark.parametrize("flavor", ["milne", "galilei"])
 def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
     """`ncw extend` solves each basis element's f_X once, for its parameter
-    list, which the noncentrality scan and the cocycle reuse, and each
-    nonzero bracket's own parameter once; a zero bracket's parameter is zero
-    without a solve.  On flat n=2 at d=1 that is 12 solves per flavor, where
-    re-solving gave 23 (milne) and 27 (galilei)."""
+    list, which the bracket table, the noncentrality scan and the cocycle
+    reuse.  A bracket solves nothing: X(f') - X'(f) is a parameter of
+    [X, X'], so f_[X,X'] is that less its xi part.  On flat n=2 at d=1 that
+    is k = 6 solves per flavor, where solving each nonzero bracket's own
+    parameter gave 12, and re-solving the elements gave 23 (milne) and 27
+    (galilei)."""
     from pathlib import Path
 
     import ncw.cli
     import ncw.extensions
-    from ncw.tensors import vector_bracket
 
     sample = Path(__file__).resolve().parents[1] / "samples" / "flat2.ncw"
     fields = solve_symmetries(flat_structure(2).induced_nc(), flavor, 1).fields
     k = len(fields)
-    nonzero = sum(
-        not vector_bracket(fields[i], fields[j]).is_zero
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
     solved = []
     for name in ("milne_f_split", "galilei_f_solve"):
         fn = getattr(ncw.extensions, name)
@@ -777,6 +795,6 @@ def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
     argv = ["extend", "--input", str(sample), "--flavor", flavor, "--degree", "1"]
     assert ncw.cli.main(argv) == 0
     capsys.readouterr()
-    # the parameter list first, in basis order, then one solve per bracket
-    assert solved[:k] == list(fields)
-    assert len(solved) == k + nonzero == 12
+    # the parameter list, in basis order, and nothing else
+    assert solved == list(fields)
+    assert len(solved) == k == 6

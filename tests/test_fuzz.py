@@ -1,6 +1,7 @@
 """Random expression texts through the command line: every run ends in exit
 0, 1 or 2 without a traceback, and a reported expression re-parses to the
-polynomial it was read from."""
+polynomial it was read from, or, for a computed one, to the polynomial the
+library computes."""
 
 import contextlib
 import io
@@ -79,3 +80,27 @@ def test_field_under_classify(text):
         code, out = run(["classify", "--input", str(path), "--field", f"X[1] = {text}"])
     if code == 0:
         assert reparses(json.loads(out)["flags"]["field"][1], text)
+
+
+@FUZZ
+@given(expressions, expressions)
+def test_gauge_variation_reparses(x_text, f_text):
+    from ncw.gauge import GaugeElement, infinitesimal_gauge
+    from ncw.structures import standard_structure
+    from ncw.tensors import TensorField, vector
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "standard2.ncw"
+        path.write_text("standard n=2 phi = x1^2\n", encoding="utf-8")
+        argv = ["gauge", "--input", str(path), f"--x=X[1] = {x_text}", f"--f={f_text}"]
+        code, out = run(argv)
+    if code != 2:
+        report = json.loads(out)
+        x = [parse_expression(c, 3) for c in report["flags"]["x"]]
+        assert x[1] == parse_expression(x_text, 3)
+        element = GaugeElement(
+            vector(3, x), TensorField.zero(3, 0, 1), parse_expression(report["flags"]["f"], 3)
+        )
+        s = standard_structure(2, parse_expression("x1^2", 3))
+        shown = report["results"]["variation"]["phi"]
+        assert parse_expression(shown, 3) == infinitesimal_gauge(s, element).d_phi

@@ -3,7 +3,8 @@ curved inputs: the metric contractions, the raised connection symbols,
 the transverse metric, curvature, the covariant derivative, the geodesic
 and assembled connections, the geodesic and curl defects, the affine
 pushforward, the Lie derivatives of tensors and connections, the raised
-transport, the vector bracket and the directional derivative.
+transport, the vector bracket and the directional derivative; and the
+observer-stabilizer gauge parameter against an ansatz solve.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -11,6 +12,7 @@ inputs, in sympy's polynomial arithmetic.  Two-tensors are drawn
 non-symmetric, so the contracted slot is pinned as well as the values.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -394,3 +396,110 @@ def test_vector_bracket_and_directional_derivative_match_sympy_sums():
             assert same(bracket.comp(a), expect, xs)
         expect = sum((x[k,] * f.diff(xs[k]) for k in r), qq(0, xs))
         assert same(directional(x_t, to_poly(f.as_expr(), xs)), expect, xs)
+
+
+def to_expr(p, xs):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**k for x, k in zip(xs, e)])
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@functools.cache
+def observer_ansatz(gamma, xs, degree):
+    """Every monomial up to degree that vanishes at x = 0, with its image
+    gamma(dm), one Poly per component."""
+    r = range(len(xs))
+    metric = [[sympy.Poly(e, *xs) for e in row] for row in gamma]
+    monos = [sympy.Poly(m, *xs) for m in sympy.itermonomials(xs, degree)
+             if m.free_symbols - {xs[0]}]
+    return monos, [[sum((metric[a][k] * m.diff(xs[k]) for k in r), sympy.Poly(0, *xs))
+                    for a in r] for m in monos]
+
+
+def observer_parameter_oracle(gamma, v, x, xs):
+    """(f, solvable) for gamma(df) = [V, X] from sympy's exact RREF of the
+    ansatz system over every monomial that vanishes at x = 0, so f(t, 0) = 0
+    is built into the ansatz.  d_A f = (gamma_sp^{-1} [V, X])_A bounds the
+    degree."""
+    from sympy.polys.matrices import DomainMatrix
+
+    r = range(len(xs))
+    w = [sympy.Poly(sum(v[k] * x[a].diff(xs[k]) - x[k] * v[a].diff(xs[k]) for k in r), *xs)
+         for a in r]
+    if all(p.is_zero for p in w):
+        return sympy.Integer(0), True
+    inverse = sympy.Matrix(gamma)[1:, 1:].inv()
+    degree = max(p.total_degree() for p in w) + 1 + max(
+        sympy.Poly(e, *xs).total_degree() for e in inverse if e != 0
+    )
+    monos, images = observer_ansatz(gamma, xs, degree)
+    # one column per ansatz monomial, then the right side; one row per
+    # (component, monomial) of the residue
+    columns = images + [w]
+    rows = sorted({(a, e) for col in columns for a in r for e in col[a].as_dict()})
+    index = {key: i for i, key in enumerate(rows)}
+    entries = {}
+    for j, col in enumerate(columns):
+        for a in r:
+            for e, c in col[a].as_dict().items():
+                entries.setdefault(index[a, e], {})[j] = sympy.QQ.from_sympy(c)
+    matrix = DomainMatrix(entries, (len(rows), len(columns)), sympy.QQ)
+    reduced, pivots = matrix.rref()
+    if len(monos) in pivots:
+        return sympy.Integer(0), False
+    assert len(pivots) == len(monos)  # the normalized solution is unique
+    dense = reduced.to_Matrix()
+    return sum((dense[i, len(monos)] * monos[p].as_expr() for i, p in enumerate(pivots)),
+               sympy.Integer(0)), True
+
+
+def test_milne_parameter_matches_a_sympy_ansatz_solve():
+    from ncw.extensions import milne_f_split
+    from ncw.solver import solve_symmetries
+    from ncw.structures import GalileiStructure, ncb_structure
+    from ncw.tensors import one_form, vector
+
+    rng = random.Random(61)
+    t, x1, x2, x3 = sympy.symbols("t x1 x2 x3")
+    curved = ((0, 0, 0, 0), (0, 1, x1, 0), (0, x1, 1 + x1**2, x2), (0, 0, x2, 1 + x2**2))
+    flat2 = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
+    sheared = ((0, 0, 0), (0, 1, x1), (0, x1, 1 + x1**2))
+    # (gamma, U, A, degree): twisted observers V != U over flat, sheared and
+    # curved metrics; the n=3 metric's h has degree 4
+    structures = [
+        (flat2, [1, 0, 0], [0, x2**2, x1], 2),
+        (flat2, [1, x2, 0], [t * x1, t, -x1], 1),
+        (sheared, [1, 0, 0], [0, x2, t], 1),
+        (curved, [1, 0, 0, 0], [0, 0, 0, 0], 1),
+        (curved, [1, 0, 0, 0], [-x3, x2, -x1, t], 1),
+    ]
+    checked = 0
+    for gamma, u, a, degree in structures:
+        xs = (t, x1, x2, x3)[: len(gamma)]
+        dim = len(xs)
+        g = GalileiStructure(
+            dim - 1,
+            TensorField(dim, 2, 0, tuple(to_poly(sympy.S(e), xs) for row in gamma for e in row)),
+            one_form(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * (dim - 1)),
+        )
+        s = ncb_structure(g, vector(dim, [to_poly(sympy.S(e), xs) for e in u]),
+                          one_form(dim, [to_poly(sympy.S(e), xs) for e in a]))
+        s.validate()
+        # V = U - gamma(A), independently of ncw's observer dictionary
+        v = [sympy.expand(u[b] - sum(gamma[b][k] * a[k] for k in range(dim)))
+             for b in range(dim)]
+        fields = solve_symmetries(s.induced_nc(), "milne", degree).fields
+        combos = [
+            sum((f.scale(rng.randint(-2, 2)) for f in fields[1:]), fields[0])
+            for _ in range(3)
+        ]
+        for x_t in list(fields) + combos:
+            x = [to_expr(c, xs) for c in x_t.components]
+            f, ok = milne_f_split(x_t, s)
+            f_expect, ok_expect = observer_parameter_oracle(gamma, v, x, xs)
+            assert ok == ok_expect
+            assert same(f, f_expect, xs)
+            checked += ok
+    assert checked > 20
