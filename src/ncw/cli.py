@@ -11,6 +11,7 @@ as schema-versioned JSON with --format json.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -284,6 +285,7 @@ def _degree(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncw",
@@ -344,8 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse drops an option value spelled "--" and stores an empty list
+    for token in argv:
+        option, eq, value = token.partition("=")
+        if token.startswith("--") and eq and value == "--":
+            print(f"input error: argument {option}: '--' is not a value", file=sys.stderr)
+            return 2
+    args = build_parser().parse_args(argv)
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:

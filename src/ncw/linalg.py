@@ -4,9 +4,19 @@ One Gaussian elimination, SparseEliminator: sparse rational rows absorbed
 one at a time, pivoting on the least column index, so every kernel is the
 canonical echelon basis.  It backs both the large systems the symmetry
 solver assembles and the small dense RationalMatrix operations (rref,
-rank, inverse, nullspace, inhomogeneous solving).  Determinants and
-adjugates come from one division-free Faddeev-LeVerrier recursion that
-works over Fractions and Polys alike.
+rank, inverse, nullspace, inhomogeneous solving).
+
+The solver's systems are mostly one-entry rows, so the eliminator is
+shaped by them.  A pivot row {c: 1} marks column c as known zero: c is
+dropped from every later row before any arithmetic and from every pivot
+row already holding it.  A column index maps each column to the leads of
+the pivot rows that hold it, so back substitution visits only those rows
+and the kernel reads a free column's coefficients straight from it.  The
+reduced echelon form is unique, so neither rule, nor the order rows
+arrive in, can change a result.
+
+Determinants and adjugates come from one division-free Faddeev-LeVerrier
+recursion that works over Fractions and Polys alike.
 """
 
 from __future__ import annotations
@@ -185,6 +195,7 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
 # sparse eliminator (row dictionaries keyed by column index)
 
 SparseRow = dict[int, Fraction]
+_ONE = Fraction(1)
 
 
 class SparseEliminator:
@@ -193,68 +204,125 @@ class SparseEliminator:
     Rows are absorbed one at a time; pivot columns are chosen as the least
     column index of the reduced row, so the reduced rows and the kernel are
     the canonical reduced row echelon form and echelon kernel basis.
+
+    Two structures follow the shape of the symmetry systems, most of whose
+    rows have a single entry:
+
+    - known-zero columns: a pivot row {c: 1} says x_c = 0.  Column c is
+      dropped from every incoming row before any arithmetic, and at once
+      from every pivot row that holds it; a pivot row left as {k: 1} makes
+      k known-zero in turn.
+    - a column index, mapping each column to the leads of the pivot rows
+      that hold it off their lead.  It is kept up to date through add_row
+      and back substitution, so back substitution touches only the rows
+      that hold the column it clears, and kernel reads each free column's
+      coefficients from it.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivot_rows: dict[int, SparseRow] = {}
+        self._zero_cols: set[int] = set()
+        self._held_by: dict[int, set[int]] = {}
 
     def reduce(self, row: SparseRow) -> SparseRow:
-        row = {c: v for c, v in row.items() if v != 0}
+        """The row less pivot-row multiples, until its lead column is not a
+        pivot; the argument is not changed."""
+        zero, pivots = self._zero_cols, self.pivot_rows
+        row = {c: v for c, v in row.items() if v and c not in zero}
         while row:
             lead = min(row)
-            pivot = self.pivot_rows.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]
+            factor = row.pop(lead)
             for c, v in pivot.items():
-                acc = row.get(c, Fraction(0)) - factor * v
-                if acc:
+                if c == lead:
+                    continue
+                if c not in row:
+                    row[c] = -factor * v
+                elif acc := row[c] - factor * v:
                     row[c] = acc
                 else:
-                    row.pop(c, None)
+                    del row[c]
         return row
 
     def add_row(self, row: SparseRow) -> None:
-        reduced = self.reduce(dict(row))
+        if len(row) == 1:
+            ((lead, v),) = row.items()
+            if not v or lead in self._zero_cols:
+                return
+            if lead not in self.pivot_rows:
+                self.pivot_rows[lead] = {lead: _ONE}
+                self._mark_zero(lead)
+                return
+        reduced = self.reduce(row)
         if not reduced:
             return
         lead = min(reduced)
-        inv = 1 / reduced[lead]
-        self.pivot_rows[lead] = {c: v * inv for c, v in reduced.items()}
+        pivot = reduced[lead]
+        if pivot != 1:
+            reduced = {c: v / pivot for c, v in reduced.items()}
+        self.pivot_rows[lead] = reduced
+        if len(reduced) == 1:
+            self._mark_zero(lead)
+            return
+        for c in reduced:
+            if c != lead:
+                self._held_by.setdefault(c, set()).add(lead)
+
+    def _mark_zero(self, col: int) -> None:
+        """Record x_col = 0 and clear col from the pivot rows holding it."""
+        pivots, held_by = self.pivot_rows, self._held_by
+        todo = [col]
+        while todo:
+            c = todo.pop()
+            self._zero_cols.add(c)
+            for lead in held_by.pop(c, ()):
+                row = pivots[lead]
+                del row[c]
+                if len(row) == 1:
+                    todo.append(lead)
 
     def reduced_rows(self) -> dict[int, SparseRow]:
         """The pivot rows, keyed by lead column, after back substitution:
         the nonzero rows of the reduced row echelon form."""
-        for lead in sorted(self.pivot_rows, reverse=True):
-            row = self.pivot_rows[lead]
-            for other_lead, other in self.pivot_rows.items():
-                if other_lead >= lead:
-                    continue
-                factor = other.get(lead)
-                if not factor:
-                    continue
+        pivots, held_by = self.pivot_rows, self._held_by
+        # descending leads: each row is fully reduced before it is used
+        for lead in sorted(pivots, reverse=True):
+            holders = held_by.pop(lead, None)
+            if not holders:
+                continue
+            row = pivots[lead]
+            for other_lead in holders:
+                other = pivots[other_lead]
+                factor = other.pop(lead)
                 for c, v in row.items():
-                    acc = other.get(c, Fraction(0)) - factor * v
-                    if acc:
+                    if c == lead:
+                        continue
+                    if c not in other:
+                        other[c] = -factor * v
+                        held_by.setdefault(c, set()).add(other_lead)
+                    elif acc := other[c] - factor * v:
                         other[c] = acc
                     else:
-                        other.pop(c, None)
-        return self.pivot_rows
+                        del other[c]
+                        held_by[c].discard(other_lead)
+                if len(other) == 1:
+                    self._mark_zero(other_lead)
+        return pivots
 
     def kernel(self) -> list[SparseRow]:
         """Canonical kernel basis, one sparse vector per free column (ascending)."""
-        pivots = sorted(self.reduced_rows())
-        pivot_set = set(pivots)
+        pivots = self.reduced_rows()
+        held_by = self._held_by
         basis: list[SparseRow] = []
         for fc in range(self.ncols):
-            if fc in pivot_set:
+            if fc in pivots:
                 continue
-            v: SparseRow = {fc: Fraction(1)}
-            for pc in pivots:
-                coeff = self.pivot_rows[pc].get(fc)
-                if coeff:
-                    v[pc] = -coeff
+            v: SparseRow = {fc: _ONE}
+            for lead in sorted(held_by.get(fc, ())):
+                v[lead] = -pivots[lead][fc]
             basis.append(v)
         return basis
 

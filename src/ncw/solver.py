@@ -207,7 +207,8 @@ def solve_symmetries(
     monos = ansatz_monomials(dim, d)
     rows = _condition_rows(s, fl, monos)
     elim = SparseEliminator(dim * len(monos))
-    for key in sorted(rows):
+    # one-entry rows first: every later row sees all their known-zero columns
+    for key in sorted(rows, key=lambda k: (len(rows[k]) > 1, k)):
         elim.add_row(rows[key])
     kernel = elim.kernel()
 

@@ -626,3 +626,55 @@ class TestTextFormat:
         )
         assert code == 0
         assert "dimension: 6" in out
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field=--"],
+            ["gauge", "--x=--"],
+            ["gauge", "--psi=--"],
+            ["gauge", "--f=--"],
+            ["gauge", "--fi=--"],
+            ["validate", "--sample-point=--"],
+        ],
+    )
+    def test_double_dash_value_is_an_input_error(self, capsys, standard2, argv):
+        # argparse would drop the value and store an empty list in its place
+        command, option = argv
+        code, out, err = run(capsys, command, "--input", standard2, option)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: argument {option[:-3]}: '--' is not a value\n"
+
+    def test_double_dash_inside_a_value_is_read(self, capsys, standard2):
+        code, out, _ = run(
+            capsys, "gauge", "--input", standard2, "--f=x1--x1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["flags"]["f"] == "2*x1"
+
+    def test_parser_is_built_once(self):
+        from ncw.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_successive_runs_do_not_share_sample_points(self, capsys, tmp_path):
+        # the shared parser's append default is a list: a point given to one
+        # run must not reach the next
+        path = tmp_path / "fading-metric.ncw"
+        path.write_text(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1 + t\ntheta[0] = 1\n"
+            "Gamma[0][0][1] = 0\n"
+        )
+
+        def metric_pair_check(*points):
+            argv = ["validate", "--input", str(path), "--format", "json", *points]
+            _, out, _ = run(capsys, *argv)
+            checks = json.loads(out)["results"]["checks"]
+            return next(c for c in checks if c["name"] == "metric-pair")
+
+        assert metric_pair_check("--sample-point=-1,0,0")["passed"] is False
+        assert metric_pair_check("--sample-point=1,0,0") == {"name": "metric-pair", "passed": True}
+        assert metric_pair_check() == {"name": "metric-pair", "passed": True}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ncw.linalg import (
     RationalMatrix,
+    SparseEliminator,
     inconsistency_certificate,
     nullspace,
     solve_inhomogeneous,
@@ -196,6 +197,115 @@ class TestProperties:
                 to_fractions(expected.row(i)) for i in range(rows)
             )
             assert m.rank() == len(expected_pivots)
+
+
+def random_shaped_rows(rng, cols):
+    """Rows shaped like the symmetry systems: mostly one entry, with repeats
+    and rescaled repeats, the rest two to four entries, in random order."""
+    rows = []
+    for _ in range(rng.randint(1, 3 * cols)):
+        if rng.random() < 0.6:
+            rows.append({rng.randrange(cols): Fraction(rng.choice([-2, -1, 1, 2, 3]))})
+        else:
+            picked = rng.sample(range(cols), rng.randint(2, min(4, cols)))
+            rows.append({c: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for c in picked})
+        if rng.random() < 0.3:
+            rows.append({c: 2 * v for c, v in rows[-1].items()})
+    rng.shuffle(rows)
+    return rows
+
+
+def dense_of(rows, cols):
+    rows = rows or [{}]
+    return RationalMatrix.from_rows([[row.get(c, Fraction(0)) for c in range(cols)] for row in rows])
+
+
+def densified(vectors, cols):
+    return [tuple(v.get(c, Fraction(0)) for c in range(cols)) for v in vectors]
+
+
+def assert_matches_sympy(sympy, rows, cols, elim):
+    """elim, fed rows, holds sympy's RREF and yields its nullspace."""
+    expected, pivots = to_sympy(sympy, dense_of(rows, cols)).rref()
+    reduced = elim.reduced_rows()
+    assert tuple(sorted(reduced)) == pivots
+    assert densified([reduced[p] for p in pivots], cols) == [
+        to_fractions(expected.row(i)) for i in range(len(pivots))
+    ]
+    assert densified(elim.kernel(), cols) == sympy_kernel(sympy, dense_of(rows, cols))
+
+
+class TestEliminatorShapes:
+    """Known-zero columns and the column index against sympy's rref and
+    nullspace, on systems shaped like the solver's."""
+
+    def test_one_entry_rows_with_repeats_in_random_order(self, sympy):
+        rng = random.Random(31)
+        for _ in range(80):
+            cols = rng.randint(2, 9)
+            rows = random_shaped_rows(rng, cols)
+            elim = SparseEliminator(cols)
+            for row in rows:
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows, cols, elim)
+            assert densified(sparse_kernel(rows, cols), cols) == sympy_kernel(
+                sympy, dense_of(rows, cols)
+            )
+
+    def test_one_entry_row_after_a_pivot_on_its_lead(self, sympy):
+        rng = random.Random(37)
+        for _ in range(60):
+            cols = rng.randint(3, 8)
+            rows = [r for r in random_shaped_rows(rng, cols) if len(r) > 1]
+            elim = SparseEliminator(cols)
+            for row in rows:
+                elim.add_row(row)
+            leads = rng.sample(sorted(elim.pivot_rows), (len(elim.pivot_rows) + 1) // 2)
+            late = [{lead: Fraction(rng.choice([-1, 2, 5]))} for lead in leads]
+            for row in late:
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows + late, cols, elim)
+        elim = SparseEliminator(3)
+        elim.add_row({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)})
+        elim.add_row({0: Fraction(5)})
+        assert elim.reduced_rows() == {0: {0: 1}, 1: {1: 1, 2: Fraction(3, 2)}}
+        assert elim.kernel() == [{2: 1, 1: Fraction(-3, 2)}]
+
+    def test_rows_added_after_a_reduction(self, sympy):
+        # reduced_rows may run before every row is in
+        rng = random.Random(41)
+        for _ in range(60):
+            cols = rng.randint(2, 8)
+            rows = random_shaped_rows(rng, cols)
+            half = len(rows) // 2
+            elim = SparseEliminator(cols)
+            for row in rows[:half]:
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows[:half], cols, elim)
+            for row in rows[half:]:
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows, cols, elim)
+
+    def test_reduce_leaves_its_argument(self):
+        elim = SparseEliminator(3)
+        elim.add_row({0: Fraction(1)})
+        elim.add_row({1: Fraction(1), 2: Fraction(1)})
+        row = {0: Fraction(4), 1: Fraction(1), 2: Fraction(0)}
+        assert elim.reduce(row) == {2: Fraction(-1)}
+        assert row == {0: Fraction(4), 1: Fraction(1), 2: Fraction(0)}
+
+    def test_inconsistent_one_entry_row_first_or_last(self, sympy):
+        rng = random.Random(43)
+        for _ in range(40):
+            cols = rng.randint(2, 7)
+            rows = random_shaped_rows(rng, cols)
+            w = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+            rhs = [sum((v * w[c] for c, v in row.items()), Fraction(0)) for row in rows]
+            assert sparse_solve(rows, rhs, cols) is not None
+            b = Fraction(rng.choice([-2, 1, 3]))
+            for ordered, values in (([{}] + rows, [b] + rhs), (rows + [{}], rhs + [b])):
+                assert sympy_solve(sympy, dense_of(ordered, cols), values) is None
+                assert sparse_solve(ordered, values, cols) is None
 
 
 class TestMatrixOps:

@@ -1,12 +1,14 @@
 """Symmetry solver: filtration dimensions, templates, nesting, classification,
 and structure constants."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import basis_vector, var
+from ncw.linalg import SparseEliminator
 from ncw.poly import Poly
 from ncw.dsl import build_structure, parse_structure
 from ncw.solver import (
@@ -577,3 +579,26 @@ def test_one_pass_rows_equal_the_column_by_column_rows(sample):
         rows = _condition_rows(s, flavor, monos)
         assert rows == rows_column_by_column(s, flavor, monos), flavor
         assert all(rows.values()), flavor
+
+
+@pytest.mark.parametrize(
+    "text, flavor",
+    [("flat n=3", "milne"), ("standard n=3 phi = x1^2 + x2^2 + t*x3", "galilei")],
+)
+def test_kernel_does_not_depend_on_row_order(text, flavor):
+    # the reduced echelon form is unique, so the solver may feed its rows in
+    # whatever order eliminates fastest
+    s = build_structure(parse_structure(text + "\n")).nc
+    monos = ansatz_monomials(s.base.dimension, 3)
+    rows = _condition_rows(s, flavor, monos)
+    shuffled = sorted(rows)
+    random.Random(5).shuffle(shuffled)
+    orders = [sorted(rows, key=lambda k: (len(rows[k]) > 1, k)), sorted(rows), shuffled]
+    kernels = []
+    for order in orders:
+        elim = SparseEliminator(s.base.dimension * len(monos))
+        for key in order:
+            elim.add_row(rows[key])
+        kernels.append(elim.kernel())
+    assert kernels[0] == kernels[1] == kernels[2]
+    assert len(kernels[0]) == solve_symmetries(s, flavor, 3).dimension
