@@ -262,7 +262,8 @@ class SparseEliminator:
         lead = min(reduced)
         pivot = reduced[lead]
         if pivot != 1:
-            reduced = {c: v / pivot for c, v in reduced.items()}
+            inv = _ONE / pivot
+            reduced = {c: v * inv for c, v in reduced.items()}
         self.pivot_rows[lead] = reduced
         if len(reduced) == 1:
             self._mark_zero(lead)

@@ -294,6 +294,13 @@ class TestEliminatorShapes:
         assert elim.reduce(row) == {2: Fraction(-1)}
         assert row == {0: Fraction(4), 1: Fraction(1), 2: Fraction(0)}
 
+    def test_integer_rows_stay_exact(self):
+        assert sparse_kernel([{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]
+        particular, kernel = sparse_solve([{0: 3, 1: 1}], [1], 2)
+        values = particular + [v for vector in kernel for v in vector.values()]
+        assert not any(isinstance(v, float) for v in values)
+        assert particular == [Fraction(1, 3), 0]
+
     def test_inconsistent_one_entry_row_first_or_last(self, sympy):
         rng = random.Random(43)
         for _ in range(40):
