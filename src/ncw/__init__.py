@@ -62,6 +62,7 @@ from .extensions import (
     extended_cor_bracket,
     extended_gal_bracket,
     extended_mil_bracket,
+    extend,
     galilei_f_solve,
     milne_f_split,
     noncentrality_check,
@@ -119,6 +120,7 @@ __all__ = [
     "extended_cor_bracket",
     "extended_gal_bracket",
     "extended_mil_bracket",
+    "extend",
     "galilei_f_solve",
     "milne_f_split",
     "noncentrality_check",

@@ -27,17 +27,7 @@ from .dsl import (
     parse_one_form,
     parse_structure,
 )
-from .extensions import (
-    CocycleError,
-    ExtensionError,
-    _bracket,
-    _cocycle,
-    _noncentrality,
-    boost_for_coriolis,
-    cocycle_triviality,
-    galilei_f_solve,
-    milne_f_split,
-)
+from .extensions import CocycleError, ExtensionError, extend
 from .gauge import GaugeElement, infinitesimal_gauge, nc_projection_invariance_check
 from .poly import Poly
 from .report import (
@@ -52,7 +42,6 @@ from .report import (
 )
 from .solver import (
     NotInFlavorError,
-    canonical_flavor,
     classify,
     solve_symmetries,
     structure_constants,
@@ -174,58 +163,43 @@ def cmd_classify(built: BuiltStructure, args, report: Report) -> None:
 
 
 def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
-    ncb = _require_ncb(built, "extend")
-    flavor = canonical_flavor(args.flavor)
-    basis = solve_symmetries(built.nc, flavor, args.degree)
+    ext = extend(_require_ncb(built, "extend"), args.flavor, args.degree)
+    flavor = ext.basis.flavor
     report.flags["flavor"] = flavor
     report.flags["degree"] = args.degree
-    report.results.update(basis_payload(basis))
-    fields = basis.fields
-    pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))]
+    report.results.update(basis_payload(ext.basis))
     if flavor == "coriolis":
-        report.results["boost_forms"] = [
-            field_components(boost_for_coriolis(f, ncb)) for f in fields
-        ]
-        zero = Poly.zero(ncb.base.dimension)
-        sample = [_bracket(fields[i], zero, fields[j], zero, ncb, flavor) for i, j in pairs]
+        report.results["boost_forms"] = [field_components(psi) for psi in ext.parameters]
         report.results["bracket_table"] = [
-            {"x": field_components(e.x), "parameter": str(e.f)} for e in sample
+            {"x": field_components(e.x), "parameter": str(e.f)} for e in ext.brackets.values()
         ]
         report.results["extension"] = "semidirect by scalar functions"
     elif flavor == "milne":
-        splits = [milne_f_split(f, ncb) for f in fields]
         report.results["parameter_splits"] = [
-            {"f": str(fx), "solvable": ok} for fx, ok in splits
+            {"f": "0" if f is None else str(f), "solvable": f is not None}
+            for f in ext.parameters
         ]
-        params = [fx if ok else None for fx, ok in splits]
-        table = []
-        for i, j in pairs:
-            out = _bracket(fields[i], params[i], fields[j], params[j], ncb, flavor)
-            table.append(
-                {"pair": [i, j], "x": field_components(out.x), "parameter": str(out.f)}
-            )
-        report.results["bracket_table"] = table
-        noncentral, witness = _noncentrality(ncb, basis, params.__getitem__)
-        report.results["noncentral"] = noncentral
-        if witness:
+        report.results["bracket_table"] = [
+            {"pair": list(pair), "x": field_components(e.x), "parameter": str(e.f)}
+            for pair, e in ext.brackets.items()
+        ]
+        report.results["noncentral"] = ext.witness is not None
+        if ext.witness:
             report.results["noncentrality_witness"] = {
-                "basis_index": witness[0],
-                "parameter_output": str(witness[1]),
+                "basis_index": ext.witness[0],
+                "parameter_output": str(ext.witness[1]),
             }
         report.results["extension"] = (
-            "non-central by time functions" if noncentral else "central"
+            "non-central by time functions" if ext.witness else "central"
         )
     else:
-        solves = [galilei_f_solve(f, ncb) for f in fields]
         report.results["parameter_solves"] = [
-            {"f": str(fx), "consistent": ok} for fx, ok in solves
+            {"f": "0" if f is None else str(f), "consistent": f is not None}
+            for f in ext.parameters
         ]
-        params = [fx if ok else None for fx, ok in solves]
-        cocycle = _cocycle(basis, ncb, params.__getitem__)
-        report.results["cocycle"] = [[str(v) for v in row] for row in cocycle]
-        result = cocycle_triviality(basis, cocycle)
-        verdict = "TRIVIAL" if result.trivial else "NONTRIVIAL"
-        report.results["central_extension"] = verdict
+        report.results["cocycle"] = [[str(v) for v in row] for row in ext.cocycle]
+        result = ext.triviality
+        report.results["central_extension"] = "TRIVIAL" if result.trivial else "NONTRIVIAL"
         if result.trivial:
             report.results["coboundary_witness"] = [str(v) for v in result.witness]
         else:

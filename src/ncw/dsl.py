@@ -360,11 +360,11 @@ def _parse_preset_header(stream: _TokenStream, doc: StructureDocument) -> None:
                 key.line,
                 key.col,
             )
-        stream.expect_symbol("=")
+        eq = stream.expect_symbol("=")
         if key.text == "n":
             _parse_dimension(stream, doc)
         else:
-            doc.phi = _expression_tokens(stream)
+            _parse_potential(stream, doc, eq)
     if doc.preset == "standard" and doc.phi is None:
         raise StructureError("standard preset requires phi = <expression>")
 
@@ -381,6 +381,13 @@ def _parse_dimension(stream: _TokenStream, doc: StructureDocument) -> None:
     doc.n = int(num.text)
 
 
+def _parse_potential(stream: _TokenStream, doc: StructureDocument, eq: Token) -> None:
+    """The value of phi, in a preset header or on its own line."""
+    if doc.phi is not None:
+        raise ParseError("duplicate phi", eq.line, eq.col)
+    doc.phi = _expression_tokens(stream)
+
+
 def _expression_tokens(stream: _TokenStream) -> list[Token]:
     tokens = []
     while stream.peek().kind not in ("NEWLINE", "END"):
@@ -393,7 +400,9 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
     key = stream.next()
     name = key.text
     if name == "name":
-        stream.expect_symbol("=")
+        eq = stream.expect_symbol("=")
+        if doc.name is not None:
+            raise ParseError("duplicate name", eq.line, eq.col)
         value = stream.next()
         if value.kind != "IDENT":
             raise ParseError("name must be an identifier", value.line, value.col)
@@ -411,8 +420,7 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         _parse_dimension(stream, doc)
         return
     if name == "phi":
-        stream.expect_symbol("=")
-        doc.phi = _expression_tokens(stream)
+        _parse_potential(stream, doc, stream.expect_symbol("="))
         return
     if name in StructureDocument.FIELD_RANKS:
         rank = StructureDocument.FIELD_RANKS[name]
@@ -582,7 +590,9 @@ def _parse_component_assignments(
         if not 0 <= idx <= dimension - 1:
             raise ParseError(f"component index {idx} out of range", num.line, num.col)
         stream.expect_symbol("]")
-        stream.expect_symbol("=")
+        eq = stream.expect_symbol("=")
+        if idx in comps:
+            raise ParseError(f"duplicate component {symbol}{[idx]}", eq.line, eq.col)
         comps[idx] = ExpressionParser(stream, dimension).parse()
     return [comps.get(i, Poly.zero(dimension)) for i in range(dimension)]
 

@@ -21,15 +21,20 @@ parameters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
 from .poly import Poly, time_part
-from .solver import NotInFlavorError, SymmetryBasis, classify, structure_constants
+from .solver import (
+    NotInFlavorError,
+    SymmetryBasis,
+    classify,
+    solve_symmetries,
+    structure_constants,
+)
 from .structures import NCBStructure, metric_gradient
 from .tensors import (
     TensorField,
@@ -68,6 +73,11 @@ class ExtendedElement:
 def boost_for_coriolis(x: TensorField, s: NCBStructure) -> TensorField:
     """The unique boost 1-form (modulo theta) fixing U: psi = h([U, X])."""
     _require(x, s, "coriolis")
+    return _boost(x, s)
+
+
+def _boost(x: TensorField, s: NCBStructure) -> TensorField:
+    """h([U, X]) for a field known to preserve the metric pair."""
     return apply_metric(s.transverse, vector_bracket(s.u, x))
 
 
@@ -142,6 +152,10 @@ def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> tuple[Poly, bool
     """f_X of a member: the primitive of df over the variables xi does not
     depend on, zero where they vanish, checked exactly against D(f) = R(X);
     (0, False) when that part of df is not closed (X does not extend)."""
+    if flavor == "milne" and any(not c.is_zero for c in s.base.theta.components[1:]):
+        raise ExtensionError(
+            "observer-stabilizer parameters need a clock theta without spatial components"
+        )
     st = _STABILIZERS[flavor]
     dim = s.base.dimension
     rhs = st.rhs(x, s)
@@ -221,10 +235,6 @@ def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     form over the spatial axes.  Returns (f_X, True), or (0, False) when the
     form is not closed: X does not extend to the observer stabilizer."""
     _require(x, s, "milne")
-    if any(not c.is_zero for c in s.base.theta.components[1:]):
-        raise ExtensionError(
-            "observer-stabilizer parameters need a clock theta without spatial components"
-        )
     return _integrate(x, s, "milne")
 
 
@@ -244,30 +254,14 @@ def noncentrality_check(
     """Whether the observer-stabilizer extension acts nontrivially on its
     time-function ideal.
 
-    Scans brackets of the solved milne basis elements against pure
-    parameters t^k, k up to the basis degree; returns the first witness
-    (basis index, parameter output)."""
+    Checks every element first, through its parameter solve, then scans
+    brackets against pure parameters t^k, k up to the basis degree, for the
+    first witness (basis index, parameter output)."""
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
-    # f_X once per element, on first use: a faulty element raises where the
-    # scan meets it
-    return _noncentrality(s, basis, cache(lambda i: _parameter(basis.fields[i], s, "milne")))
-
-
-def _noncentrality(
-    s: NCBStructure, basis: SymmetryBasis, parameter: Callable[[int], Poly | None]
-) -> tuple[bool, tuple[int, Poly] | None]:
-    """noncentrality_check with element i's f_X (or None) from parameter(i)."""
-    dim = s.base.dimension
-    zero_x = TensorField.zero(dim, 1, 0)
-    for k in range(1, max(basis.degree, 1) + 1):
-        # (0, t^k): the zero field's own f is zero
-        xi = Poly.monomial(dim, (k,) + (0,) * (dim - 1))
-        for i, x in enumerate(basis.fields):
-            out = _bracket(x, parameter(i), zero_x, xi, s, "milne")
-            if not out.f.is_zero:
-                return True, (i, out.f)
-    return False, None
+    params = [_parameter(x, s, "milne") for x in basis.fields]
+    witness = _algebra(s, basis, "milne", params).witness
+    return witness is not None, witness
 
 
 # ----------------------------------------------------------------------
@@ -292,27 +286,76 @@ def extended_gal_bracket(
 
 
 def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fraction]]:
-    """The central 2-cocycle induced on a solved full-symmetry basis:
-    c_ij is the constant parameter output of the bracket of (X_i, 0) and
-    (X_j, 0)."""
-    # f_X once per element, on first use, as in noncentrality_check
-    return _cocycle(basis, s, cache(lambda i: _parameter(basis.fields[i], s, "galilei")))
+    """The central 2-cocycle induced on a full-symmetry basis: c_ij is the
+    constant parameter output of the bracket of (X_i, 0) and (X_j, 0).
+    Every element is checked first, through its parameter solve."""
+    params = [_parameter(x, s, "galilei") for x in basis.fields]
+    return _algebra(s, basis, "galilei", params).cocycle
 
 
-def _cocycle(
-    basis: SymmetryBasis, s: NCBStructure, parameter: Callable[[int], Poly | None]
-) -> list[list[Fraction]]:
-    """gal_extension_cocycle with element i's f_X (or None) from parameter(i)."""
-    origin = (0,) * s.base.dimension
+# ----------------------------------------------------------------------
+# the extended algebra of a basis
+
+@dataclass(frozen=True)
+class Extension:
+    """The extended algebra of a solved basis: per field its boost 1-form
+    (coriolis) or f_X (None: it does not extend), the bracket of (X_i, 0) and
+    (X_j, 0) for each pair i < j, the milne witness or the galilei cocycle
+    and its triviality verdict."""
+
+    basis: SymmetryBasis
+    parameters: tuple[TensorField | Poly | None, ...]
+    brackets: dict[tuple[int, int], ExtendedElement]
+    witness: tuple[int, Poly] | None = None
+    cocycle: list[list[Fraction]] | None = None
+    triviality: TrivialityResult | None = None
+
+
+def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
+    """Solve the flavor's basis of s up to the degree bound and extend it.
+    The solve proved every field a member, so none is checked again."""
+    basis = solve_symmetries(s.induced_nc(), flavor, degree)
+    fl = basis.flavor
+    if fl == "coriolis":
+        zeros = [Poly.zero(s.base.dimension)] * basis.dimension
+        boosts = tuple(_boost(x, s) for x in basis.fields)
+        return replace(_algebra(s, basis, fl, zeros), parameters=boosts)
+    params = [f if ok else None for f, ok in (_integrate(x, s, fl) for x in basis.fields)]
+    ext = _algebra(s, basis, fl, params)
+    if fl == "milne":
+        return ext
+    return replace(ext, triviality=cocycle_triviality(basis, ext.cocycle))
+
+
+def _algebra(
+    s: NCBStructure, basis: SymmetryBasis, flavor: str, params: Sequence[Poly | None]
+) -> Extension:
+    """The extension of a basis whose fields have the full parameters params
+    (zero for the metric-pair stabilizer; None: the field does not extend)."""
     fields = basis.fields
     k = len(fields)
-    out = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = _bracket(fields[i], parameter(i), fields[j], parameter(j), s, "galilei").f
-            out[i][j] = val.coefficient(origin)
-            out[j][i] = -out[i][j]
-    return out
+    brackets = {
+        (i, j): _bracket(fields[i], params[i], fields[j], params[j], s, flavor)
+        for i, j in combinations(range(k), 2)
+    }
+    dim = s.base.dimension
+    witness = cocycle = None
+    if flavor == "milne":
+        zero_x = TensorField.zero(dim, 1, 0)
+        # (X_i, f_X) against (0, t^p): the zero field's own f is zero
+        outputs = (
+            (i, _bracket(x, params[i], zero_x, xi, s, flavor).f)
+            for xi in (Poly.variable(dim, 0) ** p for p in range(1, max(basis.degree, 1) + 1))
+            for i, x in enumerate(fields)
+        )
+        witness = next(((i, f) for i, f in outputs if not f.is_zero), None)
+    elif flavor == "galilei":
+        origin = (0,) * dim
+        cocycle = [[Fraction(0)] * k for _ in range(k)]
+        for (i, j), out in brackets.items():
+            cocycle[i][j] = out.f.coefficient(origin)
+            cocycle[j][i] = -cocycle[i][j]
+    return Extension(basis, tuple(params), brackets, witness, cocycle)
 
 
 # ----------------------------------------------------------------------

@@ -51,10 +51,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -63,22 +59,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def apply(self, vector: Sequence[object]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        vec = [Fraction(v) for v in vector]
-        return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.entries]
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        cols = list(zip(*other.entries)) if other.entries else []
-        data = [
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-            for row in self.entries
-        ]
-        return RationalMatrix(self.rows, other.cols, data)
 
     def transpose(self) -> "RationalMatrix":
         data = [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)]

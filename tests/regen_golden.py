@@ -62,6 +62,13 @@ def _cases() -> dict[str, list[str]]:
                                      "--field", "X[5] = t"],
         "flat2-solve-bad-flavor": ["solve", "--input", "samples/flat2.ncw",
                                    "--flavor", "bogus", "--degree", "1"],
+        # the algebra anchors, and an extension refused for its clock
+        "oscillator-extend-mil-d2": ["extend", "--input", "samples/oscillator.ncw",
+                                     "--flavor", "mil", "--degree", "2"],
+        "flat2-extend-gal-d2": ["extend", "--input", "samples/flat2.ncw",
+                                "--flavor", "gal", "--degree", "2"],
+        "tilted-clock-extend-mil": ["extend", "--input", f"{inputs}/tilted-clock.ncw",
+                                    "--flavor", "mil", "--degree", "1"],
     }
     cases.update(extra)
     return cases

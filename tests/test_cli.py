@@ -140,6 +140,23 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "line 2, column 1: unknown directive 'preset'" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 1\nn = 2\n", "line 2, column 5: duplicate n"),
+            ("n = 1\ngamma[1][1] = 1\ngamma[1][1] = 2\n",
+             "line 3, column 13: duplicate component gamma[1, 1]"),
+            ("standard n=1 phi = x1^2\nphi = 0\n", "line 2, column 5: duplicate phi"),
+            ("name = a\nflat n=1\nname = b\n", "line 3, column 6: duplicate name"),
+        ],
+    )
+    def test_duplicate_directive_is_an_input_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "twice.ncw"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+
     def test_syntax_error_position(self, capsys, tmp_path):
         path = tmp_path / "syntax.ncw"
         path.write_text("flat n=2\nphi = ?\n")
@@ -648,6 +665,20 @@ class TestArguments:
         assert out == ""
         assert err == f"input error: argument {option[:-3]}: '--' is not a value\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--field", "X[1] = t\nX[1] = 1"], "line 2, column 6: duplicate component X[1]"),
+            (["gauge", "--x", "X[0] = 1\nX[0] = 2"], "line 2, column 6: duplicate component X[0]"),
+            (["gauge", "--psi", "psi[2] = t\npsi[2] = 0"], "line 2, column 8: duplicate component psi[2]"),
+        ],
+    )
+    def test_repeated_component_is_an_input_error(self, capsys, standard2, argv, message):
+        command, option, value = argv
+        code, out, err = run(capsys, command, "--input", standard2, option, value)
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+
     def test_double_dash_inside_a_value_is_read(self, capsys, standard2):
         code, out, _ = run(
             capsys, "gauge", "--input", standard2, "--f=x1--x1", "--format", "json"
@@ -678,3 +709,21 @@ class TestArguments:
         assert metric_pair_check("--sample-point=-1,0,0")["passed"] is False
         assert metric_pair_check("--sample-point=1,0,0") == {"name": "metric-pair", "passed": True}
         assert metric_pair_check() == {"name": "metric-pair", "passed": True}
+
+
+def test_cli_imports_no_private_name():
+    """The CLI only renders: it reaches ncw through public names alone."""
+    import ast
+
+    import ncw.cli
+
+    tree = ast.parse(Path(ncw.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ncw")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

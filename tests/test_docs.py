@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from ncw import Poly, solve_symmetries, standard_structure
+from ncw import Poly, extend, solve_symmetries, standard_structure
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -15,6 +15,15 @@ def test_library_snippet():
     basis = solve_symmetries(nc, "milne", 2)
     assert basis.dimension == 8
     assert "print(basis.dimension)                  # 8" in README
+
+
+def test_extend_snippet():
+    s = standard_structure(2, Poly.variable(3, 1) ** 2)
+    mil = extend(s, "milne", 2)
+    assert (len(mil.brackets), mil.witness) == (28, (0, Poly.const(3, 1)))
+    assert "print(len(mil.brackets), mil.witness)   # 28 (0, Poly[3](1))" in README
+    assert extend(s, "galilei", 1).triviality.trivial is False
+    assert "print(gal.triviality.trivial)           # False" in README
 
 
 def test_dimension_table():

@@ -2,6 +2,7 @@
 parse/print round trip."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ncw.dsl import (
     build_structure,
     parse_expression,
     parse_field,
+    parse_one_form,
     parse_structure,
 )
 from ncw.poly import Poly
@@ -178,8 +180,16 @@ class TestDocuments:
             parse_structure("gamma[1][1] = 1\n")
 
     def test_duplicate_assignments_rejected(self):
-        with pytest.raises(ParseError, match="duplicate n"):
-            parse_structure("n = 1\nn = 2\n")
+        # a directive given twice is refused where it repeats, never overwritten
+        cases = [
+            ("n = 1\nn = 2\n", "line 2, column 5: duplicate n"),
+            ("standard n=1 phi = x1^2\nphi = 0\n", "line 2, column 5: duplicate phi"),
+            ("phi = 1\nstandard n=1 phi = 2\n", "line 2, column 18: duplicate phi"),
+            ("flat n=1\nname = a\nname = b\n", "line 3, column 6: duplicate name"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError, match=message):
+                parse_structure(text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -348,3 +358,14 @@ class TestFieldParsing:
     def test_wrong_symbol_rejected(self):
         with pytest.raises(ParseError, match="expected component"):
             parse_field("Y[0] = 1", 2)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_field, "X[1] = t\nX[1] = 1", "line 2, column 6: duplicate component X[1]"),
+            (parse_one_form, "psi[0] = 1\npsi[0] = t", "line 2, column 8: duplicate component psi[0]"),
+        ],
+    )
+    def test_duplicate_component_rejected(self, parse, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text, 2)

@@ -3,6 +3,8 @@ bracket table, the Bargmann algebra, and cocycle (non)triviality."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from ncw.extensions import (
     extended_cor_bracket,
     extended_gal_bracket,
     extended_mil_bracket,
+    extend,
     gal_extension_cocycle,
     galilei_f_solve,
     milne_f_split,
@@ -508,6 +511,17 @@ class TestExtensionErrorContract:
         with pytest.raises(NotInFlavorError, match="preserve the raised symbols"):
             noncentrality_check(s, mil)
 
+    def test_noncentrality_checks_fields_after_its_witness(self):
+        # the time translation is already a witness: t -> 1; the rotation
+        # after it must still be checked, in either order
+        s = flat_structure(2)
+        nc = s.induced_nc()
+        time_translation = basis_vector(3, 0)
+        for fields in [(time_translation, self.rotation), (self.rotation, time_translation)]:
+            mil = SymmetryBasis(nc, "milne", 1, fields)
+            with pytest.raises(NotInFlavorError, match="preserve the raised symbols"):
+                noncentrality_check(s, mil)
+
 
 @pytest.mark.parametrize(
     "flavor, stabilizer", [("milne", "observer"), ("galilei", "full")]
@@ -765,36 +779,86 @@ class TestCocycles:
         assert seen == {True, False}
 
 
-@pytest.mark.parametrize("flavor", ["milne", "galilei"])
-def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
-    """`ncw extend` solves each basis element's f_X once, for its parameter
-    list, which the bracket table, the noncentrality scan and the cocycle
-    reuse.  A bracket solves nothing: X(f') - X'(f) is a parameter of
-    [X, X'], so f_[X,X'] is that less its xi part.  On flat n=2 at d=1 that
-    is k = 6 solves per flavor, where solving each nonzero bracket's own
-    parameter gave 12, and re-solving the elements gave 23 (milne) and 27
-    (galilei)."""
-    from pathlib import Path
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
+
+def _run_extend(sample, flavor, degree, capsys):
     import ncw.cli
-    import ncw.extensions
 
-    sample = Path(__file__).resolve().parents[1] / "samples" / "flat2.ncw"
-    fields = solve_symmetries(flat_structure(2).induced_nc(), flavor, 1).fields
-    k = len(fields)
-    solved = []
-    for name in ("milne_f_split", "galilei_f_solve"):
-        fn = getattr(ncw.extensions, name)
-
-        def counted(x, s, fn=fn):
-            solved.append(x)
-            return fn(x, s)
-
-        for module in (ncw.extensions, ncw.cli):
-            monkeypatch.setattr(module, name, counted)
-    argv = ["extend", "--input", str(sample), "--flavor", flavor, "--degree", "1"]
+    argv = ["extend", "--input", str(SAMPLES / sample), "--flavor", flavor,
+            "--degree", str(degree)]
     assert ncw.cli.main(argv) == 0
     capsys.readouterr()
-    # the parameter list, in basis order, and nothing else
-    assert solved == list(fields)
-    assert len(solved) == k == 6
+
+
+@pytest.mark.parametrize("flavor", ["milne", "galilei"])
+def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
+    """`ncw extend` integrates each basis element's f_X once, in basis order,
+    and the bracket table, the noncentrality scan and the cocycle reuse it.
+    A bracket integrates nothing: X(f') - X'(f) is a parameter of [X, X'],
+    so f_[X,X'] is that less its xi part."""
+    import ncw.extensions
+
+    fields = solve_symmetries(flat_structure(2).induced_nc(), flavor, 1).fields
+    integrated = []
+    integrate = ncw.extensions._integrate
+
+    def counted(x, s, fl):
+        integrated.append((x, fl))
+        return integrate(x, s, fl)
+
+    monkeypatch.setattr(ncw.extensions, "_integrate", counted)
+    _run_extend("flat2.ncw", flavor, 1, capsys)
+    assert integrated == [(x, flavor) for x in fields]
+    assert len(fields) == 6
+
+
+@pytest.mark.parametrize("flavor", ["coriolis", "milne", "galilei"])
+def test_extend_makes_no_classify_call(flavor, monkeypatch, capsys):
+    """The solve proved every basis field a member, so `ncw extend` checks
+    none of them again: no `classify` call past the solve, on flat n=2 at
+    d=1 and on the oscillator at d=2."""
+    import ncw.cli
+    import ncw.extensions
+    import ncw.solver
+
+    calls = []
+    classify = ncw.solver.classify
+
+    def counted(x, s):
+        calls.append(x)
+        return classify(x, s)
+
+    for module in (ncw.solver, ncw.extensions, ncw.cli):
+        monkeypatch.setattr(module, "classify", counted)
+    _run_extend("flat2.ncw", flavor, 1, capsys)
+    _run_extend("oscillator.ncw", flavor, 2, capsys)
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [flat_structure(2), standard_structure(2, var(3, 1) ** 2)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_extend_agrees_with_the_basis_views(s, degree):
+    """extend's witness and cocycle are what noncentrality_check and
+    gal_extension_cocycle give on the basis it solved; its bracket table is
+    the extended bracket of each pair with zero xi."""
+    mil = extend(s, "mil", degree)
+    assert mil.basis == solve_symmetries(s.induced_nc(), "milne", degree)
+    assert mil.witness is not None
+    assert noncentrality_check(s, mil.basis) == (True, mil.witness)
+    assert mil.cocycle is None and mil.triviality is None
+    gal = extend(s, "gal", degree)
+    assert gal.witness is None
+    assert gal.cocycle == gal_extension_cocycle(gal.basis, s)
+    assert gal.triviality == cocycle_triviality(gal.basis, gal.cocycle)
+    cor = extend(s, "cor", degree)
+    assert cor.witness is None and cor.cocycle is None
+    assert cor.parameters == tuple(boost_for_coriolis(x, s) for x in cor.basis.fields)
+    for ext, bracket in [(cor, extended_cor_bracket), (mil, extended_mil_bracket),
+                         (gal, extended_gal_bracket)]:
+        zero = Poly.zero(3)
+        fields = ext.basis.fields
+        assert list(ext.brackets) == list(combinations(range(len(fields)), 2))
+        for (i, j), out in ext.brackets.items():
+            assert out == bracket(ExtendedElement(fields[i], zero),
+                                  ExtendedElement(fields[j], zero), s)
