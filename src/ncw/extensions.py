@@ -180,7 +180,7 @@ def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
     for a in axes:
         for exps, coeff in comps[a].terms.items():
             key = exps[:a] + (exps[a] + 1,) + exps[a + 1:]
-            terms[key] = terms.get(key, 0) + coeff / (sum(exps[b] for b in axes) + 1)
+            terms[key] = terms.get(key, 0) + Fraction(coeff, sum(exps[b] for b in axes) + 1)
     return Poly(form.dimension, terms)
 
 

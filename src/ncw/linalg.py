@@ -15,6 +15,9 @@ and the kernel reads a free column's coefficients straight from it.  The
 reduced echelon form is unique, so neither rule, nor the order rows
 arrive in, can change a result.
 
+Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
+an int when integral, else a Fraction with a denominator above 1.
+
 Determinants and adjugates come from one division-free Faddeev-LeVerrier
 recursion that works over Fractions and Polys alike.
 """
@@ -24,7 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Vector = tuple[Fraction, ...]
+from .poly import Scalar, _q
+
+Vector = tuple[Scalar, ...]
 
 
 class RationalMatrix:
@@ -38,7 +43,7 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self.entries: tuple[Vector, ...] = tuple(
-            tuple(Fraction(v) for v in row) for row in entries
+            tuple(_q(Fraction(v)) for v in row) for row in entries
         )
 
     @classmethod
@@ -144,7 +149,7 @@ def _sparse_rows(matrix: RationalMatrix) -> list["SparseRow"]:
 
 
 def _dense(v: "SparseRow", ncols: int) -> Vector:
-    return tuple(v.get(c, Fraction(0)) for c in range(ncols))
+    return tuple(v.get(c, 0) for c in range(ncols))
 
 
 def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
@@ -174,8 +179,7 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
 # ----------------------------------------------------------------------
 # sparse eliminator (row dictionaries keyed by column index)
 
-SparseRow = dict[int, Fraction]
-_ONE = Fraction(1)
+SparseRow = dict[int, Scalar]
 
 
 class SparseEliminator:
@@ -209,7 +213,7 @@ class SparseEliminator:
         """The row less pivot-row multiples, until its lead column is not a
         pivot; the argument is not changed."""
         zero, pivots = self._zero_cols, self.pivot_rows
-        row = {c: v for c, v in row.items() if v and c not in zero}
+        row = {c: _q(v) for c, v in row.items() if v and c not in zero}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -220,9 +224,9 @@ class SparseEliminator:
                 if c == lead:
                     continue
                 if c not in row:
-                    row[c] = -factor * v
+                    row[c] = _q(-factor * v)
                 elif acc := row[c] - factor * v:
-                    row[c] = acc
+                    row[c] = _q(acc)
                 else:
                     del row[c]
         return row
@@ -233,7 +237,7 @@ class SparseEliminator:
             if not v or lead in self._zero_cols:
                 return
             if lead not in self.pivot_rows:
-                self.pivot_rows[lead] = {lead: _ONE}
+                self.pivot_rows[lead] = {lead: 1}
                 self._mark_zero(lead)
                 return
         reduced = self.reduce(row)
@@ -242,8 +246,8 @@ class SparseEliminator:
         lead = min(reduced)
         pivot = reduced[lead]
         if pivot != 1:
-            inv = _ONE / pivot
-            reduced = {c: v * inv for c, v in reduced.items()}
+            inv = Fraction(1, pivot)
+            reduced = {c: _q(v * inv) for c, v in reduced.items()}
         self.pivot_rows[lead] = reduced
         if len(reduced) == 1:
             self._mark_zero(lead)
@@ -282,10 +286,10 @@ class SparseEliminator:
                     if c == lead:
                         continue
                     if c not in other:
-                        other[c] = -factor * v
+                        other[c] = _q(-factor * v)
                         held_by.setdefault(c, set()).add(other_lead)
                     elif acc := other[c] - factor * v:
-                        other[c] = acc
+                        other[c] = _q(acc)
                     else:
                         del other[c]
                         held_by[c].discard(other_lead)
@@ -301,7 +305,7 @@ class SparseEliminator:
         for fc in range(self.ncols):
             if fc in pivots:
                 continue
-            v: SparseRow = {fc: _ONE}
+            v: SparseRow = {fc: 1}
             for lead in sorted(held_by.get(fc, ())):
                 v[lead] = -pivots[lead][fc]
             basis.append(v)
@@ -320,7 +324,7 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
 
 def sparse_solve(
     rows: Sequence[SparseRow], rhs: Sequence[object], ncols: int
-) -> Optional[tuple[list[Fraction], list[SparseRow]]]:
+) -> Optional[tuple[list[Scalar], list[SparseRow]]]:
     """Sparse analog of solve_inhomogeneous; rhs entries align with rows.
 
     The right-hand side is carried as an extra trailing column.  Returns
@@ -329,7 +333,7 @@ def sparse_solve(
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
         augmented = dict(row)
-        bb = Fraction(b)
+        bb = _q(Fraction(b))
         if bb:
             augmented[ncols] = bb
         elim.add_row(augmented)
@@ -337,5 +341,5 @@ def sparse_solve(
         return None
     # the rhs column is free and last; its kernel vector carries -particular
     *kernel, last = elim.kernel()
-    particular = [-last.get(c, Fraction(0)) for c in range(ncols)]
+    particular = [-last.get(c, 0) for c in range(ncols)]
     return particular, kernel

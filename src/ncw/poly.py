@@ -1,15 +1,24 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial in the coordinates (x0, x1, ..., x_n) is a dictionary mapping
-exponent tuples to rational coefficients (Fraction).  Coordinate 0 is time,
-written ``t`` in the text grammar; the remaining coordinates are spatial.
-This representation is exact: no rounding ever occurs, so polynomial
-identity tests are fully reliable.
+exponent tuples to rational coefficients.  Coordinate 0 is time, written
+``t`` in the text grammar; the remaining coordinates are spatial.  This
+representation is exact: no rounding ever occurs, so polynomial identity
+tests are fully reliable.
 
-  terms = {(2, 1): Fraction(3, 2)}  with dimension 2  means  3/2 * t^2 * x1
+  terms = {(2, 1): Fraction(3, 2), (0, 0): 5}  with dimension 2
+  means  3/2 * t^2 * x1 + 5
+
+Every coefficient has one canonical form (``_q``): an ``int`` when it is
+integral, otherwise a ``Fraction`` whose denominator exceeds 1; never a
+float.  Most coefficients are integers, and int arithmetic is exact and
+much cheaper than Fraction arithmetic.  ``3 == Fraction(3)`` with equal
+hashes and equal strings, so the form changes no comparison or rendering.
 
 The zero polynomial has an empty term dictionary.  Stored coefficients are
 never zero, so two polynomials are equal iff their term dictionaries are.
+The public constructors check and canonicalize their input; arithmetic
+builds its already-canonical results through the trusted ``Poly._raw``.
 """
 
 from __future__ import annotations
@@ -22,18 +31,32 @@ Exponent = tuple[int, ...]
 Scalar = int | Fraction
 
 
+def _q(c: Scalar) -> Scalar:
+    """The canonical form of an exact coefficient: an int when integral,
+    else a Fraction with a denominator above 1."""
+    return c if type(c) is int else c.numerator if c.denominator == 1 else c
+
+
+def _exact(value: object) -> Scalar:
+    """A constructor argument as a canonical coefficient; anything but an
+    int (not a bool) or a Fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
+    return _q(value)
+
+
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("dimension", "terms")
 
     dimension: int
-    terms: dict[Exponent, Fraction]
+    terms: dict[Exponent, int | Fraction]
 
     def __init__(self, dimension: int, terms: Mapping[Exponent, Scalar] | None = None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != dimension:
@@ -42,11 +65,21 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c != 0:
                     clean[tuple(exps)] = c
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, dimension: int, terms: dict[Exponent, Scalar]) -> "Poly":
+        """Trusted constructor for internal results: terms must already be
+        canonical (nonzero canonical coefficients, well-formed exponents)
+        and are kept, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dimension", dimension)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -60,7 +93,7 @@ class Poly:
 
     @classmethod
     def const(cls, dimension: int, value: Scalar) -> "Poly":
-        return cls(dimension, {(0,) * dimension: Fraction(value)})
+        return cls(dimension, {(0,) * dimension: value})
 
     @classmethod
     def variable(cls, dimension: int, index: int) -> "Poly":
@@ -69,11 +102,11 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for dimension {dimension}")
         exps = [0] * dimension
         exps[index] = 1
-        return cls(dimension, {tuple(exps): Fraction(1)})
+        return cls(dimension, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, dimension: int, exps: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return cls(dimension, {tuple(exps): Fraction(coeff)})
+        return cls(dimension, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -95,17 +128,18 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in p.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
-            if acc:
-                out[exps] = acc
+            if exps not in out:
+                out[exps] = coeff
+            elif acc := out[exps] + coeff:
+                out[exps] = _q(acc)
             else:
-                out.pop(exps, None)
-        return Poly(self.dimension, out)
+                del out[exps]
+        return Poly._raw(self.dimension, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dimension, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.dimension, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         p = self._coerce(other)
@@ -121,23 +155,23 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Poly(self.dimension)
-            return Poly(self.dimension, {e: k * c for e, k in self.terms.items()})
+            if other == 0:
+                return Poly._raw(self.dimension, {})
+            return Poly._raw(self.dimension, {e: _q(k * other) for e, k in self.terms.items()})
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in p.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    out[exps] = acc
+                if exps not in out:
+                    out[exps] = _q(c1 * c2)
+                elif acc := out[exps] + c1 * c2:
+                    out[exps] = _q(acc)
                 else:
-                    out.pop(exps, None)
-        return Poly(self.dimension, out)
+                    del out[exps]
+        return Poly._raw(self.dimension, out)
 
     __rmul__ = __mul__
 
@@ -157,7 +191,7 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.dimension, other)
+            return self.terms == ({(0,) * self.dimension: other} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         return self.dimension == other.dimension and self.terms == other.terms
@@ -174,20 +208,13 @@ class Poly:
         """Formal partial derivative with respect to coordinate ``axis``."""
         if not 0 <= axis < self.dimension:
             raise ValueError(f"axis {axis} out of range for dimension {self.dimension}")
-        out: dict[Exponent, Fraction] = {}
+        # distinct terms have distinct derivative monomials: nothing cancels
+        out: dict[Exponent, Scalar] = {}
         for exps, coeff in self.terms.items():
             e = exps[axis]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[axis] = e - 1
-            key = tuple(new)
-            acc = out.get(key, Fraction(0)) + coeff * e
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return Poly(self.dimension, out)
+            if e:
+                out[exps[:axis] + (e - 1,) + exps[axis + 1 :]] = _q(coeff * e)
+        return Poly._raw(self.dimension, out)
 
     @property
     def is_zero(self) -> bool:
@@ -211,8 +238,8 @@ class Poly:
             for exps in self.terms
         )
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -250,7 +277,7 @@ class Poly:
         if new_dimension < self.dimension:
             raise ValueError("cannot shrink dimension")
         pad = (0,) * (new_dimension - self.dimension)
-        return Poly(new_dimension, {e + pad: c for e, c in self.terms.items()})
+        return Poly._raw(new_dimension, {e + pad: c for e, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # canonical rendering (grammar shared with the structure-file parser)
@@ -318,6 +345,4 @@ def _render_monomial(exps: Exponent) -> str:
 
 def time_part(p: Poly) -> Poly:
     """The purely time-dependent part: p with all spatial coordinates at 0."""
-    images = [Poly.variable(p.dimension, 0)]
-    images += [Poly.zero(p.dimension) for _ in range(p.dimension - 1)]
-    return p.substitute(images)
+    return Poly._raw(p.dimension, {e: c for e, c in p.terms.items() if not any(e[1:])})

@@ -21,12 +21,11 @@ regardless of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator
-from .poly import Exponent, Poly, grlex_monomials
+from .poly import Exponent, Poly, Scalar, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
     TensorField,
@@ -93,14 +92,15 @@ class SymmetryBasis:
 class _FormPoly:
     """A polynomial whose coefficients are sparse linear forms in the ansatz
     unknowns: terms maps an exponent tuple to {column: coefficient}, with no
-    empty form and no zero coefficient.  The components of the generic field
-    are of this type.  The tensor operators are linear in their vector field
-    and need of it only +, unary -, products with a Poly on either side
-    (Poly.__mul__ returns NotImplemented for it), partial and truth."""
+    empty form and no zero coefficient, and coefficients as canonical as a
+    Poly's.  The components of the generic field are of this type.  The
+    tensor operators are linear in their vector field and need of it only
+    +, unary -, products with a Poly on either side (Poly.__mul__ returns
+    NotImplemented for it), partial and truth."""
 
     __slots__ = ("dimension", "terms")
 
-    def __init__(self, dimension: int, terms: dict[Exponent, dict[int, Fraction]]):
+    def __init__(self, dimension: int, terms: dict[Exponent, dict[int, Scalar]]):
         self.dimension = dimension
         self.terms = terms
 
@@ -122,7 +122,7 @@ class _FormPoly:
     def __mul__(self, other: Poly) -> "_FormPoly":
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Exponent, dict[int, Fraction]] = {}
+        out: dict[Exponent, dict[int, Scalar]] = {}
         for e1, form in self.terms.items():
             for e2, coeff in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
@@ -137,26 +137,26 @@ class _FormPoly:
             e = exps[axis]
             if e:
                 key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
-                out[key] = form if e == 1 else {col: v * e for col, v in form.items()}
+                out[key] = form if e == 1 else {col: _q(v * e) for col, v in form.items()}
         return _FormPoly(self.dimension, out)
 
 
-def _accumulate(target: dict[int, Fraction], form: dict[int, Fraction], factor) -> None:
+def _accumulate(target: dict[int, Scalar], form: dict[int, Scalar], factor: Scalar) -> None:
     """target += factor * form, zero coefficients dropped."""
     if factor != 1:
-        form = {col: factor * v for col, v in form.items()}
+        form = {col: _q(factor * v) for col, v in form.items()}
     for col, v in form.items():
         if col not in target:
             target[col] = v
         elif acc := target[col] + v:
-            target[col] = acc
+            target[col] = _q(acc)
         else:
             del target[col]
 
 
 def _condition_rows(
     s: NCStructure, flavor: Flavor, monos: Sequence[Exponent]
-) -> dict[tuple, dict[int, Fraction]]:
+) -> dict[tuple, dict[int, Scalar]]:
     """The flavor's defining equations on the generic field
     X^c = sum_j u_{c,j} m_j, whose unknown u_{c,j} is column c * len(monos) + j.
     The operators run once per condition block; each (block, index, monomial)
@@ -166,7 +166,7 @@ def _condition_rows(
     x = vector(
         dim,
         [
-            _FormPoly(dim, {m: {c * len(monos) + j: Fraction(1)} for j, m in enumerate(monos)})
+            _FormPoly(dim, {m: {c * len(monos) + j: 1} for j, m in enumerate(monos)})
             for c in range(dim)
         ],
     )
@@ -267,7 +267,7 @@ def verify_coriolis_identity(x: TensorField, s: NCStructure) -> bool:
 
 def structure_constants(
     basis: SymmetryBasis,
-) -> tuple[list[list[list[Fraction]]], bool]:
+) -> tuple[list[list[list[Scalar]]], bool]:
     """Expand [X_i, X_j] in the basis through one elimination.
 
     Row i holds X_i's (component, monomial) coefficients and a tag 1 in
@@ -294,12 +294,12 @@ def structure_constants(
     tag = len(columns)
     elim = SparseEliminator(tag + k)
     for i, terms in enumerate(rows):
-        elim.add_row({columns[key]: v for key, v in terms.items()} | {tag + i: Fraction(1)})
+        elim.add_row({columns[key]: v for key, v in terms.items()} | {tag + i: 1})
     # a pivot among the tags is a linear relation between basis fields
     dependent = max(elim.pivot_rows, default=-1) >= tag
 
     constants = [
-        [[Fraction(0)] * k for _ in range(k)] for _ in range(k)
+        [[0] * k for _ in range(k)] for _ in range(k)
     ]
     closed = True
     for (i, j), terms in brackets.items():
@@ -310,7 +310,7 @@ def structure_constants(
         if dependent:
             raise ValueError("basis is linearly dependent")
         for m in range(k):
-            constants[j][i][m] = reduced.get(tag + m, Fraction(0))
+            constants[j][i][m] = reduced.get(tag + m, 0)
             constants[i][j][m] = -constants[j][i][m]
     return constants, closed
 
@@ -329,7 +329,7 @@ class TimeCoefficientTemplate:
     n: int
     omega: dict[tuple[int, int], Poly]  # keys (a, b) with 1 <= a < b <= n
     rho: tuple[Poly, ...]
-    tau: Fraction
+    tau: Scalar
 
 
 def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
@@ -377,10 +377,10 @@ class AffineTemplate:
     antisymmetric: the affine symmetry fields of the flat structure."""
 
     n: int
-    omega: dict[tuple[int, int], Fraction]
-    beta: tuple[Fraction, ...]
-    sigma: tuple[Fraction, ...]
-    tau: Fraction
+    omega: dict[tuple[int, int], Scalar]
+    beta: tuple[Scalar, ...]
+    sigma: tuple[Scalar, ...]
+    tau: Scalar
 
 
 def fit_affine_template(x: TensorField) -> AffineTemplate | None:

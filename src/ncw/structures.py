@@ -173,7 +173,10 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         raise StructureError("transverse metric needs theta(U) = 1")
     theta = g.theta.components
     j = next((j for j, c in enumerate(theta) if c.total_degree() == 0), None)
-    w = u.nonzero if j is None else {(j,): Poly.const(dim, 1 / theta[j].coefficient((0,) * dim))}
+    if j is None:
+        w = u.nonzero
+    else:
+        w = {(j,): Poly.const(dim, Fraction(1, theta[j].coefficient((0,) * dim)))}
     n_entries = _add(g.gamma.nonzero, _einsum("a,b->ab", w, w))
     adj, det = adjugate(
         [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
@@ -187,7 +190,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
             f"det(gamma + W(x)W) = {det} is not a nonzero constant; the "
             "transverse metric of U is not polynomial"
         )
-    inverse = 1 / det.coefficient((0,) * dim)
+    inverse = Fraction(1, det.coefficient((0,) * dim))
     n_inv = {(a, b): v * inverse for a, row in enumerate(adj) for b, v in enumerate(row) if v}
     # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
     m = _einsum("k,kb->b", u, n_inv)

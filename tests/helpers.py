@@ -6,6 +6,12 @@ from ncw.poly import Poly
 from ncw.tensors import Connection, one_form, vector
 
 
+def is_canonical(c):
+    """Whether c is a canonical exact coefficient: an int (not a bool), or a
+    Fraction whose denominator exceeds 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def var(dim, i):
     return Poly.variable(dim, i)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import basis_vector, random_poly, var
+import ncw.extensions
+from helpers import basis_vector, is_canonical, random_poly, var
 from ncw.extensions import (
     BargmannElement,
     CocycleError,
@@ -38,7 +39,7 @@ from ncw.solver import (
     solve_symmetries,
 )
 from ncw.structures import flat_structure, standard_structure
-from ncw.tensors import TensorField, lie_derivative, vector
+from ncw.tensors import TensorField, lie_derivative, one_form, vector
 
 
 def milne_oracle(e1: MilneStandardElement, e2: MilneStandardElement):
@@ -543,6 +544,23 @@ def test_bracket_checks_the_parameter_it_derives(flavor, stabilizer):
     # with f = x1^2 for the translation, g = 2 x1 x2 is no parameter of [X, X']
     with pytest.raises(ExtensionError, match=f"bracket left the {stabilizer} stabilizer"):
         _bracket(translation, x1 * x1, rotation, zero, s, flavor)
+
+
+class TestRadialPrimitive:
+    def test_weights_each_term_by_its_radial_degree(self):
+        # f = x1^2 / 2 + x1 x2 + t x2^3 / 3, integrated along x1 and x2 from
+        # d_1 f = x1 + x2 and d_2 f = x1 + t x2^2
+        t, x1, x2 = var(3, 0), var(3, 1), var(3, 2)
+        form = one_form(3, [Poly.zero(3), x1 + x2, x1 + t * x2**2])
+        f = ncw.extensions._radial_primitive(form, [1, 2])
+        assert f == Fraction(1, 2) * x1**2 + x1 * x2 + Fraction(1, 3) * t * x2**3
+        assert f.coefficient((0, 2, 0)) == Fraction(1, 2)
+        assert all(is_canonical(c) for c in f.terms.values())
+
+    def test_integral_of_x1(self):
+        x1 = var(2, 1)
+        f = ncw.extensions._radial_primitive(one_form(2, [Poly.zero(2), x1]), [1])
+        assert f.terms == {(0, 2): Fraction(1, 2)}
 
 
 class TestGalileiSolve:

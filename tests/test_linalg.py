@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_canonical
 from ncw.linalg import (
     RationalMatrix,
     SparseEliminator,
@@ -303,6 +304,29 @@ class TestEliminatorShapes:
         row = {0: Fraction(4), 1: Fraction(1), 2: Fraction(0)}
         assert elim.reduce(row) == {2: Fraction(-1)}
         assert row == {0: Fraction(4), 1: Fraction(1), 2: Fraction(0)}
+
+    def test_entries_stay_canonical(self):
+        # ints and Fractions mixed, integral Fractions among them: every
+        # stored, reduced and kernel entry is an int or a Fraction with a
+        # denominator above 1
+        rng = random.Random(44)
+
+        def row(cols):
+            return {
+                c: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+                for c in rng.sample(range(cols), rng.randint(1, cols))
+            }
+
+        for _ in range(200):
+            cols = rng.randint(2, 7)
+            elim = SparseEliminator(cols)
+            for _ in range(rng.randint(1, cols)):
+                elim.add_row(row(cols))
+                assert all(is_canonical(v) for r in elim.pivot_rows.values() for v in r.values())
+            for _ in range(3):
+                assert all(is_canonical(v) for v in elim.reduce(row(cols)).values())
+            vectors = list(elim.reduced_rows().values()) + elim.kernel()
+            assert all(is_canonical(v) for vec in vectors for v in vec.values())
 
     def test_integer_rows_stay_exact(self):
         assert sparse_kernel([{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]

@@ -1,4 +1,6 @@
-"""Polynomial core: arithmetic examples, ring axioms, calculus laws."""
+"""Polynomial core: arithmetic examples, ring axioms, calculus laws, and
+the canonical exact coefficient (an int when integral, else a Fraction with
+a denominator above 1)."""
 
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_canonical
 from ncw.poly import Poly, grlex_monomials, time_part
 
 
@@ -66,6 +69,11 @@ def small_fractions():
     return st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+def coefficients():
+    """ints and Fractions mixed, integral Fractions among them."""
+    return st.one_of(st.integers(-5, 5), small_fractions())
+
+
 @st.composite
 def polys(draw, dimension=2, max_degree=3, max_terms=5):
     n_terms = draw(st.integers(0, max_terms))
@@ -74,8 +82,14 @@ def polys(draw, dimension=2, max_degree=3, max_terms=5):
         exps = tuple(
             draw(st.integers(0, max_degree)) for _ in range(dimension)
         )
-        terms[exps] = draw(small_fractions())
+        terms[exps] = draw(coefficients())
     return Poly(dimension, terms)
+
+
+def as_fractions(p):
+    """p with every coefficient a Fraction, integral ones included, built
+    past the canonical form: the all-Fraction input the oracles run on."""
+    return Poly._raw(p.dimension, {e: Fraction(c) for e, c in p.terms.items()})
 
 
 class TestRingAxioms:
@@ -108,6 +122,74 @@ class TestRingAxioms:
     def test_leibniz(self, a, b):
         for axis in range(2):
             assert (a * b).partial(axis) == a.partial(axis) * b + a * b.partial(axis)
+
+    @settings(max_examples=60)
+    @given(polys(), polys(), coefficients())
+    def test_results_are_canonical_and_match_all_fraction_inputs(self, a, b, c):
+        fa, fb, fc = as_fractions(a), as_fractions(b), Fraction(c)
+        cases = [
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (-a, -fa),
+            (a * b, fa * fb),
+            (c * a, fc * fa),
+            (a * c, fa * fc),
+            (a.partial(0), fa.partial(0)),
+            (a.partial(1), fa.partial(1)),
+            (a.substitute([b, a + b]), fa.substitute([fb, fa + fb])),
+            (a.extended(3), fa.extended(3)),
+            (time_part(a), time_part(fa)),
+        ]
+        for result, oracle in cases:
+            assert all(is_canonical(v) for v in result.terms.values()), result.terms
+            assert result == oracle
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Poly.const(2, 0.1),
+            lambda: Poly.const(2, True),
+            lambda: Poly(2, {(0, 0): "1/3"}),
+            lambda: Poly(2, {(0, 0): True}),
+            lambda: Poly(2, {(1, 0): 0.5}),
+            lambda: Poly.monomial(2, (1, 0), 0.5),
+            lambda: Poly.monomial(2, (1, 0), "2"),
+        ],
+        ids=["const-float", "const-bool", "init-str", "init-bool", "init-float",
+             "monomial-float", "monomial-str"],
+    )
+    def test_public_constructors_refuse_inexact_coefficients(self, make):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            make()
+
+    def test_float_scalars_are_refused(self):
+        with pytest.raises(TypeError):
+            x1 * 0.5
+        with pytest.raises(TypeError):
+            x1 + 0.5
+
+    def test_integral_coefficients_are_stored_as_int(self):
+        p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): 3})
+        assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 3}
+        assert all(is_canonical(c) for c in p.terms.values())
+        assert type(Poly.const(2, Fraction(6, 3)).coefficient((0, 0))) is int
+        # 1/2 * (2 x1), d/dx1 (x1^2 / 2), (x1 / 2)^2 * 4 and 1/3 + 2/3 come out integral
+        half = Fraction(1, 2)
+        for q in (
+            half * (2 * x1),
+            (half * x1**2).partial(1),
+            (half * x1) ** 2 * 4,
+            Poly.const(2, Fraction(1, 3)) + Fraction(2, 3),
+        ):
+            assert q.terms and all(type(c) is int for c in q.terms.values())
+
+    def test_int_and_fraction_forms_compare_and_render_alike(self):
+        assert Poly.const(2, 3) == Fraction(3)
+        assert Poly.const(2, 3) == 3
+        assert Poly.const(2, 0) == 0
+        assert str(Poly.monomial(2, (1, 1), 3)) == str(Fraction(3) * t * x1) == "3*t*x1"
 
 
 class TestQueries:

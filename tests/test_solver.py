@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import basis_vector, var
+from helpers import basis_vector, is_canonical, var
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly
 from ncw.dsl import build_structure, parse_structure
@@ -16,6 +16,7 @@ from ncw.solver import (
     NotInFlavorError,
     SymmetryBasis,
     _condition_rows,
+    _FormPoly,
     ansatz_monomials,
     classify,
     fit_affine_template,
@@ -579,6 +580,26 @@ def test_one_pass_rows_equal_the_column_by_column_rows(sample):
         rows = _condition_rows(s, flavor, monos)
         assert rows == rows_column_by_column(s, flavor, monos), flavor
         assert all(rows.values()), flavor
+
+
+def test_rows_and_basis_stay_canonical_on_a_fractional_metric():
+    # gamma = diag(1/2, 2): assembly multiplies Fractions by ints into
+    # integral values, which must come out as ints
+    text = "n = 2\ngamma[1][1] = 1/2\ngamma[2][2] = 2\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\n"
+    s = build_structure(parse_structure(text)).nc
+    monos = ansatz_monomials(3, 2)
+    for flavor in FLAVORS:
+        rows = _condition_rows(s, flavor, monos)
+        assert all(is_canonical(v) for form in rows.values() for v in form.values()), flavor
+        fields = solve_symmetries(s, flavor, 2).fields
+        assert fields, flavor
+        assert all(
+            is_canonical(c) for f in fields for comp in f.components for c in comp.terms.values()
+        ), flavor
+    # d/dx1 of (x1^2 / 2) u_0 is the int form x1 u_0
+    form = _FormPoly(3, {(0, 0, 0): {0: 1}}) * (Fraction(1, 2) * var(3, 1) ** 2)
+    assert form.partial(1).terms == {(0, 1, 0): {0: 1}}
+    assert type(form.partial(1).terms[(0, 1, 0)][0]) is int
 
 
 @pytest.mark.parametrize(

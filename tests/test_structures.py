@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import basis_vector, random_one_form, random_poly, var
+from helpers import basis_vector, is_canonical, random_one_form, random_poly, var
 from ncw.poly import Poly
 from ncw.structures import (
     GalileiStructure,
@@ -210,6 +210,42 @@ class TestTransverseMetric:
         for a in range(3):
             assert h.comp(a, 0).is_zero
             assert h.comp(0, a).is_zero
+
+    def test_clock_with_a_non_unit_coefficient(self):
+        # theta = 2 dt: W = e_0 / 2 and N = diag(1/4, 1, 1); with
+        # U = d_t / 2 + d_1 / 3, P e_0 = e_0 - 2U = -2/3 e_1
+        dim = 3
+        entries = {(1, 1): Poly.const(dim, 1), (2, 2): Poly.const(dim, 1)}
+        g = GalileiStructure(
+            2,
+            TensorField.build(dim, 2, 0, lambda idx: entries.get(idx, Poly.zero(dim))),
+            one_form(dim, [Poly.const(dim, 2), Poly.zero(dim), Poly.zero(dim)]),
+        )
+        u = vector(dim, [Poly.const(dim, Fraction(1, 2)), Poly.const(dim, Fraction(1, 3)), Poly.zero(dim)])
+        h = transverse_metric(g, u)
+        expected = {(0, 0): Fraction(4, 9), (0, 1): Fraction(-2, 3), (1, 0): Fraction(-2, 3),
+                    (1, 1): 1, (2, 2): 1}
+        for a in range(dim):
+            for b in range(dim):
+                assert h.comp(a, b) == Poly.const(dim, expected.get((a, b), 0))
+                assert all(is_canonical(c) for c in h.comp(a, b).terms.values())
+        _assert_transverse_contractions(g, u, h)
+
+    def test_determinant_that_is_not_a_unit(self):
+        # gamma^11 = 2: det(gamma + W(x)W) = 2 and h_11 = 1/2
+        dim = 3
+        entries = {(1, 1): Poly.const(dim, 2), (2, 2): Poly.const(dim, 1)}
+        g = GalileiStructure(
+            2,
+            TensorField.build(dim, 2, 0, lambda idx: entries.get(idx, Poly.zero(dim))),
+            one_form(dim, [Poly.const(dim, 1), Poly.zero(dim), Poly.zero(dim)]),
+        )
+        h = transverse_metric(g, basis_vector(dim, 0))
+        expected = {(1, 1): Fraction(1, 2), (2, 2): 1}
+        for a in range(dim):
+            for b in range(dim):
+                assert h.comp(a, b) == Poly.const(dim, expected.get((a, b), 0))
+                assert all(is_canonical(c) for c in h.comp(a, b).terms.values())
 
     def test_requires_unit_observer(self):
         g = flat_galilei(1)
