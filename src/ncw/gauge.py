@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import RationalMatrix
-from .poly import Poly
+from .poly import Poly, Scalar, _exact
 from .structures import (
     GalileiStructure,
     NCBStructure,
@@ -124,7 +124,7 @@ def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
 # ----------------------------------------------------------------------
 # finite action
 
-def _entries(m: RationalMatrix) -> dict[tuple[int, int], Fraction]:
+def _entries(m: RationalMatrix) -> dict[tuple[int, int], Scalar]:
     """The nonzero entries of a matrix keyed (row, column)."""
     return {(i, j): v for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
 
@@ -134,7 +134,7 @@ class AffineDiffeo:
     """y = L x + c with L an invertible rational matrix."""
 
     linear: RationalMatrix
-    translation: tuple[Fraction, ...]
+    translation: tuple[Scalar, ...]
 
     def __post_init__(self):
         if self.linear.rows != self.linear.cols:
@@ -146,13 +146,13 @@ class AffineDiffeo:
 
     @classmethod
     def identity(cls, dimension: int) -> "AffineDiffeo":
-        return cls(RationalMatrix.identity(dimension), (Fraction(0),) * dimension)
+        return cls(RationalMatrix.identity(dimension), (0,) * dimension)
 
     @classmethod
     def make(cls, linear: Sequence[Sequence[object]], translation: Sequence[object]) -> "AffineDiffeo":
         return cls(
             RationalMatrix.from_rows(linear),
-            tuple(Fraction(v) for v in translation),
+            tuple(_exact(v) for v in translation),
         )
 
     @property

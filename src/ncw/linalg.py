@@ -16,7 +16,9 @@ reduced echelon form is unique, so neither rule, nor the order rows
 arrive in, can change a result.
 
 Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
-an int when integral, else a Fraction with a denominator above 1.
+an int when integral, else a Fraction with a denominator above 1.  A
+RationalMatrix takes only int and Fraction entries (``poly._exact``); a
+float or a string is refused, not approximated.
 
 Determinants and adjugates come from one division-free Faddeev-LeVerrier
 recursion that works over Fractions and Polys alike.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .poly import Scalar, _q
+from .poly import Scalar, _exact, _q
 
 Vector = tuple[Scalar, ...]
 
@@ -43,7 +45,7 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self.entries: tuple[Vector, ...] = tuple(
-            tuple(_q(Fraction(v)) for v in row) for row in entries
+            tuple(_exact(v) for v in row) for row in entries
         )
 
     @classmethod

@@ -241,19 +241,20 @@ class Poly:
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exps), 0)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """Exact value at a rational point, in canonical form; a coordinate
+        that is not an int or a Fraction is refused."""
         if len(point) != self.dimension:
             raise ValueError("point has wrong length")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
+        vals = [_exact(v) for v in point]
+        total: Scalar = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for v, e in zip(vals, exps):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return _q(total)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute coordinate i by images[i]; images share one dimension."""

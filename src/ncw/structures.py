@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .linalg import RationalMatrix, adjugate
-from .poly import Poly
+from .poly import Poly, Scalar, _exact
 from .tensors import (
     Connection,
     TensorField,
@@ -70,7 +70,7 @@ class GalileiStructure:
     def validate(self, sample_points: Sequence[Sequence[object]] | None = None) -> None:
         self._valid_at_origin
         for pt in sample_points or ():
-            self._check_point([Fraction(v) for v in pt])
+            self._check_point([_exact(v) for v in pt])
 
     @cached_property
     def _valid_at_origin(self) -> bool:
@@ -79,7 +79,7 @@ class GalileiStructure:
         self._valid_pair
         if not field_strength(self.theta).is_zero:
             raise StructureError("theta must be closed")
-        self._check_point([Fraction(0)] * self.dimension)
+        self._check_point([0] * self.dimension)
         return True
 
     @cached_property
@@ -99,7 +99,7 @@ class GalileiStructure:
             raise StructureError(f"theta is not in the kernel of gamma (component {a})")
         return True
 
-    def _check_point(self, point: Sequence[Fraction]) -> None:
+    def _check_point(self, point: Sequence[Scalar]) -> None:
         dim = self.dimension
         where = f"({', '.join(map(str, point))})"
         g = RationalMatrix(

@@ -32,6 +32,17 @@ kernel never visits it, and it leaves out every entry of the result that
 sums to zero.  The dense ``components`` / ``symbols`` tuple stays the only
 storage of a field.
 
+Each spec is compiled once (``_plan``, cached): every letter gets a slot
+number, and each factor gets the positions of its index that must agree (a
+letter repeated within its term), the positions of the letters earlier
+factors bind, and those of the letters it binds first.  A call groups each
+factor's entries by the already bound positions; one recursive walk then
+writes each visited entry's fresh letters into a single slot list, looks
+the next factor's group up by the slots it joins on, and adds every
+product straight into the result under the output slots.  The walk is a
+plain recursive function over plain containers, not a generator or a
+closure, so a call leaves no reference cycle behind.
+
 The kernel needs of an entry only ``+``, unary ``-``, ``*`` and truth, and
 the operators on a vector field X (``directional``, ``vector_bracket``,
 ``lie_derivative``, ``lie_derivative_connection``) also ``partial`` of X's
@@ -42,8 +53,9 @@ a generic field whose components carry linear forms in the unknowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, product
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import Poly, Scalar
@@ -75,38 +87,81 @@ def _slots(*counts: int) -> list[str]:
     return [_LETTERS[i:j] for i, j in zip(ends, ends[1:])]
 
 
+@cache
+def _plan(spec: str) -> tuple[tuple, Callable[[list[int]], Index], int]:
+    """The compiled spec: one step per factor, the output key and the slot
+    count.  Every letter gets a slot number in order of first appearance, so
+    the letters a factor binds first fill one run of slots, lo..hi.  A step is
+    (pairs, group_key, entry_key, fresh, lo, hi): pairs are the positions of a
+    factor's index that must agree because a letter repeats within its term,
+    group_key and entry_key read its already bound letters off an index and
+    off the slot list, and fresh reads the letters it binds first."""
+    inputs, output = spec.split("->")
+    slots: dict[str, int] = {}
+    steps = []
+    for term in inputs.split(","):
+        first = {ch: term.index(ch) for ch in term}
+        pairs = tuple((pos, first[ch]) for pos, ch in enumerate(term) if pos != first[ch])
+        joined = [ch for ch in first if ch in slots]
+        lo = len(slots)
+        fresh = [ch for ch in first if ch not in slots]
+        slots.update((ch, lo + k) for k, ch in enumerate(fresh))
+        steps.append((
+            pairs,
+            _getter([first[ch] for ch in joined]),
+            _getter([slots[ch] for ch in joined]),
+            _getter([first[ch] for ch in fresh]),
+            lo,
+            len(slots),
+        ))
+    return tuple(steps), _getter([slots[ch] for ch in output]), len(slots)
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], Index]:
+    """The tuple of a sequence's items at positions, as one callable."""
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda seq: (seq[pos],)
+    return itemgetter(*positions) if positions else lambda seq: ()
+
+
 def _einsum(spec: str, *factors) -> dict[Index, Poly]:
     """Sum of products over the repeated letters of spec; see the module
     docstring.  Only nonzero entries are visited: each factor's entries are
-    grouped by the letters that earlier factors bind, and looked up by them."""
-    inputs, output = spec.split("->")
-    plans, seen = [], ""
-    for term, factor in zip(inputs.split(","), factors, strict=True):
-        first = {ch: term.index(ch) for ch in term}
-        joined = [ch for ch in first if ch in seen]
-        fresh = [ch for ch in first if ch not in seen]
+    grouped by the positions of its plan that earlier factors bind, and the
+    walk looks a group up by the values those slots hold."""
+    steps, output, width = _plan(spec)
+    walk = []
+    for (pairs, group_key, entry_key, fresh, lo, hi), factor in zip(steps, factors, strict=True):
+        entries = getattr(factor, "nonzero", factor).items()
+        if pairs:
+            entries = [(idx, v) for idx, v in entries if all(idx[p] == idx[q] for p, q in pairs)]
         groups: dict[Index, list] = {}
-        for idx, value in getattr(factor, "nonzero", factor).items():
-            if all(idx[pos] == idx[first[ch]] for pos, ch in enumerate(term)):
-                key = tuple(idx[first[ch]] for ch in joined)
-                groups.setdefault(key, []).append(([idx[first[ch]] for ch in fresh], value))
-        plans.append((joined, fresh, groups))
-        seen += term
-
-    return _collect(_walk(plans, output, 0, {}, None))
+        for idx, value in entries:
+            groups.setdefault(group_key(idx), []).append((fresh(idx), value))
+        walk.append((entry_key, groups, lo, hi))
+    out: dict[Index, Poly] = {}
+    _walk(walk, 0, [0] * width, None, output, out)
+    return {key: value for key, value in out.items() if value}
 
 
-def _walk(plans: list, output: str, i: int, bound: dict[str, int], acc):
-    """The products of _einsum's factors i.. under the letters bound so far,
-    keyed by the output letters.  A module-level generator, so that a call
-    leaves no reference cycle holding the plans."""
-    if i == len(plans):
-        yield tuple(bound[ch] for ch in output), acc
+def _walk(walk: list, i: int, slots: list[int], acc, output, out: dict) -> None:
+    """Add into out, keyed by output(slots), the products of acc with the
+    factors i.. of _einsum under the slots bound so far.  Products are taken
+    left to right and added in visiting order; each step writes the letters
+    it binds into slots lo..hi before going on."""
+    entry_key, groups, lo, hi = walk[i]
+    entries = groups.get(entry_key(slots), ())
+    if i + 1 < len(walk):
+        for values, value in entries:
+            slots[lo:hi] = values
+            _walk(walk, i + 1, slots, value if acc is None else acc * value, output, out)
         return
-    joined, fresh, groups = plans[i]
-    for values, value in groups.get(tuple(bound[ch] for ch in joined), ()):
-        bound_next = {**bound, **dict(zip(fresh, values))}
-        yield from _walk(plans, output, i + 1, bound_next, value if acc is None else acc * value)
+    for values, value in entries:
+        slots[lo:hi] = values
+        key = output(slots)
+        term = value if acc is None else acc * value
+        out[key] = out[key] + term if key in out else term
 
 
 def _collect(pairs: Iterable[tuple[Index, Poly]]) -> dict[Index, Poly]:
@@ -468,9 +523,6 @@ class CurvatureField:
     def nonzero(self) -> dict[Index, Poly]:
         """The nonzero components keyed (a, b, c, d), in index order."""
         return _nonzero(self.dimension, 4, self.components)
-
-    def nonzero_entries(self) -> list[tuple[tuple[int, int, int, int], Poly]]:
-        return list(self.nonzero.items())
 
 
 def curvature(g: Connection) -> CurvatureField:

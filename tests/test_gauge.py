@@ -149,6 +149,25 @@ class TestFiniteAction:
         out.validate()
         out.induced_nc().validate()
 
+    @pytest.mark.parametrize(
+        "linear, translation",
+        [
+            ([[1, 0], [0, 1]], [0.1, Fraction(1, 3)]),
+            ([[1, 0], [0, 1]], [0, "1/3"]),
+            ([[1, 0.5], [0, 1]], [0, 0]),
+            ([[1, "2"], [0, 1]], [0, 0]),
+        ],
+        ids=["float-translation", "str-translation", "float-linear", "str-linear"],
+    )
+    def test_inexact_input_is_refused(self, linear, translation):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            AffineDiffeo.make(linear, translation)
+
+    def test_translation_is_canonical(self):
+        diffeo = AffineDiffeo.make([[1, 0], [0, 1]], [Fraction(4, 2), Fraction(1, 3)])
+        assert diffeo.translation == (2, Fraction(1, 3))
+        assert type(diffeo.translation[0]) is int
+
     def test_singular_linear_part_rejected(self):
         with pytest.raises(ValueError, match="affine map must be invertible"):
             AffineDiffeo.make([[1, 0, 0], [2, 1, 3], [4, 2, 6]], [0, 0, 0])

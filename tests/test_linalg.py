@@ -363,6 +363,18 @@ class TestMatrixOps:
         assert RationalMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
         assert RationalMatrix.from_rows([[Fraction(1, 2), 0], [7, 2]]).det() == 1
 
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    def test_inexact_entries_are_refused(self, entry):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            RationalMatrix.from_rows([[entry]])
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            RationalMatrix(1, 2, [[1, entry]])
+
+    def test_entries_are_canonical(self):
+        m = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [5, 0]])
+        assert m.entries == ((2, Fraction(1, 3)), (5, 0))
+        assert all(is_canonical(v) for row in m.entries for v in row)
+
     def test_det_of_empty_matrix_is_one(self):
         assert RationalMatrix(0, 0, []).det() == 1
         assert RationalMatrix.from_rows([]).det() == 1

@@ -196,6 +196,12 @@ class TestQueries:
     def test_evaluate(self):
         p = Fraction(3, 2) * t**2 * x1 + 1
         assert p.evaluate([2, Fraction(1, 3)]) == Fraction(3, 2) * 4 * Fraction(1, 3) + 1
+        assert type(p.evaluate([2, Fraction(2, 3)])) is int
+
+    @pytest.mark.parametrize("point", [[0.1, 0], [1, "1/3"], [True, 0]], ids=["float", "str", "bool"])
+    def test_evaluate_refuses_inexact_coordinates(self, point):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            (t + x1).evaluate(point)
 
     def test_substitute_affine(self):
         p = t * x1

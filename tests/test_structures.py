@@ -66,6 +66,16 @@ class TestGalileiValidation:
     def test_sheared_passes(self):
         sheared_galilei().validate()
 
+    @pytest.mark.parametrize(
+        "point", [[0, 0.5, 0, 0], [0, "1/3", 0, 0], [0, 0, True, 0]], ids=["float", "str", "bool"]
+    )
+    def test_inexact_sample_points_are_refused(self, point):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            flat_galilei(3).validate([point])
+
+    def test_exact_sample_points_pass(self):
+        flat_galilei(3).validate([[0, Fraction(1, 2), -3, Fraction(7, 3)]])
+
     def test_kernel_violation(self):
         dim = 2
         gamma = TensorField.build(

@@ -4,14 +4,19 @@ Newtonian symmetry check, all against hand-expanded oracles."""
 import gc
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncw.poly import Poly
 from ncw.structures import standard_structure
 from ncw.tensors import (
     Connection,
     TensorField,
+    _einsum,
+    _plan,
     apply_metric,
     check_newtonian,
     contract,
@@ -275,7 +280,7 @@ class TestCurvature:
         r = curvature(standard_connection(1, phi))
         assert r.comp(1, 0, 0, 1) == Poly.const(2, 2)
         assert r.comp(0, 1, 0, 1) == Poly.const(2, -2)
-        assert len(r.nonzero_entries()) == 2
+        assert len(r.nonzero) == 2
 
     def test_standard_mixed_potential_hessian_pattern(self):
         phi = Poly.variable(3, 1) * Poly.variable(3, 2)
@@ -434,16 +439,97 @@ class TestAbsentMeansZero:
 
         t, x1, x2, x3 = (Poly.variable(4, i) for i in range(4))
         s = standard_structure(3, x1**2 + x2**2 + t * x3).induced_nc()
-        curvature(s.connection)
+        x = vector(4, [Poly.const(4, 1), x2, -x1, t])
+
+        def contract():
+            lie_derivative(x, s.base.gamma)
+            check_newtonian(curvature(s.connection), s.base.gamma)
+
+        contract()
         gc.collect()
         gc.disable()
         try:
-            curvature(s.connection)
+            contract()
             assert gc.collect() == 0
             solve_symmetries(s, "galilei", 1)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def kernel_case(spec, dim, seed):
+    """Sparse factors for spec: entries drawn from a small pool, so that
+    sums cancel often; every other factor is a field, the rest plain dicts."""
+    rng = random.Random(seed)
+    x1 = Poly.variable(dim, 1)
+    pool = [Poly.const(dim, 1), Poly.const(dim, -1), Poly.const(dim, 2), x1, -x1,
+            x1 * Poly.variable(dim, 0)]
+    factors = []
+    for i, term in enumerate(spec.split("->")[0].split(",")):
+        entries = {
+            idx: rng.choice(pool)
+            for idx in product(range(dim), repeat=len(term))
+            if rng.random() < 0.5
+        }
+        if i % 2:
+            factors.append(entries)
+        else:
+            zero = Poly.zero(dim)
+            comps = tuple(entries.get(idx, zero) for idx in product(range(dim), repeat=len(term)))
+            factors.append(TensorField(dim, len(term), 0, comps))
+    return factors
+
+
+def dense_einsum(spec, dim, factors):
+    """The contraction by brute force: every assignment of every letter."""
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    letters = sorted(set(inputs) - {","})
+    entries = [getattr(f, "nonzero", f) for f in factors]
+    out = {}
+    for values in product(range(dim), repeat=len(letters)):
+        at = dict(zip(letters, values))
+        term = Poly.const(dim, 1)
+        for letters_of, factor in zip(terms, entries):
+            term = term * factor.get(tuple(at[ch] for ch in letters_of), Poly.zero(dim))
+        key = tuple(at[ch] for ch in output)
+        out[key] = out.get(key, Poly.zero(dim)) + term
+    return {key: value for key, value in out.items() if value}
+
+
+@st.composite
+def kernel_specs(draw):
+    """1 to 4 terms over at most 4 letters; a letter may repeat within a term
+    and the output is any ordering of some of the letters used."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    terms = draw(st.lists(st.text(letters, min_size=0, max_size=3), min_size=1, max_size=4))
+    used = sorted(set("".join(terms)))
+    output = draw(st.permutations(used))[: draw(st.integers(0, len(used)))]
+    return ",".join(terms) + "->" + "".join(output)
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_specs(), st.integers(2, 3), st.integers(0, 1000))
+    @example("aa->a", 3, 0)
+    @example("akk->a", 3, 1)
+    @example("k,k->", 2, 2)
+    @example("bac->abc", 3, 3)
+    @example("ckl,ak,bl->abc", 2, 4)
+    @example("ab,b,ab->", 2, 5)
+    def test_matches_the_dense_sum(self, spec, dim, seed):
+        factors = kernel_case(spec, dim, seed)
+        result = _einsum(spec, *factors)
+        assert result == dense_einsum(spec, dim, factors)
+        assert all(result.values())
+
+    def test_golden_matrix_compiles_few_specs(self):
+        from regen_golden import CASES, run_case
+
+        _plan.cache_clear()
+        for argv in CASES.values():
+            run_case(argv)
+        assert 0 < _plan.cache_info().currsize < 64
 
 
 def random_coriolis_field(rng, n, degree=2):
