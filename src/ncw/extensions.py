@@ -17,6 +17,9 @@ parameters:
   extension becomes central; on the flat structure it is the Bargmann
   algebra, whose cocycle pairs boosts with space translations and is not a
   coboundary.
+
+Cocycles, functionals and Bargmann parameters are taken only as ints and
+Fractions (``poly._exact``); a float, a string or a bool is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, time_part
+from .poly import Poly, _exact, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -383,7 +386,7 @@ def cocycle_triviality(
     CocycleError); returns either the coboundary witness lambda or an exact
     inconsistency certificate over the listed index pairs."""
     k = len(basis.fields)
-    c = [[Fraction(v) for v in row] for row in cocycle]
+    c = [[_exact(v) for v in row] for row in cocycle]
     if len(c) != k or any(len(row) != k for row in c):
         raise CocycleError("cocycle matrix size does not match the basis")
     for i in range(k):
@@ -427,7 +430,7 @@ def coboundary_from_functional(
     constants, closed = structure_constants(basis)
     if not closed:
         raise CocycleError("basis does not close")
-    lam = [Fraction(v) for v in functional]
+    lam = [_exact(v) for v in functional]
     k = len(basis.fields)
     return [
         [
@@ -472,22 +475,22 @@ class BargmannElement:
         om = [[Fraction(0)] * n for _ in range(n)]
         if omega:
             for (a, b), v in omega.items():
-                om[a - 1][b - 1] = Fraction(v)
-                om[b - 1][a - 1] = -Fraction(v)
+                om[a - 1][b - 1] = _exact(v)
+                om[b - 1][a - 1] = -om[a - 1][b - 1]
         be = [Fraction(0)] * n
         if beta:
             for a, v in beta.items():
-                be[a - 1] = Fraction(v)
+                be[a - 1] = _exact(v)
         si = [Fraction(0)] * n
         if sigma:
             for a, v in sigma.items():
-                si[a - 1] = Fraction(v)
+                si[a - 1] = _exact(v)
         return cls(
             tuple(tuple(r) for r in om),
             tuple(be),
             tuple(si),
-            Fraction(tau),
-            Fraction(xi),
+            _exact(tau),
+            _exact(xi),
         )
 
     def to_field(self) -> TensorField:

@@ -17,8 +17,10 @@ arrive in, can change a result.
 
 Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
 an int when integral, else a Fraction with a denominator above 1.  A
-RationalMatrix takes only int and Fraction entries (``poly._exact``); a
-float or a string is refused, not approximated.
+RationalMatrix, and the right-hand side of sparse_solve,
+solve_inhomogeneous and inconsistency_certificate, take only int and
+Fraction entries (``poly._exact``); a float, a string or a bool is refused,
+not approximated.
 
 Determinants and adjugates come from one division-free Faddeev-LeVerrier
 recursion that works over Fractions and Polys alike.
@@ -138,7 +140,7 @@ def inconsistency_certificate(
     matrix: RationalMatrix, rhs: Sequence[object]
 ) -> Optional[Vector]:
     """A row combination y with y.M = 0 but y.b != 0, if the system is inconsistent."""
-    vec = [Fraction(b) for b in rhs]
+    vec = [_exact(b) for b in rhs]
     for y in nullspace(matrix.transpose()):
         value = sum((a * b for a, b in zip(y, vec)), Fraction(0))
         if value != 0:
@@ -161,13 +163,18 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
       M_1 = 1,  c_k = -tr(A M_k) / k,  M_{k+1} = A M_k + c_k 1,
 
     which divides only by integers, so the entries may be Fractions or
-    Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n."""
+    Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n.  Beyond the
+    product by 0 that makes the entries' zero, no product with a zero factor
+    is taken: M_1 and most geometric A are sparse."""
     n = len(a)
     zero = a[0][0] * 0
     m = [[zero + 1 if i == l else zero for l in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         am = [
-            [sum((a[i][j] * m[j][l] for j in range(n) if a[i][j]), zero) for l in range(n)]
+            [
+                sum((a[i][j] * m[j][l] for j in range(n) if a[i][j] and m[j][l]), zero)
+                for l in range(n)
+            ]
             for i in range(n)
         ]
         c = sum((am[i][i] for i in range(n)), zero) * Fraction(-1, k)
@@ -175,7 +182,7 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
             break
         m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
     sign = (-1) ** n
-    return [[-sign * x for x in row] for row in m], sign * c
+    return [[-sign * x if x else x for x in row] for row in m], sign * c
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +342,7 @@ def sparse_solve(
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
         augmented = dict(row)
-        bb = _q(Fraction(b))
+        bb = _exact(b)
         if bb:
             augmented[ncols] = bb
         elim.add_row(augmented)

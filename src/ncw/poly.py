@@ -19,11 +19,18 @@ The zero polynomial has an empty term dictionary.  Stored coefficients are
 never zero, so two polynomials are equal iff their term dictionaries are.
 The public constructors check and canonicalize their input; arithmetic
 builds its already-canonical results through the trusted ``Poly._raw``.
+
+Most products in the tensor operators have a one-term operand, so a
+product takes the operand with fewer terms as its multiplier and runs no
+double loop when it has one term: a zero gives zero, the constant 1 gives
+the other Poly itself (shared, which immutability makes safe), another
+constant scales every coefficient and a monomial shifts every exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -161,10 +168,26 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
+        # the operand with fewer terms is the multiplier
+        big, small = (self, p) if len(self.terms) >= len(p.terms) else (p, self)
+        if len(small.terms) <= 1:
+            if not small.terms:
+                return small
+            ((e2, c2),) = small.terms.items()
+            if not any(e2):
+                if c2 == 1:
+                    return big
+                return Poly._raw(self.dimension, {e: _q(k * c2) for e, k in big.terms.items()})
+            # a monomial shifts every exponent once: distinct terms stay distinct
+            if c2 == 1:
+                terms = {tuple(map(add, e, e2)): k for e, k in big.terms.items()}
+            else:
+                terms = {tuple(map(add, e, e2)): _q(k * c2) for e, k in big.terms.items()}
+            return Poly._raw(self.dimension, terms)
         out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in p.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in big.terms.items():
+            for e2, c2 in small.terms.items():
+                exps = tuple(map(add, e1, e2))
                 if exps not in out:
                     out[exps] = _q(c1 * c2)
                 elif acc := out[exps] + c1 * c2:

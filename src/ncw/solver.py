@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator
@@ -96,7 +97,13 @@ class _FormPoly:
     Poly's.  The components of the generic field are of this type.  The
     tensor operators are linear in their vector field and need of it only
     +, unary -, products with a Poly on either side (Poly.__mul__ returns
-    NotImplemented for it), partial and truth."""
+    NotImplemented for it), partial and truth.
+
+    A form, once built, is never changed in place, because results share
+    the forms of their operands wherever a form carries over unchanged: a
+    product by 1 is the operand itself, a product by a monic monomial and
+    partial keep every form they do not scale, and + keeps every form it
+    does not merge.  A changed form is always a new dict."""
 
     __slots__ = ("dimension", "terms")
 
@@ -108,10 +115,19 @@ class _FormPoly:
         return bool(self.terms)
 
     def __add__(self, other: "_FormPoly") -> "_FormPoly":
-        out = {exps: dict(form) for exps, form in self.terms.items()}
+        out = dict(self.terms)
         for exps, form in other.terms.items():
-            _accumulate(out.setdefault(exps, {}), form, 1)
-        return _FormPoly(self.dimension, {e: form for e, form in out.items() if form})
+            mine = out.get(exps)
+            if mine is None:
+                out[exps] = form
+                continue
+            merged = dict(mine)
+            _accumulate(merged, form, 1)
+            if merged:
+                out[exps] = merged
+            else:
+                del out[exps]
+        return _FormPoly(self.dimension, out)
 
     def __neg__(self) -> "_FormPoly":
         return _FormPoly(
@@ -122,10 +138,23 @@ class _FormPoly:
     def __mul__(self, other: Poly) -> "_FormPoly":
         if not isinstance(other, Poly):
             return NotImplemented
+        if len(other.terms) == 1:
+            ((e2, c2),) = other.terms.items()
+            if c2 == 1:
+                if not any(e2):
+                    return self
+                terms = {tuple(map(add, e1, e2)): form for e1, form in self.terms.items()}
+            else:
+                # a nonzero multiple of a nonzero coefficient is nonzero
+                terms = {
+                    tuple(map(add, e1, e2)): {col: _q(c2 * v) for col, v in form.items()}
+                    for e1, form in self.terms.items()
+                }
+            return _FormPoly(self.dimension, terms)
         out: dict[Exponent, dict[int, Scalar]] = {}
         for e1, form in self.terms.items():
             for e2, coeff in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 _accumulate(out.setdefault(exps, {}), form, coeff)
         return _FormPoly(self.dimension, {e: form for e, form in out.items() if form})
 
@@ -143,11 +172,12 @@ class _FormPoly:
 
 def _accumulate(target: dict[int, Scalar], form: dict[int, Scalar], factor: Scalar) -> None:
     """target += factor * form, zero coefficients dropped."""
-    if factor != 1:
-        form = {col: _q(factor * v) for col, v in form.items()}
+    scale = factor != 1
     for col, v in form.items():
+        if scale:
+            v *= factor
         if col not in target:
-            target[col] = v
+            target[col] = _q(v)
         elif acc := target[col] + v:
             target[col] = _q(acc)
         else:

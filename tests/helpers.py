@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ncw.poly import Poly
 from ncw.tensors import Connection, one_form, vector
 
@@ -10,6 +12,33 @@ def is_canonical(c):
     """Whether c is a canonical exact coefficient: an int (not a bool), or a
     Fraction whose denominator exceeds 1."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+SHAPES = ("zero", "one", "constant", "monomial", "general")
+
+
+def nonzero_coefficients():
+    """Nonzero ints and Fractions, integral Fractions among them."""
+    return st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    ).filter(bool)
+
+
+@st.composite
+def shaped_polys(draw, dimension, shape):
+    """A Poly of the given shape: zero, the constant 1, another nonzero
+    constant, a monomial (often with coefficient 1) or up to five terms."""
+    exps = st.tuples(*[st.integers(0, 3)] * dimension)
+    if shape == "zero":
+        return Poly.zero(dimension)
+    if shape == "one":
+        return Poly.const(dimension, 1)
+    if shape == "constant":
+        return Poly.const(dimension, draw(nonzero_coefficients().filter(lambda c: c != 1)))
+    if shape == "monomial":
+        coeff = draw(st.one_of(st.just(1), nonzero_coefficients()))
+        return Poly.monomial(dimension, draw(exps.filter(any)), coeff)
+    return Poly(dimension, draw(st.dictionaries(exps, nonzero_coefficients(), max_size=5)))
 
 
 def var(dim, i):

@@ -589,6 +589,20 @@ class TestGalileiSolve:
 
 
 class TestBargmann:
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("param", ["omega", "beta", "sigma", "tau", "xi"])
+    def test_inexact_parameters_are_refused(self, param, entry):
+        value = {"omega": {(1, 2): entry}, "beta": {1: entry}, "sigma": {2: entry}}
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            BargmannElement.make(2, **{param: value.get(param, entry)})
+
+    def test_exact_parameters_are_kept_canonical(self):
+        b = BargmannElement.make(
+            2, omega={(1, 2): Fraction(4, 2)}, beta={1: Fraction(1, 3)}, tau=3, xi=Fraction(1, 2)
+        )
+        assert b.omega == ((0, 2), (-2, 0)) and type(b.omega[0][1]) is int
+        assert b.beta == (Fraction(1, 3), 0) and b.tau == 3 and b.xi == Fraction(1, 2)
+
     def test_translation_boost_center(self):
         b1 = BargmannElement.make(2, sigma={1: 1})
         b2 = BargmannElement.make(2, beta={1: 1})
@@ -682,6 +696,17 @@ class TestBargmann:
 
 
 class TestCocycles:
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    def test_inexact_cocycles_and_functionals_are_refused(self, entry):
+        basis = solve_symmetries(flat_structure(1).induced_nc(), "galilei", 1)
+        k = basis.dimension
+        cocycle = [[0] * k for _ in range(k)]
+        cocycle[0][1] = entry
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            cocycle_triviality(basis, cocycle)
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            coboundary_from_functional(basis, [entry] + [0] * (k - 1))
+
     def test_zero_cocycle_trivial(self):
         s = flat_structure(2)
         basis = solve_symmetries(s.induced_nc(), "galilei", 1)

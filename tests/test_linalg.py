@@ -370,6 +370,17 @@ class TestMatrixOps:
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             RationalMatrix(1, 2, [[1, entry]])
 
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    def test_inexact_right_hand_sides_are_refused(self, entry):
+        m = RationalMatrix.from_rows([[1], [0]])
+        for solve in (
+            lambda: sparse_solve([{0: 1}, {}], [1, entry], 1),
+            lambda: solve_inhomogeneous(m, [entry, 0]),
+            lambda: inconsistency_certificate(m, [0, entry]),
+        ):
+            with pytest.raises(TypeError, match="not an int or a Fraction"):
+                solve()
+
     def test_entries_are_canonical(self):
         m = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [5, 0]])
         assert m.entries == ((2, Fraction(1, 3)), (5, 0))

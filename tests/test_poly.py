@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_canonical
+from helpers import SHAPES, is_canonical, shaped_polys
 from ncw.poly import Poly, grlex_monomials, time_part
 
 
@@ -143,6 +143,36 @@ class TestRingAxioms:
         for result, oracle in cases:
             assert all(is_canonical(v) for v in result.terms.values()), result.terms
             assert result == oracle
+
+
+def reference_product(a, b):
+    """a * b by the all-Fraction double loop, built with the trusted
+    constructor: the oracle for every shape of operand."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return Poly._raw(a.dimension, {e: c for e, c in out.items() if c})
+
+
+@pytest.mark.parametrize("shape_b", SHAPES)
+@pytest.mark.parametrize("shape_a", SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_products_of_every_shape_match_the_double_loop(shape_a, shape_b, data):
+    a = data.draw(shaped_polys(2, shape_a))
+    b = data.draw(shaped_polys(2, shape_b))
+    before = (dict(a.terms), dict(b.terms))
+    oracle = reference_product(a, b)
+    for result in (a * b, b * a):
+        assert result == oracle
+        assert all(is_canonical(v) for v in result.terms.values()), result.terms
+        assert all(v != 0 for v in result.terms.values())
+    assert (a.terms, b.terms) == before
+    if shape_b == "one":
+        # a product by 1 is the other operand itself, not a copy
+        assert a * b is a
 
 
 class TestExactCoefficients:

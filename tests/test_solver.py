@@ -1,15 +1,19 @@
 """Symmetry solver: filtration dimensions, templates, nesting, classification,
 and structure constants."""
 
+import copy
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import basis_vector, is_canonical, var
+import ncw.solver
+from helpers import SHAPES, basis_vector, is_canonical, nonzero_coefficients, shaped_polys, var
 from ncw.linalg import SparseEliminator
-from ncw.poly import Poly
+from ncw.poly import Poly, _q
 from ncw.dsl import build_structure, parse_structure
 from ncw.solver import (
     FLAVORS,
@@ -623,3 +627,111 @@ def test_kernel_does_not_depend_on_row_order(text, flavor):
         kernels.append(elim.kernel())
     assert kernels[0] == kernels[1] == kernels[2]
     assert len(kernels[0]) == solve_symmetries(s, flavor, 3).dimension
+
+
+@st.composite
+def form_polys(draw, dimension=2):
+    """A _FormPoly over columns 0..3 whose terms often share one form."""
+    forms = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, 3), nonzero_coefficients().map(_q), min_size=1, max_size=3
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dimension), max_size=4, unique=True))
+    return _FormPoly(dimension, {e: draw(st.sampled_from(forms)) for e in keys})
+
+
+def reference_terms(pairs):
+    """The sum of coeff * form over (exponents, coeff, form) triples, in
+    Fractions, with zero coefficients and empty forms dropped."""
+    out = {}
+    for exps, coeff, form in pairs:
+        target = out.setdefault(exps, {})
+        for col, v in form.items():
+            target[col] = target.get(col, Fraction(0)) + Fraction(coeff) * Fraction(v)
+    out = {e: {col: v for col, v in form.items() if v} for e, form in out.items()}
+    return {e: form for e, form in out.items() if form}
+
+
+def assert_clean(result, oracle):
+    assert result.terms == oracle
+    for form in result.terms.values():
+        assert form and all(v != 0 and is_canonical(v) for v in form.values()), result.terms
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_form_poly_arithmetic_matches_a_brute_force_reference(shape, data):
+    f = data.draw(form_polys())
+    g = data.draw(form_polys())
+    p = data.draw(shaped_polys(2, shape))
+    before = copy.deepcopy((f.terms, g.terms, p.terms))
+    product = reference_terms(
+        (tuple(a + b for a, b in zip(e1, e2)), c, form)
+        for e1, form in f.terms.items()
+        for e2, c in p.terms.items()
+    )
+    assert_clean(f * p, product)
+    assert_clean(p * f, product)
+    total = [(e, 1, form) for h in (f, g) for e, form in h.terms.items()]
+    assert_clean(f + g, reference_terms(total))
+    for axis in range(2):
+        derivative = reference_terms(
+            (e[:axis] + (e[axis] - 1,) + e[axis + 1 :], e[axis], form)
+            for e, form in f.terms.items()
+            if e[axis]
+        )
+        assert_clean(f.partial(axis), derivative)
+    if shape == "one":
+        assert f * p is f and p * f is f
+    # results share forms with their operands, which therefore must not change
+    assert (f.terms, g.terms, p.terms) == before
+
+
+@pytest.mark.parametrize(
+    "text, flavor",
+    [("flat n=3", "milne"), ("standard n=3 phi = x1^2 + x2^2 + t*x3", "galilei")],
+)
+def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypatch):
+    # products by 1, monomial shifts, sums and partials share forms and Poly
+    # terms with their operands: none of them may be changed in place
+    s = build_structure(parse_structure(text + "\n")).nc
+
+    def structure_terms():
+        fields = (s.base.gamma, s.base.theta, s.connection)
+        return [{idx: p.terms for idx, p in f.nonzero.items()} for f in fields]
+
+    structure_before = copy.deepcopy(structure_terms())
+    generic, rows = [], []
+    lie_derivative, add_row = ncw.solver.lie_derivative, SparseEliminator.add_row
+
+    def recording_lie_derivative(x, t):
+        generic.append((x, copy.deepcopy([c.terms for c in x.components])))
+        return lie_derivative(x, t)
+
+    def recording_add_row(self, row):
+        rows.append((row, copy.deepcopy(row)))
+        return add_row(self, row)
+
+    monkeypatch.setattr(ncw.solver, "lie_derivative", recording_lie_derivative)
+    monkeypatch.setattr(SparseEliminator, "add_row", recording_add_row)
+    monos = ansatz_monomials(s.base.dimension, 3)
+    for row in _condition_rows(s, flavor, monos).values():
+        rows.append((row, copy.deepcopy(row)))
+    assert solve_symmetries(s, flavor, 3).dimension
+    assert generic and rows
+    assert structure_terms() == structure_before
+    for x, terms in generic:
+        assert [c.terms for c in x.components] == terms
+    for row, copied in rows:
+        assert row == copied
+    one = Poly.const(s.base.dimension, 1)
+    x, terms = generic[0]
+    for c, c_terms in zip(x.components, terms):
+        assert c * one is c and one * c is c
+        assert c.terms == c_terms

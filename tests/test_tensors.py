@@ -434,6 +434,32 @@ class TestAbsentMeansZero:
                 assert operands, (name, flavor)
                 assert all(a and b for a, b in operands), (name, flavor)
 
+    def test_transverse_metric_multiplies_only_nonzero_entries(self, monkeypatch):
+        from ncw.structures import flat_structure, transverse_metric
+
+        x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
+        structures = {
+            "flat n=2": flat_structure(2),
+            "flat n=3": flat_structure(3),
+            "oscillator n=2": standard_structure(2, x1**2 + x2**2),
+        }
+        original = Poly.__mul__
+        operands = []
+
+        def recorded(self, other):
+            operands.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", recorded)
+        monkeypatch.setattr(Poly, "__rmul__", recorded)
+        for name, s in structures.items():
+            operands.clear()
+            h = transverse_metric(s.base, s.u)
+            assert h == s.transverse, name
+            assert operands, name
+            # the adjugate's one product by the integer 0 makes its zero entry
+            assert [b for a, b in operands if not (a and b)] == [0], name
+
     def test_contractions_leave_no_reference_cycles(self):
         from ncw.solver import solve_symmetries
 
