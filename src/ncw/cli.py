@@ -33,12 +33,11 @@ from .poly import Poly
 from .report import (
     Report,
     basis_payload,
-    connection_entries,
     constants_payload,
-    curvature_entries,
     emit_report,
     field_components,
     generator_label,
+    index_entries,
 )
 from .solver import (
     NotInFlavorError,
@@ -113,17 +112,15 @@ def cmd_validate(built: BuiltStructure, args, report: Report) -> None:
 def cmd_connection(built: BuiltStructure, args, report: Report) -> None:
     ncb = _require_ncb(built, "connection")
     conn = ncb.induced_connection()
-    report.results["geodesic_part"] = connection_entries(ncb.geodesic_part)
-    report.results["force_form"] = [
-        {"index": list(idx), "value": str(value)} for idx, value in ncb.force.nonzero.items()
-    ]
-    report.results["components"] = connection_entries(conn)
+    report.results["geodesic_part"] = index_entries(ncb.geodesic_part)
+    report.results["force_form"] = index_entries(ncb.force)
+    report.results["components"] = index_entries(conn)
 
 
 def cmd_curvature(built: BuiltStructure, args, report: Report) -> None:
     r = curvature(built.nc.connection)
     ok, witness = check_newtonian(r, built.nc.base.gamma)
-    report.results["nonzero"] = curvature_entries(r)
+    report.results["nonzero"] = index_entries(r)
     report.results["newtonian"] = ok
     report.results["witness"] = list(witness) if witness else None
     if not ok:

@@ -155,7 +155,7 @@ def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> tuple[Poly, bool
     """f_X of a member: the primitive of df over the variables xi does not
     depend on, zero where they vanish, checked exactly against D(f) = R(X);
     (0, False) when that part of df is not closed (X does not extend)."""
-    if flavor == "milne" and any(not c.is_zero for c in s.base.theta.components[1:]):
+    if flavor == "milne" and any(idx != (0,) for idx in s.base.theta.nonzero):
         raise ExtensionError(
             "observer-stabilizer parameters need a clock theta without spatial components"
         )
@@ -176,7 +176,7 @@ def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
     """The polynomial f with d_a f = form_a along the given axes, zero where
     their coordinates vanish; the other coordinates ride along as
     parameters.  None when the form is not closed along the axes."""
-    comps = form.components
+    comps = [form.comp(a) for a in range(form.dimension)]
     if any(comps[a].partial(b) != comps[b].partial(a) for a, b in combinations(axes, 2)):
         return None
     terms: dict[tuple[int, ...], Fraction] = {}

@@ -37,9 +37,7 @@ from .structures import (
 )
 from .tensors import (
     TensorField,
-    _dense,
     _einsum,
-    _field,
     _slots,
     apply_metric,
     directional,
@@ -164,7 +162,8 @@ class AffineDiffeo:
         x = L^{-1}(y - c)."""
         dim = self.dimension
         shifted = {(j,): Poly.variable(dim, j) - c for j, c in enumerate(self.translation)}
-        return list(_dense(dim, 1, _einsum("ij,j->i", _entries(self.linear.inverse()), shifted)))
+        images = _einsum("ij,j->i", _entries(self.linear.inverse()), shifted)
+        return [images.get((a,)) or Poly.zero(dim) for a in range(dim)]
 
     def push_scalar(self, f: Poly) -> Poly:
         return f.substitute(self.inverse_images())
@@ -180,7 +179,7 @@ class AffineDiffeo:
         terms = [o + k if slot < t.p else k + o for slot, (o, k) in enumerate(zip(out, src))]
         spec = ",".join(terms + [src]) + "->" + out
         entries = _einsum(spec, *[linear] * t.p, *[inverse] * t.q, moved)
-        return _field(self.dimension, t.p, t.q, entries)
+        return TensorField(self.dimension, t.p, t.q, entries)
 
 
 @dataclass(frozen=True)
@@ -232,6 +231,4 @@ def nc_projection_invariance_check(
     shifted = finite_gauge_apply(s, gt)
     before = s.induced_connection()
     after = shifted.induced_connection()
-    return all(
-        (x - y).is_zero for x, y in zip(after.symbols, before.symbols)
-    )
+    return after == before

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Any
 
 from .solver import SymmetryBasis, fit_affine_template, fit_time_template
@@ -81,15 +82,13 @@ def emit_report(report: Report, structured: bool) -> str:
 # renderers for domain objects
 
 def field_components(t: TensorField) -> list[str]:
-    return [str(c) for c in t.components]
+    """Every component, zeros too, in index order."""
+    return [str(t.comp(*idx)) for idx in product(range(t.dimension), repeat=t.rank)]
 
 
-def connection_entries(conn: Connection) -> list[dict[str, Any]]:
-    return [{"index": list(idx), "value": str(sym)} for idx, sym in conn.nonzero.items()]
-
-
-def curvature_entries(r: CurvatureField) -> list[dict[str, Any]]:
-    return [{"index": list(idx), "value": str(value)} for idx, value in r.nonzero.items()]
+def index_entries(field: TensorField | Connection | CurvatureField) -> list[dict[str, Any]]:
+    """The nonzero entries of a field, in index order."""
+    return [{"index": list(idx), "value": str(v)} for idx, v in sorted(field.nonzero.items())]
 
 
 def generator_label(x: TensorField) -> str:

@@ -244,15 +244,11 @@ def solve_symmetries(
 
     fields = []
     for vec in kernel:
-        comps = []
-        for comp in range(dim):
-            terms = {}
-            for j, mono in enumerate(monos):
-                coeff = vec.get(comp * len(monos) + j)
-                if coeff:
-                    terms[mono] = coeff
-            comps.append(Poly(dim, terms))
-        fields.append(vector(dim, comps))
+        terms: list[dict[Exponent, Scalar]] = [{} for _ in range(dim)]
+        for col, coeff in vec.items():
+            comp, j = divmod(col, len(monos))
+            terms[comp][monos[j]] = coeff
+        fields.append(vector(dim, [Poly(dim, t) for t in terms]))
     return SymmetryBasis(s, fl, d, tuple(fields))
 
 

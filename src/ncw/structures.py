@@ -32,10 +32,8 @@ from .tensors import (
     Connection,
     TensorField,
     _add,
-    _dense,
     _derivative,
     _einsum,
-    _field,
     _neg,
     apply_metric,
     check_newtonian,
@@ -171,12 +169,11 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("transverse metric needs theta(U) = 1")
-    theta = g.theta.components
-    j = next((j for j, c in enumerate(theta) if c.total_degree() == 0), None)
+    j = min((j for (j,), c in g.theta.nonzero.items() if c.total_degree() == 0), default=None)
     if j is None:
         w = u.nonzero
     else:
-        w = {(j,): Poly.const(dim, Fraction(1, theta[j].coefficient((0,) * dim)))}
+        w = {(j,): Poly.const(dim, Fraction(1, g.theta.comp(j).coefficient((0,) * dim)))}
     n_entries = _add(g.gamma.nonzero, _einsum("a,b->ab", w, w))
     adj, det = adjugate(
         [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
@@ -201,7 +198,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         _neg(_einsum("ba->ab", tm)),
         _einsum("a,b,k,k->ab", g.theta, g.theta, m, u),
     )
-    return _field(dim, 0, 2, entries)
+    return TensorField(dim, 0, 2, entries)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +228,7 @@ def _geodesic_connection(
     p = _add(_einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", _derivative(g.theta), u))
     ug = _add(p, _einsum("bac->abc", p), _neg(_einsum("kab,ck->abc", dh, g.gamma)))
     half = Fraction(1, 2)
-    return Connection(g.dimension, _dense(g.dimension, 3, {i: v * half for i, v in ug.items()}))
+    return Connection(g.dimension, {i: v * half for i, v in ug.items()})
 
 
 def field_strength(a_form: TensorField) -> TensorField:
@@ -239,7 +236,7 @@ def field_strength(a_form: TensorField) -> TensorField:
     if (a_form.p, a_form.q) != (0, 1):
         raise ValueError("field_strength needs a 1-form")
     d = _derivative(a_form)
-    return _field(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
+    return TensorField(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
 
 
 def assemble_connection(
@@ -251,7 +248,7 @@ def assemble_connection(
     q = _einsum("a,bk,kc->abc", theta, force, gamma)
     half = Fraction(1, 2)
     mixed = {i: v * half for i, v in _add(q, _einsum("bac->abc", q)).items()}
-    return Connection(ug.dimension, _dense(ug.dimension, 3, _add(ug.nonzero, mixed)))
+    return Connection(ug.dimension, _add(ug.nonzero, mixed))
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +393,7 @@ def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:
 def geodesic_defect(conn: Connection, u: TensorField) -> TensorField:
     """U^a (d_a U^c + G_ab^c U^b) as a vector field; zero iff U is geodesic."""
     entries = _add(_einsum("a,ac->c", u, _derivative(u)), _einsum("a,abc,b->c", u, conn, u))
-    return _field(conn.dimension, 1, 0, entries)
+    return TensorField(conn.dimension, 1, 0, entries)
 
 
 def curl_defect(
@@ -405,4 +402,4 @@ def curl_defect(
     """Antisymmetric part of the h-lowered covariant derivative of U."""
     du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
     q = _einsum("bk,ka->ab", h, du)
-    return _field(conn.dimension, 0, 2, _add(q, _neg(_einsum("ba->ab", q))))
+    return TensorField(conn.dimension, 0, 2, _add(q, _neg(_einsum("ba->ab", q))))

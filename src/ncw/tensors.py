@@ -26,11 +26,14 @@ spec uses numpy's subscripts: one letter per slot of each factor, in the
 factor's index order above, then ``->`` and the letters of the result, so
 ``_einsum("bk,akcd->acbd", gamma, r)`` is gamma^{bk} R_akc^d keyed
 (a, c, b, d).  A letter repeated across or within factors is summed.  A
-factor is a field, read through its cached ``nonzero`` mapping from index
-tuple to component, or such a mapping itself.  An absent entry is zero: the
-kernel never visits it, and it leaves out every entry of the result that
-sums to zero.  The dense ``components`` / ``symbols`` tuple stays the only
-storage of a field.
+factor is a field, read through its ``nonzero`` mapping from index tuple to
+component, or such a mapping itself.  An absent entry is zero: the kernel
+never visits it, and it leaves out every entry of the result that sums to
+zero.  That mapping is the only storage of a ``TensorField``, a
+``Connection`` and a ``CurvatureField``: a dict from index tuple to nonzero
+component, with no zero value ever stored, so ``==`` compares fields and an
+operator's result is the kernel's entries as they are.  Its order is
+unspecified; whatever renders entries sorts them by index.
 
 Each spec is compiled once (``_plan``, cached): every letter gets a slot
 number, and each factor gets the positions of its index that must agree (a
@@ -53,7 +56,7 @@ a generic field whose components carry linear forms in the unknowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -69,14 +72,44 @@ def _index_tuples(dimension: int, rank: int) -> Iterable[Index]:
     return product(range(dimension), repeat=rank)
 
 
-def _nonzero(dimension: int, rank: int, components: Sequence[Poly]) -> dict[Index, Poly]:
-    return {idx: c for idx, c in zip(_index_tuples(dimension, rank), components) if c}
+_zero = cache(Poly.zero)  # the shared zero of each dimension, immutable
 
 
-def _dense(dimension: int, rank: int, entries: Mapping[Index, Poly]) -> tuple[Poly, ...]:
-    """The component tuple of sparse entries, absent ones zero."""
-    zero = Poly.zero(dimension)
-    return tuple(entries.get(idx, zero) for idx in _index_tuples(dimension, rank))
+def _check_index(dimension: int, rank: int, indices: Sequence[int]) -> None:
+    if len(indices) != rank:
+        raise ValueError(f"expected {rank} indices, got {len(indices)}")
+    for i in indices:
+        if not (isinstance(i, int) and 0 <= i < dimension):
+            raise ValueError(f"index {i!r} out of range for dimension {dimension}")
+
+
+class _Entries:
+    """What the three field classes share.  ``nonzero`` maps index tuples of
+    ``rank`` indices in range(dimension) to nonzero components of the field's
+    dimension; absent entries are zero."""
+
+    def __post_init__(self):
+        if not isinstance(self.nonzero, Mapping):
+            raise ValueError(
+                "a field takes a mapping from index tuple to nonzero component, "
+                f"not a {type(self.nonzero).__name__}"
+            )
+        for idx, value in self.nonzero.items():
+            if type(idx) is not tuple:
+                raise ValueError(f"index {idx!r} is not a tuple")
+            _check_index(self.dimension, self.rank, idx)
+            if not value:
+                raise ValueError(f"zero component stored at {idx}")
+            if getattr(value, "dimension", None) != self.dimension:
+                raise ValueError("component polynomial dimension mismatch")
+
+    def _get(self, indices: Index) -> Poly:
+        _check_index(self.dimension, self.rank, indices)
+        return self.nonzero.get(indices) or _zero(self.dimension)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nonzero
 
 
 def _slots(*counts: int) -> list[str]:
@@ -191,8 +224,8 @@ def _derivative(x) -> dict[Index, Poly]:
 
 
 @dataclass(frozen=True)
-class TensorField:
-    """Dense (p,q) tensor field with Poly components.
+class TensorField(_Entries):
+    """(p,q) tensor field: its nonzero Poly components by index tuple.
 
     Vector fields are the p=1, q=0 case and one-forms the p=0, q=1 case;
     both are plain TensorFields built with the helpers below.
@@ -201,41 +234,14 @@ class TensorField:
     dimension: int
     p: int
     q: int
-    components: tuple[Poly, ...]
-
-    def __post_init__(self):
-        expected = self.dimension ** (self.p + self.q)
-        if len(self.components) != expected:
-            raise ValueError(
-                f"need {expected} components for a ({self.p},{self.q}) tensor "
-                f"in dimension {self.dimension}, got {len(self.components)}"
-            )
-        for c in self.components:
-            if c.dimension != self.dimension:
-                raise ValueError("component polynomial dimension mismatch")
+    nonzero: dict[Index, Poly]
 
     @property
     def rank(self) -> int:
         return self.p + self.q
 
-    @cached_property
-    def nonzero(self) -> dict[Index, Poly]:
-        """The nonzero components by index tuple, in index order."""
-        return _nonzero(self.dimension, self.rank, self.components)
-
-    def _offset(self, indices: Sequence[int]) -> int:
-        n = self.dimension
-        off = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for dimension {n}")
-            off = off * n + i
-        return off
-
     def comp(self, *indices: int) -> Poly:
-        if len(indices) != self.rank:
-            raise ValueError(f"expected {self.rank} indices, got {len(indices)}")
-        return self.components[self._offset(indices)]
+        return self._get(indices)
 
     @classmethod
     def build(
@@ -245,13 +251,12 @@ class TensorField:
         q: int,
         fn: Callable[[tuple[int, ...]], Poly],
     ) -> "TensorField":
-        comps = tuple(fn(idx) for idx in _index_tuples(dimension, p + q))
-        return cls(dimension, p, q, comps)
+        entries = {idx: c for idx in _index_tuples(dimension, p + q) if (c := fn(idx))}
+        return cls(dimension, p, q, entries)
 
     @classmethod
     def zero(cls, dimension: int, p: int, q: int) -> "TensorField":
-        z = Poly.zero(dimension)
-        return cls(dimension, p, q, (z,) * dimension ** (p + q))
+        return cls(dimension, p, q, {})
 
     # ------------------------------------------------------------------
     # pointwise algebra
@@ -262,42 +267,40 @@ class TensorField:
 
     def __add__(self, other: "TensorField") -> "TensorField":
         self._check_same_shape(other)
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return TensorField(self.dimension, self.p, self.q, comps)
+        return TensorField(self.dimension, self.p, self.q, _add(self.nonzero, other.nonzero))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         self._check_same_shape(other)
-        comps = tuple(a - b for a, b in zip(self.components, other.components))
-        return TensorField(self.dimension, self.p, self.q, comps)
+        entries = _add(self.nonzero, _neg(other.nonzero))
+        return TensorField(self.dimension, self.p, self.q, entries)
 
     def __neg__(self) -> "TensorField":
-        return TensorField(self.dimension, self.p, self.q, tuple(-c for c in self.components))
+        return TensorField(self.dimension, self.p, self.q, _neg(self.nonzero))
 
     def scale(self, factor: Poly | Scalar) -> "TensorField":
-        comps = tuple(c * factor for c in self.components)
-        return TensorField(self.dimension, self.p, self.q, comps)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        entries = {idx: v for idx, c in self.nonzero.items() if (v := c * factor)}
+        return TensorField(self.dimension, self.p, self.q, entries)
 
     def __str__(self) -> str:
-        nonzero = [f"[{','.join(map(str, idx))}]={c}" for idx, c in self.nonzero.items()]
+        nonzero = [f"[{','.join(map(str, idx))}]={c}" for idx, c in sorted(self.nonzero.items())]
         return f"Tensor({self.p},{self.q}){{{'; '.join(nonzero) or '0'}}}"
-
-
-def _field(dimension: int, p: int, q: int, entries: Mapping[Index, Poly]) -> TensorField:
-    """The (p,q) field of sparse entries, absent ones zero."""
-    return TensorField(dimension, p, q, _dense(dimension, p + q, entries))
 
 
 def vector(dimension: int, components: Sequence[Poly]) -> TensorField:
     """A vector field X = X^a d_a from its component list."""
-    return TensorField(dimension, 1, 0, tuple(components))
+    return TensorField(dimension, 1, 0, _listed(dimension, components))
+
 
 def one_form(dimension: int, components: Sequence[Poly]) -> TensorField:
     """A 1-form from its component list."""
-    return TensorField(dimension, 0, 1, tuple(components))
+    return TensorField(dimension, 0, 1, _listed(dimension, components))
+
+
+def _listed(dimension: int, components: Sequence[Poly]) -> dict[Index, Poly]:
+    """The nonzero entries of a list of one component per index."""
+    if len(components) != dimension:
+        raise ValueError(f"need {dimension} components, got {len(components)}")
+    return {(a,): c for a, c in enumerate(components) if c}
 
 
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
@@ -306,7 +309,7 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
         raise ValueError("dimension mismatch")
     ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
     entries = _einsum(f"{ua}{la},{ub}{lb}->{ua}{ub}{la}{lb}", a, b)
-    return _field(a.dimension, a.p + b.p, a.q + b.q, entries)
+    return TensorField(a.dimension, a.p + b.p, a.q + b.q, entries)
 
 
 def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
@@ -317,7 +320,7 @@ def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
     term = ups + lows[:lower_slot] + ups[upper_slot] + lows[lower_slot + 1 :]
     kept = ups[:upper_slot] + ups[upper_slot + 1 :] + lows[:lower_slot] + lows[lower_slot + 1 :]
     entries = _einsum(f"{term}->{kept}", t)
-    return _field(t.dimension, t.p - 1, t.q - 1, entries)
+    return TensorField(t.dimension, t.p - 1, t.q - 1, entries)
 
 
 def apply_metric(t: TensorField, w: TensorField) -> TensorField:
@@ -329,14 +332,14 @@ def apply_metric(t: TensorField, w: TensorField) -> TensorField:
             "apply_metric needs a (2,0) tensor with a 1-form or a (0,2) tensor "
             "with a vector field, of one dimension"
         )
-    return _field(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
+    return TensorField(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
 
 
 def pairing(form: TensorField, vec: TensorField) -> Poly:
     """w_a X^a for a 1-form and a vector field."""
     if (form.p, form.q, vec.p, vec.q) != (0, 1, 1, 0) or form.dimension != vec.dimension:
         raise ValueError("pairing needs a 1-form, then a vector field, of one dimension")
-    return _dense(form.dimension, 0, _einsum("k,k->", form, vec))[0]
+    return _einsum("k,k->", form, vec).get(()) or _zero(form.dimension)
 
 
 def gradient(f: Poly) -> TensorField:
@@ -347,7 +350,7 @@ def gradient(f: Poly) -> TensorField:
 
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
-    return _dense(vec.dimension, 0, _einsum("k,k->", vec, gradient(f)))[0]
+    return _einsum("k,k->", vec, gradient(f)).get(()) or _zero(vec.dimension)
 
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -355,7 +358,7 @@ def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
     entries = _add(
         _einsum("k,ka->a", x, _derivative(y)), _neg(_einsum("k,ka->a", y, _derivative(x)))
     )
-    return _field(x.dimension, 1, 0, entries)
+    return TensorField(x.dimension, 1, 0, entries)
 
 
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
@@ -376,61 +379,41 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     for slot, b in enumerate(lows):
         moved = lows[:slot] + "z" + lows[slot + 1 :]
         parts.append(_einsum(f"{b}z,{ups}{moved}->{result}", dx, t))
-    return _field(t.dimension, t.p, t.q, _add(*parts))
+    return TensorField(t.dimension, t.p, t.q, _add(*parts))
 
 
 # ----------------------------------------------------------------------
 # connections
 
 @dataclass(frozen=True)
-class Connection:
+class Connection(_Entries):
     """Torsion-free Christoffel symbols; not a tensor, transported by its
     own Lie-derivative formula."""
 
     dimension: int
-    symbols: tuple[Poly, ...]  # flat [a][b][c] with a,b lower and c upper
+    nonzero: dict[Index, Poly]  # (a, b, c): G_ab^c, a and b lower, c upper
+    rank = 3
 
     def __post_init__(self):
-        n = self.dimension
-        if len(self.symbols) != n**3:
-            raise ValueError("need dimension^3 Christoffel entries")
+        super().__post_init__()
         torsion = _add(self.nonzero, _neg(_einsum("bac->abc", self)))
         if torsion:
             a, b, c = min(torsion)
             raise ValueError(f"connection has torsion at lower pair ({a},{b}), upper {c}")
 
     def symbol(self, a: int, b: int, c: int) -> Poly:
-        n = self.dimension
-        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-            raise ValueError(f"symbol index ({a},{b},{c}) out of range for dimension {n}")
-        return self.symbols[(a * n + b) * n + c]
+        return self._get((a, b, c))
 
     @classmethod
     def build(cls, dimension: int, fn: Callable[[int, int, int], Poly]) -> "Connection":
-        n = dimension
-        return cls(n, tuple(fn(a, b, c) for a in range(n) for b in range(n) for c in range(n)))
+        return cls(dimension, {idx: s for idx in _index_tuples(dimension, 3) if (s := fn(*idx))})
 
     @classmethod
     def zero(cls, dimension: int) -> "Connection":
-        z = Poly.zero(dimension)
-        return cls(dimension, (z,) * dimension**3)
-
-    def __add__(self, other: "Connection") -> "Connection":
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        return Connection(self.dimension, tuple(a + b for a, b in zip(self.symbols, other.symbols)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(s.is_zero for s in self.symbols)
-
-    @cached_property
-    def nonzero(self) -> dict[Index, Poly]:
-        """The nonzero symbols keyed (a, b, c), in index order."""
-        return _nonzero(self.dimension, 3, self.symbols)
+        return cls(dimension, {})
 
     def __str__(self) -> str:
-        nonzero = [f"[{a}{b}^{c}]={sym}" for (a, b, c), sym in self.nonzero.items()]
+        nonzero = [f"[{a}{b}^{c}]={sym}" for (a, b, c), sym in sorted(self.nonzero.items())]
         return f"Connection{{{'; '.join(nonzero) or '0'}}}"
 
 
@@ -444,7 +427,7 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
         raise ValueError("lie_derivative_connection needs a matching vector field")
     n = g.dimension
     dx = _derivative(x)  # (a, k): d_a X^k
-    ddx = _derivative(_field(n, 1, 1, dx))  # (a, b, c): d_a d_b X^c
+    ddx = _derivative(TensorField(n, 1, 1, dx))  # (a, b, c): d_a d_b X^c
     entries = _add(
         _einsum("z,zabc->cab", x, _derivative(g)),
         _einsum("zbc,az->cab", g, dx),
@@ -452,7 +435,7 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
         _neg(_einsum("abz,zc->cab", g, dx)),
         _einsum("abc->cab", ddx),
     )
-    return _field(n, 1, 2, entries)
+    return TensorField(n, 1, 2, entries)
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -465,7 +448,7 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
     """
     if gamma.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    symbols = _field(g.dimension, 1, 2, _einsum("abc->cab", g))
+    symbols = TensorField(g.dimension, 1, 2, _einsum("abc->cab", g))
     return raise_connection_transport(symbols, gamma, slots)
 
 
@@ -479,9 +462,9 @@ def raise_connection_transport(
     """
     n = ld.dimension
     if slots == 1:
-        return _field(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
+        return TensorField(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
     if slots == 2:
-        return _field(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
+        return TensorField(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
     raise ValueError("slots must be 1 or 2")
 
 
@@ -498,31 +481,22 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     for slot, b in enumerate(lows):
         moved = lows[:slot] + "z" + lows[slot + 1 :]
         parts.append(_neg(_einsum(f"y{b}z,{ups}{moved}->{result}", g, t)))
-    return _field(t.dimension, t.p, t.q + 1, _add(*parts))
+    return TensorField(t.dimension, t.p, t.q + 1, _add(*parts))
 
 
 @dataclass(frozen=True)
-class CurvatureField:
+class CurvatureField(_Entries):
     """Curvature components R.comp(a,b,c,d) = R_abc^d, antisymmetric in (a,b)."""
 
     dimension: int
-    components: tuple[Poly, ...]
+    nonzero: dict[Index, Poly]
+    rank = 4
 
     def comp(self, a: int, b: int, c: int, d: int) -> Poly:
-        n = self.dimension
-        return self.components[((a * n + b) * n + c) * n + d]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return self._get((a, b, c, d))
 
     def negated(self) -> "CurvatureField":
-        return CurvatureField(self.dimension, tuple(-c for c in self.components))
-
-    @cached_property
-    def nonzero(self) -> dict[Index, Poly]:
-        """The nonzero components keyed (a, b, c, d), in index order."""
-        return _nonzero(self.dimension, 4, self.components)
+        return CurvatureField(self.dimension, _neg(self.nonzero))
 
 
 def curvature(g: Connection) -> CurvatureField:
@@ -530,7 +504,7 @@ def curvature(g: Connection) -> CurvatureField:
     taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k."""
     s = _add(_derivative(g), _einsum("akd,bck->abcd", g, g))
     r = _add(s, _neg(_einsum("bacd->abcd", s)))
-    return CurvatureField(g.dimension, _dense(g.dimension, 4, r))
+    return CurvatureField(g.dimension, r)
 
 
 def check_newtonian(

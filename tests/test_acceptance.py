@@ -584,15 +584,15 @@ def test_criterion_11_property_suites():
     for _ in range(50):
         x = random_vector(rng, 2, 2)
         y = random_vector(rng, 2, 2)
-        s_t = TensorField(2, 1, 0, tuple(random_poly(rng, 2) for _ in range(2)))
-        t_t = TensorField(2, 0, 1, tuple(random_poly(rng, 2) for _ in range(2)))
+        s_t = TensorField.build(2, 1, 0, lambda idx: random_poly(rng, 2))
+        t_t = TensorField.build(2, 0, 1, lambda idx: random_poly(rng, 2))
         lhs = lie_derivative(x, tensor_product(s_t, t_t))
         rhs = tensor_product(lie_derivative(x, s_t), t_t) + tensor_product(
             s_t, lie_derivative(x, t_t)
         )
         if not (lhs - rhs).is_zero:
             ok = False
-        mixed = TensorField(2, 1, 1, tuple(random_poly(rng, 2) for _ in range(4)))
+        mixed = TensorField.build(2, 1, 1, lambda idx: random_poly(rng, 2))
         comm_lhs = lie_derivative(vector_bracket(x, y), mixed)
         comm_rhs = lie_derivative(x, lie_derivative(y, mixed)) - lie_derivative(
             y, lie_derivative(x, mixed)

@@ -144,11 +144,8 @@ class TestDocuments:
                 "phi = x1*x2\n"
             )
         )
-        reference = preset.nc.connection.symbols
         for built in (gauge, observer):
-            assert all(
-                (a - b).is_zero for a, b in zip(built.nc.connection.symbols, reference)
-            )
+            assert built.nc.connection == preset.nc.connection
 
     def test_explicit_connection_form(self):
         text = """

@@ -598,7 +598,10 @@ def test_rows_and_basis_stay_canonical_on_a_fractional_metric():
         fields = solve_symmetries(s, flavor, 2).fields
         assert fields, flavor
         assert all(
-            is_canonical(c) for f in fields for comp in f.components for c in comp.terms.values()
+            is_canonical(c)
+            for f in fields
+            for comp in f.nonzero.values()
+            for c in comp.terms.values()
         ), flavor
     # d/dx1 of (x1^2 / 2) u_0 is the int form x1 u_0
     form = _FormPoly(3, {(0, 0, 0): {0: 1}}) * (Fraction(1, 2) * var(3, 1) ** 2)
@@ -711,7 +714,7 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
     lie_derivative, add_row = ncw.solver.lie_derivative, SparseEliminator.add_row
 
     def recording_lie_derivative(x, t):
-        generic.append((x, copy.deepcopy([c.terms for c in x.components])))
+        generic.append((x, copy.deepcopy([c.terms for c in x.nonzero.values()])))
         return lie_derivative(x, t)
 
     def recording_add_row(self, row):
@@ -727,11 +730,11 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
     assert generic and rows
     assert structure_terms() == structure_before
     for x, terms in generic:
-        assert [c.terms for c in x.components] == terms
+        assert [c.terms for c in x.nonzero.values()] == terms
     for row, copied in rows:
         assert row == copied
     one = Poly.const(s.base.dimension, 1)
     x, terms = generic[0]
-    for c, c_terms in zip(x.components, terms):
+    for c, c_terms in zip(x.nonzero.values(), terms):
         assert c * one is c and one * c is c
         assert c.terms == c_terms

@@ -325,7 +325,7 @@ class TestTransverseMetric:
         start = time.perf_counter()
         h = transverse_metric(g, u)
         assert time.perf_counter() - start < 5
-        assert max(c.total_degree() for c in h.components) == 10
+        assert max(c.total_degree() for c in h.nonzero.values()) == 10
         _assert_transverse_contractions(g, u, h)
         s = ncb_structure(g, u, TensorField.zero(7, 0, 1))
         s.validate()
@@ -463,7 +463,7 @@ class TestAssembly:
         u = vector(2, [Poly.const(2, 1), t])
         ug = geodesic_connection(g, u)
         f = TensorField.zero(2, 0, 2)
-        assert assemble_connection(ug, g.theta, f, g.gamma).symbols == ug.symbols
+        assert assemble_connection(ug, g.theta, f, g.gamma) == ug
 
     def test_rejects_symmetric_force(self):
         g = flat_galilei(1)

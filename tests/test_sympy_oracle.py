@@ -66,14 +66,13 @@ def cases():
 def two_tensor(rng, xs, p, q):
     dim = len(xs)
     grid = [[qq(random_expr(rng, xs), xs) for _ in range(dim)] for _ in range(dim)]
-    flat = tuple(to_poly(grid[a][b], xs) for a in range(dim) for b in range(dim))
-    return grid, TensorField(dim, p, q, flat)
+    return grid, TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx[0]][idx[1]], xs))
 
 
 def one_slot(rng, xs, p, q):
     dim = len(xs)
     exprs = [qq(random_expr(rng, xs), xs) for _ in range(dim)]
-    return exprs, TensorField(dim, p, q, tuple(to_poly(e, xs) for e in exprs))
+    return exprs, TensorField.build(dim, p, q, lambda idx: to_poly(exprs[idx[0]], xs))
 
 
 def test_apply_metric_and_pairing_match_sympy_sums():
@@ -134,7 +133,7 @@ def test_transverse_metric_matches_the_sympy_inverse():
         expected = (gamma + u * u.T).inv() - theta * theta.T
         g = GalileiStructure(
             n,
-            TensorField(dim, 2, 0, tuple(to_poly(sympy.expand(e), xs) for e in gamma)),
+            TensorField.build(dim, 2, 0, lambda idx: to_poly(sympy.expand(gamma[idx]), xs)),
             one_form(dim, [to_poly(e, xs) for e in theta]),
         )
         h = transverse_metric(g, vector(dim, [to_poly(e, xs) for e in u]))
@@ -181,7 +180,7 @@ def test_covariant_derivative_matches_sympy_sums():
         sym, conn = random_connection(rng, xs)
         for p, q in SHAPES:
             grid = random_grid(rng, xs, p + q)
-            t = TensorField(dim, p, q, tuple(to_poly(grid[idx], xs) for idx in sorted(grid)))
+            t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             dt = covariant_derivative(conn, t)
             assert (dt.p, dt.q) == (p, q + 1)
             for idx in product(range(dim), repeat=p + q + 1):
@@ -230,7 +229,8 @@ def test_geodesic_and_assembled_connection_match_sympy_sums():
         )
 
         def fields(entries, p, q):
-            return TensorField(dim, p, q, tuple(to_poly(e, xs) for e in entries))
+            flat = dict(zip(product(range(dim), repeat=p + q), entries))
+            return TensorField.build(dim, p, q, lambda idx: to_poly(flat[idx], xs))
 
         g = GalileiStructure(n, fields(gamma, 2, 0), fields(theta, 0, 1))
         ug = geodesic_connection(g, fields(u, 1, 0))
@@ -267,7 +267,7 @@ def test_push_tensor_matches_sympy_sums():
         old = inv * (sympy.Matrix(xs) - sympy.Matrix(shift))
         for p, q in SHAPES:
             grid = random_grid(rng, xs, p + q)
-            t = TensorField(dim, p, q, tuple(to_poly(grid[idx], xs) for idx in sorted(grid)))
+            t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             moved = {
                 idx: qq(e.as_expr().subs(dict(zip(xs, old)), simultaneous=True), xs)
                 for idx, e in grid.items()
@@ -292,8 +292,8 @@ def test_geodesic_and_curl_defects_match_sympy_sums():
         sym, conn = random_connection(rng, xs)
         u = random_grid(rng, xs, 1)
         h = random_grid(rng, xs, 2)
-        u_t = TensorField(dim, 1, 0, tuple(to_poly(u[a,], xs) for a in range(dim)))
-        h_t = TensorField(dim, 0, 2, tuple(to_poly(h[idx], xs) for idx in sorted(h)))
+        u_t = TensorField.build(dim, 1, 0, lambda idx: to_poly(u[idx], xs))
+        h_t = TensorField.build(dim, 0, 2, lambda idx: to_poly(h[idx], xs))
         r = range(dim)
         # (DU)^c_a = d_a U^c + G_ak^c U^k
         du = {
@@ -312,7 +312,7 @@ def test_geodesic_and_curl_defects_match_sympy_sums():
 
 def random_tensor(rng, xs, p, q):
     grid = random_grid(rng, xs, p + q)
-    return grid, TensorField(len(xs), p, q, tuple(to_poly(grid[idx], xs) for idx in sorted(grid)))
+    return grid, TensorField.build(len(xs), p, q, lambda idx: to_poly(grid[idx], xs))
 
 
 def test_lie_derivative_matches_sympy_sums():
@@ -481,7 +481,7 @@ def test_milne_parameter_matches_a_sympy_ansatz_solve():
         dim = len(xs)
         g = GalileiStructure(
             dim - 1,
-            TensorField(dim, 2, 0, tuple(to_poly(sympy.S(e), xs) for row in gamma for e in row)),
+            TensorField.build(dim, 2, 0, lambda idx: to_poly(sympy.S(gamma[idx[0]][idx[1]]), xs)),
             one_form(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * (dim - 1)),
         )
         s = ncb_structure(g, vector(dim, [to_poly(sympy.S(e), xs) for e in u]),
@@ -496,7 +496,7 @@ def test_milne_parameter_matches_a_sympy_ansatz_solve():
             for _ in range(3)
         ]
         for x_t in list(fields) + combos:
-            x = [to_expr(c, xs) for c in x_t.components]
+            x = [to_expr(x_t.comp(a), xs) for a in range(dim)]
             f, ok = milne_f_split(x_t, s)
             f_expect, ok_expect = observer_parameter_oracle(gamma, v, x, xs)
             assert ok == ok_expect

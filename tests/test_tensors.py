@@ -14,6 +14,7 @@ from ncw.poly import Poly
 from ncw.structures import standard_structure
 from ncw.tensors import (
     Connection,
+    CurvatureField,
     TensorField,
     _einsum,
     _plan,
@@ -83,9 +84,12 @@ def random_poly(rng, dim, degree=2, terms=3):
 
 
 def random_tensor(rng, dim, p, q):
-    return TensorField(
-        dim, p, q, tuple(random_poly(rng, dim) for _ in range(dim ** (p + q)))
-    )
+    return TensorField.build(dim, p, q, lambda idx: random_poly(rng, dim))
+
+
+def stores_no_zero(*fields):
+    """Whether every field keeps only nonzero components."""
+    return all(all(f.nonzero.values()) for f in fields)
 
 
 def random_vector(rng, dim, degree=2):
@@ -112,6 +116,7 @@ class TestLieDerivative:
 
     def test_derivation_over_tensor_product(self):
         rng = random.Random(2)
+        x1 = Poly.variable(2, 1)
         for _ in range(25):
             x = random_vector(rng, 2)
             s = random_tensor(rng, 2, 1, 0)
@@ -121,6 +126,7 @@ class TestLieDerivative:
                 s, lie_derivative(x, t)
             )
             assert (lhs - rhs).is_zero
+            assert lhs == rhs and stores_no_zero(lhs, rhs, lhs - rhs, -rhs, lhs.scale(x1))
 
     def test_commutator_law(self):
         rng = random.Random(3)
@@ -133,6 +139,7 @@ class TestLieDerivative:
                 y, lie_derivative(x, t)
             )
             assert (lhs - rhs).is_zero
+            assert stores_no_zero(lhs, rhs, vector_bracket(x, y), lhs.scale(0))
 
     def test_scalar_contraction_consistency(self):
         rng = random.Random(4)
@@ -194,6 +201,9 @@ class TestLieDerivativeConnection:
             )
             x = random_vector(rng, n)
             ld = lie_derivative_connection(x, g)
+            assert stores_no_zero(g, ld, raise_connection(g, flat_gamma(2), 2))
+            raised = raise_connection_transport(ld, tensor_product(x, x), 1)
+            assert stores_no_zero(covariant_derivative(g, x), raised)
             for c in range(n):
                 for a in range(n):
                     for b in range(n):
@@ -302,6 +312,7 @@ class TestCurvature:
                 n, lambda a, b, c: halves[(min(a, b), max(a, b))] * (2 * c - 1)
             )
             r = curvature(g)
+            assert stores_no_zero(r, r.negated())
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
@@ -497,12 +508,7 @@ def kernel_case(spec, dim, seed):
             for idx in product(range(dim), repeat=len(term))
             if rng.random() < 0.5
         }
-        if i % 2:
-            factors.append(entries)
-        else:
-            zero = Poly.zero(dim)
-            comps = tuple(entries.get(idx, zero) for idx in product(range(dim), repeat=len(term)))
-            factors.append(TensorField(dim, len(term), 0, comps))
+        factors.append(entries if i % 2 else TensorField(dim, len(term), 0, entries))
     return factors
 
 
@@ -546,8 +552,16 @@ class TestKernel:
     def test_matches_the_dense_sum(self, spec, dim, seed):
         factors = kernel_case(spec, dim, seed)
         result = _einsum(spec, *factors)
-        assert result == dense_einsum(spec, dim, factors)
+        expected = dense_einsum(spec, dim, factors)
+        assert result == expected
         assert all(result.values())
+        # a field of the kernel's entries equals one of the same entries in
+        # the reverse order, and one built component by component
+        rank = len(spec.split("->")[1])
+        field = TensorField(dim, rank, 0, result)
+        assert field == TensorField(dim, rank, 0, dict(reversed(expected.items())))
+        zero = Poly.zero(dim)
+        assert field == TensorField.build(dim, rank, 0, lambda idx: expected.get(idx, zero))
 
     def test_golden_matrix_compiles_few_specs(self):
         from regen_golden import CASES, run_case
@@ -630,10 +644,8 @@ class TestBracketAndHelpers:
 
     def test_connection_torsion_rejected(self):
         dim = 2
-        syms = [Poly.zero(dim)] * 8
-        syms[(0 * dim + 1) * dim + 0] = Poly.const(dim, 1)  # G_01^0 != G_10^0
-        with pytest.raises(ValueError):
-            Connection(dim, tuple(syms))
+        with pytest.raises(ValueError, match="torsion"):
+            Connection(dim, {(0, 1, 0): Poly.const(dim, 1)})  # G_01^0 != G_10^0
 
 
 class TestIndexRange:
@@ -649,11 +661,45 @@ class TestIndexRange:
             with pytest.raises(ValueError, match="out of range"):
                 conn.symbol(*indices)
 
+    def test_curvature_index_out_of_range_raises(self):
+        r = curvature(standard_connection(1, Poly.variable(2, 1) ** 2))
+        for indices in [(0, 0, 0, 2), (0, 0, 0, -1), (2, 0, 0, 0), (1, 0, 0, 2)]:
+            with pytest.raises(ValueError, match="out of range"):
+                r.comp(*indices)
+
+    @pytest.mark.parametrize(
+        "make, rank",
+        [
+            (lambda entries: TensorField(2, 1, 1, entries), 2),
+            (lambda entries: Connection(2, entries), 3),
+            (lambda entries: CurvatureField(2, entries), 4),
+        ],
+        ids=["tensor", "connection", "curvature"],
+    )
+    def test_constructors_refuse_anything_but_nonzero_entries_in_range(self, make, rank):
+        one = Poly.const(2, 1)
+        assert make({}).is_zero
+        bad = [
+            {(0,) * rank: Poly.zero(2)},  # a zero value
+            {(0,) * (rank - 1) + (2,): one},  # out of range
+            {(0,) * (rank - 1) + (-1,): one},
+            {(0,) * (rank + 1): one},  # wrong length
+            {(0,) * (rank - 1): one},
+            {(0,) * rank: Poly.const(3, 1)},  # wrong dimension
+            {(0,) * rank: 1},
+            {str((0,) * rank): one},  # not a tuple
+            (one,) * 2**rank,  # a dense tuple, the old way
+            [one] * 2**rank,
+        ]
+        for entries in bad:
+            with pytest.raises(ValueError):
+                make(entries)
+
     def test_contraction_beyond_the_slot_letters_raises(self):
         # the kernel names each slot by a letter; 24 slots fit, 26 do not
         two = Poly.const(1, 2)
-        t12 = TensorField(1, 12, 0, (two,))
+        t12 = TensorField(1, 12, 0, {(0,) * 12: two})
         assert tensor_product(t12, t12).comp(*[0] * 24) == Poly.const(1, 4)
-        t13 = TensorField(1, 13, 0, (two,))
+        t13 = TensorField(1, 13, 0, {(0,) * 13: two})
         with pytest.raises(ValueError, match="more than 24 slots"):
             tensor_product(t13, t13)
