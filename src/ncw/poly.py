@@ -133,6 +133,11 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
+        # a sum with zero is the other operand itself, as a product by 1 is
+        if not p.terms:
+            return self
+        if not self.terms:
+            return p
         out = dict(self.terms)
         for exps, coeff in p.terms.items():
             if exps not in out:

@@ -6,16 +6,21 @@ Three nested flavors of infinitesimal symmetry:
 * milne     - coriolis fields that also preserve the once-raised symbols
               gamma^{bk} G_ak^c (the contraction is taken after transporting
               the symbols, the only reading that makes the non-tensorial
-              connection transportable; valid on the L_X gamma = 0 kernel);
+              connection transportable; valid on the L_X gamma = 0 kernel,
+              which is where the solver imposes it);
 * galilei   - coriolis fields preserving the full connection.
 
 The infinite-dimensional algebras are explored through an exhaustive degree
 filtration: for bound d the component ansatz spans the monomials t^j x^alpha
 with j <= d and j + |alpha| <= d + 1, i.e. time-coefficient functions of
 degree up to d in the spatially-affine solution templates are all reachable
-at bound d.  Assembly is one joint sparse linear system per flavor; kernels
-come out in canonical reduced echelon form, so bases are reproducible
-regardless of evaluation order.
+at bound d.  The nesting makes the solve a chain of sparse linear systems:
+L_X gamma = 0 and L_X theta = 0 over the full ansatz give the Coriolis
+kernel, which is the coriolis basis; milne and galilei then impose their
+connection condition on the kernel's coordinates alone and map the result
+back.  Kernels come out in canonical reduced echelon form, so bases are
+reproducible regardless of evaluation order, and the chain gives the very
+basis one joint system over the full ansatz would.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import comb
 from operator import add
 from typing import Literal, Sequence
 
-from .linalg import SparseEliminator
+from .linalg import SparseEliminator, SparseRow
 from .poly import Exponent, Poly, Scalar, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
@@ -184,30 +189,43 @@ def _accumulate(target: dict[int, Scalar], form: dict[int, Scalar], factor: Scal
             del target[col]
 
 
-def _condition_rows(
-    s: NCStructure, flavor: Flavor, monos: Sequence[Exponent]
+def _generic_field(
+    dim: int, monos: Sequence[Exponent], columns: Sequence[SparseRow]
+) -> TensorField:
+    """The generic field sum_i y_i v_i, whose unknown y_i is column i and
+    whose v_i = columns[i] are ansatz vectors: position c * len(monos) + j
+    holds the coefficient of component c on the monomial m_j."""
+    terms: list[dict[Exponent, dict[int, Scalar]]] = [{} for _ in range(dim)]
+    for i, vec in enumerate(columns):
+        for pos, coeff in vec.items():
+            comp, j = divmod(pos, len(monos))
+            terms[comp].setdefault(monos[j], {})[i] = coeff
+    return vector(dim, [_FormPoly(dim, t) for t in terms])
+
+
+def _metric_pair_rows(
+    s: NCStructure, monos: Sequence[Exponent]
 ) -> dict[tuple, dict[int, Scalar]]:
-    """The flavor's defining equations on the generic field
-    X^c = sum_j u_{c,j} m_j, whose unknown u_{c,j} is column c * len(monos) + j.
-    The operators run once per condition block; each (block, index, monomial)
-    term of the result is one row, keyed so."""
+    """Stage one: L_X gamma and L_X theta on the generic field over the full
+    ansatz, X^c = sum_j u_{c,j} m_j with u_{c,j} in column c * len(monos) + j.
+    Each (block, index, monomial) term of the result is one row, keyed so."""
     g = s.base
-    dim = g.dimension
-    x = vector(
-        dim,
-        [
-            _FormPoly(dim, {m: {c * len(monos) + j: 1} for j, m in enumerate(monos)})
-            for c in range(dim)
-        ],
-    )
-    blocks = [lie_derivative(x, g.gamma), lie_derivative(x, g.theta)]
-    if flavor == "galilei":
-        blocks.append(lie_derivative_connection(x, s.connection))
-    elif flavor == "milne":
-        blocks.append(
-            raise_connection_transport(lie_derivative_connection(x, s.connection), g.gamma, 1)
-        )
-    return _form_rows(blocks)
+    units = [{i: 1} for i in range(g.dimension * len(monos))]
+    x = _generic_field(g.dimension, monos, units)
+    return _form_rows([lie_derivative(x, g.gamma), lie_derivative(x, g.theta)])
+
+
+def _connection_rows(
+    s: NCStructure, flavor: Flavor, kernel: Sequence[SparseRow], monos: Sequence[Exponent]
+) -> dict[tuple, dict[int, Scalar]]:
+    """Stage two: the flavor's connection condition on Y = sum_i y_i k_i over
+    the Coriolis kernel vectors k_i, with y_i in column i, keyed like stage
+    one's rows with block 0."""
+    y = _generic_field(s.base.dimension, monos, kernel)
+    block = lie_derivative_connection(y, s.connection)
+    if flavor == "milne":
+        block = raise_connection_transport(block, s.base.gamma, 1)
+    return _form_rows([block])
 
 
 def _form_rows(blocks: Sequence[TensorField]) -> dict[tuple, object]:
@@ -219,6 +237,35 @@ def _form_rows(blocks: Sequence[TensorField]) -> dict[tuple, object]:
         for idx, poly in field.nonzero.items()
         for exps, form in poly.terms.items()
     }
+
+
+def _kernel(rows: dict[tuple, dict[int, Scalar]], ncols: int) -> list[SparseRow]:
+    """Canonical kernel of a stage's rows over ncols unknowns."""
+    elim = SparseEliminator(ncols)
+    # one-entry rows first: every later row sees all their known-zero columns
+    for key in sorted(rows, key=lambda k: (len(rows[k]) > 1, k)):
+        elim.add_row(rows[key])
+    return elim.kernel()
+
+
+def _restrict(
+    s: NCStructure, flavor: Flavor, kernel: Sequence[SparseRow], monos: Sequence[Exponent]
+) -> list[SparseRow]:
+    """The canonical kernel of the joint system, from the canonical Coriolis
+    kernel K = [k_0 ... k_{m-1}] and stage two over its m coordinates.
+
+    Each k_i holds 1 at its free column f_i, 0 at every other f_j and
+    nothing past f_i, with the f_i ascending; the stage-two kernel vectors w
+    have the same shape over the coordinates.  So the vectors sum_i w_i k_i
+    have it over the ansatz, and are already the canonical basis of the
+    joint kernel: no elimination over the ansatz is needed again."""
+    out = []
+    for w in _kernel(_connection_rows(s, flavor, kernel, monos), len(kernel)):
+        vec: SparseRow = {}
+        for i, coeff in w.items():
+            _accumulate(vec, kernel[i], coeff)
+        out.append(vec)
+    return out
 
 
 def solve_symmetries(
@@ -235,12 +282,9 @@ def solve_symmetries(
     if columns > MAX_ANSATZ_COLUMNS:
         raise ValueError(f"ansatz of {columns} columns exceeds the limit {MAX_ANSATZ_COLUMNS}")
     monos = ansatz_monomials(dim, d)
-    rows = _condition_rows(s, fl, monos)
-    elim = SparseEliminator(dim * len(monos))
-    # one-entry rows first: every later row sees all their known-zero columns
-    for key in sorted(rows, key=lambda k: (len(rows[k]) > 1, k)):
-        elim.add_row(rows[key])
-    kernel = elim.kernel()
+    kernel = _kernel(_metric_pair_rows(s, monos), dim * len(monos))
+    if fl != "coriolis" and kernel:
+        kernel = _restrict(s, fl, kernel, monos)
 
     fields = []
     for vec in kernel:

@@ -156,6 +156,14 @@ def reference_product(a, b):
     return Poly._raw(a.dimension, {e: c for e, c in out.items() if c})
 
 
+def reference_sum(a, b):
+    """a + b in Fractions, built with the trusted constructor."""
+    out = {e: Fraction(c) for e, c in a.terms.items()}
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + Fraction(c)
+    return Poly._raw(a.dimension, {e: c for e, c in out.items() if c})
+
+
 @pytest.mark.parametrize("shape_b", SHAPES)
 @pytest.mark.parametrize("shape_a", SHAPES)
 @settings(max_examples=15, deadline=None)
@@ -169,10 +177,18 @@ def test_products_of_every_shape_match_the_double_loop(shape_a, shape_b, data):
         assert result == oracle
         assert all(is_canonical(v) for v in result.terms.values()), result.terms
         assert all(v != 0 for v in result.terms.values())
+    for result in (a + b, b + a):
+        assert result == reference_sum(a, b)
+        assert all(is_canonical(v) for v in result.terms.values()), result.terms
     assert (a.terms, b.terms) == before
     if shape_b == "one":
         # a product by 1 is the other operand itself, not a copy
         assert a * b is a
+    # and so is a sum with zero
+    assert a + 0 is a and 0 + a is a
+    if shape_b == "zero":
+        # a zero self is returned as it is, so of two zeros the left one
+        assert a + b is a and b + a is (a if a.terms else b)
 
 
 class TestExactCoefficients:

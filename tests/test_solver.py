@@ -19,8 +19,11 @@ from ncw.solver import (
     FLAVORS,
     NotInFlavorError,
     SymmetryBasis,
-    _condition_rows,
+    _connection_rows,
     _FormPoly,
+    _kernel,
+    _metric_pair_rows,
+    _restrict,
     ansatz_monomials,
     classify,
     fit_affine_template,
@@ -29,9 +32,16 @@ from ncw.solver import (
     structure_constants,
     verify_coriolis_identity,
 )
-from ncw.structures import NCStructure, flat_galilei, flat_structure, standard_structure
+from ncw.structures import (
+    GalileiStructure,
+    NCStructure,
+    flat_galilei,
+    flat_structure,
+    standard_structure,
+)
 from ncw.tensors import (
     Connection,
+    TensorField,
     lie_derivative,
     lie_derivative_connection,
     raise_connection_transport,
@@ -576,13 +586,51 @@ def rows_column_by_column(s, flavor, monos):
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
+def projected_rows(rows, kernel):
+    """The joint rows of the connection block (block 2) restricted to
+    Y = sum_i y_i k_i: row r becomes {i: r . k_i}, keyed with block 0 like
+    stage two's rows; rows that vanish on the kernel are left out."""
+    out = {}
+    for (block, idx, exps), row in rows.items():
+        if block != 2:
+            continue
+        projected = {i: sum(row.get(c, 0) * v for c, v in k.items()) for i, k in enumerate(kernel)}
+        if projected := {i: v for i, v in projected.items() if v}:
+            out[(0, idx, exps)] = projected
+    return out
+
+
+def ansatz_vectors(basis, monos):
+    """Each basis field as its sparse vector over the ansatz columns."""
+    index = {m: j for j, m in enumerate(monos)}
+    return [
+        {c * len(monos) + index[m]: v for (c,), p in f.nonzero.items() for m, v in p.terms.items()}
+        for f in basis.fields
+    ]
+
+
+def kernel_in_order(rows, order, ncols):
+    elim = SparseEliminator(ncols)
+    for key in order:
+        elim.add_row(rows[key])
+    return elim.kernel()
+
+
 @pytest.mark.parametrize("sample", ["flat2", "oscillator", "sheared"])
 def test_one_pass_rows_equal_the_column_by_column_rows(sample):
+    # stage one's rows are the joint metric-pair rows; stage two's are the
+    # joint connection rows on the coordinates of the Coriolis kernel
     s = build_structure(parse_structure((SAMPLES / f"{sample}.ncw").read_text())).nc
     monos = ansatz_monomials(s.base.dimension, 2)
-    for flavor in FLAVORS:
-        rows = _condition_rows(s, flavor, monos)
-        assert rows == rows_column_by_column(s, flavor, monos), flavor
+    metric = _metric_pair_rows(s, monos)
+    assert all(metric.values())
+    assert metric == rows_column_by_column(s, "coriolis", monos)
+    kernel = _kernel(metric, s.base.dimension * len(monos))
+    for flavor in ("milne", "galilei"):
+        joint = rows_column_by_column(s, flavor, monos)
+        assert metric == {key: row for key, row in joint.items() if key[0] < 2}, flavor
+        rows = _connection_rows(s, flavor, kernel, monos)
+        assert rows == projected_rows(joint, kernel), flavor
         assert all(rows.values()), flavor
 
 
@@ -592,9 +640,13 @@ def test_rows_and_basis_stay_canonical_on_a_fractional_metric():
     text = "n = 2\ngamma[1][1] = 1/2\ngamma[2][2] = 2\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\n"
     s = build_structure(parse_structure(text)).nc
     monos = ansatz_monomials(3, 2)
+    metric = _metric_pair_rows(s, monos)
+    kernel = _kernel(metric, 3 * len(monos))
+    stages = [_connection_rows(s, flavor, kernel, monos) for flavor in ("milne", "galilei")]
+    for rows in [metric] + stages:
+        assert rows
+        assert all(is_canonical(v) for form in rows.values() for v in form.values())
     for flavor in FLAVORS:
-        rows = _condition_rows(s, flavor, monos)
-        assert all(is_canonical(v) for form in rows.values() for v in form.values()), flavor
         fields = solve_symmetries(s, flavor, 2).fields
         assert fields, flavor
         assert all(
@@ -614,22 +666,72 @@ def test_rows_and_basis_stay_canonical_on_a_fractional_metric():
     [("flat n=3", "milne"), ("standard n=3 phi = x1^2 + x2^2 + t*x3", "galilei")],
 )
 def test_kernel_does_not_depend_on_row_order(text, flavor):
-    # the reduced echelon form is unique, so the solver may feed its rows in
-    # whatever order eliminates fastest
+    # the reduced echelon form is unique, so each stage may feed its rows in
+    # whatever order eliminates fastest, and the chain gives the canonical
+    # kernel of the joint system in any order
     s = build_structure(parse_structure(text + "\n")).nc
     monos = ansatz_monomials(s.base.dimension, 3)
-    rows = _condition_rows(s, flavor, monos)
-    shuffled = sorted(rows)
-    random.Random(5).shuffle(shuffled)
-    orders = [sorted(rows, key=lambda k: (len(rows[k]) > 1, k)), sorted(rows), shuffled]
-    kernels = []
-    for order in orders:
-        elim = SparseEliminator(s.base.dimension * len(monos))
-        for key in order:
-            elim.add_row(rows[key])
-        kernels.append(elim.kernel())
+    ncols = s.base.dimension * len(monos)
+
+    def orders(rows):
+        shuffled = sorted(rows)
+        random.Random(5).shuffle(shuffled)
+        return [sorted(rows, key=lambda k: (len(rows[k]) > 1, k)), sorted(rows), shuffled]
+
+    metric = _metric_pair_rows(s, monos)
+    kernels = [kernel_in_order(metric, order, ncols) for order in orders(metric)]
     assert kernels[0] == kernels[1] == kernels[2]
-    assert len(kernels[0]) == solve_symmetries(s, flavor, 3).dimension
+    rows = _connection_rows(s, flavor, kernels[0], monos)
+    coords = [kernel_in_order(rows, order, len(kernels[0])) for order in orders(rows)]
+    assert coords[0] == coords[1] == coords[2]
+    basis = solve_symmetries(s, flavor, 3)
+    assert len(coords[0]) == basis.dimension
+    joint = rows_column_by_column(s, flavor, monos)
+    assert ansatz_vectors(basis, monos) == kernel_in_order(joint, orders(joint)[2], ncols)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_zero_matches_the_joint_kernel(n, flavor):
+    phi = sum((var(n + 1, a) ** 2 for a in range(1, n + 1)), var(n + 1, 0) * var(n + 1, n))
+    monos = ansatz_monomials(n + 1, 0)
+    for s in (flat_structure(n).induced_nc(), standard_structure(n, phi).induced_nc()):
+        joint = rows_column_by_column(s, flavor, monos)
+        basis = solve_symmetries(s, flavor, 0)
+        assert basis.dimension
+        expected = kernel_in_order(joint, sorted(joint), (n + 1) * len(monos))
+        assert ansatz_vectors(basis, monos) == expected
+
+
+@pytest.mark.parametrize("flavor", ["milne", "galilei"])
+def test_no_stage_two_rows_keeps_the_coriolis_basis(flavor):
+    # at degree 0 every flat Coriolis field is affine: its second derivatives
+    # and the flat symbols vanish, so L_X G has no term on the kernel
+    s = flat_structure(2).induced_nc()
+    monos = ansatz_monomials(3, 0)
+    kernel = _kernel(_metric_pair_rows(s, monos), 3 * len(monos))
+    assert kernel
+    assert _connection_rows(s, flavor, kernel, monos) == {}
+    assert _restrict(s, flavor, kernel, monos) == kernel
+    coriolis = solve_symmetries(s, "coriolis", 0).fields
+    assert solve_symmetries(s, flavor, 0).fields == coriolis
+
+
+def test_empty_coriolis_kernel():
+    # gamma^11 = 1 + t x1 admits no Coriolis field at these degrees, so
+    # stage two never runs; on an empty kernel it has no rows and no basis
+    dim = 2
+    gamma = TensorField(dim, 2, 0, {(1, 1): 1 + var(dim, 0) * var(dim, 1)})
+    theta = TensorField(dim, 0, 1, {(0,): Poly.const(dim, 1)})
+    s = NCStructure(GalileiStructure(1, gamma, theta), Connection.zero(dim))
+    for d in range(3):
+        for flavor in FLAVORS:
+            assert solve_symmetries(s, flavor, d).fields == (), (flavor, d)
+    flat = flat_structure(1).induced_nc()
+    monos = ansatz_monomials(dim, 1)
+    for flavor in ("milne", "galilei"):
+        assert _connection_rows(flat, flavor, [], monos) == {}
+        assert _restrict(flat, flavor, [], monos) == []
 
 
 @st.composite
@@ -702,7 +804,9 @@ def test_form_poly_arithmetic_matches_a_brute_force_reference(shape, data):
 )
 def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypatch):
     # products by 1, monomial shifts, sums and partials share forms and Poly
-    # terms with their operands: none of them may be changed in place
+    # terms with their operands, and the map back reads the Coriolis kernel
+    # vectors after stage two has used them: none of them may be changed in
+    # place
     s = build_structure(parse_structure(text + "\n")).nc
 
     def structure_terms():
@@ -710,29 +814,45 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
         return [{idx: p.terms for idx, p in f.nonzero.items()} for f in fields]
 
     structure_before = copy.deepcopy(structure_terms())
-    generic, rows = [], []
-    lie_derivative, add_row = ncw.solver.lie_derivative, SparseEliminator.add_row
+    generic, rows, kernels = [], [], []
+    add_row, kernel = SparseEliminator.add_row, SparseEliminator.kernel
 
-    def recording_lie_derivative(x, t):
-        generic.append((x, copy.deepcopy([c.terms for c in x.nonzero.values()])))
-        return lie_derivative(x, t)
+    def recording(operator):
+        def record(x, t):
+            generic.append((x, copy.deepcopy([c.terms for c in x.nonzero.values()])))
+            return operator(x, t)
+
+        return record
 
     def recording_add_row(self, row):
         rows.append((row, copy.deepcopy(row)))
         return add_row(self, row)
 
-    monkeypatch.setattr(ncw.solver, "lie_derivative", recording_lie_derivative)
+    def recording_kernel(self):
+        vectors = kernel(self)
+        kernels.append((vectors, copy.deepcopy(vectors)))
+        return vectors
+
+    for name in ("lie_derivative", "lie_derivative_connection"):
+        monkeypatch.setattr(ncw.solver, name, recording(getattr(ncw.solver, name)))
     monkeypatch.setattr(SparseEliminator, "add_row", recording_add_row)
-    monos = ansatz_monomials(s.base.dimension, 3)
-    for row in _condition_rows(s, flavor, monos).values():
-        rows.append((row, copy.deepcopy(row)))
+    monkeypatch.setattr(SparseEliminator, "kernel", recording_kernel)
     assert solve_symmetries(s, flavor, 3).dimension
-    assert generic and rows
+    # stage one's field (for gamma, then theta), then stage two's, whose
+    # unknowns are the coordinates on the Coriolis kernel
+    assert len(generic) == 3 and generic[0][0] is generic[1][0]
+    assert len(kernels) == 2 and rows
+    coriolis = kernels[0][0]
+    assert {
+        col for c in generic[2][0].nonzero.values() for form in c.terms.values() for col in form
+    } == set(range(len(coriolis)))
     assert structure_terms() == structure_before
     for x, terms in generic:
         assert [c.terms for c in x.nonzero.values()] == terms
     for row, copied in rows:
         assert row == copied
+    for vectors, copied in kernels:
+        assert vectors == copied
     one = Poly.const(s.base.dimension, 1)
     x, terms = generic[0]
     for c, c_terms in zip(x.nonzero.values(), terms):

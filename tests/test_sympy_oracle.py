@@ -3,8 +3,9 @@ curved inputs: the metric contractions, the raised connection symbols,
 the transverse metric, curvature, the covariant derivative, the geodesic
 and assembled connections, the geodesic and curl defects, the affine
 pushforward, the Lie derivatives of tensors and connections, the raised
-transport, the vector bracket and the directional derivative; and the
-observer-stabilizer gauge parameter against an ansatz solve.
+transport, the vector bracket and the directional derivative; the
+observer-stabilizer gauge parameter against an ansatz solve; and the
+chained Milne and Galilei solves against the nullspace of the joint system.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -18,6 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -503,3 +506,120 @@ def test_milne_parameter_matches_a_sympy_ansatz_solve():
             assert same(f, f_expect, xs)
             checked += ok
     assert checked > 20
+
+
+def joint_kernel_oracle(s, flavor, degree):
+    """The canonical kernel basis of the flavor's joint system, every
+    condition block on one generic field over the ansatz, from sympy's
+    DomainMatrix nullspace over QQ: one sparse vector per free column, with
+    X^c's coefficient on the j-th ansatz monomial in column c * M + j.
+
+    The field, its Lie derivatives and the raised transport are written out
+    as index sums over sympy's sparse polynomial ring in the coordinates
+    and the unknowns, so each condition is linear in the unknowns."""
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
+
+    from ncw.solver import ansatz_monomials
+
+    dim = s.base.dimension
+    monos = ansatz_monomials(dim, degree)
+    ncols = dim * len(monos)
+    _, *gens = ring([f"x{i}" for i in range(dim)] + [f"u{i}" for i in range(ncols)], sympy.QQ)
+    xs, us = gens[:dim], gens[dim:]
+    zero = us[0] * 0
+
+    def monomial(exps):
+        return sympy.prod([x**e for x, e in zip(xs, exps)], start=zero + 1)
+
+    def lift(p):
+        return sum((sympy.QQ(c.numerator, c.denominator) * monomial(exps)
+                    for exps, c in p.terms.items()), zero)
+
+    r = range(dim)
+    gamma = {(a, b): lift(s.base.gamma.comp(a, b)) for a in r for b in r}
+    theta = [lift(s.base.theta.comp(a)) for a in r]
+    sym = {(a, b, c): lift(s.connection.symbol(a, b, c)) for a in r for b in r for c in r}
+    x = [sum((us[c * len(monos) + j] * monomial(m) for j, m in enumerate(monos)), zero)
+         for c in r]
+    dx = {(c, k): x[c].diff(xs[k]) for c in r for k in r}
+    blocks = [
+        {(a, b): sum((x[k] * gamma[a, b].diff(xs[k]) - gamma[k, b] * dx[a, k]
+                      - gamma[a, k] * dx[b, k] for k in r), zero)
+         for a in r for b in r},
+        {(a,): sum((x[k] * theta[a].diff(xs[k]) + theta[k] * dx[k, a] for k in r), zero)
+         for a in r},
+    ]
+    ld = {
+        (c, a, b): dx[c, a].diff(xs[b]) + sum(
+            (x[k] * sym[a, b, c].diff(xs[k]) + sym[k, b, c] * dx[k, a]
+             + sym[a, k, c] * dx[k, b] - sym[a, b, k] * dx[c, k] for k in r), zero)
+        for c in r for a in r for b in r
+    }
+    if flavor == "galilei":
+        blocks.append(ld)
+    else:
+        blocks.append({(b, c, a): sum((gamma[b, k] * ld[c, a, k] for k in r), zero)
+                       for a in r for b in r for c in r})
+    rows = {}
+    for block, conditions in enumerate(blocks):
+        for idx, condition in conditions.items():
+            for monom, coeff in condition.terms():
+                (col,) = [i for i, e in enumerate(monom[dim:]) if e]
+                rows.setdefault((block, idx, monom[:dim]), {})[col] = coeff
+    matrix = DomainMatrix(dict(enumerate(rows.values())), (len(rows), ncols), sympy.QQ)
+    null = matrix.nullspace(divide_last=True).to_dod()
+    basis = [{c: Fraction(int(v.numerator), int(v.denominator)) for c, v in null[i].items()}
+             for i in sorted(null)]
+    return basis, matrix
+
+
+@st.composite
+def oracle_structures(draw):
+    """(structure, label): a preset over n <= 2 with a small random
+    potential of degree <= 2, which may vanish (the flat preset), or the
+    sheared metric pair."""
+    from ncw.structures import GalileiStructure, ncb_structure, standard_structure
+    from ncw.tensors import one_form, vector
+
+    if draw(st.integers(0, 4)) == 0:
+        x1 = Poly.variable(3, 1)
+        gamma = {(1, 1): Poly.const(3, 1), (1, 2): x1, (2, 1): x1, (2, 2): 1 + x1 * x1}
+        dt = one_form(3, [Poly.const(3, 1), Poly.zero(3), Poly.zero(3)])
+        g = GalileiStructure(2, TensorField(3, 2, 0, gamma), dt)
+        unit = vector(3, [Poly.const(3, 1), Poly.zero(3), Poly.zero(3)])
+        return ncb_structure(g, unit, one_form(3, [Poly.zero(3)] * 3)).induced_nc(), "sheared"
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * (n + 1)).filter(lambda e: sum(e) <= 2)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    phi = Poly(n + 1, draw(st.dictionaries(exps, coeffs, max_size=3)))
+    return standard_structure(n, phi).induced_nc(), f"standard n={n} phi = {phi}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_structures(), flavor=st.sampled_from(["milne", "galilei"]),
+       degree=st.integers(0, 2))
+def test_chained_solve_matches_the_joint_sympy_nullspace(case, flavor, degree):
+    # the solver eliminates the metric pair first and the connection block
+    # on the Coriolis kernel's coordinates; the oracle solves every block
+    # at once over the full ansatz
+    from sympy.polys.matrices import DomainMatrix
+
+    from ncw.solver import ansatz_monomials, solve_symmetries
+
+    s, label = case
+    expected, matrix = joint_kernel_oracle(s, flavor, degree)
+    monos = {m: j for j, m in enumerate(ansatz_monomials(s.base.dimension, degree))}
+    solved = [
+        {c * len(monos) + monos[m]: v for (c,), p in f.nonzero.items() for m, v in p.terms.items()}
+        for f in solve_symmetries(s, flavor, degree).fields
+    ]
+    # the same span: every solved field satisfies the joint system, and the
+    # dimensions agree
+    for vec in solved:
+        entries = {c: {0: sympy.QQ(v.numerator, v.denominator)} for c, v in vec.items()}
+        column = DomainMatrix(entries, (matrix.shape[1], 1), sympy.QQ)
+        assert (matrix * column).to_dod() == {}, label
+    assert len(solved) == len(expected), label
+    # and the same canonical basis, vector for vector
+    assert solved == expected, label
