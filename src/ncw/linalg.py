@@ -23,7 +23,7 @@ Fraction entries (``poly._exact``); a float, a string or a bool is refused,
 not approximated.
 
 Determinants and adjugates come from one division-free Faddeev-LeVerrier
-recursion that works over Fractions and Polys alike.
+recursion that works over ints, Fractions and Polys alike.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def det(self) -> Fraction:
+    def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        return adjugate(self.entries)[1] if self.rows else Fraction(1)
+        return adjugate(self.entries)[1] if self.rows else 1
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -162,12 +162,16 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
 
       M_1 = 1,  c_k = -tr(A M_k) / k,  M_{k+1} = A M_k + c_k 1,
 
-    which divides only by integers, so the entries may be Fractions or
-    Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n.  Beyond the
-    product by 0 that makes the entries' zero, no product with a zero factor
-    is taken: M_1 and most geometric A are sparse."""
+    which divides only by integers, so the entries may be ints, Fractions or
+    Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n.  Scalars are kept
+    canonical (``poly._q``), as a Poly keeps its coefficients, so an integer
+    matrix, whose c_k and M_k are all integers, takes int arithmetic only.
+    Beyond the product by 0 that makes the entries' zero, no product with a
+    zero factor is taken: M_1 and most geometric A are sparse."""
     n = len(a)
     zero = a[0][0] * 0
+    canon = _q if isinstance(zero, (int, Fraction)) else _unchanged
+    zero = canon(zero)
     m = [[zero + 1 if i == l else zero for l in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         am = [
@@ -177,12 +181,17 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
             ]
             for i in range(n)
         ]
-        c = sum((am[i][i] for i in range(n)), zero) * Fraction(-1, k)
+        c = canon(sum((am[i][i] for i in range(n)), zero) * Fraction(-1, k))
         if k == n:
             break
         m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
     sign = (-1) ** n
-    return [[-sign * x if x else x for x in row] for row in m], sign * c
+    return [[canon(-sign * x) if x else zero for x in row] for row in m], canon(sign * c)
+
+
+def _unchanged(x):
+    """A Poly is canonical already."""
+    return x
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,9 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     adj(N)/det(N); h is polynomial exactly when det(N) is a nonzero
     constant, and StructureError names the determinant otherwise.  W is
     e_j / theta_j for the first constant nonzero theta_j (U when there is
-    none), so that N does not depend on U.
+    none), so that N does not depend on U.  When every entry of N is
+    constant, the adjugate runs on the coefficients and is lifted to
+    constant Polys; it is the same matrix, without Poly arithmetic.
     """
     g._valid_pair
     dim = g.dimension
@@ -175,9 +177,18 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     else:
         w = {(j,): Poly.const(dim, Fraction(1, g.theta.comp(j).coefficient((0,) * dim)))}
     n_entries = _add(g.gamma.nonzero, _einsum("a,b->ab", w, w))
-    adj, det = adjugate(
-        [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
-    )
+    origin = (0,) * dim
+    if all(c.total_degree() == 0 for c in n_entries.values()):
+        adj, det = adjugate(
+            [[n_entries[a, b].coefficient(origin) if (a, b) in n_entries else 0
+              for b in range(dim)] for a in range(dim)]
+        )
+        adj = [[Poly.const(dim, v) for v in row] for row in adj]
+        det = Poly.const(dim, det)
+    else:
+        adj, det = adjugate(
+            [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
+        )
     if det.is_zero:
         raise StructureError(
             "gamma + W(x)W is singular; gamma is rank deficient beyond the theta kernel"
@@ -187,7 +198,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
             f"det(gamma + W(x)W) = {det} is not a nonzero constant; the "
             "transverse metric of U is not polynomial"
         )
-    inverse = Fraction(1, det.coefficient((0,) * dim))
+    inverse = Fraction(1, det.coefficient(origin))
     n_inv = {(a, b): v * inverse for a, row in enumerate(adj) for b, v in enumerate(row) if v}
     # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
     m = _einsum("k,kb->b", u, n_inv)
@@ -274,16 +285,33 @@ class NCStructure:
 
 @dataclass(frozen=True)
 class NCBStructure:
-    """Gauge presentation (gamma, theta, U, A) with the derived observer
-    dictionary cached: V, phi, the force form F, and the transverse metric."""
+    """Gauge presentation (gamma, theta, U, A), the only fields.  The derived
+    observer dictionary is cached on first use, from those fields alone: V,
+    phi, the force form F and the transverse metric h."""
 
     base: GalileiStructure
     u: TensorField
     a_form: TensorField
-    v: TensorField
-    phi: Poly
-    force: TensorField
-    transverse: TensorField
+
+    @cached_property
+    def _observer(self) -> tuple[TensorField, Poly]:
+        return observer_and_potential(self.base, self.u, self.a_form)
+
+    @property
+    def v(self) -> TensorField:
+        return self._observer[0]
+
+    @property
+    def phi(self) -> Poly:
+        return self._observer[1]
+
+    @cached_property
+    def force(self) -> TensorField:
+        return field_strength(self.a_form)
+
+    @cached_property
+    def transverse(self) -> TensorField:
+        return transverse_metric(self.base, self.u)
 
     def validate(self) -> None:
         self.base.validate()
@@ -302,11 +330,6 @@ class NCBStructure:
                 raise StructureError("transverse metric does not annihilate U")
             if any(row == a for row, _ in defect):
                 raise StructureError("transverse metric contraction failed")
-        if not (self.force - field_strength(self.a_form)).is_zero:
-            raise StructureError("force form is not the field strength of A")
-        v_expect, phi_expect = observer_and_potential(self.base, self.u, self.a_form)
-        if not (self.v - v_expect).is_zero or self.phi != phi_expect:
-            raise StructureError("observer dictionary out of sync")
 
     @cached_property
     def geodesic_part(self) -> Connection:
@@ -356,16 +379,14 @@ def potential_to_gauge(
 def ncb_structure(
     g: GalileiStructure, u: TensorField, a_form: TensorField
 ) -> NCBStructure:
-    v, phi = observer_and_potential(g, u, a_form)
-    return NCBStructure(
-        base=g,
-        u=u,
-        a_form=a_form,
-        v=v,
-        phi=phi,
-        force=field_strength(a_form),
-        transverse=transverse_metric(g, u),
-    )
+    """The NCB structure of (gamma, theta, U, A).  The transverse metric of U
+    is computed here, so that a U without a polynomial one is refused when
+    the structure is built; V, phi and F wait for their first use."""
+    if (a_form.p, a_form.q) != (0, 1) or a_form.dimension != g.dimension:
+        raise ValueError("the gauge form A must be a 1-form of the structure's dimension")
+    s = NCBStructure(g, u, a_form)
+    s.transverse
+    return s
 
 
 def standard_structure(n: int, phi: Poly) -> NCBStructure:

@@ -338,6 +338,14 @@ class TestConnectionAndCurvature:
         code, _, _ = run(capsys, "connection", "--input", str(sheared))
         assert code == 0
         assert len(calls) == 1
+        # gauge: once for U, and twice for the shifted U, in potential_to_gauge
+        # and in the shifted structure's connection
+        calls.clear()
+        code, _, _ = run(
+            capsys, "gauge", "--input", str(sheared), "--psi", "psi[1] = x2", "--f", "t*x1"
+        )
+        assert code == 0
+        assert len(calls) == 3
 
     def test_flat_curvature(self, capsys, flat2):
         code, out, _ = run(capsys, "curvature", "--input", flat2, "--format", "json")

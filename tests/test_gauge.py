@@ -3,14 +3,17 @@ finite action, and invariance of the induced Newton-Cartan data."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import basis_vector, random_one_form, random_poly, random_vector, var
+from ncw.dsl import build_structure, parse_structure
 from ncw.gauge import (
     AffineDiffeo,
     FiniteGauge,
     GaugeElement,
+    _shifted,
     finite_gauge_apply,
     gauge_bracket,
     infinitesimal_gauge,
@@ -120,6 +123,36 @@ class TestFiniteAction:
             assert nc_projection_invariance_check(
                 s, random_one_form(rng, 3), random_poly(rng, 3)
             )
+
+    @pytest.mark.parametrize("name", ["flat", "oscillator", "sheared"])
+    def test_invariance_check_is_the_identity_gauge_without_a_pushforward(
+        self, name, monkeypatch
+    ):
+        x1, x2 = var(3, 1), var(3, 2)
+        if name == "sheared":
+            text = (Path(__file__).parent.parent / "samples" / "sheared.ncw").read_text()
+            s = build_structure(parse_structure(text)).ncb
+        else:
+            s = standard_structure(2, x1**2 + x2**2 if name == "oscillator" else Poly.zero(3))
+        rng = random.Random(36)
+        shifts = [(random_one_form(rng, 3), random_poly(rng, 3)) for _ in range(4)]
+        identity = [
+            finite_gauge_apply(s, FiniteGauge(AffineDiffeo.identity(3), *shift))
+            for shift in shifts
+        ]
+
+        def no_pushforward(self, t):
+            raise AssertionError("the invariance check pushed a field forward")
+
+        monkeypatch.setattr(AffineDiffeo, "push_tensor", no_pushforward)
+        for shift, pushed in zip(shifts, identity):
+            # the shifted structure is the identity gauge's, field for field
+            shifted = _shifted(s, *shift)
+            assert (shifted.base, shifted.u, shifted.a_form) == (
+                pushed.base, pushed.u, pushed.a_form
+            )
+            expected = pushed.induced_connection() == s.induced_connection()
+            assert nc_projection_invariance_check(s, *shift) == expected
 
     def test_matched_boost_recovers_flat_data(self):
         # y1 = x1 + b t with boost form -b dx1 and scalar -b x1 - b^2 t / 2

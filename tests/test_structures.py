@@ -12,6 +12,7 @@ from helpers import basis_vector, is_canonical, random_one_form, random_poly, va
 from ncw.poly import Poly
 from ncw.structures import (
     GalileiStructure,
+    NCBStructure,
     NCStructure,
     StructureError,
     assemble_connection,
@@ -547,16 +548,6 @@ class TestNCBInvariants:
             s.validate()
             s.induced_nc().validate()
 
-    def test_force_must_be_the_field_strength_of_the_gauge_form(self):
-        s = flat_structure(1)
-        x1 = var(2, 1)
-        force = TensorField.build(
-            2, 0, 2, lambda idx: {(0, 1): x1, (1, 0): -x1}.get(idx, Poly.zero(2))
-        )
-        bad = dataclasses.replace(s, force=force)
-        with pytest.raises(StructureError, match="field strength"):
-            bad.validate()
-
     def test_boosted_ether_field(self):
         # Eq-built connection for U = d_t + t d_1 on flat data stays Newtonian
         g = flat_galilei(1)
@@ -565,3 +556,45 @@ class TestNCBInvariants:
         s = ncb_structure(g, u, TensorField.zero(2, 0, 1))
         s.validate()
         s.induced_nc().validate()
+
+
+class TestOneSource:
+    """V, phi, F and h are derived from (gamma, theta, U, A) alone."""
+
+    def test_the_gauge_presentation_is_the_only_state(self):
+        names = [f.name for f in dataclasses.fields(NCBStructure)]
+        assert names == ["base", "u", "a_form"]
+
+    def test_derived_values_equal_their_formulas(self):
+        rng = random.Random(43)
+        t = var(3, 0)
+        cases = [
+            (flat_galilei(2), basis_vector(3, 0)),
+            (flat_galilei(2), vector(3, [Poly.const(3, 1), t, -t])),
+            (sheared_galilei(), basis_vector(3, 0)),
+        ]
+        for g, u in cases:
+            for _ in range(4):
+                a = random_one_form(rng, 3)
+                s = ncb_structure(g, u, a)
+                v, phi = observer_and_potential(g, u, a)
+                assert s.v == v
+                assert s.phi == phi
+                assert s.force == field_strength(a)
+                assert s.transverse == transverse_metric(g, u)
+                s.validate()
+
+    def test_a_transverse_metric_that_is_not_polynomial_is_refused_on_construction(self):
+        # gamma^11 = 1 + t: det N = 1 + t, so h is not polynomial
+        dim = 2
+        gamma = TensorField(dim, 2, 0, {(1, 1): 1 + var(dim, 0)})
+        g = GalileiStructure(1, gamma, one_form(dim, [Poly.const(dim, 1), Poly.zero(dim)]))
+        with pytest.raises(StructureError, match="not a nonzero constant"):
+            ncb_structure(g, basis_vector(dim, 0), TensorField.zero(dim, 0, 1))
+
+    @pytest.mark.parametrize(
+        "a_form", [TensorField.zero(3, 1, 0), TensorField.zero(2, 0, 1)], ids=["vector", "dimension"]
+    )
+    def test_a_gauge_form_of_the_wrong_shape_is_refused(self, a_form):
+        with pytest.raises(ValueError, match="1-form"):
+            ncb_structure(flat_galilei(2), basis_vector(3, 0), a_form)

@@ -4,8 +4,9 @@ the transverse metric, curvature, the covariant derivative, the geodesic
 and assembled connections, the geodesic and curl defects, the affine
 pushforward, the Lie derivatives of tensors and connections, the raised
 transport, the vector bracket and the directional derivative; the
-observer-stabilizer gauge parameter against an ansatz solve; and the
-chained Milne and Galilei solves against the nullspace of the joint system.
+observer-stabilizer gauge parameter against an ansatz solve; the chained
+Milne and Galilei solves against the nullspace of the joint system; and the
+scalar adjugate and determinant against sympy's.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -623,3 +624,43 @@ def test_chained_solve_matches_the_joint_sympy_nullspace(case, flavor, degree):
     assert len(solved) == len(expected), label
     # and the same canonical basis, vector for vector
     assert solved == expected, label
+
+
+@st.composite
+def scalar_matrices(draw):
+    """A square matrix with n = 1..5 of ints, or of ints and Fractions, made
+    singular by a repeated or a zero row one time in three."""
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-4, 4)
+    entries = ints if draw(st.booleans()) else st.one_of(
+        ints, st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    )
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.sampled_from([0, 1, -2, Fraction(1, 3)]))
+        rows[i] = [scale * v for v in rows[j]]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=scalar_matrices())
+def test_scalar_adjugate_matches_sympy_and_its_poly_lift(a):
+    from helpers import is_canonical
+
+    from ncw.linalg import adjugate
+
+    n = len(a)
+    adj, det = adjugate(a)
+    reference = sympy.Matrix(n, n, lambda i, j: sympy.Rational(a[i][j].numerator, a[i][j].denominator))
+    expected = reference.adjugate()
+    assert [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in adj] == (
+        expected.tolist()
+    )
+    assert sympy.Rational(det.numerator, det.denominator) == reference.det()
+    # canonical: an int when integral, a Fraction otherwise
+    assert all(is_canonical(v) for row in adj for v in row) and is_canonical(det)
+    # the same recursion over constant Polys gives the lifted result
+    adj_poly, det_poly = adjugate([[Poly.const(2, v) for v in row] for row in a])
+    assert adj_poly == [[Poly.const(2, v) for v in row] for row in adj]
+    assert det_poly == Poly.const(2, det)

@@ -446,13 +446,22 @@ class TestAbsentMeansZero:
                 assert all(a and b for a, b in operands), (name, flavor)
 
     def test_transverse_metric_multiplies_only_nonzero_entries(self, monkeypatch):
+        from pathlib import Path
+
+        from ncw.dsl import build_structure, parse_structure
         from ncw.structures import flat_structure, transverse_metric
 
         x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
+        sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
+        # N = gamma + W(x)W is constant for the presets, so the adjugate runs
+        # on its coefficients and takes no Poly product with a zero operand;
+        # the sheared N is polynomial, and the adjugate's one product by the
+        # integer 0 makes its zero entry
         structures = {
-            "flat n=2": flat_structure(2),
-            "flat n=3": flat_structure(3),
-            "oscillator n=2": standard_structure(2, x1**2 + x2**2),
+            "flat n=2": (flat_structure(2), []),
+            "flat n=3": (flat_structure(3), []),
+            "oscillator n=2": (standard_structure(2, x1**2 + x2**2), []),
+            "sheared": (build_structure(parse_structure(sheared.read_text())).ncb, [0]),
         }
         original = Poly.__mul__
         operands = []
@@ -463,13 +472,12 @@ class TestAbsentMeansZero:
 
         monkeypatch.setattr(Poly, "__mul__", recorded)
         monkeypatch.setattr(Poly, "__rmul__", recorded)
-        for name, s in structures.items():
+        for name, (s, zero_operands) in structures.items():
             operands.clear()
             h = transverse_metric(s.base, s.u)
             assert h == s.transverse, name
             assert operands, name
-            # the adjugate's one product by the integer 0 makes its zero entry
-            assert [b for a, b in operands if not (a and b)] == [0], name
+            assert [b for a, b in operands if not (a and b)] == zero_operands, name
 
     def test_contractions_leave_no_reference_cycles(self):
         from ncw.solver import solve_symmetries
