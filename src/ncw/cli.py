@@ -47,7 +47,7 @@ from .solver import (
     verify_coriolis_identity,
 )
 from .structures import StructureError
-from .tensors import TensorField, check_newtonian, curvature
+from .tensors import check_newtonian, curvature
 
 
 class VerdictFalse(Exception):
@@ -209,16 +209,8 @@ def cmd_extend(built: BuiltStructure, args, report: Report) -> None:
 def cmd_gauge(built: BuiltStructure, args, report: Report) -> None:
     ncb = _require_ncb(built, "gauge")
     dim = ncb.base.dimension
-    x = (
-        parse_field(args.x, dim)
-        if args.x
-        else TensorField.zero(dim, 1, 0)
-    )
-    psi = (
-        parse_one_form(args.psi, dim)
-        if args.psi
-        else TensorField.zero(dim, 0, 1)
-    )
+    x = parse_field(args.x, dim)
+    psi = parse_one_form(args.psi, dim)
     f = parse_expression(args.f, dim) if args.f else Poly.zero(dim)
     variation = infinitesimal_gauge(ncb, GaugeElement(x, psi, f))
     report.flags["x"] = field_components(x)

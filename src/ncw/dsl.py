@@ -25,7 +25,10 @@ or component assignments with 0-based indices (index 0 is time):
 
 Exactly one of the four data shapes must be present: a preset, explicit
 connection data (gamma, theta, Gamma), gauge data (gamma, theta, U, A), or
-observer data (gamma, theta, U, V, phi).
+observer data (gamma, theta, U, V, phi).  Data the shape does not read is
+refused, and so is an index outside 0..n, at its token.  Field arguments
+(``X[1] = t``, ``psi[1] = 1``) take the same component lines, one
+assignment per line.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .structures import (
     potential_to_gauge,
     standard_structure,
 )
-from .tensors import Connection, TensorField, one_form, vector
+from .tensors import Connection, Index, TensorField
 
 
 class ParseError(ValueError):
@@ -285,20 +288,33 @@ def _parse_tokens(tokens: list[Token], dimension: int) -> Poly:
 # ----------------------------------------------------------------------
 # documents
 
+# one component line: its index tokens, and its expression's own tokens
+# closed by an END token at the end of its line, so that errors point into
+# the text it came from
+_Component = tuple[tuple[Token, ...], list[Token]]
+
+
 @dataclass
 class StructureDocument:
     name: str | None = None
     n: int | None = None
     preset: str | None = None  # "flat" | "standard"
-    # each expression as its own tokens, closed by an END token at the end
-    # of its line, so that parse errors point into the document
-    phi: list[Token] | None = None
-    components: dict[str, dict[tuple[int, ...], list[Token]]] = field(default_factory=dict)
+    phi: list[Token] | None = None  # its expression's tokens, as in a _Component
+    components: dict[str, dict[Index, _Component]] = field(default_factory=dict)
 
     FIELD_RANKS = {"gamma": 2, "theta": 1, "U": 1, "A": 1, "V": 1, "Gamma": 3}
+    # the fields (and phi) each data shape reads; presets read none but a
+    # standard preset's phi
+    _SHAPE_FIELDS = {
+        "preset": (),
+        "explicit": ("gamma", "theta", "Gamma"),
+        "gauge": ("gamma", "theta", "U", "A"),
+        "observer": ("gamma", "theta", "U", "V", "phi"),
+    }
 
     def data_shape(self) -> str:
-        """Which of the four data shapes the document carries."""
+        """Which of the four data shapes the document carries; data the
+        shape does not read is refused, never dropped."""
         shapes = []
         if self.preset:
             shapes.append("preset")
@@ -314,7 +330,14 @@ class StructureDocument:
                 "exactly one of preset, explicit connection data, gauge data, "
                 f"or observer data must be provided (found: {shapes or 'none'})"
             )
-        return shapes[0]
+        shape = shapes[0]
+        used = self._SHAPE_FIELDS[shape] + (("phi",) if self.preset == "standard" else ())
+        given = [*self.components] + (["phi"] if self.phi is not None else [])
+        stray = [name for name in given if name not in used]
+        if stray:
+            reader = f"the {self.preset} preset" if self.preset else f"{shape} data"
+            raise StructureError(f"{reader} does not use {', '.join(stray)}")
+        return shape
 
     @cached_property
     def potential(self) -> Poly:
@@ -423,26 +446,43 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         _parse_potential(stream, doc, stream.expect_symbol("="))
         return
     if name in StructureDocument.FIELD_RANKS:
-        rank = StructureDocument.FIELD_RANKS[name]
-        indices = []
-        for _ in range(rank):
-            stream.expect_symbol("[")
-            num = stream.next()
-            if num.kind != "NUMBER":
-                raise ParseError("component indices are integers", num.line, num.col)
-            indices.append(int(num.text))
-            stream.expect_symbol("]")
-        eq = stream.expect_symbol("=")
-        expr_tokens = _expression_tokens(stream)
         slot = doc.components.setdefault(name, {})
-        key_idx = tuple(indices)
-        if key_idx in slot:
-            raise ParseError(
-                f"duplicate component {name}{list(indices)}", eq.line, eq.col
-            )
-        slot[key_idx] = expr_tokens
+        _read_component(stream, name, StructureDocument.FIELD_RANKS[name], slot)
         return
     raise ParseError(f"unknown directive {name!r}", key.line, key.col)
+
+
+def _read_component(
+    stream: _TokenStream, name: str, rank: int, slot: dict[Index, _Component]
+) -> None:
+    """Read ``[i]...[k] = <expression to end of line>`` after a field's name
+    into slot, under its index tuple; a tuple given twice is refused."""
+    indices = []
+    for _ in range(rank):
+        stream.expect_symbol("[")
+        num = stream.next()
+        if num.kind != "NUMBER":
+            raise ParseError("component indices are integers", num.line, num.col)
+        indices.append(num)
+        stream.expect_symbol("]")
+    eq = stream.expect_symbol("=")
+    key = tuple(int(num.text) for num in indices)
+    if key in slot:
+        raise ParseError(f"duplicate component {name}{list(key)}", eq.line, eq.col)
+    slot[key] = (tuple(indices), _expression_tokens(stream))
+
+
+def _realize(slot: dict[Index, _Component], dimension: int) -> dict[Index, Poly]:
+    """The nonzero components of one field's assignments; each index is
+    checked against the dimension at its token."""
+    entries = {}
+    for key, (indices, expression) in slot.items():
+        for num, i in zip(indices, key):
+            if i >= dimension:
+                raise ParseError(f"component index {i} out of range", num.line, num.col)
+        if value := _parse_tokens(expression, dimension):
+            entries[key] = value
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -480,81 +520,47 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
     and the first violation raises StructureError.  Check-style commands
     build with validate=False and report violations as verdicts instead."""
     shape = doc.data_shape()
-    n = doc.n
-    assert n is not None
-    dim = n + 1
+    dim = doc.n + 1
     if shape == "preset":
         if doc.preset == "flat":
-            ncb = flat_structure(n)
+            ncb = flat_structure(doc.n)
         else:
-            ncb = standard_structure(n, doc.potential)
-        if validate:
-            ncb.validate()
-        nc = ncb.induced_nc()
-        if validate:
-            nc.validate()
-        return BuiltStructure(doc, ncb.base, (nc, ncb))
-
-    def tensor_from(name: str, p: int, q: int):
-        entries = doc.components.get(name, {})
-        comps = {}
-        for idx, tokens in entries.items():
-            if any(not 0 <= i <= n for i in idx):
-                raise StructureError(
-                    f"{name} index {idx} out of range for n={n}"
-                )
-            comps[idx] = _parse_tokens(tokens, dim)
-
-        def entry(idx):
-            return comps.get(tuple(idx), Poly.zero(dim))
-
-        return TensorField.build(dim, p, q, entry)
-
-    missing = [f for f in ("gamma", "theta") if f not in doc.components]
-    if missing:
-        raise StructureError(
-            f"{missing[0]} is required; the kernel condition is unverifiable without it"
-        )
-    gamma = tensor_from("gamma", 2, 0)
-    theta = tensor_from("theta", 0, 1)
-    base = GalileiStructure(n, gamma, theta)
-    if validate:
-        base.validate()
-
-    if shape == "explicit":
-        entries = doc.components.get("Gamma", {})
-        symbols = {}
-        for idx, tokens in entries.items():
-            if any(not 0 <= i <= n for i in idx):
-                raise StructureError(f"Gamma index {idx} out of range for n={n}")
-            symbols[idx] = _parse_tokens(tokens, dim)
-        conn = Connection.build(
-            dim, lambda a, b, c: symbols.get((a, b, c), Poly.zero(dim))
-        )
-        nc = NCStructure(base, conn)
-        if validate:
-            nc.validate()
-        return BuiltStructure(doc, base, (nc, None))
-
-    u = tensor_from("U", 1, 0)
-    if shape == "gauge":
-        a_form, v, phi = tensor_from("A", 0, 1), None, None
+            ncb = standard_structure(doc.n, doc.potential)
+        base = ncb.base
     else:
-        a_form, v, phi = None, tensor_from("V", 1, 0), doc.potential
-    try:
-        if a_form is None:
-            a_form = potential_to_gauge(base, u, v, phi)
-        ncb = ncb_structure(base, u, a_form)
-    except StructureError:
-        # the pair's shapes, symmetry and kernel, which the transverse
-        # metric needs, stay input errors; a pair failing its other checks
-        # is the cause, and a verdict
-        base._valid_pair
-        try:
+        missing = [f for f in ("gamma", "theta") if f not in doc.components]
+        if missing:
+            raise StructureError(
+                f"{missing[0]} is required; the kernel condition is unverifiable without it"
+            )
+        fields = {name: _realize(slot, dim) for name, slot in doc.components.items()}
+        gamma = TensorField(dim, 2, 0, fields["gamma"])
+        base = GalileiStructure(doc.n, gamma, TensorField(dim, 0, 1, fields["theta"]))
+        if validate:
             base.validate()
-        except StructureError as failure:
-            return BuiltStructure(doc, base, failure)
-        raise
+        if shape == "explicit":
+            nc = NCStructure(base, Connection(dim, fields["Gamma"]))
+            if validate:
+                nc.validate()
+            return BuiltStructure(doc, base, (nc, None))
+        u = TensorField(dim, 1, 0, fields["U"])
+        try:
+            if shape == "gauge":
+                a_form = TensorField(dim, 0, 1, fields["A"])
+            else:
+                v = TensorField(dim, 1, 0, fields["V"])
+                a_form = potential_to_gauge(base, u, v, doc.potential)
+            ncb = ncb_structure(base, u, a_form)
+        except StructureError:
+            # the pair's shapes, symmetry and kernel, which the transverse
+            # metric needs, stay input errors; a pair failing its other checks
+            # is the cause, and a verdict
+            base._valid_pair
+            try:
+                base.validate()
+            except StructureError as failure:
+                return BuiltStructure(doc, base, failure)
+            raise
     if validate:
         ncb.validate()
     nc = ncb.induced_nc()
@@ -563,45 +569,20 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
     return BuiltStructure(doc, base, (nc, ncb))
 
 
-def _parse_component_assignments(
-    text: str, dimension: int, symbol: str
-) -> list[Poly]:
-    """Assignments like ``X[0] = 1`` separated by newlines; unassigned
-    components default to zero."""
-    comps: dict[int, Poly] = {}
-    stream = _TokenStream(tokenize(text))
-    while True:
-        tok = stream.peek()
-        if tok.kind == "END":
-            break
-        if tok.kind == "NEWLINE":
-            stream.next()
-            continue
-        ident = stream.next()
-        if ident.kind != "IDENT" or ident.text != symbol:
-            raise ParseError(
-                f"expected component assignments of {symbol!r}", ident.line, ident.col
-            )
-        stream.expect_symbol("[")
-        num = stream.next()
-        if num.kind != "NUMBER":
-            raise ParseError("component index must be an integer", num.line, num.col)
-        idx = int(num.text)
-        if not 0 <= idx <= dimension - 1:
-            raise ParseError(f"component index {idx} out of range", num.line, num.col)
-        stream.expect_symbol("]")
-        eq = stream.expect_symbol("=")
-        if idx in comps:
-            raise ParseError(f"duplicate component {symbol}{[idx]}", eq.line, eq.col)
-        comps[idx] = ExpressionParser(stream, dimension).parse()
-    return [comps.get(i, Poly.zero(dimension)) for i in range(dimension)]
-
-
 def parse_field(text: str, dimension: int, symbol: str = "X") -> TensorField:
-    """Parse a vector field from component assignment lines."""
-    return vector(dimension, _parse_component_assignments(text, dimension, symbol))
+    """Parse a vector field from component lines ``X[i] = ...``, one per
+    line; unassigned components are zero."""
+    slot: dict[Index, _Component] = {}
+    stream = _TokenStream(tokenize(text))
+    while (tok := stream.next()).kind != "END":
+        if tok.kind == "NEWLINE":
+            continue
+        if tok.kind != "IDENT" or tok.text != symbol:
+            raise ParseError(f"expected component assignments of {symbol!r}", tok.line, tok.col)
+        _read_component(stream, symbol, 1, slot)
+    return TensorField(dimension, 1, 0, _realize(slot, dimension))
 
 
 def parse_one_form(text: str, dimension: int, symbol: str = "psi") -> TensorField:
-    """Parse a 1-form from component assignment lines."""
-    return one_form(dimension, _parse_component_assignments(text, dimension, symbol))
+    """Parse a 1-form from component lines ``psi[i] = ...``, as parse_field."""
+    return TensorField(dimension, 0, 1, parse_field(text, dimension, symbol).nonzero)

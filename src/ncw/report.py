@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any
 
-from .solver import SymmetryBasis, fit_affine_template, fit_time_template
+from .solver import SymmetryBasis, _affine_template, fit_time_template
 from .tensors import Connection, CurvatureField, TensorField
 
 SCHEMA = "ncw-report/1"
@@ -93,7 +93,10 @@ def index_entries(field: TensorField | Connection | CurvatureField) -> list[dict
 
 def generator_label(x: TensorField) -> str:
     """Best-effort template tag for a symmetry field; raw on no fit."""
-    affine = fit_affine_template(x)
+    timed = fit_time_template(x)
+    if timed is None:
+        return "raw"
+    affine = _affine_template(timed)
     if affine is not None:
         parts = []
         for (a, b), w in sorted(affine.omega.items()):
@@ -110,24 +113,20 @@ def generator_label(x: TensorField) -> str:
                 "time-translation" + ("" if affine.tau == 1 else f"*{affine.tau}")
             )
         return " + ".join(parts) if parts else "zero"
-    timed = fit_time_template(x)
-    if timed is not None:
-        def coeff(tag, p):
-            return tag if p == 1 else f"{tag}*({p})"
 
-        parts = []
-        for (a, b), w in sorted(timed.omega.items()):
-            if not w.is_zero:
-                parts.append(coeff(f"rotation[{a},{b}]", w))
-        for i, r in enumerate(timed.rho, start=1):
-            if not r.is_zero:
-                parts.append(coeff(f"translation[{i}]", r))
-        if timed.tau:
-            parts.append(
-                "time-translation" + ("" if timed.tau == 1 else f"*{timed.tau}")
-            )
-        return " + ".join(parts) if parts else "zero"
-    return "raw"
+    def coeff(tag, p):
+        return tag if p == 1 else f"{tag}*({p})"
+
+    parts = []
+    for (a, b), w in sorted(timed.omega.items()):
+        if not w.is_zero:
+            parts.append(coeff(f"rotation[{a},{b}]", w))
+    for i, r in enumerate(timed.rho, start=1):
+        if not r.is_zero:
+            parts.append(coeff(f"translation[{i}]", r))
+    if timed.tau:
+        parts.append("time-translation" + ("" if timed.tau == 1 else f"*{timed.tau}"))
+    return " + ".join(parts) if parts else "zero"
 
 
 def basis_payload(basis: SymmetryBasis) -> dict[str, Any]:

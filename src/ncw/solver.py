@@ -455,9 +455,12 @@ class AffineTemplate:
 
 def fit_affine_template(x: TensorField) -> AffineTemplate | None:
     fit = fit_time_template(x)
-    if fit is None:
-        return None
-    dim = x.dimension
+    return None if fit is None else _affine_template(fit)
+
+
+def _affine_template(fit: TimeCoefficientTemplate) -> AffineTemplate | None:
+    """The affine form of a time-template fit; None when it is not affine."""
+    dim = fit.n + 1
     omega = {}
     for key, w in fit.omega.items():
         if not w.depends_only_on([]):

@@ -60,6 +60,10 @@ def _cases() -> dict[str, list[str]]:
         "torsion-curvature": ["curvature", "--input", f"{inputs}/torsion.ncw"],
         "flat2-classify-bad-field": ["classify", "--input", "samples/flat2.ncw",
                                      "--field", "X[5] = t"],
+        "flat2-classify-two-per-line": ["classify", "--input", "samples/flat2.ncw",
+                                        "--field", "X[0] = 1 X[1] = t"],
+        "index-range-validate": ["validate", "--input", f"{inputs}/index-range.ncw"],
+        "stray-validate": ["validate", "--input", f"{inputs}/stray.ncw"],
         "flat2-solve-bad-flavor": ["solve", "--input", "samples/flat2.ncw",
                                    "--flavor", "bogus", "--degree", "1"],
         # the algebra anchors, and an extension refused for its clock

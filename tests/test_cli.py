@@ -347,6 +347,26 @@ class TestConnectionAndCurvature:
         assert code == 0
         assert len(calls) == 3
 
+    def test_each_label_fits_its_template_once(self, capsys, monkeypatch, flat2):
+        import ncw.report
+        import ncw.solver
+
+        fitted = []
+        original = ncw.solver.fit_time_template
+
+        def counted(x):
+            fitted.append(x)
+            return original(x)
+
+        for module in (ncw.report, ncw.solver):
+            monkeypatch.setattr(module, "fit_time_template", counted)
+        code, out, _ = run(
+            capsys, "solve", "--input", flat2, "--flavor", "cor", "--degree", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        assert len(fitted) == json.loads(out)["results"]["dimension"] == 13
+
     def test_flat_curvature(self, capsys, flat2):
         code, out, _ = run(capsys, "curvature", "--input", flat2, "--format", "json")
         assert code == 0
@@ -684,6 +704,40 @@ class TestArguments:
     def test_repeated_component_is_an_input_error(self, capsys, standard2, argv, message):
         command, option, value = argv
         code, out, err = run(capsys, command, "--input", standard2, option, value)
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--field", "X[0] = 1 X[1] = t"],
+             "line 1, column 10: unexpected trailing input 'X'"),
+            (["gauge", "--x", "X[1] = t\nX[0] = 1 X[2] = 1"],
+             "line 2, column 10: unexpected trailing input 'X'"),
+            (["gauge", "--psi", "psi[1] = 1 psi[2] = t"],
+             "line 1, column 12: unexpected trailing input 'psi'"),
+        ],
+    )
+    def test_one_assignment_per_line(self, capsys, standard2, argv, message):
+        command, option, value = argv
+        code, out, err = run(capsys, command, "--input", standard2, option, value)
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("flat n=2 phi = x1\n", "the flat preset does not use phi"),
+            ("n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nGamma[0][0][1] = 0\nA[0] = x1^300 +\n",
+             "explicit data does not use A"),
+            ("n = 1\ngamma[1][5] = 1\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\n",
+             "line 2, column 10: component index 5 out of range"),
+        ],
+    )
+    def test_stray_data_and_bad_indices_are_input_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "doc.ncw"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", "--input", str(path))
         assert code == 2 and out == ""
         assert err == f"input error: {message}\n"
 

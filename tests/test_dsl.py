@@ -172,6 +172,50 @@ class TestDocuments:
         with pytest.raises(StructureError, match="exactly one"):
             parse_structure(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("flat n=1\ngamma[1][1] = 7\ntheta[0] = t\n",
+             "the flat preset does not use gamma, theta"),
+            ("flat n=2 phi = x1\n", "the flat preset does not use phi"),
+            ("standard n=1 phi = x1\nU[0] = 1\n", "the standard preset does not use U"),
+            # refused before the stray expression is ever parsed
+            ("n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nGamma[0][0][1] = 0\nA[0] = x1^300 +\n",
+             "explicit data does not use A"),
+            ("n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\nphi = x1\n",
+             "gauge data does not use phi"),
+        ],
+    )
+    def test_stray_data_is_refused(self, text, message):
+        with pytest.raises(StructureError, match=re.escape(message)):
+            parse_structure(text)
+
+    def test_observer_data_reads_every_field_it_may_carry(self):
+        text = "n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1\nV[0] = 1\nphi = x1\n"
+        assert parse_structure(text).data_shape() == "observer"
+        # the remaining fields each make a second shape
+        for extra, shape in (("A[0] = 0", "gauge"), ("Gamma[0][0][1] = 0", "explicit")):
+            with pytest.raises(StructureError, match=f"exactly one.*'{shape}'"):
+                parse_structure(text + extra + "\n")
+
+    @pytest.mark.parametrize(
+        "line, column, rest",
+        [
+            ("gamma[1][2] = 1", 10, "theta[0] = 1\nU[0] = 1\nA[0] = 0"),
+            ("theta[2] = 1", 7, "gamma[1][1] = 1\nU[0] = 1\nA[0] = 0"),
+            ("U[3] = 1", 3, "gamma[1][1] = 1\ntheta[0] = 1\nA[0] = 0"),
+            ("A[2] = 1", 3, "gamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1"),
+            ("V[2] = 1", 3, "gamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1"),
+            ("Gamma[0][2][0] = 1", 10, "gamma[1][1] = 1\ntheta[0] = 1"),
+        ],
+    )
+    def test_index_out_of_range_is_a_positioned_parse_error(self, line, column, rest):
+        doc = parse_structure(f"n = 1\n{line}\n{rest}\n")
+        index = line[column - 1]
+        message = f"line 2, column {column}: component index {index} out of range"
+        with pytest.raises(ParseError, match=message):
+            build_structure(doc)
+
     def test_missing_dimension(self):
         with pytest.raises(StructureError, match="n is required"):
             parse_structure("gamma[1][1] = 1\n")
@@ -366,3 +410,43 @@ class TestFieldParsing:
     def test_duplicate_component_rejected(self, parse, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse(text, 2)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_field, "X[0] = 1 X[1] = t", "line 1, column 10: unexpected trailing input 'X'"),
+            (parse_one_form, "psi[1] = t\npsi[0] = 1 psi[2] = 1",
+             "line 2, column 12: unexpected trailing input 'psi'"),
+            (parse_field, "X[x1] = 1", "line 1, column 3: component indices are integers"),
+            (parse_field, "X[0] = 1\nX[3] = 1", "line 2, column 3: component index 3 out of range"),
+        ],
+    )
+    def test_field_line_errors_carry_positions(self, parse, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * 3),
+                st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                max_size=3,
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_document_and_field_argument_read_components_alike(self, spatial, rng):
+        # U[0] = 1 keeps theta(U) = 1; the spatial components are drawn
+        components = [Poly.const(3, 1)] + [Poly(3, terms) for terms in spatial]
+        lines = [(i, str(c)) for i, c in enumerate(components) if c]
+        rng.shuffle(lines)
+        doc = parse_structure(
+            "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1\ntheta[0] = 1\nA[0] = 0\n"
+            + "".join(f"U[{i}] = {e}\n" for i, e in lines)
+        )
+        field = parse_field("\n".join(f"X[{i}] = {e}" for i, e in lines), 3)
+        assert build_structure(doc, validate=False).ncb.u == field
+        assert [field.comp(i) for i in range(3)] == components
