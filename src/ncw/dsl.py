@@ -46,7 +46,7 @@ from .structures import (
     StructureError,
     flat_structure,
     ncb_structure,
-    potential_to_gauge,
+    observer_structure,
     standard_structure,
 )
 from .tensors import Connection, Index, TensorField
@@ -314,7 +314,13 @@ class StructureDocument:
 
     def data_shape(self) -> str:
         """Which of the four data shapes the document carries; data the
-        shape does not read is refused, never dropped."""
+        shape does not read is refused, never dropped.  Found on the first
+        call, which parse_structure makes once it has read the whole
+        document, and kept."""
+        return self._shape
+
+    @cached_property
+    def _shape(self) -> str:
         shapes = []
         if self.preset:
             shapes.append("preset")
@@ -546,11 +552,10 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         u = TensorField(dim, 1, 0, fields["U"])
         try:
             if shape == "gauge":
-                a_form = TensorField(dim, 0, 1, fields["A"])
+                ncb = ncb_structure(base, u, TensorField(dim, 0, 1, fields["A"]))
             else:
                 v = TensorField(dim, 1, 0, fields["V"])
-                a_form = potential_to_gauge(base, u, v, doc.potential)
-            ncb = ncb_structure(base, u, a_form)
+                ncb = observer_structure(base, u, v, doc.potential)
         except StructureError:
             # the pair's shapes, symmetry and kernel, which the transverse
             # metric needs, stay input errors; a pair failing its other checks

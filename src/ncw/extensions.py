@@ -38,7 +38,7 @@ from .solver import (
     solve_symmetries,
     structure_constants,
 )
-from .structures import NCBStructure, metric_gradient
+from .structures import NCBStructure
 from .tensors import (
     TensorField,
     apply_metric,
@@ -105,7 +105,7 @@ def extended_cor_bracket(
     stabilizer pairs."""
     _require(e1.x, s, "coriolis")
     _require(e2.x, s, "coriolis")
-    return _bracket(e1.x, e1.f, e2.x, e2.f, s, "coriolis")
+    return _bracket(e1.x, gradient(e1.f), e2.x, gradient(e2.f), s, "coriolis")
 
 
 def _full_rhs(x: TensorField, s: NCBStructure) -> TensorField:
@@ -119,42 +119,52 @@ class _Stabilizer(NamedTuple):
     name: str
     dependence: list[int]  # the variables xi may depend on
     misplaced: str  # message for a xi outside them
-    operator: Callable[[Poly, NCBStructure], TensorField]  # D in D(f) = R(X)
+    operator: Callable[[TensorField, NCBStructure], TensorField]  # D in D(f) = R(X), on df
     rhs: Callable[[TensorField, NCBStructure], TensorField]  # R
     xi_part: Callable[[Poly], Poly]  # g where the variables xi lacks vanish
 
 
 # each stabilizer's equation D(f) = R(X) for the full parameter f = xi + f_X;
-# D kills xi, so the solve's post-check and the bracket check share it
+# D kills xi, so the solve's post-check and the bracket check share it.  D
+# acts on df, so the gradient the post-check takes is the one brackets use
 _STABILIZERS = {
     "milne": _Stabilizer(
         "the observer stabilizer", [0],
         "observer-stabilizer parameter must depend on time only",
-        lambda f, s: metric_gradient(s.base, f),
+        lambda df, s: apply_metric(s.base.gamma, df),
         lambda x, s: vector_bracket(s.v, x),
         time_part,
     ),
     "galilei": _Stabilizer(
         "the full stabilizer", [],
         "full-stabilizer parameter must be constant",
-        lambda f, s: gradient(f),
+        lambda df, s: df,
         _full_rhs,
         lambda f: Poly.const(f.dimension, f.coefficient((0,) * f.dimension)),
     ),
 }
 
 
-def _parameter(x: TensorField, s: NCBStructure, flavor: str) -> Poly | None:
-    """f_X of a field, membership checked by the solve; None when X does not
-    extend to the flavor's stabilizer."""
-    f, ok = milne_f_split(x, s) if flavor == "milne" else galilei_f_solve(x, s)
-    return f if ok else None
+# a parameter f_X and its gradient; None for a field that does not extend
+_Found = tuple[Poly, TensorField] | None
 
 
-def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> tuple[Poly, bool]:
-    """f_X of a member: the primitive of df over the variables xi does not
-    depend on, zero where they vanish, checked exactly against D(f) = R(X);
-    (0, False) when that part of df is not closed (X does not extend)."""
+def _parameter(x: TensorField, s: NCBStructure, flavor: str) -> _Found:
+    """f_X of a field and its gradient, membership checked first."""
+    _require(x, s, flavor)
+    return _integrate(x, s, flavor)
+
+
+def _split(found: _Found, s: NCBStructure) -> tuple[Poly, bool]:
+    """(f_X, True) for a field that extends, (0, False) for one that does not."""
+    return (found[0], True) if found else (Poly.zero(s.base.dimension), False)
+
+
+def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> _Found:
+    """f_X of a member and its gradient: the primitive of df over the
+    variables xi does not depend on, zero where they vanish, checked exactly
+    against D(f) = R(X); None when that part of df is not closed (X does not
+    extend)."""
     if flavor == "milne" and any(idx != (0,) for idx in s.base.theta.nonzero):
         raise ExtensionError(
             "observer-stabilizer parameters need a clock theta without spatial components"
@@ -166,10 +176,11 @@ def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> tuple[Poly, bool
     form = apply_metric(s.transverse, rhs) if flavor == "milne" else rhs
     f = _radial_primitive(form, [a for a in range(dim) if a not in st.dependence])
     if f is None:
-        return Poly.zero(dim), False
-    if not (st.operator(f, s) - rhs).is_zero:
+        return None
+    df = gradient(f)
+    if not (st.operator(df, s) - rhs).is_zero:
         raise ExtensionError(f"{st.name} parameter failed verification")
-    return f, True
+    return f, df
 
 
 def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
@@ -188,11 +199,12 @@ def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
 
 
 def _bracket(
-    x1: TensorField, f1: Poly | None, x2: TensorField, f2: Poly | None,
+    x1: TensorField, df1: TensorField | None, x2: TensorField, df2: TensorField | None,
     s: NCBStructure, flavor: str,
 ) -> ExtendedElement:
-    """([X, X'], X(f') - X'(f) - f_[X,X']) for checked operands with full
-    parameters f = xi + f_X (None: the operand does not extend).
+    """([X, X'], X(f') - X'(f) - f_[X,X']) for checked operands, given the
+    gradients of their full parameters f = xi + f_X (None: the operand does
+    not extend); X(f') is X contracted with df'.
 
     The gauge bracket is a homomorphism and each stabilizer a subalgebra, so
     g = X(f') - X'(f) is a full parameter of [X, X']: f_[X,X'] is g less its
@@ -201,13 +213,13 @@ def _bracket(
     f_[X,X']."""
     xb = vector_bracket(x1, x2)
     if flavor == "coriolis":
-        return ExtendedElement(xb, directional(x1, f2) - directional(x2, f1))
+        return ExtendedElement(xb, pairing(df2, x1) - pairing(df1, x2))
     st = _STABILIZERS[flavor]
-    if f1 is None or f2 is None:
+    if df1 is None or df2 is None:
         raise ExtensionError(f"element does not lie in {st.name}")
-    g = directional(x1, f2) - directional(x2, f1)
+    g = pairing(df2, x1) - pairing(df1, x2)
     out = st.xi_part(g)
-    if not (st.operator(g - out, s) - st.rhs(xb, s)).is_zero:
+    if not (st.operator(gradient(g - out), s) - st.rhs(xb, s)).is_zero:
         raise ExtensionError(f"bracket left {st.name}")
     return ExtendedElement(xb, out)
 
@@ -218,13 +230,13 @@ def _checked_bracket(
     """The stabilizer bracket with each operand checked in turn: membership
     (by its parameter solve), then the form of its xi."""
     st = _STABILIZERS[flavor]
-    full = []
+    grads = []
     for e in (e1, e2):
-        f = _parameter(e.x, s, flavor)
+        found = _parameter(e.x, s, flavor)
         if not e.f.depends_only_on(st.dependence):
             raise ExtensionError(st.misplaced)
-        full.append(None if f is None else e.f + f)
-    return _bracket(e1.x, full[0], e2.x, full[1], s, flavor)
+        grads.append(None if found is None else gradient(e.f + found[0]))
+    return _bracket(e1.x, grads[0], e2.x, grads[1], s, flavor)
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +249,7 @@ def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     this into d_A f = h([V, X])_A, so f_X is the radial primitive of that
     form over the spatial axes.  Returns (f_X, True), or (0, False) when the
     form is not closed: X does not extend to the observer stabilizer."""
-    _require(x, s, "milne")
-    return _integrate(x, s, "milne")
+    return _split(_parameter(x, s, "milne"), s)
 
 
 def extended_mil_bracket(
@@ -262,8 +273,8 @@ def noncentrality_check(
     first witness (basis index, parameter output)."""
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
-    params = [_parameter(x, s, "milne") for x in basis.fields]
-    witness = _algebra(s, basis, "milne", params).witness
+    found = [_parameter(x, s, "milne") for x in basis.fields]
+    witness = _algebra(s, basis, "milne", found).witness
     return witness is not None, witness
 
 
@@ -275,8 +286,7 @@ def galilei_f_solve(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
 
     Returns (f, True) with the primitive vanishing at the origin, or
     (0, False) when the right side is not closed (X does not extend)."""
-    _require(x, s, "galilei")
-    return _integrate(x, s, "galilei")
+    return _split(_parameter(x, s, "galilei"), s)
 
 
 def extended_gal_bracket(
@@ -292,8 +302,8 @@ def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fr
     """The central 2-cocycle induced on a full-symmetry basis: c_ij is the
     constant parameter output of the bracket of (X_i, 0) and (X_j, 0).
     Every element is checked first, through its parameter solve."""
-    params = [_parameter(x, s, "galilei") for x in basis.fields]
-    return _algebra(s, basis, "galilei", params).cocycle
+    found = [_parameter(x, s, "galilei") for x in basis.fields]
+    return _algebra(s, basis, "galilei", found).cocycle
 
 
 # ----------------------------------------------------------------------
@@ -320,35 +330,39 @@ def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
     basis = solve_symmetries(s.induced_nc(), flavor, degree)
     fl = basis.flavor
     if fl == "coriolis":
-        zeros = [Poly.zero(s.base.dimension)] * basis.dimension
+        zero = Poly.zero(s.base.dimension)
         boosts = tuple(_boost(x, s) for x in basis.fields)
-        return replace(_algebra(s, basis, fl, zeros), parameters=boosts)
-    params = [f if ok else None for f, ok in (_integrate(x, s, fl) for x in basis.fields)]
-    ext = _algebra(s, basis, fl, params)
+        found = [(zero, gradient(zero))] * basis.dimension
+        return replace(_algebra(s, basis, fl, found), parameters=boosts)
+    ext = _algebra(s, basis, fl, [_integrate(x, s, fl) for x in basis.fields])
     if fl == "milne":
         return ext
     return replace(ext, triviality=cocycle_triviality(basis, ext.cocycle))
 
 
 def _algebra(
-    s: NCBStructure, basis: SymmetryBasis, flavor: str, params: Sequence[Poly | None]
+    s: NCBStructure, basis: SymmetryBasis, flavor: str, found: Sequence[_Found]
 ) -> Extension:
-    """The extension of a basis whose fields have the full parameters params
-    (zero for the metric-pair stabilizer; None: the field does not extend)."""
+    """The extension of a basis whose fields have the full parameters and
+    gradients found (zero for the metric-pair stabilizer; None: the field
+    does not extend).  Brackets contract the gradients given, so no
+    parameter is differentiated again."""
     fields = basis.fields
     k = len(fields)
+    grads = [None if p is None else p[1] for p in found]
     brackets = {
-        (i, j): _bracket(fields[i], params[i], fields[j], params[j], s, flavor)
+        (i, j): _bracket(fields[i], grads[i], fields[j], grads[j], s, flavor)
         for i, j in combinations(range(k), 2)
     }
     dim = s.base.dimension
     witness = cocycle = None
     if flavor == "milne":
         zero_x = TensorField.zero(dim, 1, 0)
+        t = Poly.variable(dim, 0)
         # (X_i, f_X) against (0, t^p): the zero field's own f is zero
         outputs = (
-            (i, _bracket(x, params[i], zero_x, xi, s, flavor).f)
-            for xi in (Poly.variable(dim, 0) ** p for p in range(1, max(basis.degree, 1) + 1))
+            (i, _bracket(x, grads[i], zero_x, dxi, s, flavor).f)
+            for dxi in (gradient(t**p) for p in range(1, max(basis.degree, 1) + 1))
             for i, x in enumerate(fields)
         )
         witness = next(((i, f) for i, f in outputs if not f.is_zero), None)
@@ -358,7 +372,8 @@ def _algebra(
         for (i, j), out in brackets.items():
             cocycle[i][j] = out.f.coefficient(origin)
             cocycle[j][i] = -cocycle[i][j]
-    return Extension(basis, tuple(params), brackets, witness, cocycle)
+    params = tuple(None if p is None else p[0] for p in found)
+    return Extension(basis, params, brackets, witness, cocycle)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .structures import (
     NCBStructure,
     metric_gradient,
     ncb_structure,
-    potential_to_gauge,
+    observer_structure,
 )
 from .tensors import (
     TensorField,
@@ -197,9 +197,8 @@ class FiniteGauge:
 
 def _shifted(s: NCBStructure, boost: TensorField, scalar: Poly) -> NCBStructure:
     """Shift (U, V, phi) by (boost, scalar) and rebuild the gauge form from
-    the shifted observer data, on the same base.  potential_to_gauge has
-    computed the transverse metric of the shifted U, so the structure is
-    made directly; ncb_structure would only compute it again."""
+    the shifted observer data, on the same base; the structure keeps the
+    transverse metric of the shifted U that the gauge form was built on."""
     g = s.base
     grad = gradient(scalar)
     gamma_df = apply_metric(g.gamma, grad)
@@ -210,7 +209,7 @@ def _shifted(s: NCBStructure, boost: TensorField, scalar: Poly) -> NCBStructure:
         + directional(s.v, scalar)
         + pairing(grad, gamma_df) * Fraction(1, 2)
     )
-    return NCBStructure(g, u_shift, potential_to_gauge(g, u_shift, v_shift, phi_shift))
+    return observer_structure(g, u_shift, v_shift, phi_shift)
 
 
 def finite_gauge_apply(s: NCBStructure, gt: FiniteGauge) -> NCBStructure:

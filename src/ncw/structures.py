@@ -32,7 +32,6 @@ from .tensors import (
     Connection,
     TensorField,
     _add,
-    _derivative,
     _einsum,
     _neg,
     apply_metric,
@@ -209,7 +208,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         _neg(_einsum("ba->ab", tm)),
         _einsum("a,b,k,k->ab", g.theta, g.theta, m, u),
     )
-    return TensorField(dim, 0, 2, entries)
+    return TensorField._raw(dim, 0, 2, entries)
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +234,8 @@ def _geodesic_connection(
         raise StructureError("geodesic connection needs theta closed")
     # UG_ab^c = (P_abc + P_bac - gamma^{ck} d_k h_ab) / 2 with
     # P_abc = gamma^{ck} d_a h_bk + d_a theta_b U^c
-    dh = _derivative(h)
-    p = _add(_einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", _derivative(g.theta), u))
+    dh = h.derivative
+    p = _add(_einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", g.theta.derivative, u))
     ug = _add(p, _einsum("bac->abc", p), _neg(_einsum("kab,ck->abc", dh, g.gamma)))
     half = Fraction(1, 2)
     return Connection(g.dimension, {i: v * half for i, v in ug.items()})
@@ -246,8 +245,8 @@ def field_strength(a_form: TensorField) -> TensorField:
     """F_ab = d_a A_b - d_b A_a; closed by construction."""
     if (a_form.p, a_form.q) != (0, 1):
         raise ValueError("field_strength needs a 1-form")
-    d = _derivative(a_form)
-    return TensorField(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
+    d = a_form.derivative
+    return TensorField._raw(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
 
 
 def assemble_connection(
@@ -368,12 +367,32 @@ def potential_to_gauge(
     Round-trips with observer_and_potential; the standard gauge V = U gives
     A = -phi.theta.
     """
+    return _gauge_and_transverse(g, u, v, phi)[0]
+
+
+def _gauge_and_transverse(
+    g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
+) -> tuple[TensorField, TensorField]:
+    """potential_to_gauge's A, and the transverse metric of U it used."""
     dim = g.dimension
     if pairing(g.theta, v) != Poly.const(dim, 1):
         raise StructureError("potential_to_gauge needs theta(V) = 1")
-    lowered = apply_metric(transverse_metric(g, u), v)
+    h = transverse_metric(g, u)
+    lowered = apply_metric(h, v)
     scalar = pairing(lowered, v) * Fraction(1, 2) - phi
-    return g.theta.scale(scalar) - lowered
+    return g.theta.scale(scalar) - lowered, h
+
+
+def observer_structure(
+    g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
+) -> NCBStructure:
+    """The NCB structure of observer data (gamma, theta, U, V, phi): the gauge
+    form A of potential_to_gauge, on the transverse metric of U that it
+    computed, which the structure keeps instead of computing it again."""
+    a_form, h = _gauge_and_transverse(g, u, v, phi)
+    s = NCBStructure(g, u, a_form)
+    s.__dict__["transverse"] = h  # the cached_property's slot
+    return s
 
 
 def ncb_structure(
@@ -413,7 +432,7 @@ def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:
 
 def geodesic_defect(conn: Connection, u: TensorField) -> TensorField:
     """U^a (d_a U^c + G_ab^c U^b) as a vector field; zero iff U is geodesic."""
-    entries = _add(_einsum("a,ac->c", u, _derivative(u)), _einsum("a,abc,b->c", u, conn, u))
+    entries = _add(_einsum("a,ac->c", u, u.derivative), _einsum("a,abc,b->c", u, conn, u))
     return TensorField(conn.dimension, 1, 0, entries)
 
 

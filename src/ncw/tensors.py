@@ -46,6 +46,19 @@ product straight into the result under the output slots.  The walk is a
 plain recursive function over plain containers, not a generator or a
 closure, so a call leaves no reference cycle behind.
 
+A field is differentiated once.  ``derivative``, the dict of d_c T_idx
+keyed (c, *idx), is a cached property of the immutable field, and every
+operator that differentiates a field reads it: a basis field bracketed
+against k - 1 others, or transported by several operators, computes its
+partials once, and the cache dies with the field.  Operator results are
+wrapped by the trusted ``_raw`` constructor, as ``Poly`` results are by
+``Poly._raw``: their inputs have passed their shape checks, and the kernel,
+``_add``, ``_neg`` and ``derivative`` yield only nonzero entries of the
+field's dimension under in-range keys of the right length, so the public
+constructors' entry checks would only repeat them.  The public constructors
+keep every check, and connections are always built through theirs, which
+also refuses torsion.
+
 The kernel needs of an entry only ``+``, unary ``-``, ``*`` and truth, and
 the operators on a vector field X (``directional``, ``vector_bracket``,
 ``lie_derivative``, ``lie_derivative_connection``) also ``partial`` of X's
@@ -56,7 +69,7 @@ a generic field whose components carry linear forms in the unknowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -102,6 +115,27 @@ class _Entries:
                 raise ValueError(f"zero component stored at {idx}")
             if getattr(value, "dimension", None) != self.dimension:
                 raise ValueError("component polynomial dimension mismatch")
+
+    @classmethod
+    def _raw(cls, *values):
+        """Trusted constructor for operator results, as ``Poly._raw`` is for
+        Poly's: values are the dataclass fields in order, and the entries
+        must already be stored as ``__post_init__`` requires; they are kept,
+        not copied, and nothing is checked."""
+        field = object.__new__(cls)
+        field.__dict__.update(zip(cls.__match_args__, values))
+        return field
+
+    @cached_property
+    def derivative(self) -> dict[Index, Poly]:
+        """d_c of every entry keyed (c, *idx), over the nonzero entries;
+        computed once per field."""
+        return {
+            (c, *idx): d
+            for idx, value in self.nonzero.items()
+            for c in range(self.dimension)
+            if (d := value.partial(c))
+        }
 
     def _get(self, indices: Index) -> Poly:
         _check_index(self.dimension, self.rank, indices)
@@ -213,16 +247,6 @@ def _neg(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
     return {key: -value for key, value in entries.items()}
 
 
-def _derivative(x) -> dict[Index, Poly]:
-    """d_c x_idx keyed (c, *idx), over the nonzero entries of the field x."""
-    return {
-        (c, *idx): d
-        for idx, value in x.nonzero.items()
-        for c in range(x.dimension)
-        if (d := value.partial(c))
-    }
-
-
 @dataclass(frozen=True)
 class TensorField(_Entries):
     """(p,q) tensor field: its nonzero Poly components by index tuple.
@@ -267,15 +291,15 @@ class TensorField(_Entries):
 
     def __add__(self, other: "TensorField") -> "TensorField":
         self._check_same_shape(other)
-        return TensorField(self.dimension, self.p, self.q, _add(self.nonzero, other.nonzero))
+        return TensorField._raw(self.dimension, self.p, self.q, _add(self.nonzero, other.nonzero))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         self._check_same_shape(other)
         entries = _add(self.nonzero, _neg(other.nonzero))
-        return TensorField(self.dimension, self.p, self.q, entries)
+        return TensorField._raw(self.dimension, self.p, self.q, entries)
 
     def __neg__(self) -> "TensorField":
-        return TensorField(self.dimension, self.p, self.q, _neg(self.nonzero))
+        return TensorField._raw(self.dimension, self.p, self.q, _neg(self.nonzero))
 
     def scale(self, factor: Poly | Scalar) -> "TensorField":
         entries = {idx: v for idx, c in self.nonzero.items() if (v := c * factor)}
@@ -309,7 +333,7 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
         raise ValueError("dimension mismatch")
     ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
     entries = _einsum(f"{ua}{la},{ub}{lb}->{ua}{ub}{la}{lb}", a, b)
-    return TensorField(a.dimension, a.p + b.p, a.q + b.q, entries)
+    return TensorField._raw(a.dimension, a.p + b.p, a.q + b.q, entries)
 
 
 def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
@@ -320,7 +344,7 @@ def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
     term = ups + lows[:lower_slot] + ups[upper_slot] + lows[lower_slot + 1 :]
     kept = ups[:upper_slot] + ups[upper_slot + 1 :] + lows[:lower_slot] + lows[lower_slot + 1 :]
     entries = _einsum(f"{term}->{kept}", t)
-    return TensorField(t.dimension, t.p - 1, t.q - 1, entries)
+    return TensorField._raw(t.dimension, t.p - 1, t.q - 1, entries)
 
 
 def apply_metric(t: TensorField, w: TensorField) -> TensorField:
@@ -332,7 +356,7 @@ def apply_metric(t: TensorField, w: TensorField) -> TensorField:
             "apply_metric needs a (2,0) tensor with a 1-form or a (0,2) tensor "
             "with a vector field, of one dimension"
         )
-    return TensorField(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
+    return TensorField._raw(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
 
 
 def pairing(form: TensorField, vec: TensorField) -> Poly:
@@ -345,7 +369,7 @@ def pairing(form: TensorField, vec: TensorField) -> Poly:
 def gradient(f: Poly) -> TensorField:
     """The 1-form df."""
     n = f.dimension
-    return one_form(n, [f.partial(a) for a in range(n)])
+    return TensorField._raw(n, 0, 1, {(a,): d for a in range(n) if (d := f.partial(a))})
 
 
 def directional(vec: TensorField, f: Poly) -> Poly:
@@ -355,10 +379,12 @@ def directional(vec: TensorField, f: Poly) -> Poly:
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
     """[X, Y]^a = X^k d_k Y^a - Y^k d_k X^a."""
+    if (x.p, x.q, y.p, y.q) != (1, 0, 1, 0) or x.dimension != y.dimension:
+        raise ValueError("vector_bracket needs two vector fields of one dimension")
     entries = _add(
-        _einsum("k,ka->a", x, _derivative(y)), _neg(_einsum("k,ka->a", y, _derivative(x)))
+        _einsum("k,ka->a", x, y.derivative), _neg(_einsum("k,ka->a", y, x.derivative))
     )
-    return TensorField(x.dimension, 1, 0, entries)
+    return TensorField._raw(x.dimension, 1, 0, entries)
 
 
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
@@ -371,15 +397,15 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
         raise ValueError("lie_derivative needs a vector field of matching dimension")
     ups, lows = _slots(t.p, t.q)
     result = ups + lows
-    dx = _derivative(x)  # (k, a): d_k X^a
-    parts = [_einsum(f"z,z{result}->{result}", x, _derivative(t))]
+    dx = x.derivative  # (k, a): d_k X^a
+    parts = [_einsum(f"z,z{result}->{result}", x, t.derivative)]
     for slot, a in enumerate(ups):
         moved = ups[:slot] + "z" + ups[slot + 1 :]
         parts.append(_neg(_einsum(f"z{a},{moved}{lows}->{result}", dx, t)))
     for slot, b in enumerate(lows):
         moved = lows[:slot] + "z" + lows[slot + 1 :]
         parts.append(_einsum(f"{b}z,{ups}{moved}->{result}", dx, t))
-    return TensorField(t.dimension, t.p, t.q, _add(*parts))
+    return TensorField._raw(t.dimension, t.p, t.q, _add(*parts))
 
 
 # ----------------------------------------------------------------------
@@ -426,16 +452,16 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
     n = g.dimension
-    dx = _derivative(x)  # (a, k): d_a X^k
-    ddx = _derivative(TensorField(n, 1, 1, dx))  # (a, b, c): d_a d_b X^c
+    dx = x.derivative  # (a, k): d_a X^k
+    ddx = TensorField._raw(n, 1, 1, dx).derivative  # (a, b, c): d_a d_b X^c
     entries = _add(
-        _einsum("z,zabc->cab", x, _derivative(g)),
+        _einsum("z,zabc->cab", x, g.derivative),
         _einsum("zbc,az->cab", g, dx),
         _einsum("azc,bz->cab", g, dx),
         _neg(_einsum("abz,zc->cab", g, dx)),
         _einsum("abc->cab", ddx),
     )
-    return TensorField(n, 1, 2, entries)
+    return TensorField._raw(n, 1, 2, entries)
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -448,7 +474,7 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
     """
     if gamma.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    symbols = TensorField(g.dimension, 1, 2, _einsum("abc->cab", g))
+    symbols = TensorField._raw(g.dimension, 1, 2, _einsum("abc->cab", g))
     return raise_connection_transport(symbols, gamma, slots)
 
 
@@ -461,10 +487,14 @@ def raise_connection_transport(
     the transport of the raised symbols; slots as in raise_connection.
     """
     n = ld.dimension
+    if (ld.p, ld.q, gamma.p, gamma.q) != (1, 2, 2, 0) or gamma.dimension != n:
+        raise ValueError(
+            "raising needs a (1,2)-shaped transport and a (2,0) gamma of one dimension"
+        )
     if slots == 1:
-        return TensorField(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
+        return TensorField._raw(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
     if slots == 2:
-        return TensorField(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
+        return TensorField._raw(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
     raise ValueError("slots must be 1 or 2")
 
 
@@ -474,14 +504,14 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
         raise ValueError("dimension mismatch")
     ups, lows = _slots(t.p, t.q)
     result = f"{ups}y{lows}"
-    parts = [_einsum(f"y{ups}{lows}->{result}", _derivative(t))]
+    parts = [_einsum(f"y{ups}{lows}->{result}", t.derivative)]
     for slot, a in enumerate(ups):
         moved = ups[:slot] + "z" + ups[slot + 1 :]
         parts.append(_einsum(f"yz{a},{moved}{lows}->{result}", g, t))
     for slot, b in enumerate(lows):
         moved = lows[:slot] + "z" + lows[slot + 1 :]
         parts.append(_neg(_einsum(f"y{b}z,{ups}{moved}->{result}", g, t)))
-    return TensorField(t.dimension, t.p, t.q + 1, _add(*parts))
+    return TensorField._raw(t.dimension, t.p, t.q + 1, _add(*parts))
 
 
 @dataclass(frozen=True)
@@ -496,15 +526,15 @@ class CurvatureField(_Entries):
         return self._get((a, b, c, d))
 
     def negated(self) -> "CurvatureField":
-        return CurvatureField(self.dimension, _neg(self.nonzero))
+        return CurvatureField._raw(self.dimension, _neg(self.nonzero))
 
 
 def curvature(g: Connection) -> CurvatureField:
     """R_abc^d = d_a G_bc^d - d_b G_ac^d + G_ak^d G_bc^k - G_bk^d G_ac^k,
     taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k."""
-    s = _add(_derivative(g), _einsum("akd,bck->abcd", g, g))
+    s = _add(g.derivative, _einsum("akd,bck->abcd", g, g))
     r = _add(s, _neg(_einsum("bacd->abcd", s)))
-    return CurvatureField(g.dimension, r)
+    return CurvatureField._raw(g.dimension, r)
 
 
 def check_newtonian(

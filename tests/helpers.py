@@ -41,6 +41,21 @@ def shaped_polys(draw, dimension, shape):
     return Poly(dimension, draw(st.dictionaries(exps, nonzero_coefficients(), max_size=5)))
 
 
+def counting(monkeypatch, owner, name):
+    """Wrap owner.name (a module function, a method, or the func of a
+    cached_property) so that every call is recorded, and return the list of
+    recorded positional argument tuples; monkeypatch undoes the wrapping."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def var(dim, i):
     return Poly.variable(dim, i)
 

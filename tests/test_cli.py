@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import counting
 from ncw.cli import main
 from ncw.dsl import parse_expression
 
@@ -298,23 +299,8 @@ class TestConnectionAndCurvature:
     def test_metric_pair_is_checked_once_per_structure(self, capsys, monkeypatch):
         from ncw.structures import GalileiStructure
 
-        points = []
-        original = GalileiStructure._check_point
-
-        def counted(self, point):
-            points.append(point)
-            return original(self, point)
-
-        pairs = []
-        pair_check = GalileiStructure.__dict__["_valid_pair"]
-        original_pair = pair_check.func
-
-        def counted_pair(self):
-            pairs.append(self)
-            return original_pair(self)
-
-        monkeypatch.setattr(GalileiStructure, "_check_point", counted)
-        monkeypatch.setattr(pair_check, "func", counted_pair)
+        points = counting(monkeypatch, GalileiStructure, "_check_point")
+        pairs = counting(monkeypatch, GalileiStructure.__dict__["_valid_pair"], "func")
         sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
         code, _, _ = run(
             capsys, "solve", "--input", str(sheared), "--flavor", "mil", "--degree", "1"
@@ -326,46 +312,43 @@ class TestConnectionAndCurvature:
     def test_transverse_metric_is_computed_once(self, capsys, monkeypatch):
         import ncw.structures
 
-        calls = []
-        original = ncw.structures.transverse_metric
-
-        def counted(g, u):
-            calls.append(1)
-            return original(g, u)
-
-        monkeypatch.setattr(ncw.structures, "transverse_metric", counted)
+        calls = counting(monkeypatch, ncw.structures, "transverse_metric")
         sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
         code, _, _ = run(capsys, "connection", "--input", str(sheared))
         assert code == 0
         assert len(calls) == 1
-        # gauge: once for U, and twice for the shifted U, in potential_to_gauge
-        # and in the shifted structure's connection
+        # gauge: once for U, and once for the shifted U, whose gauge form and
+        # structure share it
         calls.clear()
         code, _, _ = run(
             capsys, "gauge", "--input", str(sheared), "--psi", "psi[1] = x2", "--f", "t*x1"
         )
         assert code == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_data_shape_is_found_once_per_document(self, capsys, monkeypatch, flat2):
+        # parse_structure, build_structure, the summary and validate all ask
+        from ncw.dsl import StructureDocument
+
+        shapes = counting(monkeypatch, StructureDocument.__dict__["_shape"], "func")
+        sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
+        assert run(capsys, "validate", "--input", str(sheared))[0] == 0
+        assert len(shapes) == 1
+        shapes.clear()
+        assert run(capsys, "solve", "--input", flat2, "--flavor", "cor", "--degree", "1")[0] == 0
+        assert len(shapes) == 1
 
     def test_each_label_fits_its_template_once(self, capsys, monkeypatch, flat2):
         import ncw.report
         import ncw.solver
 
-        fitted = []
-        original = ncw.solver.fit_time_template
-
-        def counted(x):
-            fitted.append(x)
-            return original(x)
-
-        for module in (ncw.report, ncw.solver):
-            monkeypatch.setattr(module, "fit_time_template", counted)
+        fitted = [counting(monkeypatch, m, "fit_time_template") for m in (ncw.report, ncw.solver)]
         code, out, _ = run(
             capsys, "solve", "--input", flat2, "--flavor", "cor", "--degree", "3",
             "--format", "json",
         )
         assert code == 0
-        assert len(fitted) == json.loads(out)["results"]["dimension"] == 13
+        assert sum(map(len, fitted)) == json.loads(out)["results"]["dimension"] == 13
 
     def test_flat_curvature(self, capsys, flat2):
         code, out, _ = run(capsys, "curvature", "--input", flat2, "--format", "json")

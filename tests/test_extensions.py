@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncw.extensions
-from helpers import basis_vector, is_canonical, random_poly, var
+from helpers import basis_vector, counting, is_canonical, random_poly, var
 from ncw.extensions import (
     BargmannElement,
     CocycleError,
@@ -39,7 +39,7 @@ from ncw.solver import (
     solve_symmetries,
 )
 from ncw.structures import flat_structure, standard_structure
-from ncw.tensors import TensorField, lie_derivative, one_form, vector
+from ncw.tensors import TensorField, gradient, lie_derivative, one_form, vector
 
 
 def milne_oracle(e1: MilneStandardElement, e2: MilneStandardElement):
@@ -528,9 +528,9 @@ class TestExtensionErrorContract:
     "flavor, stabilizer", [("milne", "observer"), ("galilei", "full")]
 )
 def test_bracket_checks_the_parameter_it_derives(flavor, stabilizer):
-    """The private bracket takes its operands' full parameters on trust and
-    derives f_[X,X'] from them without a solve; a wrong one must fail the
-    exact check against the stabilizer equation."""
+    """The private bracket takes the gradients of its operands' full
+    parameters on trust and derives f_[X,X'] from them without a solve; a
+    wrong one must fail the exact check against the stabilizer equation."""
     from ncw.extensions import _bracket
 
     s = flat_structure(2)
@@ -539,11 +539,11 @@ def test_bracket_checks_the_parameter_it_derives(flavor, stabilizer):
     translation = basis_vector(3, 1)
     rotation = vector(3, [zero, -x2, x1])
     # on the flat structure both fields have f_X = 0
-    good = _bracket(translation, zero, rotation, zero, s, flavor)
+    good = _bracket(translation, gradient(zero), rotation, gradient(zero), s, flavor)
     assert good.x == basis_vector(3, 2) and good.f.is_zero
     # with f = x1^2 for the translation, g = 2 x1 x2 is no parameter of [X, X']
     with pytest.raises(ExtensionError, match=f"bracket left the {stabilizer} stabilizer"):
-        _bracket(translation, x1 * x1, rotation, zero, s, flavor)
+        _bracket(translation, gradient(x1 * x1), rotation, gradient(zero), s, flavor)
 
 
 class TestRadialPrimitive:
@@ -840,20 +840,28 @@ def test_extend_solves_each_gauge_parameter_once(flavor, monkeypatch, capsys):
     and the bracket table, the noncentrality scan and the cocycle reuse it.
     A bracket integrates nothing: X(f') - X'(f) is a parameter of [X, X'],
     so f_[X,X'] is that less its xi part."""
-    import ncw.extensions
-
     fields = solve_symmetries(flat_structure(2).induced_nc(), flavor, 1).fields
-    integrated = []
-    integrate = ncw.extensions._integrate
-
-    def counted(x, s, fl):
-        integrated.append((x, fl))
-        return integrate(x, s, fl)
-
-    monkeypatch.setattr(ncw.extensions, "_integrate", counted)
+    integrated = counting(monkeypatch, ncw.extensions, "_integrate")
     _run_extend("flat2.ncw", flavor, 1, capsys)
-    assert integrated == [(x, flavor) for x in fields]
+    assert [(x, fl) for x, s, fl in integrated] == [(x, flavor) for x in fields]
     assert len(fields) == 6
+
+
+def test_extend_differentiates_each_field_and_each_parameter_once(monkeypatch):
+    """On flat n=2, galilei, d=1, every basis field is bracketed against the
+    five others, against V in its right side, and again in the cocycle's
+    structure constants; its derivative is computed once.  Each parameter's
+    gradient is taken once, by its integration check, and the brackets
+    contract that gradient."""
+    from ncw.tensors import _Entries
+
+    derived = counting(monkeypatch, _Entries.__dict__["derivative"], "func")
+    grads = counting(monkeypatch, ncw.extensions, "gradient")
+    ext = extend(flat_structure(2), "galilei", 1)
+    fields = ext.basis.fields
+    assert len(fields) == 6 and None not in ext.parameters
+    assert [sum(field is x for (field,) in derived) for x in fields] == [1] * 6
+    assert [sum(p is f for (p,) in grads) for f in ext.parameters] == [1] * 6
 
 
 @pytest.mark.parametrize("flavor", ["coriolis", "milne", "galilei"])
@@ -862,21 +870,15 @@ def test_extend_makes_no_classify_call(flavor, monkeypatch, capsys):
     none of them again: no `classify` call past the solve, on flat n=2 at
     d=1 and on the oscillator at d=2."""
     import ncw.cli
-    import ncw.extensions
     import ncw.solver
 
-    calls = []
-    classify = ncw.solver.classify
-
-    def counted(x, s):
-        calls.append(x)
-        return classify(x, s)
-
-    for module in (ncw.solver, ncw.extensions, ncw.cli):
-        monkeypatch.setattr(module, "classify", counted)
+    calls = [
+        counting(monkeypatch, module, "classify")
+        for module in (ncw.solver, ncw.extensions, ncw.cli)
+    ]
     _run_extend("flat2.ncw", flavor, 1, capsys)
     _run_extend("oscillator.ncw", flavor, 2, capsys)
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("s", [flat_structure(2), standard_structure(2, var(3, 1) ** 2)])

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncw.solver
-from helpers import SHAPES, basis_vector, is_canonical, nonzero_coefficients, shaped_polys, var
+from helpers import (
+    SHAPES,
+    basis_vector,
+    counting,
+    is_canonical,
+    nonzero_coefficients,
+    shaped_polys,
+    var,
+)
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly, _q
 from ncw.dsl import build_structure, parse_structure
@@ -411,23 +419,13 @@ class TestStructureConstantsContract:
     @pytest.fixture
     def counted(self, monkeypatch):
         import ncw.linalg
-        import ncw.solver
-        from ncw.linalg import SparseEliminator
-
-        calls = {"add_row": 0}
-        add_row = SparseEliminator.add_row
-
-        def counting(elim, row):
-            calls["add_row"] += 1
-            return add_row(elim, row)
 
         def no_solve(*args):
             raise AssertionError("structure_constants ran a sparse_solve")
 
-        monkeypatch.setattr(SparseEliminator, "add_row", counting)
         monkeypatch.setattr(ncw.linalg, "sparse_solve", no_solve)
         monkeypatch.setattr(ncw.solver, "sparse_solve", no_solve, raising=False)
-        return calls
+        return counting(monkeypatch, SparseEliminator, "add_row")
 
     def test_dependent_basis_with_a_bracket_in_its_span_raises(self, counted):
         s = flat_structure(1).induced_nc()
@@ -441,7 +439,7 @@ class TestStructureConstantsContract:
         )
         with pytest.raises(ValueError, match="basis is linearly dependent"):
             structure_constants(SymmetryBasis(s, "coriolis", 1, fields))
-        assert counted["add_row"] == len(fields)
+        assert len(counted) == len(fields)
 
     def test_dependent_basis_whose_brackets_leave_the_span_is_open(self, counted):
         s = flat_structure(1).induced_nc()
@@ -453,15 +451,28 @@ class TestStructureConstantsContract:
         constants, closed = structure_constants(basis)
         assert not closed
         assert constants == [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        assert counted["add_row"] == 3
+        assert len(counted) == 3
 
     def test_one_row_per_basis_field_and_no_solve(self, counted):
         s = flat_structure(2).induced_nc()
         for flavor in FLAVORS:
             basis = solve_symmetries(s, flavor, 1)
-            counted["add_row"] = 0
+            counted.clear()
             structure_constants(basis)
-            assert counted["add_row"] == basis.dimension
+            assert len(counted) == basis.dimension
+
+    def test_each_basis_field_is_differentiated_once(self, monkeypatch):
+        # k - 1 brackets read each field's derivative; it is computed once
+        from ncw.tensors import _Entries
+
+        s = flat_structure(2).induced_nc()
+        derived = counting(monkeypatch, _Entries.__dict__["derivative"], "func")
+        for flavor in FLAVORS:
+            basis = solve_symmetries(s, flavor, 1)
+            derived.clear()
+            structure_constants(basis)
+            counts = [sum(field is x for (field,) in derived) for x in basis.fields]
+            assert counts == [1] * basis.dimension
 
 
 class TestCurvedCoefficients:

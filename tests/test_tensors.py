@@ -1,6 +1,7 @@
 """Tensor calculus: Lie derivatives, covariant derivative, curvature, and the
 Newtonian symmetry check, all against hand-expanded oracles."""
 
+import copy
 import gc
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncw.poly import Poly
-from ncw.structures import standard_structure
+from helpers import SHAPES, nonzero_coefficients, shaped_polys
+from ncw.poly import Poly, _q
+from ncw.solver import _generic_field, ansatz_monomials
+from ncw.structures import field_strength, standard_structure
 from ncw.tensors import (
     Connection,
     CurvatureField,
@@ -711,3 +714,114 @@ class TestIndexRange:
         t13 = TensorField(1, 13, 0, {(0,) * 13: two})
         with pytest.raises(ValueError, match="more than 24 slots"):
             tensor_product(t13, t13)
+
+
+# ----------------------------------------------------------------------
+# operator results are stored as the constructors require
+
+def _terms(entries):
+    """A field's (or an entry dict's) terms, comparable for Poly and the
+    solver's _FormPoly alike; _FormPoly has no ==."""
+    return {idx: value.terms for idx, value in getattr(entries, "nonzero", entries).items()}
+
+
+def assert_stored(field):
+    """The storage invariant the constructors enforce: only nonzero
+    components of the field's dimension, under index tuples of its rank
+    with every index in range."""
+    for idx, value in field.nonzero.items():
+        assert type(idx) is tuple and len(idx) == field.rank, idx
+        assert all(type(i) is int and 0 <= i < field.dimension for i in idx), idx
+        assert value and value.dimension == field.dimension, (idx, value)
+
+
+@st.composite
+def drawn_polys(draw, dim):
+    return draw(shaped_polys(dim, draw(st.sampled_from(SHAPES))))
+
+
+@st.composite
+def drawn_fields(draw, dim, p, q):
+    keys = st.tuples(*[st.integers(0, dim - 1)] * (p + q))
+    entries = draw(st.dictionaries(keys, drawn_polys(dim), max_size=4))
+    return TensorField(dim, p, q, {idx: v for idx, v in entries.items() if v})
+
+
+@st.composite
+def drawn_connections(draw, dim):
+    index = st.integers(0, dim - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), drawn_polys(dim), max_size=4))
+    symbols = {}
+    for (a, b, c), v in entries.items():
+        if v:
+            symbols[a, b, c] = symbols[b, a, c] = v
+    return Connection(dim, symbols)
+
+
+@st.composite
+def generic_fields(draw, dim):
+    """The solver's generic field sum_i y_i v_i over drawn ansatz vectors,
+    whose components are _FormPolys."""
+    monos = ansatz_monomials(dim, draw(st.integers(0, 1)))
+    position = st.integers(0, dim * len(monos) - 1)
+    columns = draw(st.lists(
+        st.dictionaries(position, nonzero_coefficients().map(_q), min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ))
+    return _generic_field(dim, monos, columns)
+
+
+class TestStoredResults:
+    """The operators wrap their results without the constructors' entry
+    checks, so this property guards the invariant those checks enforce, on
+    Poly fields and on the solver's generic field: every result stores only
+    nonzero in-range entries of its dimension, and a second call gives the
+    same result and leaves each operand's cached derivative as it was."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_result_is_stored_as_the_constructors_require(self, data):
+        dim = data.draw(st.integers(2, 3))
+        p, q = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]))
+        t = data.draw(drawn_fields(dim, p, q))
+        t2 = data.draw(drawn_fields(dim, p, q))
+        y = data.draw(drawn_fields(dim, 1, 0))
+        x = data.draw(st.one_of(drawn_fields(dim, 1, 0), generic_fields(dim)))
+        w = data.draw(drawn_fields(dim, 0, 1))
+        gamma = data.draw(drawn_fields(dim, 2, 0))
+        conn = data.draw(drawn_connections(dim))
+        f = data.draw(drawn_polys(dim))
+        operators = {
+            "add": lambda: t + t2,
+            "sub": lambda: t - t2,
+            "neg": lambda: -t,
+            "tensor_product": lambda: tensor_product(t, x),
+            "apply_metric": lambda: apply_metric(gamma, w),
+            "gradient": lambda: gradient(f),
+            "vector_bracket": lambda: vector_bracket(x, y),
+            "lie_derivative": lambda: lie_derivative(x, t),
+            "lie_derivative_connection": lambda: lie_derivative_connection(x, conn),
+            "raise_connection": lambda: raise_connection(conn, gamma, 2),
+            "raise_connection_transport": lambda: raise_connection_transport(
+                lie_derivative_connection(x, conn), gamma, 1
+            ),
+            "covariant_derivative": lambda: covariant_derivative(conn, t),
+            "curvature": lambda: curvature(conn),
+            "negated": lambda: curvature(conn).negated(),
+            "field_strength": lambda: field_strength(w),
+        }
+        if p and q:
+            operators["contract"] = lambda: contract(t, 0, 0)
+        operands = (t, t2, y, x, w, gamma, conn)
+        for name, op in operators.items():
+            first = op()
+            assert_stored(first)
+            cached = [
+                (o, o.derivative, copy.deepcopy(_terms(o.derivative)))
+                for o in operands
+                if "derivative" in vars(o)
+            ]
+            again = op()
+            assert (type(again), _terms(again)) == (type(first), _terms(first)), name
+            for o, derivative, before in cached:
+                assert o.derivative is derivative and _terms(derivative) == before, name
