@@ -30,7 +30,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _exact, time_part
+from .poly import Poly, _exact, _q, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -42,7 +42,6 @@ from .structures import NCBStructure
 from .tensors import (
     TensorField,
     apply_metric,
-    directional,
     gradient,
     pairing,
     vector,
@@ -111,7 +110,7 @@ def extended_cor_bracket(
 def _full_rhs(x: TensorField, s: NCBStructure) -> TensorField:
     """alpha_X = (-X(phi) + h(L_X V, V)) theta - h(L_X V)."""
     lowered = apply_metric(s.transverse, vector_bracket(x, s.v))
-    scalar = pairing(lowered, s.v) - directional(x, s.phi)
+    scalar = pairing(lowered, s.v) - pairing(s.dphi, x)
     return s.base.theta.scale(scalar) - lowered
 
 
@@ -368,7 +367,7 @@ def _algebra(
         witness = next(((i, f) for i, f in outputs if not f.is_zero), None)
     elif flavor == "galilei":
         origin = (0,) * dim
-        cocycle = [[Fraction(0)] * k for _ in range(k)]
+        cocycle = [[0] * k for _ in range(k)]
         for (i, j), out in brackets.items():
             cocycle[i][j] = out.f.coefficient(origin)
             cocycle[j][i] = -cocycle[i][j]
@@ -427,9 +426,9 @@ def cocycle_triviality(
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     matrix = RationalMatrix.from_rows(
         [[constants[i][j][m] for m in range(k)] for (i, j) in pairs]
-        or [[Fraction(0)] * k]
+        or [[0] * k]
     )
-    rhs = [c[i][j] for (i, j) in pairs] or [Fraction(0)]
+    rhs = [c[i][j] for (i, j) in pairs] or [0]
     solution = solve_inhomogeneous(matrix, rhs)
     if solution is not None:
         return TrivialityResult(True, solution[0], None, tuple(pairs))
@@ -448,10 +447,7 @@ def coboundary_from_functional(
     lam = [_exact(v) for v in functional]
     k = len(basis.fields)
     return [
-        [
-            sum((constants[i][j][m] * lam[m] for m in range(k)), Fraction(0))
-            for j in range(k)
-        ]
+        [_q(sum(constants[i][j][m] * lam[m] for m in range(k))) for j in range(k)]
         for i in range(k)
     ]
 
@@ -487,16 +483,16 @@ class BargmannElement:
 
     @classmethod
     def make(cls, n, omega=None, beta=None, sigma=None, tau=0, xi=0) -> "BargmannElement":
-        om = [[Fraction(0)] * n for _ in range(n)]
+        om = [[0] * n for _ in range(n)]
         if omega:
             for (a, b), v in omega.items():
                 om[a - 1][b - 1] = _exact(v)
                 om[b - 1][a - 1] = -om[a - 1][b - 1]
-        be = [Fraction(0)] * n
+        be = [0] * n
         if beta:
             for a, v in beta.items():
                 be[a - 1] = _exact(v)
-        si = [Fraction(0)] * n
+        si = [0] * n
         if sigma:
             for a, v in sigma.items():
                 si[a - 1] = _exact(v)
@@ -534,40 +530,23 @@ def bargmann_bracket(b1: BargmannElement, b2: BargmannElement) -> BargmannElemen
     n = b1.n
 
     def matmul(m1, m2):
-        return tuple(
-            tuple(
-                sum((m1[a][k] * m2[k][b] for k in range(n)), Fraction(0))
-                for b in range(n)
-            )
-            for a in range(n)
-        )
+        return [[sum(m1[a][k] * m2[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
 
     def matvec(m, v):
-        return tuple(
-            sum((m[a][k] * v[k] for k in range(n)), Fraction(0)) for a in range(n)
-        )
+        return [sum(m[a][k] * v[k] for k in range(n)) for a in range(n)]
 
     m1, m2 = b1.omega, b2.omega
-    p21 = matmul(m2, m1)
-    p12 = matmul(m1, m2)
-    omega = tuple(
-        tuple(p21[a][b] - p12[a][b] for b in range(n)) for a in range(n)
-    )
-    beta = tuple(
-        matvec(m2, b1.beta)[a] - matvec(m1, b2.beta)[a] for a in range(n)
-    )
+    p21, p12 = matmul(m2, m1), matmul(m1, m2)
+    omega = tuple(tuple(_q(p21[a][b] - p12[a][b]) for b in range(n)) for a in range(n))
+    beta2, beta1 = matvec(m2, b1.beta), matvec(m1, b2.beta)
+    sigma2, sigma1 = matvec(m2, b1.sigma), matvec(m1, b2.sigma)
+    beta = tuple(_q(beta2[a] - beta1[a]) for a in range(n))
     sigma = tuple(
-        matvec(m2, b1.sigma)[a]
-        - matvec(m1, b2.sigma)[a]
-        + b2.beta[a] * b1.tau
-        - b1.beta[a] * b2.tau
+        _q(sigma2[a] - sigma1[a] + b2.beta[a] * b1.tau - b1.beta[a] * b2.tau)
         for a in range(n)
     )
-    xi = sum(
-        (b1.sigma[a] * b2.beta[a] - b2.sigma[a] * b1.beta[a] for a in range(n)),
-        Fraction(0),
-    )
-    return BargmannElement(omega, beta, sigma, Fraction(0), xi)
+    xi = _q(sum(b1.sigma[a] * b2.beta[a] - b2.sigma[a] * b1.beta[a] for a in range(n)))
+    return BargmannElement(omega, beta, sigma, 0, xi)
 
 
 @dataclass(frozen=True)
@@ -620,7 +599,7 @@ def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     if fit is None:
         raise ExtensionError("field does not match the standard-case template")
     n = fit.n
-    omega = [[Fraction(0)] * n for _ in range(n)]
+    omega = [[0] * n for _ in range(n)]
     dim = n + 1
     zero = (0,) * dim
     for (a, b), w in fit.omega.items():

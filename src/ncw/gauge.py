@@ -22,12 +22,12 @@ which nc_projection_invariance_check verifies exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RationalMatrix
-from .poly import Poly, Scalar, _exact
+from .linalg import adjugate
+from .poly import Poly, Scalar, _exact, _q
 from .structures import (
     GalileiStructure,
     NCBStructure,
@@ -103,7 +103,7 @@ def infinitesimal_gauge(s: NCBStructure, e: GaugeElement) -> NCBVariation:
         d_theta=lie_derivative(e.x, g.theta),
         d_u=lie_derivative(e.x, s.u) + apply_metric(g.gamma, e.psi),
         d_v=lie_derivative(e.x, s.v) + metric_gradient(g, e.f),
-        d_phi=directional(e.x, s.phi) + directional(s.v, e.f),
+        d_phi=pairing(s.dphi, e.x) + directional(s.v, e.f),
     )
 
 
@@ -122,47 +122,59 @@ def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
 # ----------------------------------------------------------------------
 # finite action
 
-def _entries(m: RationalMatrix) -> dict[tuple[int, int], Scalar]:
-    """The nonzero entries of a matrix keyed (row, column)."""
-    return {(i, j): v for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
-
-
 @dataclass(frozen=True)
 class AffineDiffeo:
-    """y = L x + c with L an invertible rational matrix."""
+    """y = L x + c, with L an invertible rational matrix held as a tuple of
+    rows.  The entries of L and c are taken only as ints and Fractions and
+    kept canonical (``poly._exact``).  One adjugate gives det L, for the
+    invertibility check, and L^{-1}; the nonzero entries of L and of
+    L^{-1}, keyed (row, column), are kept once per map for the
+    pushforwards."""
 
-    linear: RationalMatrix
+    linear: tuple[tuple[Scalar, ...], ...]
     translation: tuple[Scalar, ...]
+    _maps: tuple[dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.linear.rows != self.linear.cols:
+        rows = self.linear
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("entry grid does not match rows x cols")
+        object.__setattr__(self, "linear", tuple(tuple(_exact(v) for v in row) for row in rows))
+        object.__setattr__(self, "translation", tuple(_exact(v) for v in self.translation))
+        n = len(self.linear)
+        if not n:
+            raise ValueError("linear part must not be empty")
+        if any(len(row) != n for row in self.linear):
             raise ValueError("linear part must be square")
-        if len(self.translation) != self.linear.rows:
+        if len(self.translation) != n:
             raise ValueError("translation length mismatch")
-        if self.linear.det() == 0:
+        adj, det = adjugate(self.linear)
+        if det == 0:
             raise ValueError("affine map must be invertible")
+        inv = Fraction(1, det)
+        linear = {(i, j): v for i, row in enumerate(self.linear) for j, v in enumerate(row) if v}
+        inverse = {(i, j): _q(v * inv) for i, row in enumerate(adj) for j, v in enumerate(row) if v}
+        object.__setattr__(self, "_maps", (linear, inverse))
 
     @classmethod
     def identity(cls, dimension: int) -> "AffineDiffeo":
-        return cls(RationalMatrix.identity(dimension), (0,) * dimension)
+        rows = tuple(tuple(int(i == j) for j in range(dimension)) for i in range(dimension))
+        return cls(rows, (0,) * dimension)
 
     @classmethod
     def make(cls, linear: Sequence[Sequence[object]], translation: Sequence[object]) -> "AffineDiffeo":
-        return cls(
-            RationalMatrix.from_rows(linear),
-            tuple(_exact(v) for v in translation),
-        )
+        return cls(tuple(map(tuple, linear)), tuple(translation))
 
     @property
     def dimension(self) -> int:
-        return self.linear.rows
+        return len(self.linear)
 
     def inverse_images(self) -> list[Poly]:
         """Polynomials expressing old coordinates in terms of new ones,
         x = L^{-1}(y - c)."""
         dim = self.dimension
         shifted = {(j,): Poly.variable(dim, j) - c for j, c in enumerate(self.translation)}
-        images = _einsum("ij,j->i", _entries(self.linear.inverse()), shifted)
+        images = _einsum("ij,j->i", self._maps[1], shifted)
         return [images.get((a,)) or Poly.zero(dim) for a in range(dim)]
 
     def push_scalar(self, f: Poly) -> Poly:
@@ -173,7 +185,7 @@ class AffineDiffeo:
         components composed with the inverse map."""
         images = self.inverse_images()
         moved = {idx: c.substitute(images) for idx, c in t.nonzero.items()}
-        linear, inverse = _entries(self.linear), _entries(self.linear.inverse())
+        linear, inverse = self._maps
         # L^a_k per upper slot, (L^{-1})^k_b per lower slot, then the moved field
         out, src = _slots(t.rank, t.rank)
         terms = [o + k if slot < t.p else k + o for slot, (o, k) in enumerate(zip(out, src))]

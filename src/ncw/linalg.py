@@ -2,9 +2,10 @@
 
 One Gaussian elimination, SparseEliminator: sparse rational rows absorbed
 one at a time, pivoting on the least column index, so every kernel is the
-canonical echelon basis.  It backs both the large systems the symmetry
-solver assembles and the small dense RationalMatrix operations (rref,
-rank, inverse, nullspace, inhomogeneous solving).
+canonical echelon basis.  It backs the large systems the symmetry solver
+assembles, the positivity check of a Galilei structure, and the small dense
+RationalMatrix that the cocycle system is posed on (rref, nullspace,
+inhomogeneous solving and inconsistency certificates).
 
 The solver's systems are mostly one-entry rows, so the eliminator is
 shaped by them.  A pivot row {c: 1} marks column c as known zero: c is
@@ -22,8 +23,9 @@ solve_inhomogeneous and inconsistency_certificate, take only int and
 Fraction entries (``poly._exact``); a float, a string or a bool is refused,
 not approximated.
 
-Determinants and adjugates come from one division-free Faddeev-LeVerrier
-recursion that works over ints, Fractions and Polys alike.
+Determinants, adjugates and inverses come from one division-free
+Faddeev-LeVerrier recursion that works over ints, Fractions and Polys
+alike.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ Vector = tuple[Scalar, ...]
 
 
 class RationalMatrix:
-    """Dense rows x cols matrix of exact rationals."""
+    """Dense rows x cols matrix of exact rationals, on which
+    cocycle_triviality poses its system."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -55,10 +58,6 @@ class RationalMatrix:
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         return cls(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -83,28 +82,6 @@ class RationalMatrix:
         reduced = [[rows[p].get(c, 0) for c in range(self.cols)] for p in pivots]
         reduced += [[0] * self.cols] * (self.rows - len(pivots))
         return RationalMatrix(self.rows, self.cols, reduced), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def det(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        return adjugate(self.entries)[1] if self.rows else 1
-
-    def inverse(self) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse requires a square matrix")
-        n = self.rows
-        aug = RationalMatrix(
-            n,
-            2 * n,
-            [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)],
-        )
-        red, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return RationalMatrix(n, n, [row[n:] for row in red.entries])
 
 
 def nullspace(matrix: RationalMatrix) -> list[Vector]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import RationalMatrix, adjugate
+from .linalg import SparseEliminator, adjugate, sparse_kernel
 from .poly import Poly, Scalar, _exact
 from .tensors import (
     Connection,
@@ -97,38 +97,36 @@ class GalileiStructure:
         return True
 
     def _check_point(self, point: Sequence[Scalar]) -> None:
-        dim = self.dimension
         where = f"({', '.join(map(str, point))})"
-        g = RationalMatrix(
-            dim,
-            dim,
-            [
-                [self.gamma.comp(a, b).evaluate(point) for b in range(dim)]
-                for a in range(dim)
-            ],
-        )
-        theta_val = [self.theta.comp(a).evaluate(point) for a in range(dim)]
-        if all(v == 0 for v in theta_val):
+        on_theta = [a for (a,), c in self.theta.nonzero.items() if c.evaluate(point)]
+        if not on_theta:
             raise StructureError(f"theta vanishes at sample point {where}")
+        rows: list[dict[int, Scalar]] = [{} for _ in range(self.dimension)]
+        for (a, b), c in self.gamma.nonzero.items():
+            if v := c.evaluate(point):
+                rows[a][b] = v
         # restrict to a coordinate complement of theta (every axis but the
         # last one theta has a component on) and check positive
         # definiteness by Sylvester's criterion; theta != 0 spans gamma's
-        # kernel (_valid_pair), so passing it means rank n
-        last = max(a for a, v in enumerate(theta_val) if v)
-        axes = [a for a in range(dim) if a != last]
-        restricted = [[g.entries[a][b] for b in axes] for a in axes]
-        for k in range(1, self.n + 1):
-            minor = RationalMatrix(k, k, [row[:k] for row in restricted[:k]])
-            if minor.det() <= 0:
-                rank = g.rank()
+        # kernel (_valid_pair), so passing it means rank n.  Without row
+        # exchanges the k-th restricted row, reduced by the rows before it,
+        # leads at column k with the k-th leading minor over the one before
+        last = max(on_theta)
+        column = {a: k for k, a in enumerate(a for a in range(self.dimension) if a != last)}
+        elim = SparseEliminator(self.n)
+        for a, k in column.items():
+            reduced = elim.reduce({column[b]: v for b, v in rows[a].items() if b != last})
+            if reduced.get(k, 0) <= 0:
+                rank = self.dimension - len(sparse_kernel(rows, self.dimension))
                 if rank != self.n:
                     raise StructureError(
                         f"gamma has rank {rank} (expected {self.n}) at {where}"
                     )
                 raise StructureError(
                     f"gamma restricted transverse to theta is not positive "
-                    f"definite at {where} (leading minor {k})"
+                    f"definite at {where} (leading minor {k + 1})"
                 )
+            elim.add_row(reduced)
 
 
 def flat_galilei(n: int) -> GalileiStructure:
@@ -286,7 +284,7 @@ class NCStructure:
 class NCBStructure:
     """Gauge presentation (gamma, theta, U, A), the only fields.  The derived
     observer dictionary is cached on first use, from those fields alone: V,
-    phi, the force form F and the transverse metric h."""
+    phi and its gradient, the force form F and the transverse metric h."""
 
     base: GalileiStructure
     u: TensorField
@@ -303,6 +301,11 @@ class NCBStructure:
     @property
     def phi(self) -> Poly:
         return self._observer[1]
+
+    @cached_property
+    def dphi(self) -> TensorField:
+        """The gradient of phi, taken once per structure."""
+        return gradient(self.phi)
 
     @cached_property
     def force(self) -> TensorField:

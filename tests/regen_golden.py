@@ -55,6 +55,7 @@ def _cases() -> dict[str, list[str]]:
                                         "--sample-point=-1,0"],
         "degenerate-validate": ["validate", "--input", f"{inputs}/degenerate.ncw"],
         "kernel-validate": ["validate", "--input", f"{inputs}/kernel.ncw"],
+        "indefinite-validate": ["validate", "--input", f"{inputs}/indefinite.ncw"],
         "syntax-validate": ["validate", "--input", f"{inputs}/syntax.ncw"],
         "expression-error-validate": ["validate", "--input", f"{inputs}/expression-error.ncw"],
         "torsion-curvature": ["curvature", "--input", f"{inputs}/torsion.ncw"],

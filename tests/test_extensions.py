@@ -907,3 +907,19 @@ def test_extend_agrees_with_the_basis_views(s, degree):
         for (i, j), out in ext.brackets.items():
             assert out == bracket(ExtendedElement(fields[i], zero),
                                   ExtendedElement(fields[j], zero), s)
+
+
+def test_extend_takes_the_potential_gradient_once(monkeypatch):
+    """The full stabilizer's right side contracts the structure's cached
+    d(phi), so extend differentiates phi once, however many parameters it
+    integrates and brackets it checks."""
+    import ncw.structures
+    import ncw.tensors
+
+    calls = [
+        counting(monkeypatch, module, "gradient")
+        for module in (ncw.tensors, ncw.structures, ncw.extensions)
+    ]
+    s = standard_structure(2, var(3, 1) ** 2)
+    extend(s, "galilei", 1)
+    assert sum(f is s.phi for recorded in calls for (f,) in recorded) == 1

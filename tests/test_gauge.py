@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import basis_vector, random_one_form, random_poly, random_vector, var
+from helpers import basis_vector, counting, random_one_form, random_poly, random_vector, var
 from ncw.dsl import build_structure, parse_structure
 from ncw.gauge import (
     AffineDiffeo,
@@ -204,6 +204,32 @@ class TestFiniteAction:
     def test_singular_linear_part_rejected(self):
         with pytest.raises(ValueError, match="affine map must be invertible"):
             AffineDiffeo.make([[1, 0, 0], [2, 1, 3], [4, 2, 6]], [0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "linear, translation, message",
+        [
+            ([], [], "linear part must not be empty"),
+            ([[1, 0], [0]], [0, 0], "entry grid does not match rows x cols"),
+            ([[1, 0]], [0], "linear part must be square"),
+            ([[1, 0], [0, 1]], [0], "translation length mismatch"),
+        ],
+        ids=["empty", "ragged", "not-square", "short-translation"],
+    )
+    def test_malformed_linear_part_rejected(self, linear, translation, message):
+        with pytest.raises(ValueError, match=message):
+            AffineDiffeo.make(linear, translation)
+
+    def test_linear_part_is_inverted_once_per_map(self, monkeypatch):
+        import ncw.gauge
+
+        calls = counting(monkeypatch, ncw.gauge, "adjugate")
+        diffeo = AffineDiffeo.make([[1, 0, 0], [2, 1, 3], [0, 0, 1]], [1, 0, -2])
+        assert diffeo.linear == ((1, 0, 0), (2, 1, 3), (0, 0, 1))
+        rng = random.Random(39)
+        for _ in range(3):
+            diffeo.push_tensor(random_one_form(rng, 3))
+            diffeo.push_tensor(random_vector(rng, 3))
+        assert len(calls) == 1
 
     def test_pushforward_preserves_pairings(self):
         rng = random.Random(36)

@@ -5,8 +5,9 @@ and assembled connections, the geodesic and curl defects, the affine
 pushforward, the Lie derivatives of tensors and connections, the raised
 transport, the vector bracket and the directional derivative; the
 observer-stabilizer gauge parameter against an ansatz solve; the chained
-Milne and Galilei solves against the nullspace of the joint system; and the
-scalar adjugate and determinant against sympy's.
+Milne and Galilei solves against the nullspace of the joint system; the
+scalar adjugate and determinant against sympy's; and the positivity check
+of a Galilei structure against sympy's leading minors and rank.
 
 Inputs are drawn as sympy expressions and handed to ncw through sympy's own
 term dictionaries; every expected value is an explicit index sum over those
@@ -664,3 +665,80 @@ def test_scalar_adjugate_matches_sympy_and_its_poly_lift(a):
     adj_poly, det_poly = adjugate([[Poly.const(2, v) for v in row] for row in a])
     assert adj_poly == [[Poly.const(2, v) for v in row] for row in adj]
     assert det_poly == Poly.const(2, det)
+
+
+@st.composite
+def transverse_blocks(draw):
+    """(n, clock axis, spatial block, sample points): a symmetric block
+    A D A^T with A an n x r matrix of small ints and D a positive diagonal,
+    one of whose entries may be negated, so positive definite, indefinite
+    and rank-deficient blocks are all drawn; one entry pair may carry a
+    polynomial perturbation that vanishes at the origin.  The block sits on
+    every axis but the clock's, in order."""
+    n = draw(st.integers(1, 4))
+    xs = sympy.symbols(f"x0:{n + 1}")
+    r = n if draw(st.booleans()) else draw(st.integers(1, n))
+    a = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
+    d = [sympy.Rational(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(r)]
+    if draw(st.booleans()):
+        d[draw(st.integers(0, r - 1))] *= -1
+    block = [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        term = draw(st.integers(-2, 2)) * xs[draw(st.integers(0, n))] ** draw(st.integers(1, 2))
+        block[i][j] += term
+        if i != j:
+            block[j][i] += term
+    coords = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2]))
+    points = draw(st.lists(st.tuples(*[coords] * (n + 1)), max_size=2))
+    return n, draw(st.integers(0, n)), block, xs, points
+
+
+def positivity_oracle(n, block, xs, points):
+    """validate's message, or None when it passes: at the origin, then at
+    each point, every leading minor of sympy's block must be > 0; at the
+    first point where one is not, the message names sympy's rank of gamma
+    when it is not n, or else the first leading minor <= 0."""
+    for point in [(0,) * len(xs)] + points:
+        values = [sympy.Rational(v.numerator, v.denominator) for v in point]
+        m = sympy.Matrix(block).xreplace(dict(zip(xs, values)))
+        bad = next((k for k in range(1, n + 1) if m[:k, :k].det() <= 0), None)
+        if bad is None:
+            continue
+        where = f"({', '.join(str(v) for v in values)})"
+        if (rank := m.rank()) != n:
+            return f"gamma has rank {rank} (expected {n}) at {where}"
+        return (
+            f"gamma restricted transverse to theta is not positive definite "
+            f"at {where} (leading minor {bad})"
+        )
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=transverse_blocks())
+def test_positivity_check_matches_the_sympy_leading_minors(case):
+    from ncw.structures import GalileiStructure, StructureError
+
+    n, clock, block, xs, points = case
+    dim = n + 1
+    axes = [a for a in range(dim) if a != clock]
+
+    def gamma(idx):
+        if clock in idx:
+            return Poly.zero(dim)
+        expr = sympy.expand(block[axes.index(idx[0])][axes.index(idx[1])])
+        return to_poly(expr, xs) if expr != 0 else Poly.zero(dim)
+
+    g = GalileiStructure(
+        n,
+        TensorField.build(dim, 2, 0, gamma),
+        TensorField.build(dim, 0, 1, lambda idx: Poly.const(dim, int(idx == (clock,)))),
+    )
+    expected = positivity_oracle(n, block, xs, points)
+    if expected is None:
+        g.validate(points)
+    else:
+        with pytest.raises(StructureError) as failure:
+            g.validate(points)
+        assert str(failure.value) == expected
