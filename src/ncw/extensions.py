@@ -34,7 +34,9 @@ from .poly import Poly, _exact, _q, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
+    TimeCoefficientTemplate,
     classify,
+    fit_time_template,
     solve_symmetries,
     structure_constants,
 )
@@ -44,7 +46,6 @@ from .tensors import (
     apply_metric,
     gradient,
     pairing,
-    vector,
     vector_bracket,
 )
 
@@ -441,11 +442,13 @@ def coboundary_from_functional(
 ) -> list[list[Fraction]]:
     """The coboundary (d lambda)(X_i, X_j) = lambda([X_i, X_j]); handy for
     building known-trivial cocycles."""
+    k = len(basis.fields)
+    if len(functional) != k:
+        raise CocycleError(f"functional has {len(functional)} entries, the basis {k} fields")
+    lam = [_exact(v) for v in functional]
     constants, closed = structure_constants(basis)
     if not closed:
         raise CocycleError("basis does not close")
-    lam = [_exact(v) for v in functional]
-    k = len(basis.fields)
     return [
         [_q(sum(constants[i][j][m] * lam[m] for m in range(k))) for j in range(k)]
         for i in range(k)
@@ -454,6 +457,35 @@ def coboundary_from_functional(
 
 # ----------------------------------------------------------------------
 # parameter presentations
+
+def _check_rotation(omega: Sequence[Sequence[Fraction]], n: int) -> None:
+    """Refuse a rotation block that is not an antisymmetric n x n block."""
+    if len(omega) != n or any(len(r) != n for r in omega):
+        raise ValueError("rotation block size mismatch")
+    if any(omega[a][b] != -omega[b][a] for a in range(n) for b in range(n)):
+        raise ValueError("rotation block must be antisymmetric")
+
+
+def _rotation_rows(n: int, entries: dict[tuple[int, int], Fraction]) -> tuple:
+    """The n x n block holding entries[a, b] at (a, b) and its negative at
+    (b, a), 1-based, zero elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), v in entries.items():
+        rows[a - 1][b - 1] = v
+        rows[b - 1][a - 1] = -v
+    return tuple(map(tuple, rows))
+
+
+def _template_field(
+    omega: Sequence[Sequence[Fraction]], rho: Sequence[Poly], tau: Fraction
+) -> TensorField:
+    """tau d_t + (omega^A_B x^B + rho^A) d_A for a constant rotation block."""
+    dim = len(rho) + 1
+    rotation = {
+        (a, b): Poly.const(dim, omega[a - 1][b - 1]) for a, b in combinations(range(1, dim), 2)
+    }
+    return TimeCoefficientTemplate(dim - 1, rotation, tuple(rho), tau).to_field()
+
 
 @dataclass(frozen=True)
 class BargmannElement:
@@ -467,15 +499,9 @@ class BargmannElement:
     xi: Fraction
 
     def __post_init__(self):
-        n = len(self.beta)
-        if len(self.omega) != n or any(len(r) != n for r in self.omega):
-            raise ValueError("rotation block size mismatch")
-        if len(self.sigma) != n:
+        _check_rotation(self.omega, self.n)
+        if len(self.sigma) != self.n:
             raise ValueError("translation vector size mismatch")
-        for a in range(n):
-            for b in range(n):
-                if self.omega[a][b] != -self.omega[b][a]:
-                    raise ValueError("rotation block must be antisymmetric")
 
     @property
     def n(self) -> int:
@@ -483,37 +509,27 @@ class BargmannElement:
 
     @classmethod
     def make(cls, n, omega=None, beta=None, sigma=None, tau=0, xi=0) -> "BargmannElement":
-        om = [[0] * n for _ in range(n)]
-        if omega:
-            for (a, b), v in omega.items():
-                om[a - 1][b - 1] = _exact(v)
-                om[b - 1][a - 1] = -om[a - 1][b - 1]
-        be = [0] * n
-        if beta:
-            for a, v in beta.items():
-                be[a - 1] = _exact(v)
-        si = [0] * n
-        if sigma:
-            for a, v in sigma.items():
-                si[a - 1] = _exact(v)
-        return cls(
-            tuple(tuple(r) for r in om),
-            tuple(be),
-            tuple(si),
-            _exact(tau),
-            _exact(xi),
-        )
+        """An element from 1-based parameter entries, zero elsewhere; a key
+        with an index outside 1..n is refused."""
+
+        def checked(key, *indices):
+            if not all(type(a) is int and 1 <= a <= n for a in indices):
+                raise ValueError(f"parameter key {key!r} is outside 1..{n}")
+            return key
+
+        rotation = {checked(key, *key): _exact(v) for key, v in (omega or {}).items()}
+        vectors = []
+        for given in (beta, sigma):
+            vec = [0] * n
+            for key, v in (given or {}).items():
+                vec[checked(key, key) - 1] = _exact(v)
+            vectors.append(tuple(vec))
+        return cls(_rotation_rows(n, rotation), *vectors, _exact(tau), _exact(xi))
 
     def to_field(self) -> TensorField:
-        dim = self.n + 1
-        t = Poly.variable(dim, 0)
-        comps = [Poly.const(dim, self.tau)]
-        for a in range(1, dim):
-            acc = Poly.const(dim, self.sigma[a - 1]) + self.beta[a - 1] * t
-            for b in range(1, dim):
-                acc = acc + self.omega[a - 1][b - 1] * Poly.variable(dim, b)
-            comps.append(acc)
-        return vector(dim, comps)
+        t = Poly.variable(self.n + 1, 0)
+        rho = [b * t + s for b, s in zip(self.beta, self.sigma)]
+        return _template_field(self.omega, rho, self.tau)
 
 
 def bargmann_bracket(b1: BargmannElement, b2: BargmannElement) -> BargmannElement:
@@ -560,13 +576,7 @@ class MilneStandardElement:
     xi: Poly  # function of time only
 
     def __post_init__(self):
-        n = len(self.rho)
-        if len(self.omega) != n or any(len(r) != n for r in self.omega):
-            raise ValueError("rotation block size mismatch")
-        for a in range(n):
-            for b in range(n):
-                if self.omega[a][b] != -self.omega[b][a]:
-                    raise ValueError("rotation block must be antisymmetric")
+        _check_rotation(self.omega, self.n)
         for r in self.rho:
             if not r.depends_only_on([0]):
                 raise ValueError("translation part must depend on time only")
@@ -578,14 +588,7 @@ class MilneStandardElement:
         return len(self.rho)
 
     def to_field(self) -> TensorField:
-        dim = self.n + 1
-        comps = [Poly.const(dim, self.tau)]
-        for a in range(1, dim):
-            acc = self.rho[a - 1]
-            for b in range(1, dim):
-                acc = acc + self.omega[a - 1][b - 1] * Poly.variable(dim, b)
-            comps.append(acc)
-        return vector(dim, comps)
+        return _template_field(self.omega, self.rho, self.tau)
 
     def to_extended(self) -> ExtendedElement:
         return ExtendedElement(self.to_field(), self.xi)
@@ -593,20 +596,10 @@ class MilneStandardElement:
 
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
-    from .solver import fit_time_template
-
     fit = fit_time_template(e.x)
     if fit is None:
         raise ExtensionError("field does not match the standard-case template")
-    n = fit.n
-    omega = [[0] * n for _ in range(n)]
-    dim = n + 1
-    zero = (0,) * dim
-    for (a, b), w in fit.omega.items():
-        if not w.depends_only_on([]):
-            raise ExtensionError("rotation part is not constant")
-        omega[a - 1][b - 1] = w.coefficient(zero)
-        omega[b - 1][a - 1] = -w.coefficient(zero)
-    return MilneStandardElement(
-        tuple(tuple(r) for r in omega), fit.rho, fit.tau, e.f
-    )
+    omega = fit.constant_omega()
+    if omega is None:
+        raise ExtensionError("rotation part is not constant")
+    return MilneStandardElement(_rotation_rows(fit.n, omega), fit.rho, fit.tau, e.f)

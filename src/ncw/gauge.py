@@ -44,6 +44,7 @@ from .tensors import (
     gradient,
     lie_derivative,
     pairing,
+    vector_bracket,
 )
 
 
@@ -108,8 +109,6 @@ def infinitesimal_gauge(s: NCBStructure, e: GaugeElement) -> NCBVariation:
 
 
 def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
-    from .tensors import vector_bracket
-
     if e1.x.dimension != e2.x.dimension:
         raise ValueError("dimension mismatch")
     return GaugeElement(

@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Any
 
-from .solver import SymmetryBasis, _affine_template, fit_time_template
+from .poly import Poly
+from .solver import SymmetryBasis, fit_time_template
 from .tensors import Connection, CurvatureField, TensorField
 
 SCHEMA = "ncw-report/1"
@@ -96,37 +97,23 @@ def generator_label(x: TensorField) -> str:
     timed = fit_time_template(x)
     if timed is None:
         return "raw"
-    affine = _affine_template(timed)
-    if affine is not None:
-        parts = []
-        for (a, b), w in sorted(affine.omega.items()):
-            if w:
-                parts.append(f"rotation[{a},{b}]" + ("" if w == 1 else f"*{w}"))
-        for i, v in enumerate(affine.beta, start=1):
-            if v:
-                parts.append(f"boost[{i}]" + ("" if v == 1 else f"*{v}"))
-        for i, v in enumerate(affine.sigma, start=1):
-            if v:
-                parts.append(f"translation[{i}]" + ("" if v == 1 else f"*{v}"))
-        if affine.tau:
-            parts.append(
-                "time-translation" + ("" if affine.tau == 1 else f"*{affine.tau}")
-            )
-        return " + ".join(parts) if parts else "zero"
+    affine = timed.affine()
+    rotations = (timed if affine is None else affine).omega
+    parts = [(f"rotation[{a},{b}]", w) for (a, b), w in sorted(rotations.items())]
+    if affine is None:
+        parts += [(f"translation[{i}]", r) for i, r in enumerate(timed.rho, start=1)]
+    else:
+        parts += [(f"boost[{i}]", v) for i, v in enumerate(affine.beta, start=1)]
+        parts += [(f"translation[{i}]", v) for i, v in enumerate(affine.sigma, start=1)]
+    parts.append(("time-translation", timed.tau))
+    return " + ".join(_part(tag, v) for tag, v in parts if v) or "zero"
 
-    def coeff(tag, p):
-        return tag if p == 1 else f"{tag}*({p})"
 
-    parts = []
-    for (a, b), w in sorted(timed.omega.items()):
-        if not w.is_zero:
-            parts.append(coeff(f"rotation[{a},{b}]", w))
-    for i, r in enumerate(timed.rho, start=1):
-        if not r.is_zero:
-            parts.append(coeff(f"translation[{i}]", r))
-    if timed.tau:
-        parts.append("time-translation" + ("" if timed.tau == 1 else f"*{timed.tau}"))
-    return " + ".join(parts) if parts else "zero"
+def _part(tag: str, coeff: Poly | Fraction | int) -> str:
+    """tag times its nonzero coefficient; a time function is parenthesized."""
+    if coeff == 1:
+        return tag
+    return f"{tag}*({coeff})" if isinstance(coeff, Poly) else f"{tag}*{coeff}"
 
 
 def basis_payload(basis: SymmetryBasis) -> dict[str, Any]:

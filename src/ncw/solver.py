@@ -25,7 +25,8 @@ basis one joint system over the full ansatz would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from operator import add
 from typing import Literal, Sequence
@@ -34,6 +35,7 @@ from .linalg import SparseEliminator, SparseRow
 from .poly import Exponent, Poly, Scalar, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
+    Connection,
     TensorField,
     lie_derivative,
     lie_derivative_connection,
@@ -301,6 +303,22 @@ class ClassifyFlags:
     is_coriolis: bool
     is_milne: bool
     is_galilei: bool
+    # L_X G and gamma of a coriolis field, kept for its raised-transport
+    # identity so that L_X G is not taken twice; no part of the verdict
+    _transport: tuple[Connection, TensorField] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def raised_transport_identity(self) -> bool:
+        """Whether the doubly-raised transport gamma^{ak} gamma^{bl}
+        (L_X G)_kl^c of the classified field vanishes; NotInFlavorError
+        unless it preserves the metric pair."""
+        if self._transport is None:
+            raise NotInFlavorError(
+                "field does not preserve the metric pair (coriolis conditions fail)"
+            )
+        ld, gamma = self._transport
+        return raise_connection_transport(ld, gamma, 2).is_zero
 
 
 def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
@@ -315,21 +333,13 @@ def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
     ld = lie_derivative_connection(x, s.connection)
     mil = raise_connection_transport(ld, g.gamma, 1).is_zero
     gal = mil and ld.is_zero
-    return ClassifyFlags(True, mil, gal)
+    return ClassifyFlags(True, mil, gal, (ld, g.gamma))
 
 
 def verify_coriolis_identity(x: TensorField, s: NCStructure) -> bool:
     """Whether the doubly-raised transport gamma^{ak} gamma^{bl} (L_X G)_kl^c
     vanishes; requires x to preserve the metric pair."""
-    g = s.base
-    if not (
-        lie_derivative(x, g.gamma).is_zero and lie_derivative(x, g.theta).is_zero
-    ):
-        raise NotInFlavorError(
-            "field does not preserve the metric pair (coriolis conditions fail)"
-        )
-    ld = lie_derivative_connection(x, s.connection)
-    return raise_connection_transport(ld, g.gamma, 2).is_zero
+    return classify(x, s).raised_transport_identity()
 
 
 # ----------------------------------------------------------------------
@@ -401,44 +411,72 @@ class TimeCoefficientTemplate:
     rho: tuple[Poly, ...]
     tau: Scalar
 
+    def to_field(self) -> TensorField:
+        """The field tau d_t + (omega^A_B x^B + rho^A) d_A itself."""
+        dim = self.n + 1
+        comps = [Poly.const(dim, self.tau), *self.rho]
+        for (a, b), w in self.omega.items():
+            comps[a] = comps[a] + w * Poly.variable(dim, b)
+            comps[b] = comps[b] - w * Poly.variable(dim, a)
+        return vector(dim, comps)
+
+    def constant_omega(self) -> dict[tuple[int, int], Scalar] | None:
+        """The values of a constant omega, keyed like omega; None when some
+        entry depends on time."""
+        origin = (0,) * (self.n + 1)
+        if not all(w.depends_only_on([]) for w in self.omega.values()):
+            return None
+        return {key: w.coefficient(origin) for key, w in self.omega.items()}
+
+    def affine(self) -> AffineTemplate | None:
+        """The reading with constant omega and rho = beta t + sigma; None
+        when the template is not affine."""
+        omega = self.constant_omega()
+        if omega is None or any(
+            r.total_degree() > 1 or not r.depends_only_on([0]) for r in self.rho
+        ):
+            return None
+        t, origin = (1,) + (0,) * self.n, (0,) * (self.n + 1)
+        beta = tuple(r.coefficient(t) for r in self.rho)
+        sigma = tuple(r.coefficient(origin) for r in self.rho)
+        return AffineTemplate(self.n, omega, beta, sigma, self.tau)
+
 
 def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
-    """Exact template fit; None when the field does not have the shape."""
+    """Exact template fit; None when the field does not have the shape.
+
+    One pass over the field's terms sorts each into omega^A_B or rho^A as
+    {t-exponent: coefficient}; antisymmetry is checked on those, so Polys
+    are built only for the result."""
     dim = x.dimension
-    n = dim - 1
-    x0 = x.comp(0)
-    if not x0.depends_only_on([]):  # constant
+    origin = (0,) * dim
+    x0 = x.comp(0).terms
+    if any(e != origin for e in x0):
         return None
-    tau = x0.coefficient((0,) * dim)
-    omega_full: dict[tuple[int, int], Poly] = {}
-    rho = []
+    omega: dict[tuple[int, int], dict[int, Scalar]] = {}
+    rho: dict[int, dict[int, Scalar]] = {}
     for a in range(1, dim):
-        comp = x.comp(a)
-        rho_terms = {}
-        omega_terms: dict[int, dict] = {b: {} for b in range(1, dim)}
-        for exps, coeff in comp.terms.items():
-            spatial = [(i, e) for i, e in enumerate(exps) if i >= 1 and e > 0]
+        for exps, coeff in x.comp(a).terms.items():
+            spatial = [b for b in range(1, dim) if exps[b]]
             if not spatial:
-                rho_terms[exps] = coeff
-            elif len(spatial) == 1 and spatial[0][1] == 1:
-                b = spatial[0][0]
-                key = (exps[0],) + (0,) * n
-                omega_terms[b][key] = coeff
+                rho.setdefault(a, {})[exps[0]] = coeff
+            elif len(spatial) == 1 and exps[spatial[0]] == 1:
+                omega.setdefault((a, spatial[0]), {})[exps[0]] = coeff
             else:
                 return None
-        rho.append(Poly(dim, rho_terms))
-        for b in range(1, dim):
-            omega_full[(a, b)] = Poly(dim, omega_terms[b])
-    for a in range(1, dim):
-        for b in range(1, dim):
-            if omega_full[(a, b)] != -omega_full[(b, a)]:
-                return None
-    omega = {
-        (a, b): omega_full[(a, b)]
-        for a in range(1, dim)
-        for b in range(a + 1, dim)
-    }
-    return TimeCoefficientTemplate(n, omega, tuple(rho), tau)
+    # omega^B_A = -omega^A_B; a diagonal entry fails, as w == -w only for w = 0
+    if any(omega.get((b, a)) != {e: -c for e, c in w.items()} for (a, b), w in omega.items()):
+        return None
+
+    def time_poly(coeffs: dict[int, Scalar]) -> Poly:
+        return Poly(dim, {(e,) + origin[1:]: c for e, c in coeffs.items()})
+
+    return TimeCoefficientTemplate(
+        dim - 1,
+        {(a, b): time_poly(omega.get((a, b), {})) for a, b in combinations(range(1, dim), 2)},
+        tuple(time_poly(rho.get(a, {})) for a in range(1, dim)),
+        x0.get(origin, 0),
+    )
 
 
 @dataclass(frozen=True)
@@ -455,24 +493,4 @@ class AffineTemplate:
 
 def fit_affine_template(x: TensorField) -> AffineTemplate | None:
     fit = fit_time_template(x)
-    return None if fit is None else _affine_template(fit)
-
-
-def _affine_template(fit: TimeCoefficientTemplate) -> AffineTemplate | None:
-    """The affine form of a time-template fit; None when it is not affine."""
-    dim = fit.n + 1
-    omega = {}
-    for key, w in fit.omega.items():
-        if not w.depends_only_on([]):
-            return None
-        omega[key] = w.coefficient((0,) * dim)
-    beta = []
-    sigma = []
-    t_unit = tuple([1] + [0] * fit.n)
-    zero = (0,) * dim
-    for r in fit.rho:
-        if r.total_degree() > 1 or not r.depends_only_on([0]):
-            return None
-        beta.append(r.coefficient(t_unit))
-        sigma.append(r.coefficient(zero))
-    return AffineTemplate(fit.n, omega, tuple(beta), tuple(sigma), fit.tau)
+    return None if fit is None else fit.affine()

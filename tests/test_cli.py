@@ -506,6 +506,27 @@ class TestClassify:
             "raised_transport_identity": True,
         }
 
+    def test_connection_transport_is_taken_once(self, capsys, monkeypatch, flat2):
+        import ncw.cli
+        import ncw.solver
+
+        classified = counting(monkeypatch, ncw.cli, "classify")
+        transports = counting(monkeypatch, ncw.solver, "lie_derivative_connection")
+        code, out, _ = run(
+            capsys,
+            "classify", "--input", flat2,
+            "--field", "X[1] = t*x2\nX[2] = -t*x1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "is_coriolis": True,
+            "is_milne": False,
+            "is_galilei": False,
+            "raised_transport_identity": True,
+        }
+        assert len(classified) == len(transports) == 1
+
     def test_accelerated_frame(self, capsys, tmp_path):
         path = tmp_path / "flat1.ncw"
         path.write_text("flat n=1\n")

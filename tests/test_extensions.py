@@ -2,6 +2,7 @@
 bracket table, the Bargmann algebra, and cocycle (non)triviality."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -596,6 +597,22 @@ class TestBargmann:
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             BargmannElement.make(2, **{param: value.get(param, entry)})
 
+    @pytest.mark.parametrize(
+        "param, entries",
+        [
+            ("beta", {0: 1}),
+            ("beta", {3: 1}),
+            ("sigma", {-1: 1}),
+            ("omega", {(0, 1): 1}),
+            ("omega", {(1, 3): 1}),
+        ],
+        ids=["beta-0", "beta-above", "sigma-negative", "omega-0", "omega-above"],
+    )
+    def test_out_of_range_keys_are_refused(self, param, entries):
+        (key,) = entries
+        with pytest.raises(ValueError, match=re.escape(f"parameter key {key!r} is outside 1..2")):
+            BargmannElement.make(2, **{param: entries})
+
     def test_exact_parameters_are_kept_canonical(self):
         b = BargmannElement.make(
             2, omega={(1, 2): Fraction(4, 2)}, beta={1: Fraction(1, 3)}, tau=3, xi=Fraction(1, 2)
@@ -706,6 +723,13 @@ class TestCocycles:
             cocycle_triviality(basis, cocycle)
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             coboundary_from_functional(basis, [entry] + [0] * (k - 1))
+
+    @pytest.mark.parametrize("functional", [[1, 0, 0, 5, 7], [1]], ids=["long", "short"])
+    def test_functional_of_the_wrong_length_is_refused(self, functional):
+        basis = solve_symmetries(flat_structure(1).induced_nc(), "galilei", 1)
+        assert basis.dimension == 3
+        with pytest.raises(CocycleError, match=f"functional has {len(functional)} entries, the basis 3"):
+            coboundary_from_functional(basis, functional)
 
     def test_zero_cocycle_trivial(self):
         s = flat_structure(2)

@@ -14,6 +14,7 @@ import ncw.solver
 from helpers import (
     SHAPES,
     basis_vector,
+    coriolis_field,
     counting,
     is_canonical,
     nonzero_coefficients,
@@ -23,10 +24,13 @@ from helpers import (
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly, _q
 from ncw.dsl import build_structure, parse_structure
+from ncw.report import generator_label
 from ncw.solver import (
     FLAVORS,
+    AffineTemplate,
     NotInFlavorError,
     SymmetryBasis,
+    TimeCoefficientTemplate,
     _connection_rows,
     _FormPoly,
     _kernel,
@@ -869,3 +873,165 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
     for c, c_terms in zip(x.nonzero.values(), terms):
         assert c * one is c and one * c is c
         assert c.terms == c_terms
+
+
+# ----------------------------------------------------------------------
+# the one-pass template fit against the fit it replaced
+
+# The fit and affine reading that the one-pass fit replaced, kept verbatim as
+# the reference: it builds a Poly for every omega^A_B and compares Polys.
+
+def reference_fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
+    """Exact template fit; None when the field does not have the shape."""
+    dim = x.dimension
+    n = dim - 1
+    x0 = x.comp(0)
+    if not x0.depends_only_on([]):  # constant
+        return None
+    tau = x0.coefficient((0,) * dim)
+    omega_full: dict[tuple[int, int], Poly] = {}
+    rho = []
+    for a in range(1, dim):
+        comp = x.comp(a)
+        rho_terms = {}
+        omega_terms: dict[int, dict] = {b: {} for b in range(1, dim)}
+        for exps, coeff in comp.terms.items():
+            spatial = [(i, e) for i, e in enumerate(exps) if i >= 1 and e > 0]
+            if not spatial:
+                rho_terms[exps] = coeff
+            elif len(spatial) == 1 and spatial[0][1] == 1:
+                b = spatial[0][0]
+                key = (exps[0],) + (0,) * n
+                omega_terms[b][key] = coeff
+            else:
+                return None
+        rho.append(Poly(dim, rho_terms))
+        for b in range(1, dim):
+            omega_full[(a, b)] = Poly(dim, omega_terms[b])
+    for a in range(1, dim):
+        for b in range(1, dim):
+            if omega_full[(a, b)] != -omega_full[(b, a)]:
+                return None
+    omega = {
+        (a, b): omega_full[(a, b)]
+        for a in range(1, dim)
+        for b in range(a + 1, dim)
+    }
+    return TimeCoefficientTemplate(n, omega, tuple(rho), tau)
+
+
+def reference_affine_template(fit: TimeCoefficientTemplate) -> AffineTemplate | None:
+    """The affine form of a time-template fit; None when it is not affine."""
+    dim = fit.n + 1
+    omega = {}
+    for key, w in fit.omega.items():
+        if not w.depends_only_on([]):
+            return None
+        omega[key] = w.coefficient((0,) * dim)
+    beta = []
+    sigma = []
+    t_unit = tuple([1] + [0] * fit.n)
+    zero = (0,) * dim
+    for r in fit.rho:
+        if r.total_degree() > 1 or not r.depends_only_on([0]):
+            return None
+        beta.append(r.coefficient(t_unit))
+        sigma.append(r.coefficient(zero))
+    return AffineTemplate(fit.n, omega, tuple(beta), tuple(sigma), fit.tau)
+
+
+def reference_generator_label(x: TensorField) -> str:
+    """Best-effort template tag for a symmetry field; raw on no fit."""
+    timed = reference_fit_time_template(x)
+    if timed is None:
+        return "raw"
+    affine = reference_affine_template(timed)
+    if affine is not None:
+        parts = []
+        for (a, b), w in sorted(affine.omega.items()):
+            if w:
+                parts.append(f"rotation[{a},{b}]" + ("" if w == 1 else f"*{w}"))
+        for i, v in enumerate(affine.beta, start=1):
+            if v:
+                parts.append(f"boost[{i}]" + ("" if v == 1 else f"*{v}"))
+        for i, v in enumerate(affine.sigma, start=1):
+            if v:
+                parts.append(f"translation[{i}]" + ("" if v == 1 else f"*{v}"))
+        if affine.tau:
+            parts.append(
+                "time-translation" + ("" if affine.tau == 1 else f"*{affine.tau}")
+            )
+        return " + ".join(parts) if parts else "zero"
+
+    def coeff(tag, p):
+        return tag if p == 1 else f"{tag}*({p})"
+
+    parts = []
+    for (a, b), w in sorted(timed.omega.items()):
+        if not w.is_zero:
+            parts.append(coeff(f"rotation[{a},{b}]", w))
+    for i, r in enumerate(timed.rho, start=1):
+        if not r.is_zero:
+            parts.append(coeff(f"translation[{i}]", r))
+    if timed.tau:
+        parts.append("time-translation" + ("" if timed.tau == 1 else f"*{timed.tau}"))
+    return " + ".join(parts) if parts else "zero"
+
+
+MISSES = ("clock", "square", "product", "diagonal", "one-sided")
+
+
+@st.composite
+def template_fields(draw):
+    """(field, template): a field of the template shape, with polynomial
+    omega(t) and rho(t) and constant tau, and the template it was built from;
+    or (near miss, None), that field spoiled by one term off the shape."""
+    n = draw(st.integers(1, 3))
+    dim = n + 1
+    t = Poly.variable(dim, 0)
+    coefficients = st.one_of(st.just(0), nonzero_coefficients())
+
+    def time_poly():
+        coeffs = draw(st.lists(coefficients, max_size=3))
+        return sum((c * t**k for k, c in enumerate(coeffs)), Poly.zero(dim))
+
+    omega = {(a, b): time_poly() for a in range(1, dim) for b in range(a + 1, dim)}
+    rho = tuple(time_poly() for _ in range(n))
+    tau = draw(coefficients)
+    full = omega | {(b, a): -w for (a, b), w in omega.items()}
+    x = coriolis_field(n, full, rho, tau)
+    miss = draw(st.sampled_from((None,) + MISSES))
+    if miss is None:
+        return x, TimeCoefficientTemplate(n, omega, rho, tau)
+    comps = [x.comp(a) for a in range(dim)]
+    term = draw(nonzero_coefficients()) * t ** draw(st.integers(0, 2))
+    # two distinct spatial axes; for n = 1 both are x1
+    a, b = draw(st.permutations(range(1, dim)))[:2] if n > 1 else (1, 1)
+    if miss == "clock":
+        comps[0] += term * var(dim, draw(st.integers(0, n)))
+    elif miss == "square":
+        comps[a] += term * var(dim, b) ** 2
+    elif miss == "product":
+        comps[a] += term * var(dim, a) * var(dim, b)
+    else:
+        # omega^A_A, or omega^A_B with no matching omega^B_A
+        comps[a] += term * var(dim, a if miss == "diagonal" else b)
+    return vector(dim, comps), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(template_fields())
+def test_one_pass_fit_matches_the_reference(drawn):
+    x, template = drawn
+    fit = fit_time_template(x)
+    assert fit == reference_fit_time_template(x) == template
+    affine = None if fit is None else reference_affine_template(fit)
+    assert fit_affine_template(x) == affine
+    assert (None if fit is None else fit.affine()) == affine
+    assert generator_label(x) == reference_generator_label(x)
+    if template is not None:
+        built = template.to_field()
+        assert [built.comp(a) for a in range(x.dimension)] == [
+            x.comp(a) for a in range(x.dimension)
+        ]
+        assert fit_time_template(built) == template
