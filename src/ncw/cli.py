@@ -61,7 +61,9 @@ def _parse_point(text: str, dimension: int) -> list:
         )
     try:
         return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise StructureError(f"bad sample point {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise StructureError(f"bad sample point {text!r}: {exc}") from None
 
 

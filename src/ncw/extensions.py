@@ -18,8 +18,9 @@ parameters:
   algebra, whose cocycle pairs boosts with space translations and is not a
   coboundary.
 
-Cocycles, functionals and Bargmann parameters are taken only as ints and
-Fractions (``poly._exact``); a float, a string or a bool is refused.
+Cocycles, functionals and the constant parameters of a BargmannElement or
+a MilneStandardElement are taken only as ints and Fractions
+(``poly._exact``); a float, a string or a bool is refused.
 """
 
 from __future__ import annotations
@@ -458,20 +459,24 @@ def coboundary_from_functional(
 # ----------------------------------------------------------------------
 # parameter presentations
 
-def _check_rotation(omega: Sequence[Sequence[Fraction]], n: int) -> None:
-    """Refuse a rotation block that is not an antisymmetric n x n block."""
+def _rotation_block(omega: Sequence[Sequence[Fraction]], n: int) -> tuple:
+    """omega with canonical entries; a block that is not an antisymmetric
+    n x n block of ints and Fractions is refused."""
+    omega = tuple(tuple(_exact(v) for v in row) for row in omega)
     if len(omega) != n or any(len(r) != n for r in omega):
         raise ValueError("rotation block size mismatch")
     if any(omega[a][b] != -omega[b][a] for a in range(n) for b in range(n)):
         raise ValueError("rotation block must be antisymmetric")
+    return omega
 
 
 def _rotation_rows(n: int, entries: dict[tuple[int, int], Fraction]) -> tuple:
     """The n x n block holding entries[a, b] at (a, b) and its negative at
-    (b, a), 1-based, zero elsewhere."""
+    (b, a), 1-based, zero elsewhere; an entry is refused unless it is an
+    int or a Fraction, before it is negated."""
     rows = [[0] * n for _ in range(n)]
     for (a, b), v in entries.items():
-        rows[a - 1][b - 1] = v
+        rows[a - 1][b - 1] = v = _exact(v)
         rows[b - 1][a - 1] = -v
     return tuple(map(tuple, rows))
 
@@ -490,7 +495,8 @@ def _template_field(
 @dataclass(frozen=True)
 class BargmannElement:
     """Flat-structure full-stabilizer element by parameters: rotation block,
-    boost and translation vectors, time translation, central charge."""
+    boost and translation vectors, time translation, central charge.  Every
+    entry is taken only as an int or a Fraction and kept canonical."""
 
     omega: tuple[tuple[Fraction, ...], ...]
     beta: tuple[Fraction, ...]
@@ -499,7 +505,11 @@ class BargmannElement:
     xi: Fraction
 
     def __post_init__(self):
-        _check_rotation(self.omega, self.n)
+        for name in ("beta", "sigma"):
+            object.__setattr__(self, name, tuple(_exact(v) for v in getattr(self, name)))
+        object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
+        object.__setattr__(self, "tau", _exact(self.tau))
+        object.__setattr__(self, "xi", _exact(self.xi))
         if len(self.sigma) != self.n:
             raise ValueError("translation vector size mismatch")
 
@@ -517,14 +527,14 @@ class BargmannElement:
                 raise ValueError(f"parameter key {key!r} is outside 1..{n}")
             return key
 
-        rotation = {checked(key, *key): _exact(v) for key, v in (omega or {}).items()}
+        rotation = {checked(key, *key): v for key, v in (omega or {}).items()}
         vectors = []
         for given in (beta, sigma):
             vec = [0] * n
             for key, v in (given or {}).items():
-                vec[checked(key, key) - 1] = _exact(v)
+                vec[checked(key, key) - 1] = v
             vectors.append(tuple(vec))
-        return cls(_rotation_rows(n, rotation), *vectors, _exact(tau), _exact(xi))
+        return cls(_rotation_rows(n, rotation), *vectors, tau, xi)
 
     def to_field(self) -> TensorField:
         t = Poly.variable(self.n + 1, 0)
@@ -553,22 +563,23 @@ def bargmann_bracket(b1: BargmannElement, b2: BargmannElement) -> BargmannElemen
 
     m1, m2 = b1.omega, b2.omega
     p21, p12 = matmul(m2, m1), matmul(m1, m2)
-    omega = tuple(tuple(_q(p21[a][b] - p12[a][b]) for b in range(n)) for a in range(n))
+    omega = tuple(tuple(p21[a][b] - p12[a][b] for b in range(n)) for a in range(n))
     beta2, beta1 = matvec(m2, b1.beta), matvec(m1, b2.beta)
     sigma2, sigma1 = matvec(m2, b1.sigma), matvec(m1, b2.sigma)
-    beta = tuple(_q(beta2[a] - beta1[a]) for a in range(n))
+    beta = tuple(beta2[a] - beta1[a] for a in range(n))
     sigma = tuple(
-        _q(sigma2[a] - sigma1[a] + b2.beta[a] * b1.tau - b1.beta[a] * b2.tau)
-        for a in range(n)
+        sigma2[a] - sigma1[a] + b2.beta[a] * b1.tau - b1.beta[a] * b2.tau for a in range(n)
     )
-    xi = _q(sum(b1.sigma[a] * b2.beta[a] - b2.sigma[a] * b1.beta[a] for a in range(n)))
+    xi = sum(b1.sigma[a] * b2.beta[a] - b2.sigma[a] * b1.beta[a] for a in range(n))
     return BargmannElement(omega, beta, sigma, 0, xi)
 
 
 @dataclass(frozen=True)
 class MilneStandardElement:
     """Standard-case observer-stabilizer element: constant rotation block,
-    time-dependent translation, time translation, time-function parameter."""
+    time-dependent translation, time translation, time-function parameter.
+    omega and tau are taken only as ints and Fractions and kept canonical;
+    rho and xi only as Polys."""
 
     omega: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Poly, ...]  # functions of time only
@@ -576,7 +587,11 @@ class MilneStandardElement:
     xi: Poly  # function of time only
 
     def __post_init__(self):
-        _check_rotation(self.omega, self.n)
+        for p in (*self.rho, self.xi):
+            if not isinstance(p, Poly):
+                raise TypeError(f"{p!r} is not a Poly")
+        object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
+        object.__setattr__(self, "tau", _exact(self.tau))
         for r in self.rho:
             if not r.depends_only_on([0]):
                 raise ValueError("translation part must depend on time only")

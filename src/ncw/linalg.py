@@ -7,13 +7,10 @@ assembles, the positivity check of a Galilei structure, and the small dense
 RationalMatrix that the cocycle system is posed on (rref, nullspace,
 inhomogeneous solving and inconsistency certificates).
 
-The solver's systems are mostly one-entry rows, so the eliminator is
-shaped by them.  A pivot row {c: 1} marks column c as known zero: c is
-dropped from every later row before any arithmetic and from every pivot
-row already holding it.  A column index maps each column to the leads of
-the pivot rows that hold it, so back substitution visits only those rows
-and the kernel reads a free column's coefficients straight from it.  The
-reduced echelon form is unique, so neither rule, nor the order rows
+The solver's systems are mostly one-entry rows.  A pivot row {c: 1} marks
+column c as known zero, and c is dropped from every later row before any
+arithmetic; back substitution then walks only the multi-entry pivot rows.
+The reduced echelon form is unique, so neither rule, nor the order rows
 arrive in, can change a result.
 
 Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
@@ -23,9 +20,9 @@ solve_inhomogeneous and inconsistency_certificate, take only int and
 Fraction entries (``poly._exact``); a float, a string or a bool is refused,
 not approximated.
 
-Determinants, adjugates and inverses come from one division-free
-Faddeev-LeVerrier recursion that works over ints, Fractions and Polys
-alike.
+Determinants, adjugates and inverses come from one Faddeev-LeVerrier
+recursion, which divides only by the integers 1..n, so it works over ints,
+Fractions and Polys alike.
 """
 
 from __future__ import annotations
@@ -180,29 +177,18 @@ SparseRow = dict[int, Scalar]
 class SparseEliminator:
     """Incremental Gaussian elimination over sparse rational rows.
 
-    Rows are absorbed one at a time; pivot columns are chosen as the least
-    column index of the reduced row, so the reduced rows and the kernel are
-    the canonical reduced row echelon form and echelon kernel basis.
-
-    Two structures follow the shape of the symmetry systems, most of whose
-    rows have a single entry:
-
-    - known-zero columns: a pivot row {c: 1} says x_c = 0.  Column c is
-      dropped from every incoming row before any arithmetic, and at once
-      from every pivot row that holds it; a pivot row left as {k: 1} makes
-      k known-zero in turn.
-    - a column index, mapping each column to the leads of the pivot rows
-      that hold it off their lead.  It is kept up to date through add_row
-      and back substitution, so back substitution touches only the rows
-      that hold the column it clears, and kernel reads each free column's
-      coefficients from it.
+    Rows are absorbed one at a time; a pivot row leads at the least column
+    of its reduced row, with entry 1, so the reduced rows and the kernel
+    are the canonical reduced row echelon form and echelon kernel basis.
+    A one-entry row on a new column is a pivot row {c: 1} at once.  Such a
+    row says x_c = 0: c is dropped from every later incoming row, and a
+    pivot row already holding c keeps it until back substitution.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivot_rows: dict[int, SparseRow] = {}
         self._zero_cols: set[int] = set()
-        self._held_by: dict[int, set[int]] = {}
 
     def reduce(self, row: SparseRow) -> SparseRow:
         """The row less pivot-row multiples, until its lead column is not a
@@ -214,16 +200,7 @@ class SparseEliminator:
             pivot = pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row.pop(lead)
-            for c, v in pivot.items():
-                if c == lead:
-                    continue
-                if c not in row:
-                    row[c] = _q(-factor * v)
-                elif acc := row[c] - factor * v:
-                    row[c] = _q(acc)
-                else:
-                    del row[c]
+            _subtract(row, row.pop(lead), pivot, lead)
         return row
 
     def add_row(self, row: SparseRow) -> None:
@@ -233,7 +210,7 @@ class SparseEliminator:
                 return
             if lead not in self.pivot_rows:
                 self.pivot_rows[lead] = {lead: 1}
-                self._mark_zero(lead)
+                self._zero_cols.add(lead)
                 return
         reduced = self.reduce(row)
         if not reduced:
@@ -245,69 +222,50 @@ class SparseEliminator:
             reduced = {c: _q(v * inv) for c, v in reduced.items()}
         self.pivot_rows[lead] = reduced
         if len(reduced) == 1:
-            self._mark_zero(lead)
-            return
-        for c in reduced:
-            if c != lead:
-                self._held_by.setdefault(c, set()).add(lead)
-
-    def _mark_zero(self, col: int) -> None:
-        """Record x_col = 0 and clear col from the pivot rows holding it."""
-        pivots, held_by = self.pivot_rows, self._held_by
-        todo = [col]
-        while todo:
-            c = todo.pop()
-            self._zero_cols.add(c)
-            for lead in held_by.pop(c, ()):
-                row = pivots[lead]
-                del row[c]
-                if len(row) == 1:
-                    todo.append(lead)
+            self._zero_cols.add(lead)
 
     def reduced_rows(self) -> dict[int, SparseRow]:
         """The pivot rows, keyed by lead column, after back substitution:
         the nonzero rows of the reduced row echelon form."""
-        pivots, held_by = self.pivot_rows, self._held_by
-        # descending leads: each row is fully reduced before it is used
-        for lead in sorted(pivots, reverse=True):
-            holders = held_by.pop(lead, None)
-            if not holders:
-                continue
+        pivots = self.pivot_rows
+        # descending leads: every row a row pulls from is fully reduced, so
+        # it brings in no pivot column; a one-entry row is reduced already
+        for lead in sorted((lead for lead, row in pivots.items() if len(row) > 1), reverse=True):
             row = pivots[lead]
-            for other_lead in holders:
-                other = pivots[other_lead]
-                factor = other.pop(lead)
-                for c, v in row.items():
-                    if c == lead:
-                        continue
-                    if c not in other:
-                        other[c] = _q(-factor * v)
-                        held_by.setdefault(c, set()).add(other_lead)
-                    elif acc := other[c] - factor * v:
-                        other[c] = _q(acc)
-                    else:
-                        del other[c]
-                        held_by[c].discard(other_lead)
-                if len(other) == 1:
-                    self._mark_zero(other_lead)
+            for col in [c for c in row if c != lead and c in pivots]:
+                _subtract(row, row.pop(col), pivots[col], col)
         return pivots
 
     def kernel(self) -> list[SparseRow]:
         """Canonical kernel basis, one sparse vector per free column (ascending)."""
         pivots = self.reduced_rows()
-        held_by = self._held_by
+        held_by: dict[int, list[int]] = {}
+        for lead in sorted(lead for lead, row in pivots.items() if len(row) > 1):
+            for c in pivots[lead]:
+                if c != lead:
+                    held_by.setdefault(c, []).append(lead)
         basis: list[SparseRow] = []
         for fc in range(self.ncols):
             if fc in pivots:
                 continue
             v: SparseRow = {fc: 1}
-            for lead in sorted(held_by.get(fc, ())):
+            for lead in held_by.get(fc, ()):
                 v[lead] = -pivots[lead][fc]
             basis.append(v)
         return basis
 
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+
+def _subtract(row: SparseRow, factor: Scalar, pivot: SparseRow, lead: int) -> None:
+    """row -= factor * pivot off the pivot's lead, in place."""
+    for c, v in pivot.items():
+        if c == lead:
+            continue
+        if c not in row:
+            row[c] = _q(-factor * v)
+        elif acc := row[c] - factor * v:
+            row[c] = _q(acc)
+        else:
+            del row[c]
 
 
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:

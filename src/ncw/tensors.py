@@ -544,10 +544,11 @@ def check_newtonian(
 
     True iff gamma^{bk} R_akc^d = gamma^{dk} R_cka^b for every (a, c, b, d);
     on failure the first violating index tuple (a, c, b, d) is returned.
+    The right side at (a, c, b, d) is the left side at (c, a, d, b), so one
+    contraction and one index permutation give both.
     """
     if r.dimension != gamma.dimension:
         raise ValueError("dimension mismatch")
     lhs = _einsum("bk,akcd->acbd", gamma, r)
-    rhs = _einsum("dk,ckab->acbd", gamma, r)
-    defect = _add(lhs, _neg(rhs))
+    defect = _add(lhs, _neg(_einsum("cadb->acbd", lhs)))
     return (False, min(defect)) if defect else (True, None)

@@ -87,6 +87,19 @@ class TestValidate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ("1,0", "sample point needs 3 comma-separated rationals, got 2"),
+            ("1/0,0,0", "bad sample point '1/0,0,0': zero denominator"),
+            ("a,0,0", "bad sample point 'a,0,0': Invalid literal for Fraction: 'a'"),
+        ],
+        ids=["count", "zero-denominator", "non-number"],
+    )
+    def test_bad_sample_point_is_an_input_error(self, capsys, flat2, point, message):
+        code, out, err = run(capsys, "validate", "--input", flat2, f"--sample-point={point}")
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
     def test_sample_point_catches_clock_form_zero(self, capsys, tmp_path):
         # theta = (1+t) dt vanishes at t = -1; only the extra point sees it
         path = tmp_path / "fading-clock.ncw"

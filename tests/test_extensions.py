@@ -244,6 +244,16 @@ class TestMilneSplit:
 
 
 class TestExtendedMilne:
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("field", ["omega", "rho", "tau", "xi"])
+    def test_inexact_or_non_poly_fields_are_refused(self, field, entry):
+        zero = Poly.zero(3)
+        fields = {"omega": ((0, 1), (-1, 0)), "rho": (zero, zero), "tau": 1, "xi": zero}
+        fields[field] = {"omega": ((0, entry), (0, 0)), "rho": (entry, zero)}.get(field, entry)
+        message = "is not a Poly" if field in ("rho", "xi") else "not an int or a Fraction"
+        with pytest.raises(TypeError, match=message):
+            MilneStandardElement(**fields)
+
     def test_matches_parameter_oracle_on_examples(self):
         s = flat_structure(2)
         t = var(3, 0)
@@ -596,6 +606,21 @@ class TestBargmann:
         value = {"omega": {(1, 2): entry}, "beta": {1: entry}, "sigma": {2: entry}}
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             BargmannElement.make(2, **{param: value.get(param, entry)})
+
+    @pytest.mark.parametrize("entry", [0.1, "1/3", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("field", ["omega", "beta", "sigma", "tau", "xi"])
+    def test_inexact_fields_are_refused_on_direct_construction(self, field, entry):
+        fields = {"omega": ((0, 1), (-1, 0)), "beta": (1, 0), "sigma": (0, 1), "tau": 1, "xi": 2}
+        fields[field] = {"omega": ((0, entry), (0, 0)), "beta": (entry, 0), "sigma": (0, entry)}.get(
+            field, entry
+        )
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            BargmannElement(**fields)
+
+    def test_direct_construction_keeps_entries_canonical(self):
+        b = BargmannElement(((0, Fraction(2, 2)), (-1, 0)), (Fraction(1, 3), 0), (0, 1), 0, 0)
+        assert b.omega == ((0, 1), (-1, 0)) and type(b.omega[0][1]) is int
+        assert bargmann_bracket(b, b).xi == 0
 
     @pytest.mark.parametrize(
         "param, entries",

@@ -266,9 +266,18 @@ def assert_matches_sympy(sympy, rows, cols, elim):
     assert densified(elim.kernel(), cols) == sympy_kernel(sympy, dense_of(rows, cols))
 
 
+def assert_reduces_in_row_space(sympy, rows, cols, row, reduced):
+    """reduced - row lies in the span of rows, and reduced leads at a
+    column that is not a pivot of their rref."""
+    m = to_sympy(sympy, dense_of(rows, cols))
+    diff = {c: reduced.get(c, 0) - row.get(c, 0) for c in range(cols)}
+    assert to_sympy(sympy, dense_of(rows + [diff], cols)).rank() == m.rank()
+    assert not reduced or min(reduced) not in m.rref()[1]
+
+
 class TestEliminatorShapes:
-    """Known-zero columns and the column index against sympy's rref and
-    nullspace, on systems shaped like the solver's."""
+    """Known-zero columns, the order of back substitution and reduce against
+    sympy's rref, rank and nullspace, on systems shaped like the solver's."""
 
     def test_one_entry_rows_with_repeats_in_random_order(self, sympy):
         rng = random.Random(31)
@@ -314,6 +323,43 @@ class TestEliminatorShapes:
                 elim.add_row(row)
             assert_matches_sympy(sympy, rows[:half], cols, elim)
             for row in rows[half:]:
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows, cols, elim)
+
+    def test_one_entry_rows_on_held_columns(self, sympy):
+        # a one-entry row, or a row that reduces to one entry, on a column a
+        # pivot row holds off its lead: that pivot row keeps the column until
+        # back substitution pulls it out with the one-entry row
+        rng = random.Random(59)
+        for _ in range(40):
+            cols = rng.randint(4, 9)
+            rows = [r for r in random_shaped_rows(rng, cols) if len(r) > 1]
+            elim = SparseEliminator(cols)
+            for row in rows:
+                elim.add_row(row)
+            for _ in range(rng.randint(1, 3)):
+                held = [
+                    (lead, c)
+                    for lead, pivot in sorted(elim.pivot_rows.items())
+                    for c in sorted(pivot)
+                    if c != lead
+                ]
+                if not held:
+                    break
+                lead, c = rng.choice(held)
+                if rng.random() < 0.5:
+                    row = {c: Fraction(rng.choice([-2, 1, 3]))}
+                else:
+                    k = Fraction(rng.choice([-1, 2]))
+                    row = {col: k * v for col, v in elim.pivot_rows[lead].items()}
+                    row[c] += rng.choice([-1, 1])
+                rows.append(row)
+                elim.add_row(row)
+            assert_matches_sympy(sympy, rows, cols, elim)
+            probes = random_shaped_rows(rng, cols)
+            for row, probe in zip(random_shaped_rows(rng, cols)[:4], probes):
+                assert_reduces_in_row_space(sympy, rows, cols, probe, elim.reduce(probe))
+                rows.append(row)
                 elim.add_row(row)
             assert_matches_sympy(sympy, rows, cols, elim)
 

@@ -381,6 +381,43 @@ class TestNewtonianCheck:
         ok, _ = check_newtonian(curvature(g), flat_gamma(2))
         assert ok
 
+    def test_one_contraction_matches_the_two_contraction_form(self):
+        def reference(r, gamma):
+            lhs = _einsum("bk,akcd->acbd", gamma, r)
+            rhs = _einsum("dk,ckab->acbd", gamma, r)
+            zero = Poly.zero(r.dimension)
+            defect = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, zero) != rhs.get(k, zero)]
+            return (False, min(defect)) if defect else (True, None)
+
+        rng = random.Random(53)
+        verdicts = []
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            dim = n + 1
+            symbols = {}
+
+            def fn(a, b, c):
+                # torsion-free, about a third of the symbols nonzero
+                key = (min(a, b), max(a, b), c)
+                if key not in symbols:
+                    symbols[key] = random_poly(rng, dim) if rng.random() < 0.3 else Poly.zero(dim)
+                return symbols[key]
+
+            connections = [
+                standard_connection(n, random_poly(rng, dim, degree=3)),
+                Connection.build(dim, fn),
+            ]
+            if n == 2:
+                connections.append(rotation_connection(random_poly(rng, dim)))
+            metrics = [flat_gamma(n), TensorField.build(dim, 2, 0, lambda idx: random_poly(rng, dim))]
+            for g in connections:
+                r = curvature(g)
+                for gamma in metrics:
+                    expected = reference(r, gamma)
+                    assert check_newtonian(r, gamma) == expected
+                    verdicts.append(expected[0])
+        assert True in verdicts and False in verdicts
+
     def test_insensitive_to_overall_sign(self):
         for g in [
             rotation_connection(Poly.variable(3, 0)),
