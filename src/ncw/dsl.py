@@ -4,10 +4,12 @@ describing spacetime structures, plus the polynomial expression grammar.
 Expressions: integers, rationals ``p/q``, the variables ``t, x1..xn``,
 operators ``+ - * ^`` and parentheses.  ``^`` takes a non-negative integer
 literal; ``/`` only joins integer literals into a rational.  There is no
-implicit multiplication.  ``-`` is always an operator (``t-1`` is
-``t - 1``); only a ``name`` value keeps its hyphens.  A product or power
-whose result could exceed MAX_TERMS terms, or an exponent of MAX_EXPONENT,
-is refused before it is expanded.
+implicit multiplication.  Numbers and names are ASCII: a character
+outside the grammar, a non-ASCII digit or letter included, is refused at
+its line and column.  ``-`` is always an operator (``t-1`` is ``t - 1``);
+only a ``name`` value keeps its hyphens.  A product or power whose result
+could exceed MAX_TERMS terms, or an exponent of MAX_EXPONENT, is refused
+before it is expanded.
 
 A document is a sequence of lines; ``#`` starts a comment.  Either a preset
 header
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from string import ascii_letters, digits
 
 from .poly import Poly
 from .structures import (
@@ -76,6 +79,10 @@ class Token:
 
 
 _SYMBOLS = "+-*^()[]=/"
+# tokens are ASCII: str.isdigit and str.isalpha accept any Unicode digit or letter
+_DIGITS = frozenset(digits)
+_IDENT_START = frozenset(ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 def tokenize(text: str) -> list[Token]:
@@ -89,15 +96,15 @@ def tokenize(text: str) -> list[Token]:
                 col += 1
                 continue
             start = col + 1
-            if ch.isdigit():
+            if ch in _DIGITS:
                 end = col
-                while end < len(line) and line[end].isdigit():
+                while end < len(line) and line[end] in _DIGITS:
                     end += 1
                 tokens.append(Token("NUMBER", line[col:end], line_no, start))
                 col = end
-            elif ch.isalpha() or ch == "_":
+            elif ch in _IDENT_START:
                 end = col
-                while end < len(line) and (line[end].isalnum() or line[end] == "_"):
+                while end < len(line) and line[end] in _IDENT_CHARS:
                     end += 1
                 tokens.append(Token("IDENT", line[col:end], line_no, start))
                 col = end

@@ -14,7 +14,9 @@ The reduced echelon form is unique, so neither rule, nor the order rows
 arrive in, can change a result.
 
 Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
-an int when integral, else a Fraction with a denominator above 1.  A
+an int when integral, else a Fraction with a denominator above 1.  A row
+takes a multiple of a pivot row through the Poly terms' own sparse sum,
+``poly._accumulate``, which keeps every entry canonical.  A
 RationalMatrix, and the right-hand side of sparse_solve,
 solve_inhomogeneous and inconsistency_certificate, take only int and
 Fraction entries (``poly._exact``); a float, a string or a bool is refused,
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .poly import Scalar, _exact, _q
+from .poly import Scalar, _accumulate, _exact, _q
 
 Vector = tuple[Scalar, ...]
 
@@ -101,8 +103,6 @@ def solve_inhomogeneous(
     solution (free variables set to 0) together with the canonical kernel
     basis of M.
     """
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
     solution = sparse_solve(_sparse_rows(matrix), rhs, matrix.cols)
     if solution is None:
         return None
@@ -180,6 +180,8 @@ class SparseEliminator:
     Rows are absorbed one at a time; a pivot row leads at the least column
     of its reduced row, with entry 1, so the reduced rows and the kernel
     are the canonical reduced row echelon form and echelon kernel basis.
+    A row r that holds a pivot column c adds -r[c] times that pivot row:
+    the pivot row's leading 1 cancels r's entry at c, and the sum deletes it.
     A one-entry row on a new column is a pivot row {c: 1} at once.  Such a
     row says x_c = 0: c is dropped from every later incoming row, and a
     pivot row already holding c keeps it until back substitution.
@@ -200,7 +202,7 @@ class SparseEliminator:
             pivot = pivots.get(lead)
             if pivot is None:
                 return row
-            _subtract(row, row.pop(lead), pivot, lead)
+            _accumulate(row, pivot, -row[lead])
         return row
 
     def add_row(self, row: SparseRow) -> None:
@@ -233,7 +235,7 @@ class SparseEliminator:
         for lead in sorted((lead for lead, row in pivots.items() if len(row) > 1), reverse=True):
             row = pivots[lead]
             for col in [c for c in row if c != lead and c in pivots]:
-                _subtract(row, row.pop(col), pivots[col], col)
+                _accumulate(row, pivots[col], -row[col])
         return pivots
 
     def kernel(self) -> list[SparseRow]:
@@ -255,19 +257,6 @@ class SparseEliminator:
         return basis
 
 
-def _subtract(row: SparseRow, factor: Scalar, pivot: SparseRow, lead: int) -> None:
-    """row -= factor * pivot off the pivot's lead, in place."""
-    for c, v in pivot.items():
-        if c == lead:
-            continue
-        if c not in row:
-            row[c] = _q(-factor * v)
-        elif acc := row[c] - factor * v:
-            row[c] = _q(acc)
-        else:
-            del row[c]
-
-
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     elim = SparseEliminator(ncols)
     for row in rows:
@@ -283,6 +272,8 @@ def sparse_solve(
     The right-hand side is carried as an extra trailing column.  Returns
     (particular solution, kernel basis) or None when inconsistent.
     """
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length does not match row count")
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
         augmented = dict(row)

@@ -19,6 +19,9 @@ The zero polynomial has an empty term dictionary.  Stored coefficients are
 never zero, so two polynomials are equal iff their term dictionaries are.
 The public constructors check and canonicalize their input; arithmetic
 builds its already-canonical results through the trusted ``Poly._raw``.
+Every sparse sum, of Poly terms here and of the solver's linear forms and
+the eliminator's rows, is ``_accumulate``: it stores each value canonical
+and deletes a zero sum.
 
 Most products in the tensor operators have a one-term operand, so a
 product takes the operand with fewer terms as its multiplier and runs no
@@ -50,6 +53,22 @@ def _exact(value: object) -> Scalar:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
     return _q(value)
+
+
+def _accumulate(target: dict, source: Mapping, factor: Scalar = 1) -> None:
+    """target += factor * source, in place: each new or summed value is
+    stored canonical and a zero sum is deleted.  The one sparse exact sum,
+    of Poly terms, the solver's linear forms and the eliminator's rows."""
+    scale = factor != 1
+    for key, value in source.items():
+        if scale:
+            value *= factor
+        if key not in target:
+            target[key] = _q(value)
+        elif acc := target[key] + value:
+            target[key] = _q(acc)
+        else:
+            del target[key]
 
 
 class Poly:
@@ -139,13 +158,7 @@ class Poly:
         if not self.terms:
             return p
         out = dict(self.terms)
-        for exps, coeff in p.terms.items():
-            if exps not in out:
-                out[exps] = coeff
-            elif acc := out[exps] + coeff:
-                out[exps] = _q(acc)
-            else:
-                del out[exps]
+        _accumulate(out, p.terms)
         return Poly._raw(self.dimension, out)
 
     __radd__ = __add__
@@ -189,16 +202,10 @@ class Poly:
             else:
                 terms = {tuple(map(add, e, e2)): _q(k * c2) for e, k in big.terms.items()}
             return Poly._raw(self.dimension, terms)
+        # a sum of one-term products c1 * x^e1 * small
         out: dict[Exponent, Scalar] = {}
         for e1, c1 in big.terms.items():
-            for e2, c2 in small.terms.items():
-                exps = tuple(map(add, e1, e2))
-                if exps not in out:
-                    out[exps] = _q(c1 * c2)
-                elif acc := out[exps] + c1 * c2:
-                    out[exps] = _q(acc)
-                else:
-                    del out[exps]
+            _accumulate(out, {tuple(map(add, e1, e2)): c2 for e2, c2 in small.terms.items()}, c1)
         return Poly._raw(self.dimension, out)
 
     __rmul__ = __mul__

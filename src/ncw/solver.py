@@ -32,7 +32,7 @@ from operator import add
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator, SparseRow
-from .poly import Exponent, Poly, Scalar, _q, grlex_monomials
+from .poly import Exponent, Poly, Scalar, _accumulate, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
     Connection,
@@ -110,7 +110,9 @@ class _FormPoly:
     the forms of their operands wherever a form carries over unchanged: a
     product by 1 is the operand itself, a product by a monic monomial and
     partial keep every form they do not scale, and + keeps every form it
-    does not merge.  A changed form is always a new dict."""
+    does not merge.  A changed form is always a new dict.  Forms are
+    merged and scaled through ``poly._accumulate``, the sum Poly terms
+    take."""
 
     __slots__ = ("dimension", "terms")
 
@@ -129,7 +131,7 @@ class _FormPoly:
                 out[exps] = form
                 continue
             merged = dict(mine)
-            _accumulate(merged, form, 1)
+            _accumulate(merged, form)
             if merged:
                 out[exps] = merged
             else:
@@ -175,20 +177,6 @@ class _FormPoly:
                 key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
                 out[key] = form if e == 1 else {col: _q(v * e) for col, v in form.items()}
         return _FormPoly(self.dimension, out)
-
-
-def _accumulate(target: dict[int, Scalar], form: dict[int, Scalar], factor: Scalar) -> None:
-    """target += factor * form, zero coefficients dropped."""
-    scale = factor != 1
-    for col, v in form.items():
-        if scale:
-            v *= factor
-        if col not in target:
-            target[col] = _q(v)
-        elif acc := target[col] + v:
-            target[col] = _q(acc)
-        else:
-            del target[col]
 
 
 def _generic_field(

@@ -379,7 +379,7 @@ def _gauge_and_transverse(
     """potential_to_gauge's A, and the transverse metric of U it used."""
     dim = g.dimension
     if pairing(g.theta, v) != Poly.const(dim, 1):
-        raise StructureError("potential_to_gauge needs theta(V) = 1")
+        raise StructureError("V must satisfy theta(V) = 1")
     h = transverse_metric(g, u)
     lowered = apply_metric(h, v)
     scalar = pairing(lowered, v) * Fraction(1, 2) - phi

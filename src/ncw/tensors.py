@@ -146,12 +146,13 @@ class _Entries:
         return not self.nonzero
 
 
-def _slots(*counts: int) -> list[str]:
+@cache
+def _slots(*counts: int) -> tuple[str, ...]:
     """Consecutive groups of distinct slot letters, one group per count."""
     ends = list(accumulate(counts, initial=0))
     if ends[-1] > len(_LETTERS):
         raise ValueError(f"more than {len(_LETTERS)} slots in one contraction")
-    return [_LETTERS[i:j] for i, j in zip(ends, ends[1:])]
+    return tuple(_LETTERS[i:j] for i, j in zip(ends, ends[1:]))
 
 
 @cache
@@ -378,13 +379,10 @@ def directional(vec: TensorField, f: Poly) -> Poly:
 
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
-    """[X, Y]^a = X^k d_k Y^a - Y^k d_k X^a."""
+    """[X, Y]^a = X^k d_k Y^a - Y^k d_k X^a, which is L_X Y."""
     if (x.p, x.q, y.p, y.q) != (1, 0, 1, 0) or x.dimension != y.dimension:
         raise ValueError("vector_bracket needs two vector fields of one dimension")
-    entries = _add(
-        _einsum("k,ka->a", x, y.derivative), _neg(_einsum("k,ka->a", y, x.derivative))
-    )
-    return TensorField._raw(x.dimension, 1, 0, entries)
+    return lie_derivative(x, y)
 
 
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:

@@ -100,6 +100,12 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--input", flat2, f"--sample-point={point}")
         assert (code, out, err) == (2, "", f"input error: {message}\n")
 
+    def test_observer_off_the_clock_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "observer.ncw"
+        path.write_text("n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1\nV[0] = 2\nphi = x1\n")
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out, err) == (2, "", "input error: V must satisfy theta(V) = 1\n")
+
     def test_sample_point_catches_clock_form_zero(self, capsys, tmp_path):
         # theta = (1+t) dt vanishes at t = -1; only the extra point sees it
         path = tmp_path / "fading-clock.ncw"

@@ -216,6 +216,23 @@ class TestDocuments:
         with pytest.raises(ParseError, match=message):
             build_structure(doc)
 
+    @pytest.mark.parametrize(
+        "text, line, column, char",
+        [
+            ("flat n=\u00b2", 1, 8, "\u00b2"),
+            ("standard n=1 phi = x1^\u00b2", 1, 23, "\u00b2"),
+            ("n = 1\ngamma[\uff11][1] = 1\ntheta[0] = 1\nU[0] = 1\nA[0] = 0", 2, 7, "\uff11"),
+            ("n = 1\ngamma[1][1] = \u0663\ntheta[0] = 1\nU[0] = 1\nA[0] = 0", 2, 15, "\u0663"),
+            ("standard n=1 phi = x\u0661^2", 1, 21, "\u0661"),
+        ],
+        ids=["superscript-dimension", "superscript-exponent", "fullwidth-index",
+             "arabic-indic-value", "arabic-indic-variable"],
+    )
+    def test_tokens_are_ascii(self, text, line, column, char):
+        message = f"line {line}, column {column}: unexpected character {char!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            build_structure(parse_structure(text))
+
     def test_missing_dimension(self):
         with pytest.raises(StructureError, match="n is required"):
             parse_structure("gamma[1][1] = 1\n")

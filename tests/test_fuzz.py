@@ -36,7 +36,7 @@ def _combine(children):
 
 expressions = st.one_of(
     st.recursive(_atoms, _combine, max_leaves=10),
-    st.text(alphabet="tx123 +-*^()/0_#a", max_size=30),
+    st.text(alphabet="tx123 +-*^()/0_#a\u00b2\u0661\u00e9", max_size=30),
 )
 
 

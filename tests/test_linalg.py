@@ -455,6 +455,17 @@ class TestMatrixOps:
             with pytest.raises(TypeError, match="not an int or a Fraction"):
                 solve()
 
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [([{0: 1}, {1: 1}], [1]), ([{0: 1}], [1, 5])],
+        ids=["row-without-rhs", "rhs-without-row"],
+    )
+    def test_right_hand_side_of_the_wrong_length_is_refused(self, rows, rhs):
+        m = RationalMatrix.from_rows([[row.get(c, 0) for c in range(2)] for row in rows])
+        for solve in (lambda: sparse_solve(rows, rhs, 2), lambda: solve_inhomogeneous(m, rhs)):
+            with pytest.raises(ValueError, match="right-hand side length does not match row count"):
+                solve()
+
     def test_entries_are_canonical(self):
         m = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [5, 0]])
         assert m.entries == ((2, Fraction(1, 3)), (5, 0))

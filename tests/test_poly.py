@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SHAPES, is_canonical, shaped_polys
-from ncw.poly import Poly, grlex_monomials, time_part
+from ncw.poly import Poly, _accumulate, grlex_monomials, time_part
 
 
 def P(dim, terms):
@@ -236,6 +236,40 @@ class TestExactCoefficients:
         assert Poly.const(2, 3) == 3
         assert Poly.const(2, 0) == 0
         assert str(Poly.monomial(2, (1, 1), 3)) == str(Fraction(3) * t * x1) == "3*t*x1"
+
+
+def _canonical(f):
+    return f.numerator if f.denominator == 1 else f
+
+
+_coefficients = (
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool).map(_canonical)
+)
+_factors = st.one_of(st.sampled_from([1, -1]), st.integers(-4, 4).filter(bool), _coefficients)
+
+
+class TestAccumulate:
+    """The one sparse exact sum, target += factor * source, shared by Poly
+    terms, the solver's linear forms and the eliminator's rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_a_fraction_reference(self, data):
+        target = data.draw(st.dictionaries(st.integers(0, 6), _coefficients, max_size=6))
+        source = data.draw(st.dictionaries(st.integers(0, 6), _coefficients, max_size=6))
+        factor = data.draw(_factors)
+        # some shared keys cancel exactly
+        for key in data.draw(st.sets(st.sampled_from(sorted(target)))) if target else ():
+            source[key] = _canonical(Fraction(-target[key]) / factor)
+        expected = {k: Fraction(v) for k, v in target.items()}
+        for k, v in source.items():
+            expected[k] = expected.get(k, 0) + factor * Fraction(v)
+        before = [(k, type(v), v) for k, v in source.items()]
+        _accumulate(target, source, factor)
+        # kept keys in their place, new keys after them in source order
+        assert list(target.items()) == [(k, v) for k, v in expected.items() if v]
+        assert all(v != 0 and is_canonical(v) for v in target.values()), target
+        assert [(k, type(v), v) for k, v in source.items()] == before
 
 
 class TestQueries:
