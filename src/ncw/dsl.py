@@ -83,16 +83,29 @@ _SYMBOLS = "+-*^()[]=/"
 _DIGITS = frozenset(digits)
 _IDENT_START = frozenset(ascii_letters + "_")
 _IDENT_CHARS = _IDENT_START | _DIGITS
+# blanks are ASCII too: str.isspace accepts any Unicode space
+_BLANKS = frozenset(" \t\r\f\v")
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a document as an editor numbers them: a line ends only
+    at \n or \r\n (str.splitlines also ends one at a form feed, a lone \r
+    and Unicode separators), and a final line break starts no line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = _lines(text)
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         col = 0
         while col < len(line):
             ch = line[col]
-            if ch.isspace():
+            if ch in _BLANKS:
                 col += 1
                 continue
             start = col + 1
@@ -115,7 +128,7 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError(f"unexpected character {ch!r}", line_no, start)
         if tokens and tokens[-1].kind != "NEWLINE":
             tokens.append(Token("NEWLINE", "", line_no, len(line) + 1))
-    tokens.append(Token("END", "", len(text.splitlines()) + 1, 1))
+    tokens.append(Token("END", "", len(lines) + 1, 1))
     return tokens
 
 

@@ -167,7 +167,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     g._valid_pair
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
-        raise StructureError("transverse metric needs theta(U) = 1")
+        raise StructureError("U must satisfy theta(U) = 1")
     j = min((j for (j,), c in g.theta.nonzero.items() if c.total_degree() == 0), default=None)
     if j is None:
         w = u.nonzero
@@ -318,8 +318,7 @@ class NCBStructure:
     def validate(self) -> None:
         self.base.validate()
         dim = self.base.dimension
-        if pairing(self.base.theta, self.u) != Poly.const(dim, 1):
-            raise StructureError("U must satisfy theta(U) = 1")
+        # theta(U) = 1 is checked where the transverse metric is built
         hu = _einsum("ak,k->a", self.transverse, self.u)
         # h_ak gamma^{kb} + theta_a U^b - delta_a^b, which must vanish
         defect = _add(

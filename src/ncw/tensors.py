@@ -21,19 +21,36 @@ Index conventions, fixed once here:
 * ``covariant_derivative`` prepends the derivative index to the covariant
   slots: ``(DT).comp(uppers..., c, lowers...)`` is the c-derivative.
 
-Contractions go through one sparse kernel, ``_einsum(spec, *factors)``.  The
-spec uses numpy's subscripts: one letter per slot of each factor, in the
-factor's index order above, then ``->`` and the letters of the result, so
-``_einsum("bk,akcd->acbd", gamma, r)`` is gamma^{bk} R_akc^d keyed
-(a, c, b, d).  A letter repeated across or within factors is summed.  A
-factor is a field, read through its ``nonzero`` mapping from index tuple to
-component, or such a mapping itself.  An absent entry is zero: the kernel
-never visits it, and it leaves out every entry of the result that sums to
-zero.  That mapping is the only storage of a ``TensorField``, a
-``Connection`` and a ``CurvatureField``: a dict from index tuple to nonzero
-component, with no zero value ever stored, so ``==`` compares fields and an
-operator's result is the kernel's entries as they are.  Its order is
-unspecified; whatever renders entries sorts them by index.
+A field's only storage is its ``nonzero`` mapping from index tuple to
+component, for a ``TensorField``, a ``Connection`` and a ``CurvatureField``
+alike: a dict with no zero value ever stored, so ``==`` compares fields.  An
+absent entry is zero.  Nothing below visits one, and every operator leaves
+out each entry of its result that sums to zero, so a result is stored as it
+comes.  Its order is unspecified; whatever renders entries sorts them by
+index.
+
+The differential operators walk their terms directly, each in one pass
+that adds every term, sign included, into a single result dict.
+``lie_derivative`` (the body of ``vector_bracket``),
+``lie_derivative_connection`` and ``covariant_derivative`` group dX (or,
+for the covariant derivative, the connection) once per call by the index
+a slot of the other factor is summed against, with the sign of a
+subtracted term taken once per grouped entry.  They walk the field's
+cached ``derivative`` once for the term X^k d_k T (or d_c T), then the
+field's entries once, every slot swapped through the group of the index
+it holds.  ``curvature`` adds each term of S at (a, b, c, d) and its
+negation at (b, a, c, d), and skips a = b, where the two cancel.
+``pairing`` and ``directional`` share one sparse dot product, ``_dot``.
+
+Every other contraction goes through one sparse kernel, ``_einsum(spec,
+*factors)``: raising indices with gamma, ``apply_metric``,
+``check_newtonian``, the transverse metric, the pushforward of tensors,
+``tensor_product`` and ``contract``.  The spec uses numpy's subscripts: one
+letter per slot of each factor, in the factor's index order above, then
+``->`` and the letters of the result, so ``_einsum("bk,akcd->acbd", gamma,
+r)`` is gamma^{bk} R_akc^d keyed (a, c, b, d).  A letter repeated across or
+within factors is summed.  A factor is a field, read through its
+``nonzero`` mapping, or such a mapping itself.
 
 Each spec is compiled once (``_plan``, cached): every letter gets a slot
 number, and each factor gets the positions of its index that must agree (a
@@ -52,25 +69,28 @@ operator that differentiates a field reads it: a basis field bracketed
 against k - 1 others, or transported by several operators, computes its
 partials once, and the cache dies with the field.  Operator results are
 wrapped by the trusted ``_raw`` constructor, as ``Poly`` results are by
-``Poly._raw``: their inputs have passed their shape checks, and the kernel,
-``_add``, ``_neg`` and ``derivative`` yield only nonzero entries of the
-field's dimension under in-range keys of the right length, so the public
-constructors' entry checks would only repeat them.  The public constructors
-keep every check, and connections are always built through theirs, which
-also refuses torsion.
+``Poly._raw``: their inputs have passed their shape checks, and the
+operators, the kernel, ``_add``, ``_neg`` and ``derivative`` yield only
+nonzero entries of the field's dimension under in-range keys of the right
+length, so the public constructors' entry checks would only repeat them.
+The public constructors keep every check, and connections are always built
+through theirs, which also refuses torsion.
 
-The kernel needs of an entry only ``+``, unary ``-``, ``*`` and truth, and
-the operators on a vector field X (``directional``, ``vector_bracket``,
-``lie_derivative``, ``lie_derivative_connection``) also ``partial`` of X's
-components.  They are linear in X, so the symmetry solver runs them once on
-a generic field whose components carry linear forms in the unknowns.
+An entry needs only ``+``, unary ``-``, ``*`` and truth, in the operators
+and the kernel alike, and the operators on a vector field X
+(``directional``, ``vector_bracket``, ``lie_derivative``,
+``lie_derivative_connection``) also ``partial`` of X's components.  Each
+product keeps one operand order: X or dX before T, the connection before
+T or dX.  The operators are linear in X, so the symmetry solver runs them
+once on a generic field whose components carry linear forms in the
+unknowns, which multiply a ``Poly`` on either side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -210,7 +230,7 @@ def _einsum(spec: str, *factors) -> dict[Index, Poly]:
         walk.append((entry_key, groups, lo, hi))
     out: dict[Index, Poly] = {}
     _walk(walk, 0, [0] * width, None, output, out)
-    return {key: value for key, value in out.items() if value}
+    return _nonzero(out)
 
 
 def _walk(walk: list, i: int, slots: list[int], acc, output, out: dict) -> None:
@@ -232,11 +252,16 @@ def _walk(walk: list, i: int, slots: list[int], acc, output, out: dict) -> None:
         out[key] = out[key] + term if key in out else term
 
 
+def _nonzero(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
+    """The entries with a nonzero value."""
+    return {key: value for key, value in entries.items() if value}
+
+
 def _collect(pairs: Iterable[tuple[Index, Poly]]) -> dict[Index, Poly]:
     out: dict[Index, Poly] = {}
     for key, value in pairs:
         out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value}
+    return _nonzero(out)
 
 
 def _add(*parts: Mapping[Index, Poly]) -> dict[Index, Poly]:
@@ -364,7 +389,7 @@ def pairing(form: TensorField, vec: TensorField) -> Poly:
     """w_a X^a for a 1-form and a vector field."""
     if (form.p, form.q, vec.p, vec.q) != (0, 1, 1, 0) or form.dimension != vec.dimension:
         raise ValueError("pairing needs a 1-form, then a vector field, of one dimension")
-    return _einsum("k,k->", form, vec).get(()) or _zero(form.dimension)
+    return _dot(form.nonzero, vec.nonzero, form.dimension)
 
 
 def gradient(f: Poly) -> TensorField:
@@ -375,7 +400,21 @@ def gradient(f: Poly) -> TensorField:
 
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
-    return _einsum("k,k->", vec, gradient(f)).get(()) or _zero(vec.dimension)
+    if (vec.p, vec.q) != (1, 0) or vec.dimension != f.dimension:
+        raise ValueError("directional needs a vector field and a function of one dimension")
+    return _dot(vec.nonzero, gradient(f).nonzero, vec.dimension)
+
+
+def _dot(u: Mapping[Index, Poly], v: Mapping[Index, Poly], dimension: int) -> Poly:
+    """The sum of u_k v_k over the keys of u found in v, each product taken
+    u's entry first; the zero of the dimension when nothing is left."""
+    total = None
+    for key, a in u.items():
+        b = v.get(key)
+        if b is not None:
+            term = a * b
+            total = term if total is None else total + term
+    return total or _zero(dimension)
 
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -388,22 +427,35 @@ def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     """Lie derivative of a (p,q) tensor along the vector field x.
 
-    (L_X T) = X^k d_k T  minus a dX-contraction per contravariant slot,
-    plus one per covariant slot.
+    (L_X T) = X^k d_k T, minus d_k X^a T with a contravariant slot's k
+    swapped for a, plus d_b X^k T with a covariant slot's k swapped for b,
+    summed over every slot: one walk of T's derivative, then one of T's
+    entries with each slot swapped through dX grouped by that index.
     """
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
-    ups, lows = _slots(t.p, t.q)
-    result = ups + lows
-    dx = x.derivative  # (k, a): d_k X^a
-    parts = [_einsum(f"z,z{result}->{result}", x, t.derivative)]
-    for slot, a in enumerate(ups):
-        moved = ups[:slot] + "z" + ups[slot + 1 :]
-        parts.append(_neg(_einsum(f"z{a},{moved}{lows}->{result}", dx, t)))
-    for slot, b in enumerate(lows):
-        moved = lows[:slot] + "z" + lows[slot + 1 :]
-        parts.append(_einsum(f"{b}z,{ups}{moved}->{result}", dx, t))
-    return TensorField._raw(t.dimension, t.p, t.q, _add(*parts))
+    p = t.p
+    up: dict[int, list] = {}  # k: [(a, -d_k X^a)]
+    down: dict[int, list] = {}  # k: [(b, d_b X^k)]
+    for (k, a), d in x.derivative.items():
+        if p:
+            up.setdefault(k, []).append((a, -d))
+        if t.q:
+            down.setdefault(a, []).append((k, d))
+    xs = x.nonzero
+    out: dict[Index, Poly] = {}
+    for key, d in t.derivative.items():  # (k, *idx): d_k T_idx
+        if (xk := xs.get(key[:1])) is not None:
+            idx = key[1:]
+            term = xk * d
+            out[idx] = out[idx] + term if idx in out else term
+    for idx, value in t.nonzero.items():
+        for s, k in enumerate(idx):
+            for new, d in (up if s < p else down).get(k, ()):
+                key = idx[:s] + (new,) + idx[s + 1 :]
+                term = d * value
+                out[key] = out[key] + term if key in out else term
+    return TensorField._raw(t.dimension, p, t.q, _nonzero(out))
 
 
 # ----------------------------------------------------------------------
@@ -446,20 +498,45 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
 
     (L_X G)_ab^c = X^k d_k G_ab^c + G_kb^c d_a X^k + G_ak^c d_b X^k
                    - G_ab^k d_k X^c + d_a d_b X^c
+
+    The middle three terms come from one walk of G's entries, each slot
+    swapped through dX grouped by that slot's index.
     """
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
     n = g.dimension
     dx = x.derivative  # (a, k): d_a X^k
-    ddx = TensorField._raw(n, 1, 1, dx).derivative  # (a, b, c): d_a d_b X^c
-    entries = _add(
-        _einsum("z,zabc->cab", x, g.derivative),
-        _einsum("zbc,az->cab", g, dx),
-        _einsum("azc,bz->cab", g, dx),
-        _neg(_einsum("abz,zc->cab", g, dx)),
-        _einsum("abc->cab", ddx),
-    )
-    return TensorField._raw(n, 1, 2, entries)
+    up: dict[int, list] = {}  # k: [(c, -d_k X^c)]
+    down: dict[int, list] = {}  # k: [(a, d_a X^k)]
+    for (a, k), d in dx.items():
+        up.setdefault(a, []).append((k, -d))
+        down.setdefault(k, []).append((a, d))
+    xs = x.nonzero
+    out: dict[Index, Poly] = {}
+    for (k, a, b, c), d in g.derivative.items():
+        if (xk := xs.get((k,))) is not None:
+            key = (c, a, b)
+            term = xk * d
+            out[key] = out[key] + term if key in out else term
+    for (a, b, c), v in g.nonzero.items():
+        for i, d in down.get(a, ()):  # G_kb^c d_i X^k with k = a
+            key = (c, i, b)
+            term = v * d
+            out[key] = out[key] + term if key in out else term
+        for i, d in down.get(b, ()):  # G_ak^c d_i X^k with k = b
+            key = (c, a, i)
+            term = v * d
+            out[key] = out[key] + term if key in out else term
+        for i, d in up.get(c, ()):  # -G_ab^k d_k X^i with k = c
+            key = (i, a, b)
+            term = v * d
+            out[key] = out[key] + term if key in out else term
+    for (b, c), d in dx.items():
+        for a in range(n):
+            if dd := d.partial(a):  # d_a d_b X^c
+                key = (c, a, b)
+                out[key] = out[key] + dd if key in out else dd
+    return TensorField._raw(n, 1, 2, _nonzero(out))
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -497,19 +574,33 @@ def raise_connection_transport(
 
 
 def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
-    """Covariant derivative; the derivative index is the first covariant slot."""
+    """Covariant derivative; the derivative index c is the first covariant
+    slot.  (DT) = d_c T, plus G_ck^a T with a contravariant slot's k swapped
+    for a, minus G_cb^k T with a covariant slot's k swapped for b: one walk
+    of T's derivative, then one of T's entries with each slot swapped
+    through G grouped by that index."""
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
-    ups, lows = _slots(t.p, t.q)
-    result = f"{ups}y{lows}"
-    parts = [_einsum(f"y{ups}{lows}->{result}", t.derivative)]
-    for slot, a in enumerate(ups):
-        moved = ups[:slot] + "z" + ups[slot + 1 :]
-        parts.append(_einsum(f"yz{a},{moved}{lows}->{result}", g, t))
-    for slot, b in enumerate(lows):
-        moved = lows[:slot] + "z" + lows[slot + 1 :]
-        parts.append(_neg(_einsum(f"y{b}z,{ups}{moved}->{result}", g, t)))
-    return TensorField._raw(t.dimension, t.p, t.q + 1, _add(*parts))
+    p = t.p
+    up: dict[int, list] = {}  # k: [(c, a, G_ck^a)]
+    down: dict[int, list] = {}  # k: [(c, b, -G_cb^k)]
+    for (c, i, j), v in g.nonzero.items():
+        if p:
+            up.setdefault(i, []).append((c, j, v))
+        if t.q:
+            down.setdefault(j, []).append((c, i, -v))
+    out: dict[Index, Poly] = {}
+    for (c, *idx), d in t.derivative.items():
+        key = (*idx[:p], c, *idx[p:])
+        out[key] = out[key] + d if key in out else d
+    for idx, value in t.nonzero.items():
+        for s, k in enumerate(idx):
+            for c, new, v in (up if s < p else down).get(k, ()):
+                key = (*idx[:s], new, *idx[s + 1 :])
+                key = (*key[:p], c, *key[p:])
+                term = v * value
+                out[key] = out[key] + term if key in out else term
+    return TensorField._raw(t.dimension, p, t.q + 1, _nonzero(out))
 
 
 @dataclass(frozen=True)
@@ -529,10 +620,23 @@ class CurvatureField(_Entries):
 
 def curvature(g: Connection) -> CurvatureField:
     """R_abc^d = d_a G_bc^d - d_b G_ac^d + G_ak^d G_bc^k - G_bk^d G_ac^k,
-    taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k."""
-    s = _add(g.derivative, _einsum("akd,bck->abcd", g, g))
-    r = _add(s, _neg(_einsum("bacd->abcd", s)))
-    return CurvatureField._raw(g.dimension, r)
+    taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k: each
+    term of S is added at (a, b, c, d) and its negation at (b, a, c, d),
+    skipping a = b, where the two cancel."""
+    by_upper: dict[int, list] = {}  # k: [(b, c, G_bc^k)]
+    for (b, c, k), v in g.nonzero.items():
+        by_upper.setdefault(k, []).append((b, c, v))
+    products = (
+        ((a, b, c, d), v * w)
+        for (a, k, d), v in g.nonzero.items()
+        for b, c, w in by_upper.get(k, ())
+    )
+    out: dict[Index, Poly] = {}
+    for (a, b, c, d), term in chain(g.derivative.items(), products):
+        if a != b:
+            for key, value in (((a, b, c, d), term), ((b, a, c, d), -term)):
+                out[key] = out[key] + value if key in out else value
+    return CurvatureField._raw(g.dimension, _nonzero(out))
 
 
 def check_newtonian(

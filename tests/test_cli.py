@@ -73,6 +73,14 @@ class TestValidate:
         assert payload["results"]["newtonian"] is False
         assert payload["results"]["witness"] is not None
 
+    def test_unit_field_off_theta_names_u(self, capsys, tmp_path):
+        # theta(U) = 2: the message names the input, not an internal step
+        path = tmp_path / "u2.ncw"
+        path.write_text("n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 2\nA[0] = 0\n")
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "input error: U must satisfy theta(U) = 1\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--input", "no-such-file.ncw")
         assert code == 2

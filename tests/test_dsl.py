@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_poly
+from ncw.cli import main
 from ncw.dsl import (
     MAX_TERMS,
     ParseError,
@@ -18,6 +19,7 @@ from ncw.dsl import (
     parse_field,
     parse_one_form,
     parse_structure,
+    tokenize,
 )
 from ncw.poly import Poly
 from ncw.structures import StructureError
@@ -232,6 +234,33 @@ class TestDocuments:
         message = f"line {line}, column {column}: unexpected character {char!r}"
         with pytest.raises(ParseError, match=re.escape(message)):
             build_structure(parse_structure(text))
+
+    def test_lines_end_only_at_line_feeds(self):
+        # a form feed is a blank, not a line break: the ? is on line 4, as an
+        # editor shows it; \r\n ends a line as \n does
+        message = "line 4, column 18: unexpected character '?'"
+        for text in (
+            "n = 1\f\ngamma[1][1] = 1\ntheta[0] = 1\nGamma[0][0][0] = ?\n",
+            "n = 1\r\ngamma[1][1] = 1\r\ntheta[0] = 1\x0b\r\nGamma[0][0][0] = ?\r\n",
+        ):
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_structure(text)
+        # the end of input follows the last line under the same line model
+        for text, line in [("", 1), ("n = 1", 2), ("n = 1\n", 2), ("n = 1\r\n\f\n", 3)]:
+            end = tokenize(text)[-1]
+            assert (end.kind, end.line, end.col) == ("END", line, 1)
+        for char in "\x1c\x85\u2028":
+            message = f"line 1, column 6: unexpected character {char!r}"
+            with pytest.raises(ParseError, match=re.escape(message)):
+                tokenize(f"n = 1{char}")
+
+    def test_unicode_space_is_refused_by_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "nbsp.ncw"
+        path.write_text("flat\u00a0n=2\n", encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1, column 5: unexpected character '\\xa0'" in captured.err
 
     def test_missing_dimension(self):
         with pytest.raises(StructureError, match="n is required"):

@@ -147,17 +147,23 @@ def test_transverse_metric_matches_the_sympy_inverse():
                 assert same(h.comp(a, b), sympy.expand(sympy.cancel(expected[a, b])), xs)
 
 
-def random_grid(rng, xs, rank):
-    return {idx: qq(random_expr(rng, xs), xs) for idx in product(range(len(xs)), repeat=rank)}
+def random_grid(rng, xs, rank, zeros=0):
+    """Random entries, each exactly zero with probability zeros, so that the
+    operators' branches for absent entries run too."""
+    return {
+        idx: qq(0, xs) if zeros and rng.random() < zeros else qq(random_expr(rng, xs), xs)
+        for idx in product(range(len(xs)), repeat=rank)
+    }
 
 
-def random_connection(rng, xs):
+def random_connection(rng, xs, zeros=0):
     dim = len(xs)
     sym = {}
     for a in range(dim):
         for b in range(a, dim):
             for c in range(dim):
-                sym[a, b, c] = sym[b, a, c] = qq(random_expr(rng, xs), xs)
+                zero = zeros and rng.random() < zeros
+                sym[a, b, c] = sym[b, a, c] = qq(0 if zero else random_expr(rng, xs), xs)
     return sym, Connection.build(dim, lambda a, b, c: to_poly(sym[a, b, c], xs))
 
 
@@ -182,9 +188,9 @@ def test_covariant_derivative_matches_sympy_sums():
     from ncw.tensors import covariant_derivative
 
     for rng, dim, xs in cases():
-        sym, conn = random_connection(rng, xs)
-        for p, q in SHAPES:
-            grid = random_grid(rng, xs, p + q)
+        sym, conn = random_connection(rng, xs, zeros=0.3)
+        for p, q in SHAPES + ((1, 2),):
+            grid = random_grid(rng, xs, p + q, zeros=0.3)
             t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             dt = covariant_derivative(conn, t)
             assert (dt.p, dt.q) == (p, q + 1)
@@ -315,8 +321,8 @@ def test_geodesic_and_curl_defects_match_sympy_sums():
             assert same(curl.comp(a, b), expect, xs)
 
 
-def random_tensor(rng, xs, p, q):
-    grid = random_grid(rng, xs, p + q)
+def random_tensor(rng, xs, p, q, zeros=0):
+    grid = random_grid(rng, xs, p + q, zeros)
     return grid, TensorField.build(len(xs), p, q, lambda idx: to_poly(grid[idx], xs))
 
 
@@ -324,10 +330,10 @@ def test_lie_derivative_matches_sympy_sums():
     from ncw.tensors import lie_derivative
 
     for rng, dim, xs in cases():
-        x, x_t = random_tensor(rng, xs, 1, 0)
+        x, x_t = random_tensor(rng, xs, 1, 0, zeros=0.3)
         r = range(dim)
-        for p, q in ((2, 0), (0, 1), (1, 1)):
-            grid, t = random_tensor(rng, xs, p, q)
+        for p, q in ((1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 1)):
+            grid, t = random_tensor(rng, xs, p, q, zeros=0.3)
             lt = lie_derivative(x_t, t)
             assert (lt.p, lt.q) == (p, q)
             for idx in product(r, repeat=p + q):

@@ -26,6 +26,7 @@ from ncw.tensors import (
     contract,
     covariant_derivative,
     curvature,
+    directional,
     gradient,
     lie_derivative,
     lie_derivative_connection,
@@ -257,6 +258,19 @@ class TestMetricContractions:
         ]:
             with pytest.raises(ValueError):
                 pairing(w, v)
+
+    def test_directional_rejects_mismatched_shapes(self):
+        # as pairing does: a 1-form is not a vector field, and a zero vector
+        # of dimension 2 does not differentiate a function of dimension 3
+        rng = random.Random(43)
+        f = random_poly(rng, 3)
+        for vec, fn in [
+            (random_tensor(rng, 3, 0, 1), f),
+            (vector(2, [Poly.zero(2)] * 2), f),
+            (random_tensor(rng, 2, 1, 0), f),
+        ]:
+            with pytest.raises(ValueError, match="directional needs"):
+                directional(vec, fn)
 
     def test_transverse_metric_annihilates_unit_field(self):
         phi = Poly.variable(3, 1) ** 2 + Poly.variable(3, 0) * Poly.variable(3, 2)
