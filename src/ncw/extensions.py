@@ -41,7 +41,7 @@ from .solver import (
     solve_symmetries,
     structure_constants,
 )
-from .structures import NCBStructure
+from .structures import NCBStructure, field_strength
 from .tensors import (
     TensorField,
     apply_metric,
@@ -187,13 +187,13 @@ def _integrate(x: TensorField, s: NCBStructure, flavor: str) -> _Found:
 def _radial_primitive(form: TensorField, axes: Sequence[int]) -> Poly | None:
     """The polynomial f with d_a f = form_a along the given axes, zero where
     their coordinates vanish; the other coordinates ride along as
-    parameters.  None when the form is not closed along the axes."""
-    comps = [form.comp(a) for a in range(form.dimension)]
-    if any(comps[a].partial(b) != comps[b].partial(a) for a, b in combinations(axes, 2)):
+    parameters.  None when the form is not closed along the axes: when its
+    field strength has an entry (a, b) with both a and b among them."""
+    if any(a in axes and b in axes for a, b in field_strength(form).nonzero):
         return None
     terms: dict[tuple[int, ...], Fraction] = {}
     for a in axes:
-        for exps, coeff in comps[a].terms.items():
+        for exps, coeff in form.comp(a).terms.items():
             key = exps[:a] + (exps[a] + 1,) + exps[a + 1:]
             terms[key] = terms.get(key, 0) + Fraction(coeff, sum(exps[b] for b in axes) + 1)
     return Poly(form.dimension, terms)

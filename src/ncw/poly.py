@@ -89,8 +89,8 @@ class Poly:
                     raise ValueError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {dimension}"
                     )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                if any(type(e) is not int or e < 0 for e in exps):
+                    raise ValueError(f"exponents in {exps!r} must be non-negative ints")
                 c = _exact(coeff)
                 if c != 0:
                     clean[tuple(exps)] = c

@@ -339,9 +339,12 @@ def structure_constants(
     """Expand [X_i, X_j] in the basis through one elimination.
 
     Row i holds X_i's (component, monomial) coefficients and a tag 1 in
-    column tag + i, after every data column.  A bracket reduced against
-    these rows either keeps a data column, and leaves the span, or keeps
-    only tags, which are minus its coordinates.
+    column tag + i, after every data column.  A tag column that pivots is a
+    linear relation between the fields, refused with ValueError before any
+    bracket is taken.  A bracket with a (component, monomial) no basis field
+    has leaves the span; any other, reduced against the rows, either keeps a
+    data column, and leaves the span, or keeps only tags, which are minus
+    its coordinates.
 
     Returns the 3-index constants c[i][j][k] and a closure flag; the flag is
     False when some bracket leaves the span (degree truncation need not be
@@ -350,13 +353,8 @@ def structure_constants(
     fields = basis.fields
     k = len(fields)
     rows = [_form_rows([f]) for f in fields]
-    brackets = {
-        (i, j): _form_rows([vector_bracket(fields[i], fields[j])])
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
     columns: dict[tuple, int] = {}
-    for terms in rows + list(brackets.values()):
+    for terms in rows:
         for key in terms:
             columns.setdefault(key, len(columns))
     tag = len(columns)
@@ -364,19 +362,22 @@ def structure_constants(
     for i, terms in enumerate(rows):
         elim.add_row({columns[key]: v for key, v in terms.items()} | {tag + i: 1})
     # a pivot among the tags is a linear relation between basis fields
-    dependent = max(elim.pivot_rows, default=-1) >= tag
+    if max(elim.pivot_rows, default=-1) >= tag:
+        raise ValueError("basis is linearly dependent")
 
     constants = [
         [[0] * k for _ in range(k)] for _ in range(k)
     ]
     closed = True
-    for (i, j), terms in brackets.items():
+    for i, j in combinations(range(k), 2):
+        terms = _form_rows([vector_bracket(fields[i], fields[j])])
+        if not terms.keys() <= columns.keys():  # a monomial no basis field has
+            closed = False
+            continue
         reduced = elim.reduce({columns[key]: v for key, v in terms.items()})
         if min(reduced, default=tag) < tag:
             closed = False
             continue
-        if dependent:
-            raise ValueError("basis is linearly dependent")
         for m in range(k):
             constants[j][i][m] = reduced.get(tag + m, 0)
             constants[i][j][m] = -constants[j][i][m]

@@ -433,9 +433,10 @@ def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:
 
 
 def geodesic_defect(conn: Connection, u: TensorField) -> TensorField:
-    """U^a (d_a U^c + G_ab^c U^b) as a vector field; zero iff U is geodesic."""
-    entries = _add(_einsum("a,ac->c", u, u.derivative), _einsum("a,abc,b->c", u, conn, u))
-    return TensorField(conn.dimension, 1, 0, entries)
+    """U^a (nabla_a U)^c = U^a (d_a U^c + G_ab^c U^b) as a vector field, the
+    covariant derivative of U contracted with U; zero iff U is geodesic."""
+    du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
+    return TensorField(conn.dimension, 1, 0, _einsum("a,ca->c", u, du))
 
 
 def curl_defect(

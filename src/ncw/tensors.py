@@ -30,17 +30,19 @@ comes.  Its order is unspecified; whatever renders entries sorts them by
 index.
 
 The differential operators walk their terms directly, each in one pass
-that adds every term, sign included, into a single result dict.
-``lie_derivative`` (the body of ``vector_bracket``),
-``lie_derivative_connection`` and ``covariant_derivative`` group dX (or,
-for the covariant derivative, the connection) once per call by the index
-a slot of the other factor is summed against, with the sign of a
-subtracted term taken once per grouped entry.  They walk the field's
-cached ``derivative`` once for the term X^k d_k T (or d_c T), then the
-field's entries once, every slot swapped through the group of the index
-it holds.  ``curvature`` adds each term of S at (a, b, c, d) and its
-negation at (b, a, c, d), and skips a = b, where the two cancel.
-``pairing`` and ``directional`` share one sparse dot product, ``_dot``.
+that adds every term, sign included, into a single result dict, and each
+is written once.  ``lie_derivative`` (the body of ``vector_bracket``) and
+``covariant_derivative`` group dX (or, for the covariant derivative, the
+connection) once per call by the index a slot of the other factor is
+summed against, with the sign of a subtracted term taken once per grouped
+entry.  They walk the field's cached ``derivative`` once for the term X^k
+d_k T (or d_c T), then the field's entries once, every slot swapped
+through the group of the index it holds.  ``lie_derivative_connection``
+is the same walk (``_lie``) on the symbols' (1,2) view
+``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b X^c.
+``curvature`` adds each term of S at (a, b, c, d) and its negation at (b,
+a, c, d), and skips a = b, where the two cancel.  ``pairing`` and
+``directional`` share one sparse dot product, ``_dot``.
 
 Every other contraction goes through one sparse kernel, ``_einsum(spec,
 *factors)``: raising indices with gamma, ``apply_metric``,
@@ -67,23 +69,26 @@ A field is differentiated once.  ``derivative``, the dict of d_c T_idx
 keyed (c, *idx), is a cached property of the immutable field, and every
 operator that differentiates a field reads it: a basis field bracketed
 against k - 1 others, or transported by several operators, computes its
-partials once, and the cache dies with the field.  Operator results are
-wrapped by the trusted ``_raw`` constructor, as ``Poly`` results are by
-``Poly._raw``: their inputs have passed their shape checks, and the
-operators, the kernel, ``_add``, ``_neg`` and ``derivative`` yield only
-nonzero entries of the field's dimension under in-range keys of the right
-length, so the public constructors' entry checks would only repeat them.
-The public constructors keep every check, and connections are always built
-through theirs, which also refuses torsion.
+partials once, and the cache dies with the field.  A connection's view
+``as_field`` is cached the same way, with its derivative: its transports
+and ``raise_connection`` read the view, and ``curvature`` reads d_a G_bc^d
+off the view's derivative, so each connection is differentiated once.
+Operator results are wrapped by the trusted ``_raw`` constructor, as
+``Poly`` results are by ``Poly._raw``: their inputs have passed their shape
+checks, and the operators, the kernel, ``_add``, ``_neg`` and
+``derivative`` yield only nonzero entries of the field's dimension under
+in-range keys of the right length, so the public constructors' entry checks
+would only repeat them.  The public constructors keep every check, and
+connections are always built through theirs, which also refuses torsion.
 
 An entry needs only ``+``, unary ``-``, ``*`` and truth, in the operators
 and the kernel alike, and the operators on a vector field X
 (``directional``, ``vector_bracket``, ``lie_derivative``,
 ``lie_derivative_connection``) also ``partial`` of X's components.  Each
-product keeps one operand order: X or dX before T, the connection before
-T or dX.  The operators are linear in X, so the symmetry solver runs them
-once on a generic field whose components carry linear forms in the
-unknowns, which multiply a ``Poly`` on either side.
+product keeps one operand order: X or dX before T (the symbols' view
+included), the connection before T.  The operators are linear in X, so the
+symmetry solver runs them once on a generic field whose components carry
+linear forms in the unknowns, which multiply a ``Poly`` on either side.
 """
 
 from __future__ import annotations
@@ -434,6 +439,12 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     """
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
+    return TensorField._raw(t.dimension, t.p, t.q, _nonzero(_lie(x, t)))
+
+
+def _lie(x: TensorField, t: TensorField) -> dict[Index, Poly]:
+    """The terms of L_X T summed by index, zero sums kept; see
+    lie_derivative, whose body this is."""
     p = t.p
     up: dict[int, list] = {}  # k: [(a, -d_k X^a)]
     down: dict[int, list] = {}  # k: [(b, d_b X^k)]
@@ -455,7 +466,7 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
                 key = idx[:s] + (new,) + idx[s + 1 :]
                 term = d * value
                 out[key] = out[key] + term if key in out else term
-    return TensorField._raw(t.dimension, p, t.q, _nonzero(out))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +474,8 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
 
 @dataclass(frozen=True)
 class Connection(_Entries):
-    """Torsion-free Christoffel symbols; not a tensor, transported by its
-    own Lie-derivative formula."""
+    """Torsion-free Christoffel symbols; not a tensor: their Lie transport
+    adds d_a d_b X^c to the tensor one of their view ``as_field``."""
 
     dimension: int
     nonzero: dict[Index, Poly]  # (a, b, c): G_ab^c, a and b lower, c upper
@@ -479,6 +490,13 @@ class Connection(_Entries):
 
     def symbol(self, a: int, b: int, c: int) -> Poly:
         return self._get((a, b, c))
+
+    @cached_property
+    def as_field(self) -> TensorField:
+        """The symbols viewed as the (1,2)-shaped field comp(c, a, b) =
+        G_ab^c, built once per connection; its derivative is cached with it."""
+        entries = {(c, a, b): v for (a, b, c), v in self.nonzero.items()}
+        return TensorField._raw(self.dimension, 1, 2, entries)
 
     @classmethod
     def build(cls, dimension: int, fn: Callable[[int, int, int], Poly]) -> "Connection":
@@ -499,44 +517,18 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
     (L_X G)_ab^c = X^k d_k G_ab^c + G_kb^c d_a X^k + G_ak^c d_b X^k
                    - G_ab^k d_k X^c + d_a d_b X^c
 
-    The middle three terms come from one walk of G's entries, each slot
-    swapped through dX grouped by that slot's index.
+    The first four terms are the tensor Lie derivative of the symbols'
+    (1,2) view, ``g.as_field``; only d_a d_b X^c is added here.
     """
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
-    n = g.dimension
-    dx = x.derivative  # (a, k): d_a X^k
-    up: dict[int, list] = {}  # k: [(c, -d_k X^c)]
-    down: dict[int, list] = {}  # k: [(a, d_a X^k)]
-    for (a, k), d in dx.items():
-        up.setdefault(a, []).append((k, -d))
-        down.setdefault(k, []).append((a, d))
-    xs = x.nonzero
-    out: dict[Index, Poly] = {}
-    for (k, a, b, c), d in g.derivative.items():
-        if (xk := xs.get((k,))) is not None:
-            key = (c, a, b)
-            term = xk * d
-            out[key] = out[key] + term if key in out else term
-    for (a, b, c), v in g.nonzero.items():
-        for i, d in down.get(a, ()):  # G_kb^c d_i X^k with k = a
-            key = (c, i, b)
-            term = v * d
-            out[key] = out[key] + term if key in out else term
-        for i, d in down.get(b, ()):  # G_ak^c d_i X^k with k = b
-            key = (c, a, i)
-            term = v * d
-            out[key] = out[key] + term if key in out else term
-        for i, d in up.get(c, ()):  # -G_ab^k d_k X^i with k = c
-            key = (i, a, b)
-            term = v * d
-            out[key] = out[key] + term if key in out else term
-    for (b, c), d in dx.items():
-        for a in range(n):
+    out = _lie(x, g.as_field)
+    for (b, c), d in x.derivative.items():
+        for a in range(g.dimension):
             if dd := d.partial(a):  # d_a d_b X^c
                 key = (c, a, b)
                 out[key] = out[key] + dd if key in out else dd
-    return TensorField._raw(n, 1, 2, _nonzero(out))
+    return TensorField._raw(g.dimension, 1, 2, _nonzero(out))
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -544,13 +536,12 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
 
     slots=1: G_a^{bc} = gamma^{bk} G_ak^c, returned as comp(b, c, a);
     slots=2: G^{abc} = gamma^{ak} gamma^{bl} G_kl^c, returned as comp(a, b, c).
-    The symbols are viewed as the (1,2)-shaped field comp(c, a, b) = G_ab^c
-    and raised by raise_connection_transport.
+    The symbols' (1,2) view ``g.as_field`` is raised by
+    raise_connection_transport.
     """
     if gamma.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    symbols = TensorField._raw(g.dimension, 1, 2, _einsum("abc->cab", g))
-    return raise_connection_transport(symbols, gamma, slots)
+    return raise_connection_transport(g.as_field, gamma, slots)
 
 
 def raise_connection_transport(
@@ -632,7 +623,8 @@ def curvature(g: Connection) -> CurvatureField:
         for b, c, w in by_upper.get(k, ())
     )
     out: dict[Index, Poly] = {}
-    for (a, b, c, d), term in chain(g.derivative.items(), products):
+    partials = (((a, b, c, d), v) for (a, d, b, c), v in g.as_field.derivative.items())
+    for (a, b, c, d), term in chain(partials, products):
         if a != b:
             for key, value in (((a, b, c, d), term), ((b, a, c, d), -term)):
                 out[key] = out[key] + value if key in out else value

@@ -74,6 +74,9 @@ def _cases() -> dict[str, list[str]]:
                                 "--flavor", "gal", "--degree", "2"],
         "tilted-clock-extend-mil": ["extend", "--input", f"{inputs}/tilted-clock.ncw",
                                     "--flavor", "mil", "--degree", "1"],
+        # the galilei parameter where X(phi) does not vanish on the basis
+        "uniform-gravity-extend-gal": ["extend", "--input", f"{inputs}/uniform-gravity.ncw",
+                                       "--flavor", "gal", "--degree", "1"],
     }
     cases.update(extra)
     return cases

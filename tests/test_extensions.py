@@ -573,6 +573,18 @@ class TestRadialPrimitive:
         f = ncw.extensions._radial_primitive(one_form(2, [Poly.zero(2), x1]), [1])
         assert f.terms == {(0, 2): Fraction(1, 2)}
 
+    def test_a_curl_between_two_axes_has_no_primitive(self):
+        # d_2 w_1 - d_1 w_2 = 1, with 1 and 2 both axes
+        form = one_form(3, [Poly.zero(3), var(3, 2), Poly.zero(3)])
+        assert ncw.extensions._radial_primitive(form, [1, 2]) is None
+
+    def test_a_curl_through_another_axis_does_not_count(self):
+        # d_0 w_1 - d_1 w_0 = -1 involves axis 0, which is no axis here; along
+        # x1 and x2 the form is zero, and so is its primitive
+        x1 = var(3, 1)
+        form = one_form(3, [x1, Poly.zero(3), Poly.zero(3)])
+        assert ncw.extensions._radial_primitive(form, [1, 2]) == Poly.zero(3)
+
 
 class TestGalileiSolve:
     def test_boost_carries_linear_parameter(self):

@@ -2,6 +2,7 @@
 the canonical exact coefficient (an int when integral, else a Fraction with
 a denominator above 1)."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,14 @@ class TestExactCoefficients:
     def test_public_constructors_refuse_inexact_coefficients(self, make):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             make()
+
+    @pytest.mark.parametrize(
+        "exps", [(1.5, 0), (True, 0), ("1", 0)], ids=["float", "bool", "str"]
+    )
+    def test_constructor_refuses_exponents_that_are_not_ints(self, exps):
+        # a float exponent would render as t^1.5, which does not parse again
+        with pytest.raises(ValueError, match=f"exponents in {re.escape(repr(exps))}"):
+            Poly(2, {exps: 1})
 
     def test_float_scalars_are_refused(self):
         with pytest.raises(TypeError):

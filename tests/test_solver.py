@@ -417,8 +417,9 @@ class TestStructureConstants:
 
 class TestStructureConstantsContract:
     """Hand-built bases, which the solver did not produce: a dependent basis
-    raises only when some bracket lies in its span, and every call reduces
-    the basis once, one eliminator row per field, with no per-pair solve."""
+    raises before any bracket, wherever its brackets lie, and every call
+    reduces the basis once, one eliminator row per field, with no per-pair
+    solve."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -445,17 +446,28 @@ class TestStructureConstantsContract:
             structure_constants(SymmetryBasis(s, "coriolis", 1, fields))
         assert len(counted) == len(fields)
 
-    def test_dependent_basis_whose_brackets_leave_the_span_is_open(self, counted):
-        s = flat_structure(1).induced_nc()
-        t = var(2, 0)
-        x = basis_vector(2, 0)
-        y = vector(2, [Poly.zero(2), t**2])
-        # every bracket is +-[X, Y] = +-2t d_x, outside span{X, Y}
-        basis = SymmetryBasis(s, "coriolis", 2, (x, y, x + y))
-        constants, closed = structure_constants(basis)
-        assert not closed
-        assert constants == [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        assert len(counted) == 3
+    def test_dependent_basis_whose_brackets_leave_the_span_raises(self, counted, monkeypatch):
+        brackets = counting(monkeypatch, ncw.solver, "vector_bracket")
+        t1, t2 = var(2, 0), var(3, 0)
+        cases = [
+            # on flat n=1, every bracket is +-[X, Y] = +-2t d_x, outside span{X, Y}
+            (flat_structure(1), 2, basis_vector(2, 0), vector(2, [Poly.zero(2), t1**2])),
+            # on flat n=2, [d_t, t d_1] = d_1 is outside span{d_t, t d_1}
+            (flat_structure(2), 1, basis_vector(3, 0), vector(3, [Poly.zero(3), t2, Poly.zero(3)])),
+        ]
+        for structure, degree, x, y in cases:
+            basis = SymmetryBasis(structure.induced_nc(), "coriolis", degree, (x, y, x + y))
+            counted.clear()
+            with pytest.raises(ValueError, match="basis is linearly dependent"):
+                structure_constants(basis)
+            assert len(counted) == 3
+        assert brackets == []
+
+    def test_basis_of_the_zero_field_is_dependent(self):
+        s = flat_structure(2).induced_nc()
+        zero = vector(3, [Poly.zero(3)] * 3)
+        with pytest.raises(ValueError, match="basis is linearly dependent"):
+            structure_constants(SymmetryBasis(s, "coriolis", 1, (zero,)))
 
     def test_one_row_per_basis_field_and_no_solve(self, counted):
         s = flat_structure(2).induced_nc()
