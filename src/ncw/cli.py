@@ -20,14 +20,13 @@ from pathlib import Path
 from .dsl import (
     MAX_EXPONENT,
     BuiltStructure,
-    ParseError,
     build_structure,
     parse_expression,
     parse_field,
     parse_one_form,
     parse_structure,
 )
-from .extensions import CocycleError, ExtensionError, extend
+from .extensions import extend
 from .gauge import GaugeElement, infinitesimal_gauge, nc_projection_invariance_check
 from .poly import Poly
 from .report import (
@@ -39,12 +38,7 @@ from .report import (
     generator_label,
     index_entries,
 )
-from .solver import (
-    NotInFlavorError,
-    classify,
-    solve_symmetries,
-    structure_constants,
-)
+from .solver import classify, solve_symmetries, structure_constants
 from .structures import StructureError
 from .tensors import check_newtonian, curvature
 
@@ -60,11 +54,18 @@ def _parse_point(text: str, dimension: int) -> list:
             f"sample point needs {dimension} comma-separated rationals, got {len(parts)}"
         )
     try:
-        return [Fraction(p) for p in parts]
+        point = [Fraction(p) for p in parts]
     except ZeroDivisionError:
         raise StructureError(f"bad sample point {text!r}: zero denominator") from None
     except ValueError as exc:
         raise StructureError(f"bad sample point {text!r}: {exc}") from None
+    # Fraction also reads Unicode digits, underscores, decimals and exponents
+    for p in parts:
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", p):
+            raise StructureError(
+                f"bad sample point {text!r}: {p!r} is not an ASCII integer or p/q"
+            )
+    return point
 
 
 def _structure_summary(built: BuiltStructure) -> dict:
@@ -133,7 +134,6 @@ def cmd_solve(built: BuiltStructure, args, report: Report) -> None:
     report.flags["flavor"] = basis.flavor
     report.flags["degree"] = args.degree
     report.results.update(basis_payload(basis))
-    report.results["dimension"] = basis.dimension
 
 
 def cmd_brackets(built: BuiltStructure, args, report: Report) -> None:
@@ -241,6 +241,8 @@ COMMANDS = {
 
 
 def _degree(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"degree bound {text!r} is not an ASCII integer")
     value = int(text)
     if not 0 <= value <= 12:
         raise argparse.ArgumentTypeError("degree bound must be in 0..12")
@@ -334,8 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         except VerdictFalse:
             code = 1
         rendered = _render(report, args.format == "json")
-    except (ParseError, StructureError, NotInFlavorError, ExtensionError,
-            CocycleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(rendered, end="")

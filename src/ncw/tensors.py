@@ -32,16 +32,16 @@ index.
 The differential operators walk their terms directly, each in one pass
 that adds every term, sign included, into a single result dict, and each
 is written once.  ``lie_derivative`` (the body of ``vector_bracket``) and
-``covariant_derivative`` group dX (or, for the covariant derivative, the
-connection) once per call by the index a slot of the other factor is
-summed against, with the sign of a subtracted term taken once per grouped
-entry.  They walk the field's cached ``derivative`` once for the term X^k
-d_k T (or d_c T), then the field's entries once, every slot swapped
-through the group of the index it holds.  ``lie_derivative_connection``
-is the same walk (``_lie``) on the symbols' (1,2) view
-``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b X^c.
-``curvature`` adds each term of S at (a, b, c, d) and its negation at (b,
-a, c, d), and skips a = b, where the two cancel.  ``pairing`` and
+``covariant_derivative`` are each a derivative term plus one slot action,
+``_act``: of -dX for the Lie derivative, of G_c for the covariant
+derivative.  The derivative term is one walk of the field's cached
+``derivative``, for X^k d_k T (or d_c T).  The action groups its matrix
+once by the index a slot is summed against, then walks the field's entries
+once, every slot swapped through the group of the index it holds.
+``lie_derivative_connection`` is the Lie walk (``_lie``) on the symbols'
+(1,2) view ``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b
+X^c.  ``curvature`` adds each term of S at (a, b, c, d) and its negation
+at (b, a, c, d), and skips a = b, where the two cancel.  ``pairing`` and
 ``directional`` share one sparse dot product, ``_dot``.
 
 Every other contraction goes through one sparse kernel, ``_einsum(spec,
@@ -434,8 +434,8 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
 
     (L_X T) = X^k d_k T, minus d_k X^a T with a contravariant slot's k
     swapped for a, plus d_b X^k T with a covariant slot's k swapped for b,
-    summed over every slot: one walk of T's derivative, then one of T's
-    entries with each slot swapped through dX grouped by that index.
+    summed over every slot: the derivative term, then the slot action
+    ``_act`` of -dX.
     """
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
@@ -444,15 +444,8 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
 
 def _lie(x: TensorField, t: TensorField) -> dict[Index, Poly]:
     """The terms of L_X T summed by index, zero sums kept; see
-    lie_derivative, whose body this is."""
-    p = t.p
-    up: dict[int, list] = {}  # k: [(a, -d_k X^a)]
-    down: dict[int, list] = {}  # k: [(b, d_b X^k)]
-    for (k, a), d in x.derivative.items():
-        if p:
-            up.setdefault(k, []).append((a, -d))
-        if t.q:
-            down.setdefault(a, []).append((k, d))
+    lie_derivative, whose body this is: X^k d_k T, then the action of -dX,
+    keyed (k, a) = d_k X^a, on every slot."""
     xs = x.nonzero
     out: dict[Index, Poly] = {}
     for key, d in t.derivative.items():  # (k, *idx): d_k T_idx
@@ -460,13 +453,31 @@ def _lie(x: TensorField, t: TensorField) -> dict[Index, Poly]:
             idx = key[1:]
             term = xk * d
             out[idx] = out[idx] + term if idx in out else term
+    _act(x.derivative, -1, t, out)
+    return out
+
+
+def _act(matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict) -> None:
+    """Add into out, for each entry of T and each slot, the entry with that
+    slot swapped through matrix, which maps (*head, k, a) to A^a_k: an upper
+    k becomes a with coefficient sign * A (sign is 1 or -1), a lower a
+    becomes k with -sign * A, keyed head + the swapped index, A the left
+    operand.  Each grouped matrix entry is negated at most once."""
+    p = t.p
+    up: dict[int, list] = {}  # k: [(head, a, sign * A^a_k)]
+    down: dict[int, list] = {}  # a: [(head, k, -sign * A^a_k)]
+    for key, v in matrix.items():
+        head, (k, a) = key[:-2], key[-2:]
+        if p:
+            up.setdefault(k, []).append((head, a, v if sign > 0 else -v))
+        if t.q:
+            down.setdefault(a, []).append((head, k, v if sign < 0 else -v))
     for idx, value in t.nonzero.items():
         for s, k in enumerate(idx):
-            for new, d in (up if s < p else down).get(k, ()):
-                key = idx[:s] + (new,) + idx[s + 1 :]
-                term = d * value
+            for head, new, v in (up if s < p else down).get(k, ()):
+                key = head + idx[:s] + (new,) + idx[s + 1 :]
+                term = v * value
                 out[key] = out[key] + term if key in out else term
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -567,30 +578,15 @@ def raise_connection_transport(
 def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     """Covariant derivative; the derivative index c is the first covariant
     slot.  (DT) = d_c T, plus G_ck^a T with a contravariant slot's k swapped
-    for a, minus G_cb^k T with a covariant slot's k swapped for b: one walk
-    of T's derivative, then one of T's entries with each slot swapped
-    through G grouped by that index."""
+    for a, minus G_cb^k T with a covariant slot's k swapped for b: d_c T and
+    the slot action ``_act`` of G_c, both keyed (c, *idx), then re-keyed."""
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
     p = t.p
-    up: dict[int, list] = {}  # k: [(c, a, G_ck^a)]
-    down: dict[int, list] = {}  # k: [(c, b, -G_cb^k)]
-    for (c, i, j), v in g.nonzero.items():
-        if p:
-            up.setdefault(i, []).append((c, j, v))
-        if t.q:
-            down.setdefault(j, []).append((c, i, -v))
-    out: dict[Index, Poly] = {}
-    for (c, *idx), d in t.derivative.items():
-        key = (*idx[:p], c, *idx[p:])
-        out[key] = out[key] + d if key in out else d
-    for idx, value in t.nonzero.items():
-        for s, k in enumerate(idx):
-            for c, new, v in (up if s < p else down).get(k, ()):
-                key = (*idx[:s], new, *idx[s + 1 :])
-                key = (*key[:p], c, *key[p:])
-                term = v * value
-                out[key] = out[key] + term if key in out else term
+    out = dict(t.derivative)  # (c, *idx): d_c T_idx
+    _act(g.nonzero, 1, t, out)
+    if p:  # c goes after the upper slots
+        out = {key[1 : p + 1] + key[:1] + key[p + 1 :]: v for key, v in out.items()}
     return TensorField._raw(t.dimension, p, t.q + 1, _nonzero(out))
 
 

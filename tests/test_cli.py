@@ -101,8 +101,14 @@ class TestValidate:
             ("1,0", "sample point needs 3 comma-separated rationals, got 2"),
             ("1/0,0,0", "bad sample point '1/0,0,0': zero denominator"),
             ("a,0,0", "bad sample point 'a,0,0': Invalid literal for Fraction: 'a'"),
+            # Fraction alone reads these as 1, 1.5 and (1, 1000, 10)
+            ("\uff11,0,0", "bad sample point '\uff11,0,0': '\uff11' is not an ASCII integer or p/q"),
+            ("1.5,0,0", "bad sample point '1.5,0,0': '1.5' is not an ASCII integer or p/q"),
+            ("\u0661,1e3,1_0",
+             "bad sample point '\u0661,1e3,1_0': '\u0661' is not an ASCII integer or p/q"),
         ],
-        ids=["count", "zero-denominator", "non-number"],
+        ids=["count", "zero-denominator", "non-number", "fullwidth-digit", "decimal",
+             "arabic-indic-exponent-underscore"],
     )
     def test_bad_sample_point_is_an_input_error(self, capsys, flat2, point, message):
         code, out, err = run(capsys, "validate", "--input", flat2, f"--sample-point={point}")
@@ -705,6 +711,25 @@ class TestTextFormat:
 
 
 class TestArguments:
+    @pytest.mark.parametrize(
+        "degree, message",
+        [
+            ("13", "degree bound must be in 0..12"),
+            ("-1", "degree bound must be in 0..12"),
+            ("\u0661", "degree bound '\u0661' is not an ASCII integer"),
+            ("0_1", "degree bound '0_1' is not an ASCII integer"),
+        ],
+        ids=["above-range", "negative", "arabic-indic-digit", "underscore"],
+    )
+    def test_degree_is_an_ascii_integer_in_range(self, capsys, flat2, degree, message):
+        argv = ["solve", "--input", flat2, "--flavor", "gal", "--degree", degree]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument --degree: {message}\n")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

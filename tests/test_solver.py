@@ -463,6 +463,18 @@ class TestStructureConstantsContract:
             assert len(counted) == 3
         assert brackets == []
 
+    def test_bracket_outside_the_span_on_known_columns_is_open(self, counted):
+        # on flat n=1, [x1 d_1, d_t + d_1] = -d_1: its one (component,
+        # monomial) is a column of the basis rows, but -d_1 is not in the span
+        s = flat_structure(1).induced_nc()
+        one = Poly.const(2, 1)
+        fields = (vector(2, [Poly.zero(2), var(2, 1)]), vector(2, [one, one]))
+        assert vector_bracket(*fields) == vector(2, [Poly.zero(2), -one])
+        constants, closed = structure_constants(SymmetryBasis(s, "coriolis", 1, fields))
+        assert closed is False
+        assert constants == [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        assert len(counted) == 2
+
     def test_basis_of_the_zero_field_is_dependent(self):
         s = flat_structure(2).induced_nc()
         zero = vector(3, [Poly.zero(3)] * 3)

@@ -412,6 +412,25 @@ class TestGeodesicConnection:
         ok, _ = check_newtonian(curvature(ug), g.gamma)
         assert ok
 
+    @pytest.mark.parametrize(
+        "case", ["geodesic-of-a-one-form", "curl-of-a-one-form", "curl-with-vector-h"]
+    )
+    def test_defects_refuse_misshapen_fields(self, case):
+        # G_00^1 = x1 on n = 1; each call used to return a meaningless field
+        # or fail inside a contraction
+        x1 = var(2, 1)
+        conn = Connection(2, {(0, 0, 1): x1})
+        form = one_form(2, [Poly.const(2, 1), x1])
+        u = vector(2, [Poly.const(2, 1), x1])
+        h = TensorField(2, 0, 2, {(1, 1): Poly.const(2, 1)})
+        call, match = {
+            "geodesic-of-a-one-form": (lambda: geodesic_defect(conn, form), "vector field"),
+            "curl-of-a-one-form": (lambda: curl_defect(conn, form, h), "vector field"),
+            "curl-with-vector-h": (lambda: curl_defect(conn, u, u), r"\(0,2\) tensor"),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestFieldStrength:
     def test_exact_form_closed(self):

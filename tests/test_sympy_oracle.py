@@ -122,29 +122,33 @@ def test_raise_connection_matches_sympy_sums():
 def test_transverse_metric_matches_the_sympy_inverse():
     # gamma = L L^T on the spatial block, L unit lower triangular, so
     # det(gamma + U U^T) = 1; with U^0 = 1 the transverse metric is
-    # (gamma + U U^T)^{-1} - theta theta^T for theta = dt
+    # (gamma + U U^T)^{-1} - theta theta^T for theta = dt.  Each case draws
+    # polynomial entries, then constant ones, whose adjugate is taken over
+    # the coefficients
     from ncw.structures import GalileiStructure, transverse_metric
     from ncw.tensors import one_form, vector
 
+    constants = random.Random(53)
     for rng, dim, xs in cases():
-        n = dim - 1
-        lower = sympy.Matrix(
-            n, n, lambda i, j: 1 if i == j else random_expr(rng, xs) if i > j else 0
-        )
-        gamma = sympy.zeros(dim, dim)
-        gamma[1:, 1:] = lower * lower.T
-        u = sympy.Matrix([1] + [random_expr(rng, xs) for _ in range(n)])
-        theta = sympy.Matrix([1] + [0] * n)
-        expected = (gamma + u * u.T).inv() - theta * theta.T
-        g = GalileiStructure(
-            n,
-            TensorField.build(dim, 2, 0, lambda idx: to_poly(sympy.expand(gamma[idx]), xs)),
-            one_form(dim, [to_poly(e, xs) for e in theta]),
-        )
-        h = transverse_metric(g, vector(dim, [to_poly(e, xs) for e in u]))
-        for a in range(dim):
-            for b in range(dim):
-                assert same(h.comp(a, b), sympy.expand(sympy.cancel(expected[a, b])), xs)
+        for draw, pool in ((rng, xs), (constants, (sympy.Integer(1),))):
+            n = dim - 1
+            lower = sympy.Matrix(
+                n, n, lambda i, j: 1 if i == j else random_expr(draw, pool) if i > j else 0
+            )
+            gamma = sympy.zeros(dim, dim)
+            gamma[1:, 1:] = lower * lower.T
+            u = sympy.Matrix([1] + [random_expr(draw, pool) for _ in range(n)])
+            theta = sympy.Matrix([1] + [0] * n)
+            expected = (gamma + u * u.T).inv() - theta * theta.T
+            g = GalileiStructure(
+                n,
+                TensorField.build(dim, 2, 0, lambda idx: to_poly(sympy.expand(gamma[idx]), xs)),
+                one_form(dim, [to_poly(e, xs) for e in theta]),
+            )
+            h = transverse_metric(g, vector(dim, [to_poly(e, xs) for e in u]))
+            for a in range(dim):
+                for b in range(dim):
+                    assert same(h.comp(a, b), sympy.expand(sympy.cancel(expected[a, b])), xs)
 
 
 def random_grid(rng, xs, rank, zeros=0):
@@ -189,7 +193,7 @@ def test_covariant_derivative_matches_sympy_sums():
 
     for rng, dim, xs in cases():
         sym, conn = random_connection(rng, xs, zeros=0.3)
-        for p, q in SHAPES + ((1, 2),):
+        for p, q in SHAPES + ((1, 2), (2, 1)):
             grid = random_grid(rng, xs, p + q, zeros=0.3)
             t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             dt = covariant_derivative(conn, t)
