@@ -4,8 +4,9 @@
 
 Commands: validate, connection, curvature, solve, brackets, classify,
 extend, gauge.  Exit codes: 0 success (and verdict true for check
-commands), 1 verdict false, 2 input error.  Reports go to stdout as text or
-as schema-versioned JSON with --format json.
+commands), 1 verdict false, 2 refused input, the arguments included, with
+one line on stderr.  Reports go to stdout as text or as schema-versioned
+JSON with --format json.
 """
 
 from __future__ import annotations
@@ -249,9 +250,14 @@ def _degree(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # for main to report, not usage and exit
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncw",
         description="Exact workbench for Newton-Cartan structures and their "
         "Galilean symmetry algebras",
@@ -311,24 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse drops an option value spelled "--" and stores an empty list
-    for token in argv:
-        option, eq, value = token.partition("=")
-        if token.startswith("--") and eq and value == "--":
-            print(f"input error: argument {option}: '--' is not a value", file=sys.stderr)
-            return 2
-    args = build_parser().parse_args(argv)
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    report = Report(command=args.command)
-    # check commands report invariant violations as verdicts, not input errors
-    validate_upfront = args.command not in ("validate", "curvature")
-    try:
-        doc = parse_structure(text)
-        built = build_structure(doc, validate=validate_upfront)
+        # argparse drops an option value spelled "--" and stores an empty list
+        for token in argv:
+            option, eq, value = token.partition("=")
+            if token.startswith("--") and eq and value == "--":
+                raise ValueError(f"argument {option}: '--' is not a value")
+        args = build_parser().parse_args(argv)
+        doc = parse_structure(Path(args.input).read_text(encoding="utf-8"))
+        report = Report(command=args.command)
+        # check commands report invariant violations as verdicts, not refusals
+        built = build_structure(doc, validate=args.command not in ("validate", "curvature"))
         report.structure = _structure_summary(built)
         try:
             COMMANDS[args.command](built, args, report)
@@ -336,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         except VerdictFalse:
             code = 1
         rendered = _render(report, args.format == "json")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # every refused input, argparse's usage errors and undecodable files too
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(rendered, end="")

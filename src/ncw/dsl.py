@@ -4,9 +4,10 @@ describing spacetime structures, plus the polynomial expression grammar.
 Expressions: integers, rationals ``p/q``, the variables ``t, x1..xn``,
 operators ``+ - * ^`` and parentheses.  ``^`` takes a non-negative integer
 literal; ``/`` only joins integer literals into a rational.  There is no
-implicit multiplication.  Numbers and names are ASCII: a character
-outside the grammar, a non-ASCII digit or letter included, is refused at
-its line and column.  ``-`` is always an operator (``t-1`` is ``t - 1``);
+implicit multiplication.  One ASCII pattern reads each token (see _TOKEN);
+any other character, a non-ASCII digit, letter or space included, is
+refused at its line and column, and so is a number longer than Python
+reads as an int.  ``-`` is always an operator (``t-1`` is ``t - 1``);
 only a ``name`` value keeps its hyphens.  A product or power whose result
 could exceed MAX_TERMS terms, or an exponent of MAX_EXPONENT, is refused
 before it is expanded.
@@ -35,11 +36,12 @@ assignment per line.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from string import ascii_letters, digits
 
 from .poly import Poly
 from .structures import (
@@ -78,13 +80,12 @@ class Token:
     col: int
 
 
-_SYMBOLS = "+-*^()[]=/"
-# tokens are ASCII: str.isdigit and str.isalpha accept any Unicode digit or letter
-_DIGITS = frozenset(digits)
-_IDENT_START = frozenset(ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
-# blanks are ASCII too: str.isspace accepts any Unicode space
-_BLANKS = frozenset(" \t\r\f\v")
+# a NUMBER, IDENT or SYMBOL token, or a run of blanks that makes none; all
+# ASCII, where \d, \w and \s would take any Unicode digit, letter or space
+_TOKEN = re.compile(
+    r"(?P<NUMBER>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<SYMBOL>[-+*^()\[\]=/])|[ \t\r\f\v]+"
+)
 
 
 def _lines(text: str) -> list[str]:
@@ -98,34 +99,20 @@ def _lines(text: str) -> list[str]:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Each line cut at ``#`` and read by _TOKEN match after match, closed by
+    NEWLINE if it has tokens; END follows the last line."""
     tokens: list[Token] = []
     lines = _lines(text)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         col = 0
         while col < len(line):
-            ch = line[col]
-            if ch in _BLANKS:
-                col += 1
-                continue
-            start = col + 1
-            if ch in _DIGITS:
-                end = col
-                while end < len(line) and line[end] in _DIGITS:
-                    end += 1
-                tokens.append(Token("NUMBER", line[col:end], line_no, start))
-                col = end
-            elif ch in _IDENT_START:
-                end = col
-                while end < len(line) and line[end] in _IDENT_CHARS:
-                    end += 1
-                tokens.append(Token("IDENT", line[col:end], line_no, start))
-                col = end
-            elif ch in _SYMBOLS:
-                tokens.append(Token("SYMBOL", ch, line_no, start))
-                col += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line_no, start)
+            match = _TOKEN.match(line, col)
+            if match is None:
+                raise ParseError(f"unexpected character {line[col]!r}", line_no, col + 1)
+            if match.lastgroup:
+                tokens.append(Token(match.lastgroup, match.group(), line_no, col + 1))
+            col = match.end()
         if tokens and tokens[-1].kind != "NEWLINE":
             tokens.append(Token("NEWLINE", "", line_no, len(line) + 1))
     tokens.append(Token("END", "", len(lines) + 1, 1))
@@ -213,7 +200,7 @@ class ExpressionParser:
             tok = self.stream.next()
             if tok.kind != "NUMBER":
                 raise ParseError("exponent must be an integer literal", tok.line, tok.col)
-            power = int(tok.text)
+            power = _integer(tok)
             if power > MAX_EXPONENT:
                 raise ParseError(
                     f"exponent {power} exceeds the limit {MAX_EXPONENT}",
@@ -233,7 +220,7 @@ class ExpressionParser:
     def _atom(self) -> Poly:
         tok = self.stream.next()
         if tok.kind == "NUMBER":
-            value = Fraction(int(tok.text))
+            value = Fraction(_integer(tok))
             if self.stream.at_symbol("/"):
                 self.stream.next()
                 den = self.stream.next()
@@ -241,9 +228,9 @@ class ExpressionParser:
                     raise ParseError(
                         "'/' joins integer literals into a rational", den.line, den.col
                     )
-                if int(den.text) == 0:
+                if not (q := _integer(den)):
                     raise ParseError("zero denominator", den.line, den.col)
-                value /= int(den.text)
+                value /= q
             return Poly.const(self.dimension, value)
         if tok.kind == "IDENT":
             return self._variable(tok)
@@ -264,7 +251,7 @@ class ExpressionParser:
         if name == "t":
             return Poly.variable(self.dimension, 0)
         if name.startswith("x") and name[1:].isdigit():
-            index = int(name[1:])
+            index = _integer(tok, name[1:])
             if not 1 <= index <= self.dimension - 1:
                 raise ParseError(
                     f"variable {name} out of range (spatial indices 1..{self.dimension - 1})",
@@ -273,6 +260,16 @@ class ExpressionParser:
                 )
             return Poly.variable(self.dimension, index)
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+
+
+def _integer(tok: Token, digits: str | None = None) -> int:
+    """A token's digits (its whole text by default) as an int, refused at the
+    token past Python's int-string limit."""
+    try:
+        return int(tok.text if digits is None else digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number exceeds the limit {limit} digits", tok.line, tok.col) from None
 
 
 def _check_expansion(terms: int, degrees: list[int], tok: Token) -> None:
@@ -421,13 +418,14 @@ def _parse_preset_header(stream: _TokenStream, doc: StructureDocument) -> None:
 def _parse_dimension(stream: _TokenStream, doc: StructureDocument) -> None:
     """The value of n, in a preset header or on its own line."""
     num = stream.next()
-    if num.kind != "NUMBER" or int(num.text) < 1:
+    n = _integer(num) if num.kind == "NUMBER" else 0
+    if n < 1:
         raise ParseError("n must be a positive integer", num.line, num.col)
-    if int(num.text) > MAX_SPATIAL_DIMENSION:
+    if n > MAX_SPATIAL_DIMENSION:
         raise ParseError(f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col)
     if doc.n is not None:
         raise ParseError("duplicate n", num.line, num.col)
-    doc.n = int(num.text)
+    doc.n = n
 
 
 def _parse_potential(stream: _TokenStream, doc: StructureDocument, eq: Token) -> None:
@@ -492,7 +490,7 @@ def _read_component(
         indices.append(num)
         stream.expect_symbol("]")
     eq = stream.expect_symbol("=")
-    key = tuple(int(num.text) for num in indices)
+    key = tuple(map(_integer, indices))
     if key in slot:
         raise ParseError(f"duplicate component {name}{list(key)}", eq.line, eq.col)
     slot[key] = (tuple(indices), _expression_tokens(stream))

@@ -3,12 +3,14 @@ of ``ncw`` runs, in both report formats.
 
     PYTHONPATH=src python3 tests/regen_golden.py
 
-rewrites ``tests/golden/*.out`` from the current code; ``test_golden.py``
-compares every case against its file.  Each case runs ``ncw.cli.main``
-once with ``--format json``; the text report is rendered from the same
-``Report`` object, exactly as ``--format text`` would print it.  Inputs
-are the files in ``samples/`` and ``tests/golden/inputs/``; paths are given
-relative to the repository root and never appear in a report.
+rewrites ``tests/golden/*.out`` from the current code, and the
+``ncw --help`` and ``ncw <command> --help`` text in ``tests/golden/help/``;
+``test_golden.py`` compares every case against its file.  Each case runs
+``ncw.cli.main`` once with ``--format json``; the text report is rendered
+from the same ``Report`` object, exactly as ``--format text`` would print
+it.  Inputs are the files in ``samples/`` and ``tests/golden/inputs/``;
+paths are given relative to the repository root and never appear in a
+report.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -84,6 +87,11 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+COMMANDS = ["validate", "connection", "curvature", "solve", "brackets", "classify",
+            "extend", "gauge"]
+# the help screens, by file name: the top level and one per command
+HELP = {"ncw": [], **{command: [command] for command in COMMANDS}}
+
 
 def run_case(argv: list[str]) -> dict[str, str]:
     """Both formats of one case, each as the text of its golden file."""
@@ -113,6 +121,21 @@ def run_case(argv: list[str]) -> dict[str, str]:
     }
 
 
+def run_help(argv: list[str]) -> str:
+    """``ncw <argv> --help`` as the text of its golden file, at 80 columns
+    whatever the terminal's width."""
+    import ncw.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = ncw.cli.main(argv + ["--help"])
+            except SystemExit as exc:
+                code = exc.code
+    return _layout(code, out.getvalue(), err.getvalue())
+
+
 def _layout(code: int, stdout: str, stderr: str) -> str:
     return f"exit {code}\n--- stdout\n{stdout}\n--- stderr\n{stderr}"
 
@@ -121,13 +144,20 @@ def golden_path(name: str, fmt: str) -> Path:
     return GOLDEN / f"{name}.{fmt}.out"
 
 
+def help_path(name: str) -> Path:
+    return GOLDEN / "help" / f"{name}.out"
+
+
 def main() -> None:
     for old in GOLDEN.glob("*.out"):
         old.unlink()
     for name, argv in CASES.items():
         for fmt, body in run_case(argv).items():
             golden_path(name, fmt).write_text(body, encoding="utf-8")
-    print(f"wrote {2 * len(CASES)} files to {GOLDEN.relative_to(ROOT)}")
+    help_path("ncw").parent.mkdir(exist_ok=True)
+    for name, argv in HELP.items():
+        help_path(name).write_text(run_help(argv), encoding="utf-8")
+    print(f"wrote {2 * len(CASES) + len(HELP)} files to {GOLDEN.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -723,12 +723,33 @@ class TestArguments:
     )
     def test_degree_is_an_ascii_integer_in_range(self, capsys, flat2, degree, message):
         argv = ["solve", "--input", flat2, "--flavor", "gal", "--degree", degree]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exit_info.value.code == 2 and captured.out == ""
-        assert captured.err.endswith(f"error: argument --degree: {message}\n")
-        assert "Traceback" not in captured.err
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"input error: argument --degree: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--input", "{non_utf8}"],
+            ["validate", "--input", "{directory}"],
+            ["validate", "--input", "{missing}"],
+            ["solve", "--input", "{flat2}", "--flavor", "gal", "--degree", "13"],
+            ["validate", "--input", "{flat2}", "--bogus"],
+            ["validate"],
+            [],
+            ["gauge", "--input", "{flat2}", "--x=--"],
+        ],
+        ids=["non-utf8-file", "directory", "missing-file", "degree-13", "unknown-flag",
+             "missing-input", "no-command", "double-dash-value"],
+    )
+    def test_hostile_invocation_is_one_input_error_line(self, capsys, tmp_path, flat2, argv):
+        non_utf8 = tmp_path / "non-utf8.ncw"
+        non_utf8.write_bytes(b"flat n=2\n\xff\n")
+        paths = {"non_utf8": non_utf8, "directory": tmp_path,
+                 "missing": tmp_path / "missing.ncw", "flat2": flat2}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "usage:" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

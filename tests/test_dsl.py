@@ -307,6 +307,30 @@ class TestDocuments:
         assert parse_expression("-" * 3001 + "1", 2) == Poly.const(2, -1)
 
 
+    @pytest.mark.parametrize(
+        "read, text, column",
+        [
+            (lambda text: build_structure(parse_structure(text)), "standard n=1 phi = {}", 20),
+            (parse_structure, "n = {}", 5),
+            (lambda text: parse_field(text, 3), "X[1] = t^{}", 10),
+            (lambda text: parse_expression(text, 3), "x{}", 1),
+            (parse_structure, "n = 1\ngamma[{}][1] = 1", 7),
+        ],
+        ids=["expression", "dimension", "exponent", "variable", "index"],
+    )
+    def test_number_longer_than_python_reads_is_refused_at_its_token(self, read, text, column):
+        line = text.count("\n") + 1
+        message = f"line {line}, column {column}: number exceeds the limit 4300 digits"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read(text.format("1" * 5000))
+
+    def test_every_number_python_reads_still_parses(self):
+        # 4,300 digits, leading zeros included, is Python's default int-string limit
+        big = "9" * 4300
+        assert parse_expression(f"{big}/{big}", 2) == Poly.const(2, 1)
+        assert parse_expression("0" * 4299 + "7", 2) == Poly.const(2, 7)
+
+
 class TestHyphens:
     """'-' between operands is subtraction; only a name keeps its hyphens."""
 

@@ -1,5 +1,6 @@
 """Every report byte for byte: exit code, stdout and stderr of the fixed
-matrix in ``regen_golden.py``, in text and JSON, against ``tests/golden/``.
+matrix in ``regen_golden.py``, in text and JSON, against ``tests/golden/``,
+and every ``--help`` screen against ``tests/golden/help/``.
 
 A change that alters a report on purpose regenerates the corpus with
 ``PYTHONPATH=src python3 tests/regen_golden.py`` and names the changed files.
@@ -8,9 +9,10 @@ A change that alters a report on purpose regenerates the corpus with
 import difflib
 
 from helpers import is_canonical
+from ncw.cli import COMMANDS
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly
-from regen_golden import CASES, GOLDEN, golden_path, run_case
+from regen_golden import CASES, GOLDEN, HELP, golden_path, help_path, run_case, run_help
 
 
 def test_reports_match_the_golden_corpus():
@@ -26,6 +28,13 @@ def test_reports_match_the_golden_corpus():
                 )
                 mismatched.append(f"{name}.{fmt}:\n" + "\n".join(list(diff)[:12]))
     assert not mismatched, "\n\n".join(mismatched)
+
+
+def test_help_matches_its_golden_file():
+    assert list(HELP) == ["ncw", *COMMANDS]
+    assert set((GOLDEN / "help").glob("*.out")) == {help_path(name) for name in HELP}
+    for name, argv in HELP.items():
+        assert run_help(argv) == help_path(name).read_text(encoding="utf-8"), name
 
 
 def test_golden_runs_make_only_canonical_exact_coefficients(monkeypatch):

@@ -4,7 +4,9 @@ the transverse metric, curvature, the covariant derivative, the geodesic
 and assembled connections, the geodesic and curl defects, the affine
 pushforward, the Lie derivatives of tensors and connections, the raised
 transport, the vector bracket and the directional derivative; the
-observer-stabilizer gauge parameter against an ansatz solve; the chained
+observer-stabilizer gauge parameter against an ansatz solve; the
+extended algebras (each field's parameter, each Milne bracket parameter and
+each Galilei cocycle entry) against the paper's formulas; the chained
 Milne and Galilei solves against the nullspace of the joint system; the
 scalar adjugate and determinant against sympy's; and the positivity check
 of a Galilei structure against sympy's leading minors and rank.
@@ -19,9 +21,10 @@ import functools
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -754,3 +757,140 @@ def test_positivity_check_matches_the_sympy_leading_minors(case):
         with pytest.raises(StructureError) as failure:
             g.validate(points)
         assert str(failure.value) == expected
+
+
+def extension_oracle(s, flavor, fields, degree, xs):
+    """Per field its full parameter f_X (None: the field does not extend),
+    per pair i < j the bracket parameter X_i(f_j) - X_j(f_i) - f_[X_i,X_j],
+    and the milne noncentrality witness, from the paper's formulas in sympy.
+    V = U - gamma(A) and phi = h(V, V)/2 - A(U), with h = (gamma + U U)^-1
+    - theta theta.  The milne f_X solves
+    gamma(df) = [V, X] and vanishes on the spatial origin; the galilei f_X
+    solves df = (-X(phi) + h([X, V], V)) theta - h([X, V]) and vanishes at
+    the origin.  Each is the Poincare-lemma integral of its form, kept only
+    when it solves the equation."""
+    dim = len(xs)
+    r = range(dim)
+    axes = range(1, dim) if flavor == "milne" else r
+    scale = sympy.Symbol("s")
+
+    def column(t):
+        return sympy.Matrix([to_expr(t.comp(a), xs) for a in r])
+
+    gamma = sympy.Matrix([[to_expr(s.base.gamma.comp(a, b), xs) for b in r] for a in r])
+    theta, u, a_form = column(s.base.theta), column(s.u), column(s.a_form)
+    assert list(theta) == [1] + [0] * (dim - 1)  # a clock without spatial components
+    h = ((gamma + u * u.T).inv() - theta * theta.T).applyfunc(sympy.cancel)
+    v = (u - gamma * a_form).applyfunc(sympy.expand)
+    phi = sympy.expand((v.T * h * v)[0] / 2 - (a_form.T * u)[0])
+
+    def along(x, f):
+        return sympy.expand(sum(x[k] * f.diff(xs[k]) for k in r))
+
+    def bracket(x, y):
+        return sympy.Matrix([along(x, y[a]) - along(y, x[a]) for a in r])
+
+    def parameter(x):
+        if flavor == "milne":
+            w = bracket(v, x)
+            form = [0] + list(gamma[1:, 1:].inv() * w[1:, :])
+        else:
+            lowered = h * bracket(x, v)
+            form = theta * (-along(x, phi) + (lowered.T * v)[0]) - lowered
+        rays = {xs[a]: scale * xs[a] for a in axes}
+        integrand = sympy.expand(sum(xs[a] * form[a].subs(rays, simultaneous=True) for a in axes))
+        f = sympy.expand(sympy.integrate(integrand, (scale, 0, 1)))
+        df = [f.diff(xs[a]) for a in r]
+        image = gamma * sympy.Matrix(df) if flavor == "milne" else sympy.Matrix(df)
+        target = w if flavor == "milne" else form
+        return f if (image - target).applyfunc(sympy.expand).is_zero_matrix else None
+
+    xfields = [column(x) for x in fields]
+    found = [parameter(x) for x in xfields]
+    brackets, witness = {}, None
+    if flavor == "milne":
+        # (X_i, f_i) against (0, t^p) has parameter X_i(t^p), whose time part
+        # is the output; the first nonzero one, p up to the degree, witnesses
+        origin = {x: 0 for x in xs[1:]}
+        outputs = ((i, along(x, xs[0] ** p).subs(origin))
+                   for p in range(1, max(degree, 1) + 1) for i, x in enumerate(xfields))
+        witness = next(((i, g) for i, g in outputs if g != 0), None)
+    if None not in found:
+        for i in range(len(fields)):
+            for j in range(i + 1, len(fields)):
+                xb = bracket(xfields[i], xfields[j])
+                g = along(xfields[i], found[j]) - along(xfields[j], found[i]) - parameter(xb)
+                brackets[i, j] = (xb, sympy.expand(g))
+    return found, brackets, witness
+
+
+SHEARED = (Path(__file__).parent.parent / "samples" / "sheared.ncw").read_text()
+# flat gauge data whose observer V = U - gamma(A) rotates, so h(L_X V, V) is
+# not zero as it is for V = U
+ROTATING_OBSERVER = (
+    "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1\ntheta[0] = 1\nU[0] = 1\nA[1] = -x2\nA[2] = x1\n"
+)
+
+
+@st.composite
+def extension_documents(draw):
+    """A standard preset over n <= 2 with a potential of degree <= 2, which
+    may be linear or vanish; flat gauge data over n <= 2 with a random
+    linear A, a twisted observer; or samples/sheared.ncw."""
+    kind = draw(st.sampled_from(["sheared", "twisted", "standard", "standard"]))
+    if kind == "sheared":
+        return SHEARED
+    n = draw(st.integers(1, 2))
+    degree = 1 if kind == "twisted" else draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, degree)] * (n + 1)).filter(lambda e: sum(e) <= degree)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+    def poly():
+        return Poly(n + 1, draw(st.dictionaries(exps, coeffs, max_size=3)))
+
+    if kind == "standard":
+        return f"standard n={n} phi = {poly()}"
+    lines = [f"n = {n}", *(f"gamma[{a}][{a}] = 1" for a in range(1, n + 1)), "theta[0] = 1",
+             "U[0] = 1", *(f"A[{a}] = {poly()}" for a in range(n + 1))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=extension_documents(), flavor=st.sampled_from(["milne", "galilei"]),
+       degree=st.integers(0, 2))
+# uniform gravity, where X(phi) does not vanish on the galilei basis
+@example(text="standard n=1 phi = x1", flavor="galilei", degree=1)
+@example(text=ROTATING_OBSERVER, flavor="galilei", degree=1)
+@example(text=SHEARED, flavor="milne", degree=1)
+def test_extension_matches_the_paper_formulas_in_sympy(text, flavor, degree):
+    from ncw.dsl import build_structure, parse_structure
+    from ncw.extensions import ExtensionError, extend
+    from ncw.solver import solve_symmetries
+
+    s = build_structure(parse_structure(text)).ncb
+    xs = sympy.symbols(f"x0:{s.base.dimension}")
+    fields = solve_symmetries(s.induced_nc(), flavor, degree).fields
+    found, brackets, witness = extension_oracle(s, flavor, fields, degree, xs)
+    try:
+        ext = extend(s, flavor, degree)
+    except ExtensionError:
+        # only a basis with a field that does not extend is refused
+        assert None in found, text
+        return
+    assert ext.basis.fields == fields, text
+    for f, expected in zip(ext.parameters, found, strict=True):
+        assert (f is None) == (expected is None), text
+        assert f is None or same(f, expected, xs), text
+    assert ext.brackets.keys() == brackets.keys(), text
+    assert (ext.witness is None) == (witness is None), text
+    if witness is not None:
+        assert ext.witness[0] == witness[0] and same(ext.witness[1], witness[1], xs), text
+    for (i, j), (xb, g) in brackets.items():
+        out = ext.brackets[i, j]
+        assert all(same(out.x.comp(a), xb[a], xs) for a in range(len(xs))), text
+        assert same(out.f, g, xs), text
+        if flavor == "galilei":
+            c = ext.cocycle[i][j]
+            assert g == sympy.Rational(c.numerator, c.denominator), text
+        else:
+            assert g.free_symbols <= {xs[0]}, text
