@@ -49,24 +49,24 @@ class VerdictFalse(Exception):
 
 
 def _parse_point(text: str, dimension: int) -> list:
+    limit = sys.get_int_max_str_digits()
+    if max(map(len, re.findall(r"[0-9]+", text)), default=0) > limit:
+        raise StructureError(f"bad sample point: a number exceeds the limit {limit} digits")
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dimension:
         raise StructureError(
             f"sample point needs {dimension} comma-separated rationals, got {len(parts)}"
         )
-    try:
-        point = [Fraction(p) for p in parts]
-    except ZeroDivisionError:
-        raise StructureError(f"bad sample point {text!r}: zero denominator") from None
-    except ValueError as exc:
-        raise StructureError(f"bad sample point {text!r}: {exc}") from None
     # Fraction also reads Unicode digits, underscores, decimals and exponents
     for p in parts:
         if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", p):
             raise StructureError(
                 f"bad sample point {text!r}: {p!r} is not an ASCII integer or p/q"
             )
-    return point
+    try:
+        return [Fraction(p) for p in parts]
+    except ZeroDivisionError:
+        raise StructureError(f"bad sample point {text!r}: zero denominator") from None
 
 
 def _structure_summary(built: BuiltStructure) -> dict:
@@ -92,21 +92,14 @@ def _require_ncb(built: BuiltStructure, command: str):
 
 
 def cmd_validate(built: BuiltStructure, args, report: Report) -> None:
-    checks = []
     points = [_parse_point(p, built.base.dimension) for p in args.sample_point]
-
-    def run(name, fn):
+    checks = report.results["checks"] = []
+    for name, check in built.checks(points):
         try:
-            fn()
+            check()
             checks.append({"name": name, "passed": True})
         except StructureError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
-
-    run("metric-pair", lambda: built.base.validate(points))
-    run("connection-compatibility-and-symmetry", lambda: built.nc.validate())
-    if built.doc.data_shape() != "explicit":
-        run("gauge-presentation", lambda: built.ncb.validate())
-    report.results["checks"] = checks
     report.results["passed"] = all(c["passed"] for c in checks)
     if not report.results["passed"]:
         raise VerdictFalse
@@ -244,6 +237,8 @@ COMMANDS = {
 def _degree(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"degree bound {text!r} is not an ASCII integer")
+    if len(text.lstrip("-")) > (limit := sys.get_int_max_str_digits()):
+        raise argparse.ArgumentTypeError(f"degree bound exceeds the limit {limit} digits")
     value = int(text)
     if not 0 <= value <= 12:
         raise argparse.ArgumentTypeError("degree bound must be in 0..12")
@@ -336,8 +331,13 @@ def main(argv: list[str] | None = None) -> int:
             code = 1
         rendered = _render(report, args.format == "json")
     except (OSError, ValueError) as exc:
-        # every refused input, argparse's usage errors and undecodable files too
-        print(f"input error: {exc}", file=sys.stderr)
+        # every refused input, argparse's usage errors and undecodable files
+        # too, and a number Python will not print past its int-string limit
+        message = str(exc)
+        if type(exc) is ValueError and message.startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            message = f"report number exceeds the limit {limit} digits; it would not parse again"
+        print(f"input error: {message}", file=sys.stderr)
         return 2
     print(rendered, end="")
     return code

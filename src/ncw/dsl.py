@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import Callable, Sequence
 
 from .poly import Poly
 from .structures import (
@@ -49,7 +50,6 @@ from .structures import (
     NCBStructure,
     NCStructure,
     StructureError,
-    flat_structure,
     ncb_structure,
     observer_structure,
     standard_structure,
@@ -398,41 +398,16 @@ def _parse_preset_header(stream: _TokenStream, doc: StructureDocument) -> None:
     if doc.preset is not None:
         raise ParseError("duplicate preset", tok.line, tok.col)
     doc.preset = tok.text
-    while stream.peek().kind not in ("NEWLINE", "END"):
-        key = stream.next()
+    while (key := stream.peek()).kind not in ("NEWLINE", "END"):
         if key.kind != "IDENT" or key.text not in ("n", "phi"):
             raise ParseError(
                 f"preset headers take n=... and phi=..., found {key.text!r}",
                 key.line,
                 key.col,
             )
-        eq = stream.expect_symbol("=")
-        if key.text == "n":
-            _parse_dimension(stream, doc)
-        else:
-            _parse_potential(stream, doc, eq)
+        _parse_assignment(stream, doc)
     if doc.preset == "standard" and doc.phi is None:
         raise StructureError("standard preset requires phi = <expression>")
-
-
-def _parse_dimension(stream: _TokenStream, doc: StructureDocument) -> None:
-    """The value of n, in a preset header or on its own line."""
-    num = stream.next()
-    n = _integer(num) if num.kind == "NUMBER" else 0
-    if n < 1:
-        raise ParseError("n must be a positive integer", num.line, num.col)
-    if n > MAX_SPATIAL_DIMENSION:
-        raise ParseError(f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col)
-    if doc.n is not None:
-        raise ParseError("duplicate n", num.line, num.col)
-    doc.n = n
-
-
-def _parse_potential(stream: _TokenStream, doc: StructureDocument, eq: Token) -> None:
-    """The value of phi, in a preset header or on its own line."""
-    if doc.phi is not None:
-        raise ParseError("duplicate phi", eq.line, eq.col)
-    doc.phi = _expression_tokens(stream)
 
 
 def _expression_tokens(stream: _TokenStream) -> list[Token]:
@@ -464,10 +439,21 @@ def _parse_assignment(stream: _TokenStream, doc: StructureDocument) -> None:
         return
     if name == "n":
         stream.expect_symbol("=")
-        _parse_dimension(stream, doc)
+        num = stream.next()
+        n = _integer(num) if num.kind == "NUMBER" else 0
+        if n < 1:
+            raise ParseError("n must be a positive integer", num.line, num.col)
+        if n > MAX_SPATIAL_DIMENSION:
+            raise ParseError(f"n exceeds the limit {MAX_SPATIAL_DIMENSION}", num.line, num.col)
+        if doc.n is not None:
+            raise ParseError("duplicate n", num.line, num.col)
+        doc.n = n
         return
     if name == "phi":
-        _parse_potential(stream, doc, stream.expect_symbol("="))
+        eq = stream.expect_symbol("=")
+        if doc.phi is not None:
+            raise ParseError("duplicate phi", eq.line, eq.col)
+        doc.phi = _expression_tokens(stream)
         return
     if name in StructureDocument.FIELD_RANKS:
         slot = doc.components.setdefault(name, {})
@@ -515,9 +501,10 @@ def _realize(slot: dict[Index, _Component], dimension: int) -> dict[Index, Poly]
 @dataclass(frozen=True)
 class BuiltStructure:
     """A realized document.  ncb is None for explicit connection data.  When
-    gauge or observer data cannot be realized because their Galilei pair
-    fails its checks, derived holds that failure, and nc and ncb raise it,
-    so that check commands report it as a verdict."""
+    the connection cannot be derived because the Galilei pair fails its
+    checks (an open clock has no geodesic connection), derived holds that
+    failure, and nc and ncb raise it, so that check commands report it as a
+    verdict."""
 
     doc: StructureDocument
     base: GalileiStructure
@@ -536,20 +523,32 @@ class BuiltStructure:
             raise self.derived
         return self.derived
 
+    def checks(self, points: Sequence[Sequence[object]] = ()) -> list[tuple[str, Callable]]:
+        """The named checks in report order, each raising StructureError
+        when it fails: the Galilei pair (at the origin and the sample
+        points), the connection, and the gauge presentation of gauge or
+        observer data."""
+        checks = [
+            ("metric-pair", lambda: self.base.validate(points)),
+            ("connection-compatibility-and-symmetry", lambda: self.nc.validate()),
+        ]
+        if self.doc.data_shape() != "explicit":
+            checks.append(("gauge-presentation", lambda: self.ncb.validate()))
+        return checks
+
 
 def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStructure:
     """Realize a parsed document.
 
-    With validate=True (the default) every structure invariant is checked
-    and the first violation raises StructureError.  Check-style commands
-    build with validate=False and report violations as verdicts instead."""
+    With validate=True (the default) the Galilei pair is checked before
+    anything is derived from it, then every check of BuiltStructure.checks
+    runs, and the first violation raises StructureError.  Check-style
+    commands build with validate=False and report violations as verdicts
+    instead."""
     shape = doc.data_shape()
     dim = doc.n + 1
     if shape == "preset":
-        if doc.preset == "flat":
-            ncb = flat_structure(doc.n)
-        else:
-            ncb = standard_structure(doc.n, doc.potential)
+        ncb = standard_structure(doc.n, doc.potential)  # a flat preset's phi is 0
         base = ncb.base
     else:
         missing = [f for f in ("gamma", "theta") if f not in doc.components]
@@ -562,34 +561,33 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
         base = GalileiStructure(doc.n, gamma, TensorField(dim, 0, 1, fields["theta"]))
         if validate:
             base.validate()
+    try:
         if shape == "explicit":
-            nc = NCStructure(base, Connection(dim, fields["Gamma"]))
-            if validate:
-                nc.validate()
-            return BuiltStructure(doc, base, (nc, None))
-        u = TensorField(dim, 1, 0, fields["U"])
-        try:
+            derived = (NCStructure(base, Connection(dim, fields["Gamma"])), None)
+        else:
             if shape == "gauge":
-                ncb = ncb_structure(base, u, TensorField(dim, 0, 1, fields["A"]))
-            else:
-                v = TensorField(dim, 1, 0, fields["V"])
+                u, a = TensorField(dim, 1, 0, fields["U"]), TensorField(dim, 0, 1, fields["A"])
+                ncb = ncb_structure(base, u, a)
+            elif shape == "observer":
+                u, v = (TensorField(dim, 1, 0, fields[f]) for f in ("U", "V"))
                 ncb = observer_structure(base, u, v, doc.potential)
-        except StructureError:
-            # the pair's shapes, symmetry and kernel, which the transverse
-            # metric needs, stay input errors; a pair failing its other checks
-            # is the cause, and a verdict
-            base._valid_pair
-            try:
-                base.validate()
-            except StructureError as failure:
-                return BuiltStructure(doc, base, failure)
+            derived = (ncb.induced_nc(), ncb)
+    except StructureError:
+        # the pair's shapes, symmetry and kernel, which the transverse metric
+        # needs, stay input errors; a pair failing its other checks is the
+        # cause, and a verdict
+        base._valid_pair
+        try:
+            base.validate()
+        except StructureError as failure:
+            derived = failure
+        else:
             raise
+    built = BuiltStructure(doc, base, derived)
     if validate:
-        ncb.validate()
-    nc = ncb.induced_nc()
-    if validate:
-        nc.validate()
-    return BuiltStructure(doc, base, (nc, ncb))
+        for _, check in built.checks():
+            check()
+    return built
 
 
 def parse_field(text: str, dimension: int, symbol: str = "X") -> TensorField:

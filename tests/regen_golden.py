@@ -62,6 +62,12 @@ def _cases() -> dict[str, list[str]]:
         "syntax-validate": ["validate", "--input", f"{inputs}/syntax.ncw"],
         "expression-error-validate": ["validate", "--input", f"{inputs}/expression-error.ncw"],
         "torsion-curvature": ["curvature", "--input", f"{inputs}/torsion.ncw"],
+        # a pair failing its checks is a verdict whatever the data shape
+        **{
+            f"open-clock-{shape}-{command}":
+                [command, "--input", f"{inputs}/open-clock-{shape}.ncw"]
+            for shape in ("gauge", "observer") for command in ("validate", "curvature")
+        },
         "flat2-classify-bad-field": ["classify", "--input", "samples/flat2.ncw",
                                      "--field", "X[5] = t"],
         "flat2-classify-two-per-line": ["classify", "--input", "samples/flat2.ncw",

@@ -100,15 +100,17 @@ class TestValidate:
         [
             ("1,0", "sample point needs 3 comma-separated rationals, got 2"),
             ("1/0,0,0", "bad sample point '1/0,0,0': zero denominator"),
-            ("a,0,0", "bad sample point 'a,0,0': Invalid literal for Fraction: 'a'"),
+            ("a,0,0", "bad sample point 'a,0,0': 'a' is not an ASCII integer or p/q"),
             # Fraction alone reads these as 1, 1.5 and (1, 1000, 10)
             ("\uff11,0,0", "bad sample point '\uff11,0,0': '\uff11' is not an ASCII integer or p/q"),
             ("1.5,0,0", "bad sample point '1.5,0,0': '1.5' is not an ASCII integer or p/q"),
             ("\u0661,1e3,1_0",
              "bad sample point '\u0661,1e3,1_0': '\u0661' is not an ASCII integer or p/q"),
+            # past Python's int-string limit, named without echoing the point
+            ("1" * 5000 + ",0,0", "bad sample point: a number exceeds the limit 4300 digits"),
         ],
         ids=["count", "zero-denominator", "non-number", "fullwidth-digit", "decimal",
-             "arabic-indic-exponent-underscore"],
+             "arabic-indic-exponent-underscore", "past-int-string-limit"],
     )
     def test_bad_sample_point_is_an_input_error(self, capsys, flat2, point, message):
         code, out, err = run(capsys, "validate", "--input", flat2, f"--sample-point={point}")
@@ -285,6 +287,16 @@ class TestValidate:
         assert run(capsys, *argv) == (code, out, "")
         code, out, err = run(capsys, "curvature", "--input", str(path))
         assert (code, out, err) == (2, "", f"input error: {detail}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "connection"])
+    def test_report_number_past_the_int_string_limit_is_refused(self, capsys, tmp_path, command):
+        # each factor parses; phi, their product, has 8,000 digits, past
+        # Python's int-string limit of 4,300, in the summary and the connection
+        path = tmp_path / "huge.ncw"
+        path.write_text(f"standard n=1 phi = {'9' * 4000}*{'9' * 4000}\n")
+        code, out, err = run(capsys, command, "--input", str(path))
+        message = "report number exceeds the limit 4300 digits; it would not parse again"
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 class TestExpressionInputs:
@@ -718,8 +730,10 @@ class TestArguments:
             ("-1", "degree bound must be in 0..12"),
             ("\u0661", "degree bound '\u0661' is not an ASCII integer"),
             ("0_1", "degree bound '0_1' is not an ASCII integer"),
+            ("1" * 5000, "degree bound exceeds the limit 4300 digits"),
         ],
-        ids=["above-range", "negative", "arabic-indic-digit", "underscore"],
+        ids=["above-range", "negative", "arabic-indic-digit", "underscore",
+             "past-int-string-limit"],
     )
     def test_degree_is_an_ascii_integer_in_range(self, capsys, flat2, degree, message):
         argv = ["solve", "--input", flat2, "--flavor", "gal", "--degree", degree]

@@ -294,6 +294,22 @@ class TestDocuments:
         with pytest.raises(ParseError, match="duplicate component"):
             parse_structure("n = 1\ngamma[1][1] = 1\ngamma[1][1] = 2\n")
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("flat n=1\nflat n=1\n", ParseError, "line 2, column 1: duplicate preset"),
+            ("flat m=1\n", ParseError,
+             "line 1, column 6: preset headers take n=... and phi=..., found 'm'"),
+            ("standard n=1\n", StructureError, "standard preset requires phi = <expression>"),
+            ("name = 5\n", ParseError, "line 1, column 8: name must be an identifier"),
+        ],
+        ids=["duplicate-preset", "unknown-header-key", "standard-without-phi", "numeric-name"],
+    )
+    def test_header_and_name_refusals(self, text, error, message):
+        with pytest.raises(error) as refused:
+            parse_structure(text)
+        assert str(refused.value) == message
+
     def test_desk_scale_guards(self):
         with pytest.raises(ParseError, match="exceeds the limit"):
             parse_expression("x1^100000", 2)
