@@ -37,6 +37,9 @@ from .structures import NCStructure
 from .tensors import (
     Connection,
     TensorField,
+    _lie,
+    _lie_connection,
+    _nonzero,
     lie_derivative,
     lie_derivative_connection,
     raise_connection_transport,
@@ -77,12 +80,7 @@ class NotInFlavorError(ValueError):
 
 def ansatz_monomials(dimension: int, degree: int) -> list[Exponent]:
     """Component monomials admitted at the given bound, canonically ordered."""
-    out = [
-        m
-        for m in grlex_monomials(dimension, degree + 1)
-        if m[0] <= degree
-    ]
-    return out
+    return [m for m in grlex_monomials(dimension, degree + 1) if m[0] <= degree]
 
 
 @dataclass(frozen=True)
@@ -198,11 +196,13 @@ def _metric_pair_rows(
 ) -> dict[tuple, dict[int, Scalar]]:
     """Stage one: L_X gamma and L_X theta on the generic field over the full
     ansatz, X^c = sum_j u_{c,j} m_j with u_{c,j} in column c * len(monos) + j.
-    Each (block, index, monomial) term of the result is one row, keyed so."""
+    Each (block, index, monomial) term of the result is one row, keyed so.
+    L_X gamma is symmetric, as gamma is, so its rows come from one triangle,
+    a <= b."""
     g = s.base
     units = [{i: 1} for i in range(g.dimension * len(monos))]
     x = _generic_field(g.dimension, monos, units)
-    return _form_rows([lie_derivative(x, g.gamma), lie_derivative(x, g.theta)])
+    return _form_rows([_lie(x, g.gamma, symmetric=True), _lie(x, g.theta)])
 
 
 def _connection_rows(
@@ -210,21 +210,26 @@ def _connection_rows(
 ) -> dict[tuple, dict[int, Scalar]]:
     """Stage two: the flavor's connection condition on Y = sum_i y_i k_i over
     the Coriolis kernel vectors k_i, with y_i in column i, keyed like stage
-    one's rows with block 0."""
-    y = _generic_field(s.base.dimension, monos, kernel)
-    block = lie_derivative_connection(y, s.connection)
+    one's rows with block 0.  The lower pair of L_Y G is symmetric, so the
+    galilei rows come from one triangle, a <= b; the raised milne transport
+    is not, and keeps every entry."""
+    dim = s.base.dimension
+    y = _generic_field(dim, monos, kernel)
+    block = _lie_connection(y, s.connection, symmetric=flavor == "galilei")
     if flavor == "milne":
-        block = raise_connection_transport(block, s.base.gamma, 1)
+        field = TensorField._raw(dim, 1, 2, _nonzero(block))
+        block = raise_connection_transport(field, s.base.gamma, 1).nonzero
     return _form_rows([block])
 
 
-def _form_rows(blocks: Sequence[TensorField]) -> dict[tuple, object]:
-    """The (block, index, monomial) terms of a list of fields: for a field
-    over _FormPoly each is one linear row, for a Poly field one right side."""
+def _form_rows(blocks: Sequence[dict]) -> dict[tuple, object]:
+    """The (block, index, monomial) terms of a list of field entries: over
+    _FormPoly each is one linear row, over Poly one right side; an entry
+    that sums to zero has no terms and gives none."""
     return {
         (block, idx, exps): form
-        for block, field in enumerate(blocks)
-        for idx, poly in field.nonzero.items()
+        for block, entries in enumerate(blocks)
+        for idx, poly in entries.items()
         for exps, form in poly.terms.items()
     }
 
@@ -262,6 +267,8 @@ def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
+    # stage one reads one triangle of L_X gamma, which needs gamma symmetric
+    s.base._valid_pair
     fl = canonical_flavor(flavor)
     d = int(degree)
     if d < 0:
@@ -352,7 +359,7 @@ def structure_constants(
     """
     fields = basis.fields
     k = len(fields)
-    rows = [_form_rows([f]) for f in fields]
+    rows = [_form_rows([f.nonzero]) for f in fields]
     columns: dict[tuple, int] = {}
     for terms in rows:
         for key in terms:
@@ -365,12 +372,10 @@ def structure_constants(
     if max(elim.pivot_rows, default=-1) >= tag:
         raise ValueError("basis is linearly dependent")
 
-    constants = [
-        [[0] * k for _ in range(k)] for _ in range(k)
-    ]
+    constants = [[[0] * k for _ in range(k)] for _ in range(k)]
     closed = True
     for i, j in combinations(range(k), 2):
-        terms = _form_rows([vector_bracket(fields[i], fields[j])])
+        terms = _form_rows([vector_bracket(fields[i], fields[j]).nonzero])
         if not terms.keys() <= columns.keys():  # a monomial no basis field has
             closed = False
             continue
@@ -413,21 +418,19 @@ class TimeCoefficientTemplate:
         """The values of a constant omega, keyed like omega; None when some
         entry depends on time."""
         origin = (0,) * (self.n + 1)
-        if not all(w.depends_only_on([]) for w in self.omega.values()):
+        if any(e != origin for w in self.omega.values() for e in w.terms):
             return None
-        return {key: w.coefficient(origin) for key, w in self.omega.items()}
+        return {key: w.terms.get(origin, 0) for key, w in self.omega.items()}
 
     def affine(self) -> AffineTemplate | None:
         """The reading with constant omega and rho = beta t + sigma; None
         when the template is not affine."""
         omega = self.constant_omega()
-        if omega is None or any(
-            r.total_degree() > 1 or not r.depends_only_on([0]) for r in self.rho
-        ):
-            return None
         t, origin = (1,) + (0,) * self.n, (0,) * (self.n + 1)
-        beta = tuple(r.coefficient(t) for r in self.rho)
-        sigma = tuple(r.coefficient(origin) for r in self.rho)
+        if omega is None or any(e != t and e != origin for r in self.rho for e in r.terms):
+            return None
+        beta = tuple(r.terms.get(t, 0) for r in self.rho)
+        sigma = tuple(r.terms.get(origin, 0) for r in self.rho)
         return AffineTemplate(self.n, omega, beta, sigma, self.tau)
 
 
@@ -458,7 +461,8 @@ def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
         return None
 
     def time_poly(coeffs: dict[int, Scalar]) -> Poly:
-        return Poly(dim, {(e,) + origin[1:]: c for e, c in coeffs.items()})
+        # canonical nonzero coefficients of the field, on distinct t-powers
+        return Poly._raw(dim, {(e,) + origin[1:]: c for e, c in coeffs.items()})
 
     return TimeCoefficientTemplate(
         dim - 1,

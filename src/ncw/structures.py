@@ -23,15 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _exact
+from .poly import Poly, Scalar, _exact, _q
 from .tensors import (
     Connection,
     TensorField,
     _add,
+    _asymmetry,
+    _covariant,
     _einsum,
     _neg,
     apply_metric,
@@ -87,9 +90,8 @@ class GalileiStructure:
             raise StructureError("gamma must be a (2,0) tensor of matching dimension")
         if (self.theta.p, self.theta.q) != (0, 1) or self.theta.dimension != dim:
             raise StructureError("theta must be a 1-form of matching dimension")
-        asymmetry = _add(self.gamma.nonzero, _neg(_einsum("ba->ab", self.gamma)))
-        if asymmetry:
-            raise StructureError("gamma not symmetric at ({},{})".format(*min(asymmetry)))
+        if asymmetry := _asymmetry(self.gamma.nonzero, itemgetter(1, 0)):
+            raise StructureError("gamma not symmetric at ({},{})".format(*asymmetry))
         kernel = _einsum("ak,k->a", self.gamma, self.theta)
         if kernel:
             (a,) = min(kernel)
@@ -131,16 +133,9 @@ class GalileiStructure:
 
 def flat_galilei(n: int) -> GalileiStructure:
     dim = n + 1
-
-    def entry(idx):
-        a, b = idx
-        if a == b and a >= 1:
-            return Poly.const(dim, 1)
-        return Poly.zero(dim)
-
-    gamma = TensorField.build(dim, 2, 0, entry)
-    theta = one_form(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * n)
-    return GalileiStructure(n, gamma, theta)
+    one = Poly.const(dim, 1)
+    gamma = TensorField(dim, 2, 0, {(a, a): one for a in range(1, dim)})
+    return GalileiStructure(n, gamma, one_form(dim, [one] + [Poly.zero(dim)] * n))
 
 
 # ----------------------------------------------------------------------
@@ -160,52 +155,52 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     adj(N)/det(N); h is polynomial exactly when det(N) is a nonzero
     constant, and StructureError names the determinant otherwise.  W is
     e_j / theta_j for the first constant nonzero theta_j (U when there is
-    none), so that N does not depend on U.  When every entry of N is
-    constant, the adjugate runs on the coefficients and is lifted to
-    constant Polys; it is the same matrix, without Poly arithmetic.
+    none), so that N does not depend on U.  The closed form is written once
+    over two coefficient rings: when gamma, theta and U are constant (every
+    preset), all of it, the adjugate included, runs on their coefficients,
+    and only h's nonzero entries are lifted to constant Polys.
     """
     g._valid_pair
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("U must satisfy theta(U) = 1")
-    j = min((j for (j,), c in g.theta.nonzero.items() if c.total_degree() == 0), default=None)
-    if j is None:
-        w = u.nonzero
-    else:
-        w = {(j,): Poly.const(dim, Fraction(1, g.theta.comp(j).coefficient((0,) * dim)))}
-    n_entries = _add(g.gamma.nonzero, _einsum("a,b->ab", w, w))
     origin = (0,) * dim
-    if all(c.total_degree() == 0 for c in n_entries.values()):
-        adj, det = adjugate(
-            [[n_entries[a, b].coefficient(origin) if (a, b) in n_entries else 0
-              for b in range(dim)] for a in range(dim)]
-        )
-        adj = [[Poly.const(dim, v) for v in row] for row in adj]
-        det = Poly.const(dim, det)
-    else:
-        adj, det = adjugate(
-            [[n_entries.get((a, b), Poly.zero(dim)) for b in range(dim)] for a in range(dim)]
-        )
-    if det.is_zero:
+    fields = (g.gamma.nonzero, g.theta.nonzero, u.nonzero)
+    # the constant entries' coefficients: all of them for the presets
+    coefficients = [{k: p.terms[origin] for k, p in f.items() if p.terms.keys() == {origin}}
+                    for f in fields]
+    constant = list(map(len, coefficients)) == list(map(len, fields))
+    gamma, theta, uu = coefficients if constant else fields
+    lift = _q if constant else partial(Poly.const, dim)
+    zero = lift(0)
+    j = min((j for (j,), c in g.theta.nonzero.items() if c.total_degree() == 0), default=None)
+    w = uu if j is None else {(j,): lift(Fraction(1, g.theta.comp(j).coefficient(origin)))}
+    n_entries = _add(gamma, _einsum("a,b->ab", w, w))
+    adj, det = adjugate(
+        [[n_entries.get((a, b), zero) for b in range(dim)] for a in range(dim)]
+    )
+    if not det:
         raise StructureError(
             "gamma + W(x)W is singular; gamma is rank deficient beyond the theta kernel"
         )
-    if det.total_degree() > 0:
+    if not constant and det.total_degree() > 0:
         raise StructureError(
             f"det(gamma + W(x)W) = {det} is not a nonzero constant; the "
             "transverse metric of U is not polynomial"
         )
-    inverse = Fraction(1, det.coefficient(origin))
+    inverse = _q(Fraction(1, det if constant else det.coefficient(origin)))
     n_inv = {(a, b): v * inverse for a, row in enumerate(adj) for b, v in enumerate(row) if v}
     # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
-    m = _einsum("k,kb->b", u, n_inv)
-    tm = _einsum("a,b->ab", g.theta, m)
+    m = _einsum("k,kb->b", uu, n_inv)
+    tm = _einsum("a,b->ab", theta, m)
     entries = _add(
         n_inv,
         _neg(tm),
         _neg(_einsum("ba->ab", tm)),
-        _einsum("a,b,k,k->ab", g.theta, g.theta, m, u),
+        _einsum("a,b,k,k->ab", theta, theta, m, uu),
     )
+    if constant:
+        entries = {key: Poly._raw(dim, {origin: _q(v)}) for key, v in entries.items()}
     return TensorField._raw(dim, 0, 2, entries)
 
 
@@ -251,7 +246,8 @@ def assemble_connection(
     ug: Connection, theta: TensorField, force: TensorField, gamma: TensorField
 ) -> Connection:
     """G_ab^c = UG_ab^c + theta_(a F_b)k gamma^{kc} with the 1/2 weight."""
-    if _add(force.nonzero, _einsum("ba->ab", force)):
+    f = force.nonzero
+    if any(f.get((b, a)) != -v for (a, b), v in f.items()):
         raise StructureError("force form must be antisymmetric")
     q = _einsum("a,bk,kc->abc", theta, force, gamma)
     half = Fraction(1, 2)
@@ -269,7 +265,8 @@ class NCStructure:
 
     def validate(self) -> None:
         self.base.validate()
-        if not covariant_derivative(self.connection, self.base.gamma).is_zero:
+        # gamma is symmetric (checked just now), and so is D gamma: one triangle
+        if any(_covariant(self.connection, self.base.gamma, symmetric=True).values()):
             raise StructureError("connection does not parallelize gamma")
         if not covariant_derivative(self.connection, self.base.theta).is_zero:
             raise StructureError("connection does not parallelize theta")

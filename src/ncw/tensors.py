@@ -40,9 +40,13 @@ once by the index a slot is summed against, then walks the field's entries
 once, every slot swapped through the group of the index it holds.
 ``lie_derivative_connection`` is the Lie walk (``_lie``) on the symbols'
 (1,2) view ``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b
-X^c.  ``curvature`` adds each term of S at (a, b, c, d) and its negation
-at (b, a, c, d), and skips a = b, where the two cancel.  ``pairing`` and
-``directional`` share one sparse dot product, ``_dot``.
+X^c.  Of a result symmetric in its last two indices (L_X gamma, the lower
+pair of L_X G, D gamma), the private ``_lie``, ``_lie_connection`` and
+``_covariant`` can keep one triangle, key[-2] <= key[-1]: the walks skip
+every other key before taking its product.  ``curvature`` sums S, symmetric
+in (b, c), once per b <= c.  ``pairing`` and ``directional`` share one
+sparse dot product, ``_dot``; symmetry checks compare each entry with its
+mirror, ``_asymmetry``.
 
 Every other contraction goes through one sparse kernel, ``_einsum(spec,
 *factors)``: raising indices with gamma, ``apply_metric``,
@@ -95,7 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -278,6 +282,16 @@ def _neg(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
     return {key: -value for key, value in entries.items()}
 
 
+def _asymmetry(entries: Mapping[Index, Poly], mirror: Callable[[Index], Index]) -> Index | None:
+    """The least key of the pairs (key, mirror(key)), mirror an involution,
+    whose entries differ (an absent one is zero); None when none do."""
+    return min(
+        (min(key, other) for key, value in entries.items()
+         if entries.get(other := mirror(key)) != value),
+        default=None,
+    )
+
+
 @dataclass(frozen=True)
 class TensorField(_Entries):
     """(p,q) tensor field: its nonzero Poly components by index tuple.
@@ -442,27 +456,30 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     return TensorField._raw(t.dimension, t.p, t.q, _nonzero(_lie(x, t)))
 
 
-def _lie(x: TensorField, t: TensorField) -> dict[Index, Poly]:
+def _lie(x: TensorField, t: TensorField, symmetric: bool = False) -> dict[Index, Poly]:
     """The terms of L_X T summed by index, zero sums kept; see
     lie_derivative, whose body this is: X^k d_k T, then the action of -dX,
-    keyed (k, a) = d_k X^a, on every slot."""
+    keyed (k, a) = d_k X^a, on every slot; of one triangle if symmetric."""
     xs = x.nonzero
     out: dict[Index, Poly] = {}
     for key, d in t.derivative.items():  # (k, *idx): d_k T_idx
-        if (xk := xs.get(key[:1])) is not None:
+        if (xk := xs.get(key[:1])) is not None and not (symmetric and key[-2] > key[-1]):
             idx = key[1:]
             term = xk * d
             out[idx] = out[idx] + term if idx in out else term
-    _act(x.derivative, -1, t, out)
+    _act(x.derivative, -1, t, out, symmetric)
     return out
 
 
-def _act(matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict) -> None:
+def _act(
+    matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict, symmetric: bool = False
+) -> None:
     """Add into out, for each entry of T and each slot, the entry with that
     slot swapped through matrix, which maps (*head, k, a) to A^a_k: an upper
     k becomes a with coefficient sign * A (sign is 1 or -1), a lower a
     becomes k with -sign * A, keyed head + the swapped index, A the left
-    operand.  Each grouped matrix entry is negated at most once."""
+    operand.  Each grouped matrix entry is negated at most once.  With
+    ``symmetric`` a key with key[-2] > key[-1] is skipped before its product."""
     p = t.p
     up: dict[int, list] = {}  # k: [(head, a, sign * A^a_k)]
     down: dict[int, list] = {}  # a: [(head, k, -sign * A^a_k)]
@@ -476,6 +493,8 @@ def _act(matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict) -> 
         for s, k in enumerate(idx):
             for head, new, v in (up if s < p else down).get(k, ()):
                 key = head + idx[:s] + (new,) + idx[s + 1 :]
+                if symmetric and key[-2] > key[-1]:
+                    continue
                 term = v * value
                 out[key] = out[key] + term if key in out else term
 
@@ -494,9 +513,8 @@ class Connection(_Entries):
 
     def __post_init__(self):
         super().__post_init__()
-        torsion = _add(self.nonzero, _neg(_einsum("bac->abc", self)))
-        if torsion:
-            a, b, c = min(torsion)
+        if torsion := _asymmetry(self.nonzero, itemgetter(1, 0, 2)):
+            a, b, c = torsion
             raise ValueError(f"connection has torsion at lower pair ({a},{b}), upper {c}")
 
     def symbol(self, a: int, b: int, c: int) -> Poly:
@@ -533,13 +551,20 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
     """
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
-    out = _lie(x, g.as_field)
+    return TensorField._raw(g.dimension, 1, 2, _nonzero(_lie_connection(x, g)))
+
+
+def _lie_connection(x: TensorField, g: Connection, symmetric: bool = False) -> dict[Index, Poly]:
+    """The terms of L_X G keyed (c, a, b), zero sums kept; see
+    lie_derivative_connection, whose body this is; of one triangle, a <= b,
+    if symmetric."""
+    out = _lie(x, g.as_field, symmetric)
     for (b, c), d in x.derivative.items():
-        for a in range(g.dimension):
+        for a in range(b + 1 if symmetric else g.dimension):
             if dd := d.partial(a):  # d_a d_b X^c
                 key = (c, a, b)
                 out[key] = out[key] + dd if key in out else dd
-    return TensorField._raw(g.dimension, 1, 2, _nonzero(out))
+    return out
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -583,11 +608,19 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
     p = t.p
-    out = dict(t.derivative)  # (c, *idx): d_c T_idx
-    _act(g.nonzero, 1, t, out)
+    out = _covariant(g, t)
     if p:  # c goes after the upper slots
         out = {key[1 : p + 1] + key[:1] + key[p + 1 :]: v for key, v in out.items()}
     return TensorField._raw(t.dimension, p, t.q + 1, _nonzero(out))
+
+
+def _covariant(g: Connection, t: TensorField, symmetric: bool = False) -> dict[Index, Poly]:
+    """The terms of DT keyed (c, *idx), zero sums kept: d_c T and the action
+    of G_c; of one triangle if symmetric, as for a symmetric T."""
+    d = t.derivative  # (c, *idx): d_c T_idx
+    out = {key: v for key, v in d.items() if key[-2] <= key[-1]} if symmetric else dict(d)
+    _act(g.nonzero, 1, t, out, symmetric)
+    return out
 
 
 @dataclass(frozen=True)
@@ -607,24 +640,33 @@ class CurvatureField(_Entries):
 
 def curvature(g: Connection) -> CurvatureField:
     """R_abc^d = d_a G_bc^d - d_b G_ac^d + G_ak^d G_bc^k - G_bk^d G_ac^k,
-    taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k: each
-    term of S is added at (a, b, c, d) and its negation at (b, a, c, d),
-    skipping a = b, where the two cancel."""
-    by_upper: dict[int, list] = {}  # k: [(b, c, G_bc^k)]
+    taken as S_abcd - S_bacd with S_abcd = d_a G_bc^d + G_ak^d G_bc^k.
+
+    S is symmetric in (b, c), as G is, so it is summed once per b <= c.
+    Each entry of S is then added, with its sign, to the R_abcd with a < b
+    it enters, under either ordering of its symmetric pair; R_bacd = -R_abcd
+    is stored with each.  R_aacd is zero and never formed."""
+    by_upper: dict[int, list] = {}  # k: [(b, c, G_bc^k)], b <= c
     for (b, c, k), v in g.nonzero.items():
-        by_upper.setdefault(k, []).append((b, c, v))
-    products = (
-        ((a, b, c, d), v * w)
-        for (a, k, d), v in g.nonzero.items()
-        for b, c, w in by_upper.get(k, ())
-    )
+        if b <= c:
+            by_upper.setdefault(k, []).append((b, c, v))
+    s = {(a, b, c, d): v for (a, d, b, c), v in g.as_field.derivative.items() if b <= c}
+    for (a, k, d), v in g.nonzero.items():
+        for b, c, w in by_upper.get(k, ()):
+            key, term = (a, b, c, d), v * w
+            s[key] = s[key] + term if key in s else term
+    half: dict[Index, Poly] = {}  # R_abcd with a < b
+    for (a, b, c, d), v in s.items():
+        for x, y, z in ((a, b, c), (a, c, b)) if b < c else ((a, b, c),):
+            if x != y:  # S_xyzd enters R_xyzd and, negated, R_yxzd
+                key, term = ((x, y, z, d), v) if x < y else ((y, x, z, d), -v)
+                half[key] = half[key] + term if key in half else term
     out: dict[Index, Poly] = {}
-    partials = (((a, b, c, d), v) for (a, d, b, c), v in g.as_field.derivative.items())
-    for (a, b, c, d), term in chain(partials, products):
-        if a != b:
-            for key, value in (((a, b, c, d), term), ((b, a, c, d), -term)):
-                out[key] = out[key] + value if key in out else value
-    return CurvatureField._raw(g.dimension, _nonzero(out))
+    for (a, b, c, d), v in half.items():
+        if v:
+            out[a, b, c, d] = v
+            out[b, a, c, d] = -v
+    return CurvatureField._raw(g.dimension, out)
 
 
 def check_newtonian(
@@ -635,10 +677,9 @@ def check_newtonian(
     True iff gamma^{bk} R_akc^d = gamma^{dk} R_cka^b for every (a, c, b, d);
     on failure the first violating index tuple (a, c, b, d) is returned.
     The right side at (a, c, b, d) is the left side at (c, a, d, b), so one
-    contraction and one index permutation give both.
+    contraction gives both, and each entry is compared with that mirror.
     """
     if r.dimension != gamma.dimension:
         raise ValueError("dimension mismatch")
-    lhs = _einsum("bk,akcd->acbd", gamma, r)
-    defect = _add(lhs, _neg(_einsum("cadb->acbd", lhs)))
-    return (False, min(defect)) if defect else (True, None)
+    witness = _asymmetry(_einsum("bk,akcd->acbd", gamma, r), itemgetter(1, 0, 3, 2))
+    return (True, None) if witness is None else (False, witness)

@@ -308,6 +308,14 @@ class TestTransverseMetric:
             with pytest.raises(StructureError, match=message):
                 transverse_metric(g, basis_vector(dim, 0))
 
+    def test_asymmetry_names_the_least_key_of_the_pair(self):
+        # only gamma[1][0] is set: the refusal names the pair's least key
+        dim = 2
+        theta = one_form(dim, [Poly.const(dim, 1), Poly.zero(dim)])
+        gamma = TensorField(dim, 2, 0, {(1, 0): Poly.const(dim, 1)})
+        with pytest.raises(StructureError, match=r"^gamma not symmetric at \(0,1\)$"):
+            GalileiStructure(1, gamma, theta).validate()
+
     def test_nonconstant_clock_form_falls_back_to_the_unit_field(self):
         # theta = d(t + (t + x1)^2) has no constant component, so W = U;
         # gamma = v v^T with theta(v) = 0
@@ -492,6 +500,13 @@ class TestAssembly:
         )
         with pytest.raises(StructureError, match="antisymmetric"):
             assemble_connection(Connection.zero(2), g.theta, bad, g.gamma)
+
+    def test_rejects_symmetric_and_diagonal_forces(self):
+        g = flat_galilei(1)
+        one = Poly.const(2, 1)
+        for entries in ({(0, 1): one, (1, 0): one}, {(1, 1): one}):
+            with pytest.raises(StructureError, match="^force form must be antisymmetric$"):
+                assemble_connection(Connection.zero(2), g.theta, TensorField(2, 0, 2, entries), g.gamma)
 
 
 class TestObserverDictionary:

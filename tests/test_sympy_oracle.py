@@ -180,15 +180,18 @@ SHAPES = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 def test_curvature_matches_sympy_sums():
     from ncw.tensors import curvature
 
+    # with a third of the symbols zero, some (b, c) pairs of S get one of
+    # its two terms only
     for rng, dim, xs in cases():
-        sym, conn = random_connection(rng, xs)
-        r = curvature(conn)
-        rd = range(dim)
-        for a, b, c, d in product(rd, repeat=4):
-            expect = sym[b, c, d].diff(xs[a]) - sym[a, c, d].diff(xs[b])
-            for k in rd:
-                expect += sym[a, k, d] * sym[b, c, k] - sym[b, k, d] * sym[a, c, k]
-            assert same(r.comp(a, b, c, d), expect, xs)
+        for zeros in (0, 0.3):
+            sym, conn = random_connection(rng, xs, zeros=zeros)
+            r = curvature(conn)
+            rd = range(dim)
+            for a, b, c, d in product(rd, repeat=4):
+                expect = sym[b, c, d].diff(xs[a]) - sym[a, c, d].diff(xs[b])
+                for k in rd:
+                    expect += sym[a, k, d] * sym[b, c, k] - sym[b, k, d] * sym[a, c, k]
+                assert same(r.comp(a, b, c, d), expect, xs)
 
 
 def test_covariant_derivative_matches_sympy_sums():

@@ -297,6 +297,47 @@ class TestCovariantDerivative:
         assert covariant_derivative(g, flat_gamma(1)).is_zero
 
 
+    def test_one_triangle_of_d_gamma_is_zero_exactly_when_all_of_it_is(self):
+        # gamma = L L^T on the spatial block, L unit lower triangular with
+        # drawn entries, theta = dt and U = d/dt: the induced connection of
+        # a drawn gauge form parallelizes gamma, and one added symmetric
+        # pair of symbols mostly breaks that
+        from ncw.structures import GalileiStructure, ncb_structure
+        from ncw.tensors import _covariant
+
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 3)
+            dim = n + 1
+            zero = Poly.zero(dim)
+            lower = {
+                (i, j): Poly.const(dim, 1) if i == j else random_poly(rng, dim, 1, 1)
+                for i in range(1, dim)
+                for j in range(1, i + 1)
+            }
+            gamma = TensorField.build(dim, 2, 0, lambda idx: sum(
+                (lower[idx[0], k] * lower[idx[1], k] for k in range(1, min(idx) + 1)), zero
+            ))
+            a_form = one_form(dim, [random_poly(rng, dim) for _ in range(dim)])
+            g = GalileiStructure(n, gamma, dt_form(n))
+            conn = ncb_structure(g, basis_vector(dim, 0), a_form).induced_connection()
+            if rng.random() < 0.5:
+                a, b, c = (rng.randrange(dim) for _ in range(3))
+                entries = dict(conn.nonzero)
+                extra = random_poly(rng, dim)
+                for key in {(a, b, c), (b, a, c)}:
+                    entries[key] = entries.get(key, zero) + extra
+                conn = Connection(dim, {key: v for key, v in entries.items() if v})
+            full = covariant_derivative(conn, gamma)
+            half = _covariant(conn, gamma, symmetric=True)
+            kept = {(c, a, b): v for (a, b, c), v in full.nonzero.items() if a <= b}
+            assert {key: v for key, v in half.items() if v} == kept
+            assert any(half.values()) == (not full.is_zero)
+            seen.add(full.is_zero)
+        assert seen == {True, False}
+
+
 class TestCurvature:
     def test_flat(self):
         assert curvature(Connection.zero(3)).is_zero
@@ -507,14 +548,14 @@ class TestAbsentMeansZero:
 
         x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
         sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
-        # N = gamma + W(x)W is constant for the presets, so the adjugate runs
-        # on its coefficients and takes no Poly product with a zero operand;
-        # the sheared N is polynomial, and the adjugate's one product by the
-        # integer 0 makes its zero entry
+        # gamma, theta and U are constant for the presets, so the whole
+        # closed form runs on their coefficients, and the one Poly product
+        # is theta(U)'s, of two constants 1; the sheared N is polynomial, and
+        # the adjugate's one product by the integer 0 makes its zero entry
         structures = {
-            "flat n=2": (flat_structure(2), []),
-            "flat n=3": (flat_structure(3), []),
-            "oscillator n=2": (standard_structure(2, x1**2 + x2**2), []),
+            "flat n=2": (flat_structure(2), None),
+            "flat n=3": (flat_structure(3), None),
+            "oscillator n=2": (standard_structure(2, x1**2 + x2**2), None),
             "sheared": (build_structure(parse_structure(sheared.read_text())).ncb, [0]),
         }
         original = Poly.__mul__
@@ -530,6 +571,10 @@ class TestAbsentMeansZero:
             operands.clear()
             h = transverse_metric(s.base, s.u)
             assert h == s.transverse, name
+            if zero_operands is None:
+                one = Poly.const(s.base.dimension, 1)
+                assert operands == [(one, one)], name
+                continue
             assert operands, name
             assert [b for a, b in operands if not (a and b)] == zero_operands, name
 
@@ -708,6 +753,14 @@ class TestBracketAndHelpers:
         dim = 2
         with pytest.raises(ValueError, match="torsion"):
             Connection(dim, {(0, 1, 0): Poly.const(dim, 1)})  # G_01^0 != G_10^0
+
+    def test_torsion_names_the_least_key_of_the_mismatched_pair(self):
+        # only G_10^c is set: the refusal names the pair's least key, (0,1)
+        dim = 3
+        for c in range(dim):
+            message = rf"^connection has torsion at lower pair \(0,1\), upper {c}$"
+            with pytest.raises(ValueError, match=message):
+                Connection(dim, {(1, 0, c): Poly.const(dim, 1)})
 
 
 class TestIndexRange:
