@@ -16,7 +16,11 @@ arrive in, can change a result.
 Entries are canonical exact coefficients, as a Poly's are (``poly._q``):
 an int when integral, else a Fraction with a denominator above 1.  A row
 takes a multiple of a pivot row through the Poly terms' own sparse sum,
-``poly._accumulate``, which keeps every entry canonical.  A
+``poly._accumulate``, which keeps every entry canonical.  A new pivot row
+is scaled to a leading 1 in the cheapest exact way: a lead of -1 negates
+the row; any other int lead p divides each int entry in ints (``//``)
+where p divides it and makes Fraction(v, p) where it does not; only a
+Fraction lead takes a Fraction multiplication.  A
 RationalMatrix, and the right-hand side of sparse_solve,
 solve_inhomogeneous and inconsistency_certificate, take only int and
 Fraction entries (``poly._exact``); a float, a string or a bool is refused,
@@ -24,7 +28,9 @@ not approximated.
 
 Determinants, adjugates and inverses come from one Faddeev-LeVerrier
 recursion, which divides only by the integers 1..n, so it works over ints,
-Fractions and Polys alike.
+Fractions and Polys alike.  It keeps A and each M_k as rows of their
+nonzero entries and multiplies only those, so the diagonal N of a preset
+costs n products a step, not n^3.
 """
 
 from __future__ import annotations
@@ -140,27 +146,38 @@ def adjugate(a: Sequence[Sequence]) -> tuple[list[list], object]:
     Polys: det A = (-1)^n c_n and adj A = (-1)^(n+1) M_n.  Scalars are kept
     canonical (``poly._q``), as a Poly keeps its coefficients, so an integer
     matrix, whose c_k and M_k are all integers, takes int arithmetic only.
-    Beyond the product by 0 that makes the entries' zero, no product with a
-    zero factor is taken: M_1 and most geometric A are sparse."""
+    A and each M_k are walked by their nonzero entries only, so beyond the
+    product by 0 that makes the entries' zero no product with a zero factor
+    is taken, and a diagonal A costs n products a step: M_1 and most
+    geometric A are sparse."""
     n = len(a)
     zero = a[0][0] * 0
     canon = _q if isinstance(zero, (int, Fraction)) else _unchanged
     zero = canon(zero)
-    m = [[zero + 1 if i == l else zero for l in range(n)] for i in range(n)]
+    a_rows = [[(j, v) for j, v in enumerate(row) if v] for row in a]
+    # M_k by rows of its nonzero entries, {column: entry}
+    m: list[dict] = [{i: zero + 1} for i in range(n)]
     for k in range(1, n + 1):
-        am = [
-            [
-                sum((a[i][j] * m[j][l] for j in range(n) if a[i][j] and m[j][l]), zero)
-                for l in range(n)
-            ]
-            for i in range(n)
-        ]
-        c = canon(sum((am[i][i] for i in range(n)), zero) * Fraction(-1, k))
+        am = []
+        for row in a_rows:
+            out: dict = {}
+            for j, v in row:
+                for l, w in m[j].items():
+                    out[l] = out[l] + v * w if l in out else v * w
+            am.append({l: x for l, x in out.items() if x})
+        c = canon(sum((row[i] for i, row in enumerate(am) if i in row), zero) * Fraction(-1, k))
         if k == n:
             break
-        m = [[am[i][l] + c if i == l else am[i][l] for l in range(n)] for i in range(n)]
+        if c:
+            for i, row in enumerate(am):
+                if x := row.get(i, zero) + c:
+                    row[i] = x
+                else:
+                    del row[i]
+        m = am
     sign = (-1) ** n
-    return [[canon(-sign * x) if x else zero for x in row] for row in m], canon(sign * c)
+    adj = [[canon(-sign * x) if (x := row.get(l)) else zero for l in range(n)] for row in m]
+    return adj, canon(sign * c)
 
 
 def _unchanged(x):
@@ -219,9 +236,17 @@ class SparseEliminator:
             return
         lead = min(reduced)
         pivot = reduced[lead]
-        if pivot != 1:
-            inv = Fraction(1, pivot)
+        if pivot == -1:
+            reduced = {c: -v for c, v in reduced.items()}
+        elif type(pivot) is not int:
+            inv = 1 / pivot
             reduced = {c: _q(v * inv) for c, v in reduced.items()}
+        elif pivot != 1:
+            # an int quotient is taken in ints; any other one is not integral
+            reduced = {
+                c: v // pivot if type(v) is int and not v % pivot else Fraction(v, pivot)
+                for c, v in reduced.items()
+            }
         self.pivot_rows[lead] = reduced
         if len(reduced) == 1:
             self._zero_cols.add(lead)

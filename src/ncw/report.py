@@ -16,7 +16,7 @@ from itertools import product
 from typing import Any
 
 from .poly import Poly
-from .solver import SymmetryBasis, fit_time_template
+from .solver import SymmetryBasis, _time_poly, _time_terms
 from .tensors import Connection, CurvatureField, TensorField
 
 SCHEMA = "ncw-report/1"
@@ -93,20 +93,29 @@ def index_entries(field: TensorField | Connection | CurvatureField) -> list[dict
 
 
 def generator_label(x: TensorField) -> str:
-    """Best-effort template tag for a symmetry field; raw on no fit."""
-    timed = fit_time_template(x)
-    if timed is None:
+    """Best-effort template tag for a symmetry field; raw on no fit.
+
+    Read off the one-walk template reading: an affine field, constant omega
+    and rho = beta t + sigma, is tagged from its scalars, and only another
+    builds Polys of t."""
+    read = _time_terms(x)
+    if read is None:
         return "raw"
-    affine = timed.affine()
-    rotations = (timed if affine is None else affine).omega
-    parts = [(f"rotation[{a},{b}]", w) for (a, b), w in sorted(rotations.items())]
-    if affine is None:
-        parts += [(f"translation[{i}]", r) for i, r in enumerate(timed.rho, start=1)]
+    tau, omega, rho = read
+    # the reader keeps only nonzero dicts and coefficients, so no part is zero
+    rotations = [(f"rotation[{a},{b}]", w) for (a, b), w in sorted(omega.items()) if a < b]
+    rhos = sorted(rho.items())
+    if all(w.keys() <= {0} for _, w in rotations) and all(r.keys() <= {0, 1} for _, r in rhos):
+        parts = [(tag, w[0]) for tag, w in rotations]
+        parts += [(f"boost[{i}]", r[1]) for i, r in rhos if 1 in r]
+        parts += [(f"translation[{i}]", r[0]) for i, r in rhos if 0 in r]
     else:
-        parts += [(f"boost[{i}]", v) for i, v in enumerate(affine.beta, start=1)]
-        parts += [(f"translation[{i}]", v) for i, v in enumerate(affine.sigma, start=1)]
-    parts.append(("time-translation", timed.tau))
-    return " + ".join(_part(tag, v) for tag, v in parts if v) or "zero"
+        dim = x.dimension
+        parts = [(tag, _time_poly(dim, w)) for tag, w in rotations]
+        parts += [(f"translation[{i}]", _time_poly(dim, r)) for i, r in rhos]
+    if tau:
+        parts.append(("time-translation", tau))
+    return " + ".join(_part(tag, v) for tag, v in parts) or "zero"
 
 
 def _part(tag: str, coeff: Poly | Fraction | int) -> str:

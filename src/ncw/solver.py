@@ -237,9 +237,17 @@ def _form_rows(blocks: Sequence[dict]) -> dict[tuple, object]:
 def _kernel(rows: dict[tuple, dict[int, Scalar]], ncols: int) -> list[SparseRow]:
     """Canonical kernel of a stage's rows over ncols unknowns."""
     elim = SparseEliminator(ncols)
-    # one-entry rows first: every later row sees all their known-zero columns
-    for key in sorted(rows, key=lambda k: (len(rows[k]) > 1, k)):
-        elim.add_row(rows[key])
+    # one-entry rows first, so that every later row sees all their
+    # known-zero columns, then the others in stage order; the reduced
+    # echelon form is unique, so no sort is needed
+    longer = []
+    for row in rows.values():
+        if len(row) > 1:
+            longer.append(row)
+        else:
+            elim.add_row(row)
+    for row in longer:
+        elim.add_row(row)
     return elim.kernel()
 
 
@@ -289,7 +297,9 @@ def solve_symmetries(
         for col, coeff in vec.items():
             comp, j = divmod(col, len(monos))
             terms[comp][monos[j]] = coeff
-        fields.append(vector(dim, [Poly(dim, t) for t in terms]))
+        # kernel entries are canonical and nonzero, on in-range columns
+        entries = {(a,): Poly._raw(dim, t) for a, t in enumerate(terms) if t}
+        fields.append(TensorField._raw(dim, 1, 0, entries))
     return SymmetryBasis(s, fl, d, tuple(fields))
 
 
@@ -434,41 +444,63 @@ class TimeCoefficientTemplate:
         return AffineTemplate(self.n, omega, beta, sigma, self.tau)
 
 
-def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
-    """Exact template fit; None when the field does not have the shape.
-
-    One pass over the field's terms sorts each into omega^A_B or rho^A as
-    {t-exponent: coefficient}; antisymmetry is checked on those, so Polys
-    are built only for the result."""
+def _time_terms(
+    x: TensorField,
+) -> tuple[Scalar, dict[tuple[int, int], dict[int, Scalar]], dict[int, dict[int, Scalar]]] | None:
+    """The template reading of a vector field in one walk over its entries:
+    tau, omega^A_B keyed (A, B) and rho^A keyed A, each of omega and rho as
+    {t-exponent: coefficient} with only nonzero entries kept; None when the
+    field does not have the shape.  Antisymmetry is checked on the dicts."""
+    if (x.p, x.q) != (1, 0):
+        raise ValueError(f"a time template needs a vector field, not a ({x.p},{x.q}) field")
     dim = x.dimension
     origin = (0,) * dim
-    x0 = x.comp(0).terms
-    if any(e != origin for e in x0):
-        return None
+    tau: Scalar = 0
     omega: dict[tuple[int, int], dict[int, Scalar]] = {}
     rho: dict[int, dict[int, Scalar]] = {}
-    for a in range(1, dim):
-        for exps, coeff in x.comp(a).terms.items():
-            spatial = [b for b in range(1, dim) if exps[b]]
+    for (a,), comp in x.nonzero.items():
+        if not a:
+            # a nonzero constant has the one term at the origin
+            tau = comp.terms.get(origin, 0)
+            if not tau or len(comp.terms) > 1:
+                return None
+            continue
+        for exps, coeff in comp.terms.items():
+            t = exps[0]
+            spatial = sum(exps) - t  # the degree in x^1 .. x^n
             if not spatial:
-                rho.setdefault(a, {})[exps[0]] = coeff
-            elif len(spatial) == 1 and exps[spatial[0]] == 1:
-                omega.setdefault((a, spatial[0]), {})[exps[0]] = coeff
+                rho.setdefault(a, {})[t] = coeff
+            elif spatial == 1:
+                omega.setdefault((a, exps.index(1, 1)), {})[t] = coeff
             else:
                 return None
     # omega^B_A = -omega^A_B; a diagonal entry fails, as w == -w only for w = 0
     if any(omega.get((b, a)) != {e: -c for e, c in w.items()} for (a, b), w in omega.items()):
         return None
+    return tau, omega, rho
 
-    def time_poly(coeffs: dict[int, Scalar]) -> Poly:
-        # canonical nonzero coefficients of the field, on distinct t-powers
-        return Poly._raw(dim, {(e,) + origin[1:]: c for e, c in coeffs.items()})
 
+def _time_poly(dim: int, coeffs: dict[int, Scalar]) -> Poly:
+    """The Poly of t of a {t-exponent: coefficient} reading."""
+    # canonical nonzero coefficients of the field, on distinct t-powers
+    rest = (0,) * (dim - 1)
+    return Poly._raw(dim, {(e,) + rest: c for e, c in coeffs.items()})
+
+
+def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
+    """Exact template fit; None when the field does not have the shape.
+
+    Polys are built only for the result, from the one-walk reading."""
+    read = _time_terms(x)
+    if read is None:
+        return None
+    tau, omega, rho = read
+    dim = x.dimension
     return TimeCoefficientTemplate(
         dim - 1,
-        {(a, b): time_poly(omega.get((a, b), {})) for a, b in combinations(range(1, dim), 2)},
-        tuple(time_poly(rho.get(a, {})) for a in range(1, dim)),
-        x0.get(origin, 0),
+        {(a, b): _time_poly(dim, omega.get((a, b), {})) for a, b in combinations(range(1, dim), 2)},
+        tuple(_time_poly(dim, rho.get(a, {})) for a in range(1, dim)),
+        tau,
     )
 
 

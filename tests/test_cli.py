@@ -384,10 +384,11 @@ class TestConnectionAndCurvature:
         assert len(shapes) == 1
 
     def test_each_label_fits_its_template_once(self, capsys, monkeypatch, flat2):
+        # the label and fit_time_template share one reader of the field
         import ncw.report
         import ncw.solver
 
-        fitted = [counting(monkeypatch, m, "fit_time_template") for m in (ncw.report, ncw.solver)]
+        fitted = [counting(monkeypatch, m, "_time_terms") for m in (ncw.report, ncw.solver)]
         code, out, _ = run(
             capsys, "solve", "--input", flat2, "--flavor", "cor", "--degree", "3",
             "--format", "json",

@@ -394,6 +394,27 @@ class TestEliminatorShapes:
             vectors = list(elim.reduced_rows().values()) + elim.kernel()
             assert all(is_canonical(v) for vec in vectors for v in vec.values())
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_integer_pivots_give_the_nullspace_in_canonical_entries(self, data):
+        # a multi-entry int row led by p != +-1 is divided in ints where p
+        # divides an entry and into a Fraction where it does not
+        sympy = pytest.importorskip("sympy")
+        cols = data.draw(st.integers(2, 7))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 2 * cols))):
+            picked = sorted(data.draw(st.sets(st.integers(0, cols - 1), min_size=2, max_size=4)))
+            row = {c: data.draw(st.integers(-6, 6).filter(bool)) for c in picked}
+            row[picked[0]] = data.draw(st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6]))
+            rows.append(row)
+        elim = SparseEliminator(cols)
+        for row in rows:
+            elim.add_row(row)
+            assert all(is_canonical(v) for r in elim.pivot_rows.values() for v in r.values())
+        assert_matches_sympy(sympy, rows, cols, elim)
+        vectors = list(elim.reduced_rows().values()) + elim.kernel()
+        assert all(is_canonical(v) for vec in vectors for v in vec.values())
+
     def test_integer_rows_stay_exact(self):
         assert sparse_kernel([{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]
         particular, kernel = sparse_solve([{0: 3, 1: 1}], [1], 2)

@@ -57,6 +57,7 @@ from ncw.tensors import (
     TensorField,
     lie_derivative,
     lie_derivative_connection,
+    one_form,
     raise_connection_transport,
     vector,
     vector_bracket,
@@ -773,14 +774,16 @@ def test_kernel_does_not_depend_on_row_order(text, flavor):
     def orders(rows):
         shuffled = sorted(rows)
         random.Random(5).shuffle(shuffled)
-        return [sorted(rows, key=lambda k: (len(rows[k]) > 1, k)), sorted(rows), shuffled]
+        # the solver's feed: one-entry rows first, then the others in stage order
+        feed = [k for k in rows if len(rows[k]) == 1] + [k for k in rows if len(rows[k]) > 1]
+        return [sorted(rows, key=lambda k: (len(rows[k]) > 1, k)), sorted(rows), shuffled, feed]
 
     metric = _metric_pair_rows(s, monos)
     kernels = [kernel_in_order(metric, order, ncols) for order in orders(metric)]
-    assert kernels[0] == kernels[1] == kernels[2]
+    assert all(kernel == kernels[0] for kernel in kernels[1:])
     rows = _connection_rows(s, flavor, kernels[0], monos)
     coords = [kernel_in_order(rows, order, len(kernels[0])) for order in orders(rows)]
-    assert coords[0] == coords[1] == coords[2]
+    assert all(coord == coords[0] for coord in coords[1:])
     basis = solve_symmetries(s, flavor, 3)
     assert len(coords[0]) == basis.dimension
     joint = rows_column_by_column(s, flavor, monos)
@@ -1117,3 +1120,19 @@ def test_one_pass_fit_matches_the_reference(drawn):
             x.comp(a) for a in range(x.dimension)
         ]
         assert fit_time_template(built) == template
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        one_form(2, [Poly.zero(2), Poly.const(2, 1)]),
+        TensorField(2, 2, 0, {(0, 1): Poly.const(2, 1)}),
+    ],
+    ids=["constant-one-form", "two-zero-tensor"],
+)
+def test_template_fits_refuse_fields_that_are_not_vectors(field):
+    # a constant 1-form is not a translation, and a (2,0) tensor has no
+    # component X^a to read
+    for fit in (fit_time_template, fit_affine_template, generator_label):
+        with pytest.raises(ValueError, match="needs a vector field"):
+            fit(field)

@@ -648,12 +648,17 @@ def test_chained_solve_matches_the_joint_sympy_nullspace(case, flavor, degree):
 @st.composite
 def scalar_matrices(draw):
     """A square matrix with n = 1..5 of ints, or of ints and Fractions, made
-    singular by a repeated or a zero row one time in three."""
+    singular by a repeated or a zero row one time in three; or, one time in
+    three, the identity or a diagonal matrix of such entries."""
     n = draw(st.integers(1, 5))
     ints = st.integers(-4, 4)
     entries = ints if draw(st.booleans()) else st.one_of(
         ints, st.fractions(min_value=-4, max_value=4, max_denominator=5)
     )
+    shape = draw(st.sampled_from(["full"] * 4 + ["diagonal", "identity"]))
+    if shape != "full":
+        diagonal = draw(st.lists(entries, min_size=n, max_size=n)) if shape == "diagonal" else [1] * n
+        return [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     if n > 1 and draw(st.integers(0, 2)) == 0:
         i, j = draw(st.permutations(range(n)))[:2]
