@@ -35,9 +35,9 @@ from .poly import Poly, _exact, _q, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
-    TimeCoefficientTemplate,
+    _time_poly,
+    _time_terms,
     classify,
-    fit_time_template,
     solve_symmetries,
     structure_constants,
 )
@@ -47,6 +47,7 @@ from .tensors import (
     apply_metric,
     gradient,
     pairing,
+    vector,
     vector_bracket,
 )
 
@@ -68,6 +69,8 @@ class ExtendedElement:
     f: Poly
 
     def __post_init__(self):
+        if not isinstance(self.f, Poly):
+            raise TypeError(f"{self.f!r} is not a Poly")
         if (self.x.p, self.x.q) != (1, 0):
             raise ValueError("extended element needs a vector field")
         if self.x.dimension != self.f.dimension:
@@ -458,6 +461,12 @@ def coboundary_from_functional(
 
 # ----------------------------------------------------------------------
 # parameter presentations
+#
+# Two presentations of the template tau d_t + (omega^A_B x^B + rho^A) d_A
+# with constant omega: BargmannElement (rho = beta t + sigma, constant
+# parameter) and MilneStandardElement (rho and the parameter functions of
+# time).  Each builds its field through _template_field and is refit from a
+# field through solver._time_terms, the one reading of the template.
 
 def _rotation_block(omega: Sequence[Sequence[Fraction]], n: int) -> tuple:
     """omega with canonical entries; a block that is not an antisymmetric
@@ -484,19 +493,42 @@ def _rotation_rows(n: int, entries: dict[tuple[int, int], Fraction]) -> tuple:
 def _template_field(
     omega: Sequence[Sequence[Fraction]], rho: Sequence[Poly], tau: Fraction
 ) -> TensorField:
-    """tau d_t + (omega^A_B x^B + rho^A) d_A for a constant rotation block."""
+    """tau d_t + (omega^A_B x^B + rho^A) d_A for a constant rotation block
+    and time-only rho, built from the block's rows: the field that
+    solver._time_terms reads back."""
     dim = len(rho) + 1
-    rotation = {
-        (a, b): Poly.const(dim, omega[a - 1][b - 1]) for a, b in combinations(range(1, dim), 2)
-    }
-    return TimeCoefficientTemplate(dim - 1, rotation, tuple(rho), tau).to_field()
+    units = [tuple(int(i == b) for i in range(dim)) for b in range(1, dim)]
+    comps = [Poly.const(dim, tau)]
+    for row, r in zip(omega, rho):
+        # omega x is linear in space and rho constant in it: no term is shared
+        comps.append(Poly._raw(dim, r.terms | {u: w for u, w in zip(units, row) if w}))
+    return vector(dim, comps)
+
+
+def _constant_rotation(e: ExtendedElement) -> tuple[tuple, list[dict], Fraction]:
+    """The reading of e's field by solver._time_terms with a constant
+    rotation part: the n x n rotation rows, rho^1 .. rho^n each as
+    {t-exponent: coefficient}, and tau; ExtensionError off that shape."""
+    read = _time_terms(e.x)
+    if read is None:
+        raise ExtensionError("field does not match the standard-case template")
+    tau, omega, rho = read
+    if any(w.keys() != {0} for w in omega.values()):
+        raise ExtensionError("rotation part is not constant")
+    n = e.x.dimension - 1
+    rows = [[0] * n for _ in range(n)]
+    # the reading holds both omega^A_B and omega^B_A
+    for (a, b), w in omega.items():
+        rows[a - 1][b - 1] = w[0]
+    return tuple(map(tuple, rows)), [rho.get(a, {}) for a in range(1, n + 1)], tau
 
 
 @dataclass(frozen=True)
 class BargmannElement:
     """Flat-structure full-stabilizer element by parameters: rotation block,
     boost and translation vectors, time translation, central charge.  Every
-    entry is taken only as an int or a Fraction and kept canonical."""
+    entry is taken only as an int or a Fraction and kept canonical.  The
+    inverse of to_field is bargmann_from_field."""
 
     omega: tuple[tuple[Fraction, ...], ...]
     beta: tuple[Fraction, ...]
@@ -519,8 +551,11 @@ class BargmannElement:
 
     @classmethod
     def make(cls, n, omega=None, beta=None, sigma=None, tau=0, xi=0) -> "BargmannElement":
-        """An element from 1-based parameter entries, zero elsewhere; a key
-        with an index outside 1..n is refused."""
+        """An element from 1-based parameter entries, zero elsewhere; an n
+        that is not a non-negative int, or a key with an index outside 1..n,
+        is refused."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"dimension {n!r} is not a non-negative int")
 
         def checked(key, *indices):
             if not all(type(a) is int and 1 <= a <= n for a in indices):
@@ -579,7 +614,8 @@ class MilneStandardElement:
     """Standard-case observer-stabilizer element: constant rotation block,
     time-dependent translation, time translation, time-function parameter.
     omega and tau are taken only as ints and Fractions and kept canonical;
-    rho and xi only as Polys."""
+    rho and xi only as Polys of dimension n + 1.  The inverse of
+    to_extended is milne_standard_from_field."""
 
     omega: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Poly, ...]  # functions of time only
@@ -590,6 +626,8 @@ class MilneStandardElement:
         for p in (*self.rho, self.xi):
             if not isinstance(p, Poly):
                 raise TypeError(f"{p!r} is not a Poly")
+        if any(p.dimension != self.n + 1 for p in (*self.rho, self.xi)):
+            raise ValueError(f"translation and parameter must have dimension {self.n + 1}")
         object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
         object.__setattr__(self, "tau", _exact(self.tau))
         for r in self.rho:
@@ -611,10 +649,20 @@ class MilneStandardElement:
 
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
-    fit = fit_time_template(e.x)
-    if fit is None:
-        raise ExtensionError("field does not match the standard-case template")
-    omega = fit.constant_omega()
-    if omega is None:
-        raise ExtensionError("rotation part is not constant")
-    return MilneStandardElement(_rotation_rows(fit.n, omega), fit.rho, fit.tau, e.f)
+    omega, rho, tau = _constant_rotation(e)
+    dim = e.x.dimension
+    return MilneStandardElement(omega, tuple(_time_poly(dim, r) for r in rho), tau, e.f)
+
+
+def bargmann_from_field(e: ExtendedElement) -> BargmannElement:
+    """Exact refit of an extended element of the flat structure to its
+    Bargmann parameters: rho = beta t + sigma and a constant parameter."""
+    omega, rho, tau = _constant_rotation(e)
+    if any(r.keys() - {0, 1} for r in rho):
+        raise ExtensionError("translation part is not affine in time")
+    origin = (0,) * e.x.dimension
+    if e.f.terms.keys() - {origin}:
+        raise ExtensionError("parameter is not constant")
+    beta = tuple(r.get(1, 0) for r in rho)
+    sigma = tuple(r.get(0, 0) for r in rho)
+    return BargmannElement(omega, beta, sigma, tau, e.f.terms.get(origin, 0))

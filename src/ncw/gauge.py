@@ -57,6 +57,8 @@ class GaugeElement:
     f: Poly
 
     def __post_init__(self):
+        if not isinstance(self.f, Poly):
+            raise TypeError(f"{self.f!r} is not a Poly")
         if (self.x.p, self.x.q) != (1, 0):
             raise ValueError("X must be a vector field")
         if (self.psi.p, self.psi.q) != (0, 1):

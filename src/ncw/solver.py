@@ -401,48 +401,13 @@ def structure_constants(
 
 # ----------------------------------------------------------------------
 # solution templates
-
-@dataclass(frozen=True)
-class TimeCoefficientTemplate:
-    """X^0 = tau; X^A = omega(t)^A_B x^B + rho(t)^A with omega antisymmetric.
-
-    The shape of every metric-pair-preserving field of the standard
-    structures; milne solutions additionally have constant omega.
-    """
-
-    n: int
-    omega: dict[tuple[int, int], Poly]  # keys (a, b) with 1 <= a < b <= n
-    rho: tuple[Poly, ...]
-    tau: Scalar
-
-    def to_field(self) -> TensorField:
-        """The field tau d_t + (omega^A_B x^B + rho^A) d_A itself."""
-        dim = self.n + 1
-        comps = [Poly.const(dim, self.tau), *self.rho]
-        for (a, b), w in self.omega.items():
-            comps[a] = comps[a] + w * Poly.variable(dim, b)
-            comps[b] = comps[b] - w * Poly.variable(dim, a)
-        return vector(dim, comps)
-
-    def constant_omega(self) -> dict[tuple[int, int], Scalar] | None:
-        """The values of a constant omega, keyed like omega; None when some
-        entry depends on time."""
-        origin = (0,) * (self.n + 1)
-        if any(e != origin for w in self.omega.values() for e in w.terms):
-            return None
-        return {key: w.terms.get(origin, 0) for key, w in self.omega.items()}
-
-    def affine(self) -> AffineTemplate | None:
-        """The reading with constant omega and rho = beta t + sigma; None
-        when the template is not affine."""
-        omega = self.constant_omega()
-        t, origin = (1,) + (0,) * self.n, (0,) * (self.n + 1)
-        if omega is None or any(e != t and e != origin for r in self.rho for e in r.terms):
-            return None
-        beta = tuple(r.terms.get(t, 0) for r in self.rho)
-        sigma = tuple(r.terms.get(origin, 0) for r in self.rho)
-        return AffineTemplate(self.n, omega, beta, sigma, self.tau)
-
+#
+# X^0 = tau; X^A = omega(t)^A_B x^B + rho(t)^A with omega antisymmetric: the
+# shape of every metric-pair-preserving field of the standard structures,
+# with constant omega for milne fields.  _time_terms is the one reading of
+# it: report.generator_label tags a field from it, and the two parameter
+# presentations in extensions, BargmannElement and MilneStandardElement,
+# refit a field through it.
 
 def _time_terms(
     x: TensorField,
@@ -485,37 +450,3 @@ def _time_poly(dim: int, coeffs: dict[int, Scalar]) -> Poly:
     # canonical nonzero coefficients of the field, on distinct t-powers
     rest = (0,) * (dim - 1)
     return Poly._raw(dim, {(e,) + rest: c for e, c in coeffs.items()})
-
-
-def fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
-    """Exact template fit; None when the field does not have the shape.
-
-    Polys are built only for the result, from the one-walk reading."""
-    read = _time_terms(x)
-    if read is None:
-        return None
-    tau, omega, rho = read
-    dim = x.dimension
-    return TimeCoefficientTemplate(
-        dim - 1,
-        {(a, b): _time_poly(dim, omega.get((a, b), {})) for a, b in combinations(range(1, dim), 2)},
-        tuple(_time_poly(dim, rho.get(a, {})) for a in range(1, dim)),
-        tau,
-    )
-
-
-@dataclass(frozen=True)
-class AffineTemplate:
-    """X^0 = tau; X^A = omega^A_B x^B + beta^A t + sigma^A, omega constant
-    antisymmetric: the affine symmetry fields of the flat structure."""
-
-    n: int
-    omega: dict[tuple[int, int], Scalar]
-    beta: tuple[Scalar, ...]
-    sigma: tuple[Scalar, ...]
-    tau: Scalar
-
-
-def fit_affine_template(x: TensorField) -> AffineTemplate | None:
-    fit = fit_time_template(x)
-    return None if fit is None else fit.affine()

@@ -384,7 +384,7 @@ class TestConnectionAndCurvature:
         assert len(shapes) == 1
 
     def test_each_label_fits_its_template_once(self, capsys, monkeypatch, flat2):
-        # the label and fit_time_template share one reader of the field
+        # each label reads its field once, through solver._time_terms
         import ncw.report
         import ncw.solver
 

@@ -8,9 +8,18 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncw.extensions
-from helpers import basis_vector, counting, is_canonical, random_poly, var
+from helpers import (
+    basis_vector,
+    counting,
+    is_canonical,
+    nonzero_coefficients,
+    random_poly,
+    var,
+)
 from ncw.extensions import (
     BargmannElement,
     CocycleError,
@@ -27,6 +36,7 @@ from ncw.extensions import (
     extend,
     gal_extension_cocycle,
     galilei_f_solve,
+    bargmann_from_field,
     milne_f_split,
     milne_standard_from_field,
     noncentrality_check,
@@ -36,7 +46,6 @@ from ncw.poly import Poly
 from ncw.solver import (
     NotInFlavorError,
     SymmetryBasis,
-    fit_affine_template,
     solve_symmetries,
 )
 from ncw.structures import flat_structure, standard_structure
@@ -103,6 +112,12 @@ def mk_milne(n, omega=None, rho=None, tau=0, xi=None):
         Fraction(tau),
         xi if xi is not None else Poly.zero(dim),
     )
+
+
+@pytest.mark.parametrize("f", [0, Fraction(1, 2), "t"], ids=["int", "fraction", "str"])
+def test_extended_element_refuses_a_parameter_that_is_not_a_poly(f):
+    with pytest.raises(TypeError, match=f"^{re.escape(repr(f))} is not a Poly$"):
+        ExtendedElement(basis_vector(3, 0), f)
 
 
 class TestBoostForCoriolis:
@@ -253,6 +268,12 @@ class TestExtendedMilne:
         message = "is not a Poly" if field in ("rho", "xi") else "not an int or a Fraction"
         with pytest.raises(TypeError, match=message):
             MilneStandardElement(**fields)
+
+    def test_polys_of_another_dimension_are_refused(self):
+        # n = 2 takes Polys of dimension 3
+        for rho, xi in [((Poly.zero(5), Poly.zero(5)), Poly.zero(5)), ((var(3, 0), var(3, 0)), var(2, 0))]:
+            with pytest.raises(ValueError, match="must have dimension 3$"):
+                MilneStandardElement(((0, 1), (-1, 0)), rho, 0, xi)
 
     def test_matches_parameter_oracle_on_examples(self):
         s = flat_structure(2)
@@ -650,6 +671,11 @@ class TestBargmann:
         with pytest.raises(ValueError, match=re.escape(f"parameter key {key!r} is outside 1..2")):
             BargmannElement.make(2, **{param: entries})
 
+    @pytest.mark.parametrize("n", [-1, True, 2.0, "2"], ids=["negative", "bool", "float", "str"])
+    def test_dimension_that_is_not_a_non_negative_int_is_refused(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"dimension {n!r} is not a non-negative int")):
+            BargmannElement.make(n)
+
     def test_exact_parameters_are_kept_canonical(self):
         b = BargmannElement.make(
             2, omega={(1, 2): Fraction(4, 2)}, beta={1: Fraction(1, 3)}, tau=3, xi=Fraction(1, 2)
@@ -705,13 +731,8 @@ class TestBargmann:
                 ExtendedElement(b2.to_field(), Poly.const(3, b2.xi)),
                 s,
             )
-            fit = fit_affine_template(generic.x)
-            assert fit is not None
-            assert fit.tau == direct.tau
-            assert fit.beta == direct.beta
-            assert fit.sigma == direct.sigma
-            assert fit.omega.get((1, 2), Fraction(0)) == direct.omega[0][1]
-            assert generic.f == Poly.const(3, direct.xi)
+            # tau, beta, sigma, omega and xi at once
+            assert bargmann_from_field(generic) == direct
 
     def test_jacobi_random(self):
         rng = random.Random(46)
@@ -747,6 +768,79 @@ class TestBargmann:
             assert all(v == 0 for v in totals.beta)
             assert all(v == 0 for v in totals.sigma)
             assert totals.tau == 0 and totals.xi == 0
+
+
+# ----------------------------------------------------------------------
+# the two parameter presentations and their refits
+
+COEFFICIENTS = st.one_of(st.just(0), nonzero_coefficients())
+
+
+@st.composite
+def bargmann_elements(draw, min_n=0):
+    n = draw(st.integers(min_n, 3))
+    vectors = [dict(enumerate(draw(st.lists(COEFFICIENTS, min_size=n, max_size=n)), 1)) for _ in "bs"]
+    return BargmannElement.make(
+        n,
+        {key: draw(COEFFICIENTS) for key in combinations(range(1, n + 1), 2)},
+        *vectors,
+        draw(COEFFICIENTS),
+        draw(COEFFICIENTS),
+    )
+
+
+@st.composite
+def milne_elements(draw):
+    """A rotation block and time translation as drawn for a BargmannElement,
+    with rho and xi polynomials of t of degree up to 2."""
+    b = draw(bargmann_elements())
+    t = var(b.n + 1, 0)
+
+    def time_poly():
+        coeffs = draw(st.lists(COEFFICIENTS, max_size=3))
+        return sum((c * t**k for k, c in enumerate(coeffs)), Poly.zero(b.n + 1))
+
+    return MilneStandardElement(b.omega, tuple(time_poly() for _ in range(b.n)), b.tau, time_poly())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bargmann_elements(), milne_elements())
+def test_parameter_presentations_round_trip(b, m):
+    assert bargmann_from_field(ExtendedElement(b.to_field(), Poly.const(b.n + 1, b.xi))) == b
+    assert milne_standard_from_field(m.to_extended()) == m
+
+
+NEAR_MISSES = {
+    "time-dependent rotation": "rotation part is not constant",
+    "quadratic translation": "translation part is not affine in time",
+    "non-constant parameter": "parameter is not constant",
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(bargmann_elements(min_n=2), st.sampled_from(sorted(NEAR_MISSES)), nonzero_coefficients())
+def test_parameter_refits_refuse_a_near_miss(b, miss, c):
+    """One term off the Bargmann shape; only a time-dependent rotation is off
+    the standard-case shape too."""
+    dim = b.n + 1
+    t, x1, x2 = var(dim, 0), var(dim, 1), var(dim, 2)
+    comps = [b.to_field().comp(a) for a in range(dim)]
+    f = Poly.const(dim, b.xi)
+    if miss == "time-dependent rotation":
+        comps[1] += c * t * x2
+        comps[2] -= c * t * x1
+    elif miss == "quadratic translation":
+        comps[1] += c * t**2
+    else:
+        f += c * t
+    e = ExtendedElement(vector(dim, comps), f)
+    with pytest.raises(ExtensionError, match=NEAR_MISSES[miss]):
+        bargmann_from_field(e)
+    if miss == "time-dependent rotation":
+        with pytest.raises(ExtensionError, match=NEAR_MISSES[miss]):
+            milne_standard_from_field(e)
+    else:
+        assert milne_standard_from_field(e).to_extended() == e
 
 
 class TestCocycles:

@@ -2,6 +2,7 @@
 finite action, and invariance of the induced Newton-Cartan data."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,12 @@ def random_gauge_element(rng, dim, degree=2):
 
 
 class TestInfinitesimal:
+    @pytest.mark.parametrize("f", [0, Fraction(1, 2), "t"], ids=["int", "fraction", "str"])
+    def test_a_parameter_that_is_not_a_poly_is_refused(self, f):
+        zero = GaugeElement.zero(3)
+        with pytest.raises(TypeError, match=f"^{re.escape(repr(f))} is not a Poly$"):
+            GaugeElement(zero.x, zero.psi, f)
+
     def test_zero_element(self):
         s = standard_structure(2, var(3, 1) ** 2)
         assert infinitesimal_gauge(s, GaugeElement.zero(3)).is_zero

@@ -5,6 +5,7 @@ import copy
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,25 +22,30 @@ from helpers import (
     shaped_polys,
     var,
 )
+from ncw.extensions import (
+    BargmannElement,
+    ExtendedElement,
+    ExtensionError,
+    MilneStandardElement,
+    bargmann_from_field,
+    milne_standard_from_field,
+)
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly, _q
 from ncw.dsl import build_structure, parse_structure
 from ncw.report import generator_label
 from ncw.solver import (
     FLAVORS,
-    AffineTemplate,
     NotInFlavorError,
     SymmetryBasis,
-    TimeCoefficientTemplate,
     _connection_rows,
     _FormPoly,
     _kernel,
     _metric_pair_rows,
     _restrict,
+    _time_terms,
     ansatz_monomials,
     classify,
-    fit_affine_template,
-    fit_time_template,
     solve_symmetries,
     structure_constants,
     verify_coriolis_identity,
@@ -131,7 +137,8 @@ class TestFlatDimensions:
         basis = solve_symmetries(s, "galilei", d)
         assert basis.dimension == gal_dim(n)
         for f in basis.fields:
-            assert fit_affine_template(f) is not None
+            # ExtensionError unless the field is affine
+            bargmann_from_field(ExtendedElement(f, Poly.zero(n + 1)))
 
     def test_galilei_degree_two_stays_affine(self, ):
         s = flat_structure(2).induced_nc()
@@ -151,17 +158,15 @@ class TestStandardStructure:
             basis = solve_symmetries(s, "milne", 2)
             assert basis.dimension == mil_dim(2, 2)
             for f in basis.fields:
-                fit = fit_time_template(f)
-                assert fit is not None
-                for w in fit.omega.values():
-                    assert w.depends_only_on([])  # constant rotation part
+                # ExtensionError unless the rotation part is constant
+                milne_standard_from_field(ExtendedElement(f, Poly.zero(3)))
 
     def test_coriolis_fits_time_template(self):
         s = standard_structure(2, var(3, 1) ** 2).induced_nc()
         basis = solve_symmetries(s, "coriolis", 2)
         assert basis.dimension == cor_dim(2, 2)
         for f in basis.fields:
-            assert fit_time_template(f) is not None
+            assert generator_label(f) != "raw"
 
     def test_harmonic_potential_galilei(self):
         # phi = x1^2: time translation survives, plain spatial translation
@@ -405,12 +410,9 @@ class TestStructureConstants:
         time_translation = None
         quad_boost = None
         for f in basis.fields:
-            fit = fit_time_template(f)
-            if fit is None:
-                continue
-            if f.comp(1).is_zero and f.comp(2).is_zero and fit.tau == 1:
+            if f.comp(1).is_zero and f.comp(2).is_zero and f.comp(0) == 1:
                 time_translation = f
-            if fit.tau == 0 and f.comp(2).is_zero and f.comp(1) == var(3, 0) ** 2:
+            if f.comp(0).is_zero and f.comp(2).is_zero and f.comp(1) == var(3, 0) ** 2:
                 quad_boost = f
         assert time_translation is not None and quad_boost is not None
         bracket = vector_bracket(time_translation, quad_boost)
@@ -961,12 +963,33 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
 
 
 # ----------------------------------------------------------------------
-# the one-pass template fit against the fit it replaced
+# the one-pass template reading against the fit it replaced
 
-# The fit and affine reading that the one-pass fit replaced, kept verbatim as
-# the reference: it builds a Poly for every omega^A_B and compares Polys.
+# The fit and affine reading that the one-pass reading replaced, kept as the
+# reference: it builds a Poly for every omega^A_B and compares Polys.
 
-def reference_fit_time_template(x: TensorField) -> TimeCoefficientTemplate | None:
+
+class Template(NamedTuple):
+    """X^0 = tau; X^A = omega(t)^A_B x^B + rho(t)^A, omega keyed (a, b) with
+    1 <= a < b <= n."""
+
+    n: int
+    omega: dict[tuple[int, int], Poly]
+    rho: tuple[Poly, ...]
+    tau: Fraction
+
+
+class Affine(NamedTuple):
+    """A template with constant omega and rho = beta t + sigma."""
+
+    n: int
+    omega: dict[tuple[int, int], Fraction]
+    beta: tuple[Fraction, ...]
+    sigma: tuple[Fraction, ...]
+    tau: Fraction
+
+
+def reference_time_fit(x: TensorField) -> Template | None:
     """Exact template fit; None when the field does not have the shape."""
     dim = x.dimension
     n = dim - 1
@@ -1002,10 +1025,10 @@ def reference_fit_time_template(x: TensorField) -> TimeCoefficientTemplate | Non
         for a in range(1, dim)
         for b in range(a + 1, dim)
     }
-    return TimeCoefficientTemplate(n, omega, tuple(rho), tau)
+    return Template(n, omega, tuple(rho), tau)
 
 
-def reference_affine_template(fit: TimeCoefficientTemplate) -> AffineTemplate | None:
+def reference_affine_template(fit: Template) -> Affine | None:
     """The affine form of a time-template fit; None when it is not affine."""
     dim = fit.n + 1
     omega = {}
@@ -1022,12 +1045,12 @@ def reference_affine_template(fit: TimeCoefficientTemplate) -> AffineTemplate | 
             return None
         beta.append(r.coefficient(t_unit))
         sigma.append(r.coefficient(zero))
-    return AffineTemplate(fit.n, omega, tuple(beta), tuple(sigma), fit.tau)
+    return Affine(fit.n, omega, tuple(beta), tuple(sigma), fit.tau)
 
 
 def reference_generator_label(x: TensorField) -> str:
     """Best-effort template tag for a symmetry field; raw on no fit."""
-    timed = reference_fit_time_template(x)
+    timed = reference_time_fit(x)
     if timed is None:
         return "raw"
     affine = reference_affine_template(timed)
@@ -1087,7 +1110,7 @@ def template_fields(draw):
     x = coriolis_field(n, full, rho, tau)
     miss = draw(st.sampled_from((None,) + MISSES))
     if miss is None:
-        return x, TimeCoefficientTemplate(n, omega, rho, tau)
+        return x, Template(n, omega, rho, tau)
     comps = [x.comp(a) for a in range(dim)]
     term = draw(nonzero_coefficients()) * t ** draw(st.integers(0, 2))
     # two distinct spatial axes; for n = 1 both are x1
@@ -1108,18 +1131,30 @@ def template_fields(draw):
 @given(template_fields())
 def test_one_pass_fit_matches_the_reference(drawn):
     x, template = drawn
-    fit = fit_time_template(x)
-    assert fit == reference_fit_time_template(x) == template
-    affine = None if fit is None else reference_affine_template(fit)
-    assert fit_affine_template(x) == affine
-    assert (None if fit is None else fit.affine()) == affine
+    fit = reference_time_fit(x)
+    assert fit == template
     assert generator_label(x) == reference_generator_label(x)
-    if template is not None:
-        built = template.to_field()
-        assert [built.comp(a) for a in range(x.dimension)] == [
-            x.comp(a) for a in range(x.dimension)
-        ]
-        assert fit_time_template(built) == template
+    dim = x.dimension
+    e = ExtendedElement(x, Poly.zero(dim))
+    constant = fit is not None and all(w.depends_only_on([]) for w in fit.omega.values())
+    affine = None if fit is None else reference_affine_template(fit)
+    if not constant:
+        with pytest.raises(ExtensionError):
+            milne_standard_from_field(e)
+    else:
+        rotation = {key: w.coefficient((0,) * dim) for key, w in fit.omega.items()}
+        rows = BargmannElement.make(fit.n, omega=rotation).omega
+        milne = milne_standard_from_field(e)
+        assert milne == MilneStandardElement(rows, fit.rho, fit.tau, e.f)
+        assert milne.to_field() == x
+    if affine is None:
+        with pytest.raises(ExtensionError):
+            bargmann_from_field(e)
+    else:
+        enumerated = [dict(enumerate(v, 1)) for v in (affine.beta, affine.sigma)]
+        assert bargmann_from_field(e) == BargmannElement.make(
+            affine.n, affine.omega, *enumerated, affine.tau
+        )
 
 
 @pytest.mark.parametrize(
@@ -1133,6 +1168,7 @@ def test_one_pass_fit_matches_the_reference(drawn):
 def test_template_fits_refuse_fields_that_are_not_vectors(field):
     # a constant 1-form is not a translation, and a (2,0) tensor has no
     # component X^a to read
-    for fit in (fit_time_template, fit_affine_template, generator_label):
+    # the refits read only an ExtendedElement, which refuses the field first
+    for fit in (_time_terms, generator_label, lambda f: ExtendedElement(f, Poly.zero(2))):
         with pytest.raises(ValueError, match="needs a vector field"):
             fit(field)
