@@ -69,6 +69,8 @@ class ExtendedElement:
     f: Poly
 
     def __post_init__(self):
+        if not isinstance(self.x, TensorField):
+            raise TypeError(f"{self.x!r} is not a TensorField")
         if not isinstance(self.f, Poly):
             raise TypeError(f"{self.f!r} is not a Poly")
         if (self.x.p, self.x.q) != (1, 0):
@@ -650,6 +652,8 @@ class MilneStandardElement:
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
     omega, rho, tau = _constant_rotation(e)
+    if not e.f.depends_only_on([0]):
+        raise ExtensionError("parameter must depend on time only")
     dim = e.x.dimension
     return MilneStandardElement(omega, tuple(_time_poly(dim, r) for r in rho), tau, e.f)
 

@@ -57,6 +57,9 @@ class GaugeElement:
     f: Poly
 
     def __post_init__(self):
+        for value in (self.x, self.psi):
+            if not isinstance(value, TensorField):
+                raise TypeError(f"{value!r} is not a TensorField")
         if not isinstance(self.f, Poly):
             raise TypeError(f"{self.f!r} is not a Poly")
         if (self.x.p, self.x.q) != (1, 0):
@@ -204,6 +207,13 @@ class FiniteGauge:
     scalar: Poly
 
     def __post_init__(self):
+        for value, article, kind in (
+            (self.diffeo, "an", AffineDiffeo),
+            (self.boost, "a", TensorField),
+            (self.scalar, "a", Poly),
+        ):
+            if not isinstance(value, kind):
+                raise TypeError(f"{value!r} is not {article} {kind.__name__}")
         if (self.boost.p, self.boost.q) != (0, 1):
             raise ValueError("boost must be a 1-form")
 

@@ -37,9 +37,6 @@ from .structures import NCStructure
 from .tensors import (
     Connection,
     TensorField,
-    _lie,
-    _lie_connection,
-    _nonzero,
     lie_derivative,
     lie_derivative_connection,
     raise_connection_transport,
@@ -197,12 +194,14 @@ def _metric_pair_rows(
     """Stage one: L_X gamma and L_X theta on the generic field over the full
     ansatz, X^c = sum_j u_{c,j} m_j with u_{c,j} in column c * len(monos) + j.
     Each (block, index, monomial) term of the result is one row, keyed so.
-    L_X gamma is symmetric, as gamma is, so its rows come from one triangle,
-    a <= b."""
+    L_X gamma is symmetric, as gamma is: lie_derivative computes one
+    triangle, a <= b, and mirrors it, and the rows come from that triangle."""
     g = s.base
     units = [{i: 1} for i in range(g.dimension * len(monos))]
     x = _generic_field(g.dimension, monos, units)
-    return _form_rows([_lie(x, g.gamma, symmetric=True), _lie(x, g.theta)])
+    return _form_rows(
+        [_triangle(lie_derivative(x, g.gamma)), lie_derivative(x, g.theta).nonzero]
+    )
 
 
 def _connection_rows(
@@ -211,15 +210,18 @@ def _connection_rows(
     """Stage two: the flavor's connection condition on Y = sum_i y_i k_i over
     the Coriolis kernel vectors k_i, with y_i in column i, keyed like stage
     one's rows with block 0.  The lower pair of L_Y G is symmetric, so the
-    galilei rows come from one triangle, a <= b; the raised milne transport
-    is not, and keeps every entry."""
-    dim = s.base.dimension
-    y = _generic_field(dim, monos, kernel)
-    block = _lie_connection(y, s.connection, symmetric=flavor == "galilei")
+    galilei rows come from the triangle, a <= b, that lie_derivative_connection
+    computes; the raised milne transport is not, and is raised from all of it."""
+    y = _generic_field(s.base.dimension, monos, kernel)
+    transport = lie_derivative_connection(y, s.connection)
     if flavor == "milne":
-        field = TensorField._raw(dim, 1, 2, _nonzero(block))
-        block = raise_connection_transport(field, s.base.gamma, 1).nonzero
-    return _form_rows([block])
+        return _form_rows([raise_connection_transport(transport, s.base.gamma, 1).nonzero])
+    return _form_rows([_triangle(transport)])
+
+
+def _triangle(t: TensorField) -> dict:
+    """The entries of t with key[-2] <= key[-1]."""
+    return {key: v for key, v in t.nonzero.items() if key[-2] <= key[-1]}
 
 
 def _form_rows(blocks: Sequence[dict]) -> dict[tuple, object]:

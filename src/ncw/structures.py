@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
@@ -33,8 +32,6 @@ from .tensors import (
     Connection,
     TensorField,
     _add,
-    _asymmetry,
-    _covariant,
     _einsum,
     _neg,
     apply_metric,
@@ -90,7 +87,7 @@ class GalileiStructure:
             raise StructureError("gamma must be a (2,0) tensor of matching dimension")
         if (self.theta.p, self.theta.q) != (0, 1) or self.theta.dimension != dim:
             raise StructureError("theta must be a 1-form of matching dimension")
-        if asymmetry := _asymmetry(self.gamma.nonzero, itemgetter(1, 0)):
+        if asymmetry := self.gamma._pair_asymmetry:
             raise StructureError("gamma not symmetric at ({},{})".format(*asymmetry))
         kernel = _einsum("ak,k->a", self.gamma, self.theta)
         if kernel:
@@ -265,11 +262,9 @@ class NCStructure:
 
     def validate(self) -> None:
         self.base.validate()
-        # gamma is symmetric (checked just now), and so is D gamma: one triangle
-        if any(_covariant(self.connection, self.base.gamma, symmetric=True).values()):
-            raise StructureError("connection does not parallelize gamma")
-        if not covariant_derivative(self.connection, self.base.theta).is_zero:
-            raise StructureError("connection does not parallelize theta")
+        for name in ("gamma", "theta"):
+            if not covariant_derivative(self.connection, getattr(self.base, name)).is_zero:
+                raise StructureError(f"connection does not parallelize {name}")
         ok, witness = check_newtonian(curvature(self.connection), self.base.gamma)
         if not ok:
             raise StructureError(

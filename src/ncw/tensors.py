@@ -38,15 +38,17 @@ derivative.  The derivative term is one walk of the field's cached
 ``derivative``, for X^k d_k T (or d_c T).  The action groups its matrix
 once by the index a slot is summed against, then walks the field's entries
 once, every slot swapped through the group of the index it holds.
-``lie_derivative_connection`` is the Lie walk (``_lie``) on the symbols'
-(1,2) view ``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b
-X^c.  Of a result symmetric in its last two indices (L_X gamma, the lower
-pair of L_X G, D gamma), the private ``_lie``, ``_lie_connection`` and
-``_covariant`` can keep one triangle, key[-2] <= key[-1]: the walks skip
-every other key before taking its product.  ``curvature`` sums S, symmetric
-in (b, c), once per b <= c.  ``pairing`` and ``directional`` share one
-sparse dot product, ``_dot``; symmetry checks compare each entry with its
-mirror, ``_asymmetry``.
+``lie_derivative_connection`` is ``lie_derivative`` of the symbols' (1,2)
+view ``Connection.as_field``, comp(c, a, b) = G_ab^c, plus d_a d_b X^c.  Of
+the derivative of a T whose last two slots are both upper or both lower,
+with symmetric entries (no ``_pair_asymmetry``, the witness found once per
+field), as gamma and the torsion-free view are, an operator computes one
+triangle, key[-2] <= key[-1], skipping every other key before its product,
+and ``_mirrored`` stores each entry under its mirror key too; a field of
+one slot pays at most two attribute tests for this.  ``curvature`` sums
+S, symmetric in (b, c), once per b <= c.  ``pairing`` and ``directional``
+share one sparse dot product, ``_dot``; symmetry checks compare each entry
+with its mirror, ``_asymmetry``.
 
 Every other contraction goes through one sparse kernel, ``_einsum(spec,
 *factors)``: raising indices with gamma, ``apply_metric``,
@@ -292,6 +294,15 @@ def _asymmetry(entries: Mapping[Index, Poly], mirror: Callable[[Index], Index]) 
     )
 
 
+def _mirrored(out: Mapping[Index, Poly], symmetric: bool) -> dict[Index, Poly]:
+    """The nonzero entries of out; if symmetric, out holds one triangle,
+    key[-2] <= key[-1], and each entry is stored under its mirror key too."""
+    full = _nonzero(out)
+    if symmetric:
+        full.update([(key[:-2] + (key[-1], key[-2]), v) for key, v in full.items()])
+    return full
+
+
 @dataclass(frozen=True)
 class TensorField(_Entries):
     """(p,q) tensor field: its nonzero Poly components by index tuple.
@@ -311,6 +322,11 @@ class TensorField(_Entries):
 
     def comp(self, *indices: int) -> Poly:
         return self._get(indices)
+
+    @cached_property
+    def _pair_asymmetry(self) -> Index | None:
+        """The least key whose entry changes when its last two indices swap, or None."""
+        return _asymmetry(self.nonzero, lambda key: key[:-2] + (key[-1], key[-2]))
 
     @classmethod
     def build(
@@ -449,17 +465,11 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     (L_X T) = X^k d_k T, minus d_k X^a T with a contravariant slot's k
     swapped for a, plus d_b X^k T with a covariant slot's k swapped for b,
     summed over every slot: the derivative term, then the slot action
-    ``_act`` of -dX.
+    ``_act`` of -dX, keyed (k, a) = d_k X^a.
     """
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
-    return TensorField._raw(t.dimension, t.p, t.q, _nonzero(_lie(x, t)))
-
-
-def _lie(x: TensorField, t: TensorField, symmetric: bool = False) -> dict[Index, Poly]:
-    """The terms of L_X T summed by index, zero sums kept; see
-    lie_derivative, whose body this is: X^k d_k T, then the action of -dX,
-    keyed (k, a) = d_k X^a, on every slot; of one triangle if symmetric."""
+    symmetric = t.q != 1 and t.p + t.q > 1 and t._pair_asymmetry is None
     xs = x.nonzero
     out: dict[Index, Poly] = {}
     for key, d in t.derivative.items():  # (k, *idx): d_k T_idx
@@ -468,11 +478,11 @@ def _lie(x: TensorField, t: TensorField, symmetric: bool = False) -> dict[Index,
             term = xk * d
             out[idx] = out[idx] + term if idx in out else term
     _act(x.derivative, -1, t, out, symmetric)
-    return out
+    return TensorField._raw(t.dimension, t.p, t.q, _mirrored(out, symmetric))
 
 
 def _act(
-    matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict, symmetric: bool = False
+    matrix: Mapping[Index, Poly], sign: int, t: TensorField, out: dict, symmetric: bool
 ) -> None:
     """Add into out, for each entry of T and each slot, the entry with that
     slot swapped through matrix, which maps (*head, k, a) to A^a_k: an upper
@@ -525,7 +535,9 @@ class Connection(_Entries):
         """The symbols viewed as the (1,2)-shaped field comp(c, a, b) =
         G_ab^c, built once per connection; its derivative is cached with it."""
         entries = {(c, a, b): v for (a, b, c), v in self.nonzero.items()}
-        return TensorField._raw(self.dimension, 1, 2, entries)
+        view = TensorField._raw(self.dimension, 1, 2, entries)
+        view.__dict__["_pair_asymmetry"] = None  # the symbols are torsion-free
+        return view
 
     @classmethod
     def build(cls, dimension: int, fn: Callable[[int, int, int], Poly]) -> "Connection":
@@ -547,24 +559,16 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
                    - G_ab^k d_k X^c + d_a d_b X^c
 
     The first four terms are the tensor Lie derivative of the symbols'
-    (1,2) view, ``g.as_field``; only d_a d_b X^c is added here.
+    (1,2) view, ``g.as_field``; only d_a d_b X^c is added here, per a <= b.
     """
     if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative_connection needs a matching vector field")
-    return TensorField._raw(g.dimension, 1, 2, _nonzero(_lie_connection(x, g)))
-
-
-def _lie_connection(x: TensorField, g: Connection, symmetric: bool = False) -> dict[Index, Poly]:
-    """The terms of L_X G keyed (c, a, b), zero sums kept; see
-    lie_derivative_connection, whose body this is; of one triangle, a <= b,
-    if symmetric."""
-    out = _lie(x, g.as_field, symmetric)
+    out = lie_derivative(x, g.as_field).nonzero  # its field is dropped: out is ours
     for (b, c), d in x.derivative.items():
-        for a in range(b + 1 if symmetric else g.dimension):
+        for a in range(b + 1):
             if dd := d.partial(a):  # d_a d_b X^c
-                key = (c, a, b)
-                out[key] = out[key] + dd if key in out else dd
-    return out
+                out[c, a, b] = out[c, b, a] = out[c, a, b] + dd if (c, a, b) in out else dd
+    return TensorField._raw(g.dimension, 1, 2, _nonzero(out))
 
 
 def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorField:
@@ -608,19 +612,14 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
     p = t.p
-    out = _covariant(g, t)
-    if p:  # c goes after the upper slots
-        out = {key[1 : p + 1] + key[:1] + key[p + 1 :]: v for key, v in out.items()}
-    return TensorField._raw(t.dimension, p, t.q + 1, _nonzero(out))
-
-
-def _covariant(g: Connection, t: TensorField, symmetric: bool = False) -> dict[Index, Poly]:
-    """The terms of DT keyed (c, *idx), zero sums kept: d_c T and the action
-    of G_c; of one triangle if symmetric, as for a symmetric T."""
+    symmetric = t.q != 1 and t.p + t.q > 1 and t._pair_asymmetry is None
     d = t.derivative  # (c, *idx): d_c T_idx
     out = {key: v for key, v in d.items() if key[-2] <= key[-1]} if symmetric else dict(d)
     _act(g.nonzero, 1, t, out, symmetric)
-    return out
+    out = _mirrored(out, symmetric)
+    if p:  # c goes after the upper slots
+        out = {key[1 : p + 1] + key[:1] + key[p + 1 :]: v for key, v in out.items()}
+    return TensorField._raw(t.dimension, p, t.q + 1, out)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,18 @@ def test_extended_element_refuses_a_parameter_that_is_not_a_poly(f):
         ExtendedElement(basis_vector(3, 0), f)
 
 
+@pytest.mark.parametrize("x", [0, "X", Poly.zero(3)], ids=["int", "str", "poly"])
+def test_extended_element_refuses_a_field_that_is_not_a_tensor_field(x):
+    with pytest.raises(TypeError, match=f"^{re.escape(repr(x))} is not a TensorField$"):
+        ExtendedElement(x, Poly.zero(3))
+
+
+def test_milne_refit_refuses_a_parameter_that_depends_on_space():
+    e = ExtendedElement(basis_vector(3, 1), var(3, 1))
+    with pytest.raises(ExtensionError, match="^parameter must depend on time only$"):
+        milne_standard_from_field(e)
+
+
 class TestBoostForCoriolis:
     def test_space_translation_needs_no_boost(self):
         s = flat_structure(2)

@@ -40,6 +40,13 @@ class TestInfinitesimal:
         with pytest.raises(TypeError, match=f"^{re.escape(repr(f))} is not a Poly$"):
             GaugeElement(zero.x, zero.psi, f)
 
+    @pytest.mark.parametrize("slot", ["x", "psi"])
+    @pytest.mark.parametrize("value", [0, Poly.zero(3)], ids=["int", "poly"])
+    def test_a_field_that_is_not_a_tensor_field_is_refused(self, slot, value):
+        parts = vars(GaugeElement.zero(3)) | {slot: value}
+        with pytest.raises(TypeError, match=f"^{re.escape(repr(value))} is not a TensorField$"):
+            GaugeElement(**parts)
+
     def test_zero_element(self):
         s = standard_structure(2, var(3, 1) ** 2)
         assert infinitesimal_gauge(s, GaugeElement.zero(3)).is_zero
@@ -113,6 +120,20 @@ class TestBracket:
 
 
 class TestFiniteAction:
+    @pytest.mark.parametrize(
+        "slot, kind",
+        [("diffeo", "an AffineDiffeo"), ("boost", "a TensorField"), ("scalar", "a Poly")],
+    )
+    @pytest.mark.parametrize("value", [0, "t"], ids=["int", "str"])
+    def test_a_part_of_the_wrong_type_is_refused(self, slot, kind, value):
+        parts = {
+            "diffeo": AffineDiffeo.identity(3),
+            "boost": TensorField.zero(3, 0, 1),
+            "scalar": Poly.zero(3),
+        } | {slot: value}
+        with pytest.raises(TypeError, match=f"^{re.escape(repr(value))} is not {kind}$"):
+            FiniteGauge(**parts)
+
     def test_identity_fixes_structure(self):
         s = standard_structure(2, var(3, 1) ** 2)
         gt = FiniteGauge(

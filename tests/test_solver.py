@@ -935,7 +935,7 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
         kernels.append((vectors, copy.deepcopy(vectors)))
         return vectors
 
-    for name in ("_lie", "_lie_connection"):
+    for name in ("lie_derivative", "lie_derivative_connection"):
         monkeypatch.setattr(ncw.solver, name, recording(getattr(ncw.solver, name)))
     monkeypatch.setattr(SparseEliminator, "add_row", recording_add_row)
     monkeypatch.setattr(SparseEliminator, "kernel", recording_kernel)

@@ -163,6 +163,26 @@ def random_grid(rng, xs, rank, zeros=0):
     }
 
 
+def with_symmetric_pairs(rng, xs, shapes, zeros):
+    """(p, q, grid) for each shape with a random grid; then, for (2,0), (0,2)
+    and (1,2), a grid symmetric in its last two slots, of which the
+    operators compute one triangle, and that grid with one entry off the
+    diagonal moved away from its mirror, which they compute whole.  A (1,1)
+    grid with symmetric entries is drawn too: an upper and a lower slot are
+    no symmetric pair, and its derivatives are computed whole.  The added
+    grids are drawn below dimension 4 only, to keep the time down."""
+    for p, q in shapes:
+        yield p, q, random_grid(rng, xs, p + q, zeros)
+    for p, q in ((2, 0), (0, 2), (1, 2), (1, 1)) if len(xs) < 4 else ():
+        grid = random_grid(rng, xs, p + q, zeros)
+        symmetric = {idx: grid[min(idx, idx[:-2] + (idx[-1], idx[-2]))] for idx in grid}
+        yield p, q, symmetric
+        near = dict(symmetric)
+        idx = rng.choice([idx for idx in near if idx[-2] < idx[-1]])
+        near[idx] += qq(rng.randint(1, 3), xs)
+        yield p, q, near
+
+
 def random_connection(rng, xs, zeros=0):
     dim = len(xs)
     sym = {}
@@ -199,8 +219,7 @@ def test_covariant_derivative_matches_sympy_sums():
 
     for rng, dim, xs in cases():
         sym, conn = random_connection(rng, xs, zeros=0.3)
-        for p, q in SHAPES + ((1, 2), (2, 1)):
-            grid = random_grid(rng, xs, p + q, zeros=0.3)
+        for p, q, grid in with_symmetric_pairs(rng, xs, SHAPES + ((1, 2), (2, 1)), 0.3):
             t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             dt = covariant_derivative(conn, t)
             assert (dt.p, dt.q) == (p, q + 1)
@@ -342,8 +361,8 @@ def test_lie_derivative_matches_sympy_sums():
     for rng, dim, xs in cases():
         x, x_t = random_tensor(rng, xs, 1, 0, zeros=0.3)
         r = range(dim)
-        for p, q in ((1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 1)):
-            grid, t = random_tensor(rng, xs, p, q, zeros=0.3)
+        for p, q, grid in with_symmetric_pairs(rng, xs, SHAPES + ((1, 2), (2, 1)), 0.3):
+            t = TensorField.build(dim, p, q, lambda idx: to_poly(grid[idx], xs))
             lt = lie_derivative(x_t, t)
             assert (lt.p, lt.q) == (p, q)
             for idx in product(r, repeat=p + q):
