@@ -19,6 +19,7 @@ from ncw.tensors import (
     Connection,
     CurvatureField,
     TensorField,
+    _LETTERS,
     _einsum,
     _plan,
     apply_metric,
@@ -644,9 +645,9 @@ def dense_einsum(spec, dim, factors):
 
 @st.composite
 def kernel_specs(draw):
-    """1 to 4 terms over at most 4 letters; a letter may repeat within a term
-    and the output is any ordering of some of the letters used."""
-    letters = "abcd"[: draw(st.integers(1, 4))]
+    """1 to 4 terms over at most 4 of the slot letters; a letter may repeat
+    within a term and the output is any ordering of some of the letters used."""
+    letters = draw(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4, unique=True))
     terms = draw(st.lists(st.text(letters, min_size=0, max_size=3), min_size=1, max_size=4))
     used = sorted(set("".join(terms)))
     output = draw(st.permutations(used))[: draw(st.integers(0, len(used)))]
@@ -662,6 +663,13 @@ class TestKernel:
     @example("bac->abc", 3, 3)
     @example("ckl,ak,bl->abc", 2, 4)
     @example("ab,b,ab->", 2, 5)
+    # one for each shape of the generated loop nest
+    @example("ak,k->a", 3, 6)  # every letter of a factor bound: one lookup
+    @example("ab,aa->b", 3, 7)  # bound, with a repeated letter
+    @example("ab->a", 3, 8)  # a letter summed in the first factor
+    @example(",a->a", 3, 9)  # an empty term
+    @example("ba->ab", 3, 10)  # a re-keying
+    @example("a,abb->ab", 3, 11)  # grouped by a bound letter, a new one repeated
     def test_matches_the_dense_sum(self, spec, dim, seed):
         factors = kernel_case(spec, dim, seed)
         result = _einsum(spec, *factors)
@@ -677,12 +685,37 @@ class TestKernel:
         assert field == TensorField.build(dim, rank, 0, lambda idx: expected.get(idx, zero))
 
     def test_golden_matrix_compiles_few_specs(self):
+        # each spec is compiled on first use, so a one-shot process pays
+        # once for every spec its command meets
         from regen_golden import CASES, run_case
 
+        per_case = {}
+        for name, argv in CASES.items():
+            _plan.cache_clear()
+            run_case(argv)
+            per_case[name] = _plan.cache_info().currsize
+        assert max(per_case.values()) <= 16, per_case
         _plan.cache_clear()
         for argv in CASES.values():
             run_case(argv)
         assert 0 < _plan.cache_info().currsize < 64
+
+    @pytest.mark.parametrize("spec", ["a;b->a", "a->a->a", "aB->a", "ab", "ab->c", "ab->aa",
+                                      "ay->a", "a b->a", "a,b->a\n"])
+    def test_malformed_spec_is_refused_before_any_source(self, spec, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("source generated for a malformed spec")
+
+        monkeypatch.setattr("ncw.tensors.compile", refuse, raising=False)
+        one = {(0,): Poly.const(1, 1)}
+        with pytest.raises(ValueError, match="malformed contraction spec"):
+            _einsum(spec, one, one)
+
+    def test_wrong_factor_count_is_refused(self):
+        one = {(0, 0): Poly.const(1, 1)}
+        for factors in [(one, one), ()]:
+            with pytest.raises(ValueError):
+                _einsum("ab->a", *factors)
 
 
 def random_coriolis_field(rng, n, degree=2):
@@ -815,6 +848,19 @@ class TestIndexRange:
         for entries in bad:
             with pytest.raises(ValueError):
                 make(entries)
+
+    def test_bool_index_is_refused(self):
+        # True == 1 and hash(True) == hash(1), but an index is an int
+        x1 = Poly.variable(3, 1)
+        for index in [(True,), (False,)]:
+            with pytest.raises(ValueError, match="is not an int"):
+                TensorField(3, 1, 0, {index: x1})
+        with pytest.raises(ValueError, match="is not an int"):
+            Connection(3, {(0, 0, True): x1})
+        with pytest.raises(ValueError, match="is not an int"):
+            vector(3, [x1, x1, x1]).comp(True)
+        with pytest.raises(ValueError, match="is not an int"):
+            Connection.zero(3).symbol(0, False, 0)
 
     def test_contraction_beyond_the_slot_letters_raises(self):
         # the kernel names each slot by a letter; 24 slots fit, 26 do not
