@@ -124,6 +124,8 @@ class Poly:
     @classmethod
     def variable(cls, dimension: int, index: int) -> "Poly":
         """The coordinate polynomial x_index (index 0 is time)."""
+        if type(index) is not int:  # a bool is an int too, but no index
+            raise ValueError(f"variable index {index!r} is not an int")
         if not 0 <= index < dimension:
             raise ValueError(f"variable index {index} out of range for dimension {dimension}")
         exps = [0] * dimension
@@ -241,8 +243,12 @@ class Poly:
 
     def partial(self, axis: int) -> "Poly":
         """Formal partial derivative with respect to coordinate ``axis``."""
-        if not 0 <= axis < self.dimension:
-            raise ValueError(f"axis {axis} out of range for dimension {self.dimension}")
+        if type(axis) is not int or not 0 <= axis < self.dimension:  # one test: hot
+            raise ValueError(
+                f"axis {axis} out of range for dimension {self.dimension}"
+                if type(axis) is int
+                else f"axis {axis!r} is not an int"
+            )
         # distinct terms have distinct derivative monomials: nothing cancels
         out: dict[Exponent, Scalar] = {}
         for exps, coeff in self.terms.items():

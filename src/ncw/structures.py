@@ -17,13 +17,22 @@ Sign conventions resolved here once and used consistently everywhere:
   and its inverse is A = -Ugamma(V) + (Ugamma(V,V)/2 - phi).theta.  The
   theta-coefficient sign in the inverse is forced by round-tripping with
   the forward dictionary; see the round-trip tests.
+
+The presets of one n (standard_structure, flat_structure) share one frame,
+built on the first preset of that n and never at import: the flat pair with
+its global and origin checks, U = d/dt, the transverse metric h with its
+contractions, and the geodesic part of U, all checked once per process.
+Each preset computes its own A = -phi.theta, force form F and assembled
+connection with its torsion check, and NCStructure.validate checks its
+parallelism, curvature and Newtonian symmetry; sample points are checked on
+every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
@@ -309,8 +318,14 @@ class NCBStructure:
 
     def validate(self) -> None:
         self.base.validate()
+        self._valid_transverse
+
+    @cached_property
+    def _valid_transverse(self) -> bool:
+        """h(U) = 0 and h gamma + theta(x)U = delta, checked once per
+        structure (a failure is not cached and raises again on the next
+        call); theta(U) = 1 is checked where h is built."""
         dim = self.base.dimension
-        # theta(U) = 1 is checked where the transverse metric is built
         hu = _einsum("ak,k->a", self.transverse, self.u)
         # h_ak gamma^{kb} + theta_a U^b - delta_a^b, which must vanish
         defect = _add(
@@ -323,6 +338,7 @@ class NCBStructure:
                 raise StructureError("transverse metric does not annihilate U")
             if any(row == a for row, _ in defect):
                 raise StructureError("transverse metric contraction failed")
+        return True
 
     @cached_property
     def geodesic_part(self) -> Connection:
@@ -384,8 +400,20 @@ def observer_structure(
     form A of potential_to_gauge, on the transverse metric of U that it
     computed, which the structure keeps instead of computing it again."""
     a_form, h = _gauge_and_transverse(g, u, v, phi)
+    return _on_frame(g, u, a_form, transverse=h)
+
+
+_FRAME_VALUES = ("transverse", "_valid_transverse", "geodesic_part")
+
+
+def _on_frame(
+    g: GalileiStructure, u: TensorField, a_form: TensorField, **frame_values: object
+) -> NCBStructure:
+    """NCBStructure(g, u, a_form) holding values of its cached properties
+    that depend on the frame (g, U) alone, named as in _FRAME_VALUES and
+    computed on that same frame, so that they are not computed again."""
     s = NCBStructure(g, u, a_form)
-    s.__dict__["transverse"] = h  # the cached_property's slot
+    s.__dict__.update(frame_values)  # the cached_properties' slots
     return s
 
 
@@ -402,21 +430,47 @@ def ncb_structure(
     return s
 
 
-def standard_structure(n: int, phi: Poly) -> NCBStructure:
-    """The flat pair with U = d/dt and gauge form A = -phi.theta."""
+@cache
+def _flat_frame(n: int) -> NCBStructure:
+    """The flat pair with U = d/dt and A = 0, built on first use and checked
+    once per n: the pair's global and origin checks, the transverse metric
+    with its contractions, and the geodesic part."""
     g = flat_galilei(n)
+    dim = g.dimension
+    u = vector(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * n)
+    frame = NCBStructure(g, u, one_form(dim, [Poly.zero(dim)] * dim))
+    frame.validate()
+    frame.geodesic_part
+    return frame
+
+
+def _frame(n: int) -> NCBStructure:
+    """_flat_frame(n) for a positive int n, checked before the cache is
+    consulted: a bool is an int too, and True == 1 would be its key."""
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be a positive integer")
+    return _flat_frame(n)
+
+
+def standard_structure(n: int, phi: Poly) -> NCBStructure:
+    """The flat pair with U = d/dt and gauge form A = -phi.theta.  Every
+    preset of one n shares that n's frame: the pair, U, h and the geodesic
+    part, checked once; A, F and the connection are its own."""
+    frame = _frame(n)
+    g = frame.base
     dim = g.dimension
     if phi.dimension != dim:
         raise ValueError("potential dimension must be n+1")
-    u = vector(dim, [Poly.const(dim, 1)] + [Poly.zero(dim)] * n)
     a_form = one_form(
         dim, [-phi * g.theta.comp(k) for k in range(dim)]
     )
-    return ncb_structure(g, u, a_form)
+    return _on_frame(
+        g, frame.u, a_form, **{name: getattr(frame, name) for name in _FRAME_VALUES}
+    )
 
 
 def flat_structure(n: int) -> NCBStructure:
-    return standard_structure(n, Poly.zero(n + 1))
+    return standard_structure(n, Poly.zero(_frame(n).base.dimension))
 
 
 def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:

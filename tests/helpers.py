@@ -56,6 +56,15 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def fresh_frames():
+    """Clear the preset frames that ncw.structures builds once per n, so
+    that a test counting the frame's work on a preset sees all of it,
+    whichever tests ran before."""
+    import ncw.structures
+
+    ncw.structures._flat_frame.cache_clear()
+
+
 def var(dim, i):
     return Poly.variable(dim, i)
 

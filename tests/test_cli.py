@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import counting
+import ncw.structures
+from helpers import counting, fresh_frames
 from ncw.cli import main
 from ncw.dsl import parse_expression
 
@@ -353,6 +354,23 @@ class TestConnectionAndCurvature:
         assert code == 0
         assert len(points) == 1
         assert len(pairs) == 1
+
+    def test_presets_check_their_frame_once_per_process(
+        self, capsys, monkeypatch, flat2, standard2
+    ):
+        # the flat pair, h and its contractions of n=2, whichever preset
+        # comes first; the connection and its checks are every document's own
+        from ncw.structures import GalileiStructure
+
+        fresh_frames()
+        points = counting(monkeypatch, GalileiStructure, "_check_point")
+        pairs = counting(monkeypatch, GalileiStructure.__dict__["_valid_pair"], "func")
+        transverse = counting(monkeypatch, ncw.structures, "transverse_metric")
+        curvatures = counting(monkeypatch, ncw.structures, "curvature")
+        for path in (flat2, standard2, flat2):
+            assert run(capsys, "validate", "--input", path)[0] == 0
+        assert len(points) == len(pairs) == len(transverse) == 1
+        assert len(curvatures) == 3
 
     def test_transverse_metric_is_computed_once(self, capsys, monkeypatch):
         import ncw.structures

@@ -65,6 +65,15 @@ class TestPartial:
         with pytest.raises(ValueError):
             x1.partial(2)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, 0.5, Fraction(1)])
+    def test_an_index_or_axis_that_is_not_an_int_is_refused(self, index):
+        # a bool is an int, so True read as 1 before; a float failed in
+        # list indexing with a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"variable index {index!r} is not an int")):
+            Poly.variable(3, index)
+        with pytest.raises(ValueError, match=re.escape(f"axis {index!r} is not an int")):
+            Poly.variable(3, 1).partial(index)
+
 
 def small_fractions():
     return st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -2,19 +2,35 @@
 force-form assembly, and the observer/potential dictionary."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import basis_vector, is_canonical, random_one_form, random_poly, var
+import ncw.structures
+from helpers import (
+    basis_vector,
+    counting,
+    fresh_frames,
+    is_canonical,
+    random_one_form,
+    random_poly,
+    var,
+)
+from ncw.dsl import build_structure, parse_structure
 from ncw.poly import Poly
 from ncw.structures import (
     GalileiStructure,
     NCBStructure,
     NCStructure,
     StructureError,
+    _flat_frame,
+    _on_frame,
     assemble_connection,
     curl_defect,
     field_strength,
@@ -590,6 +606,97 @@ class TestNCBInvariants:
         s = ncb_structure(g, u, TensorField.zero(2, 0, 1))
         s.validate()
         s.induced_nc().validate()
+
+
+class TestPresetFrame:
+    """Every preset of one n shares one frame, checked once: the flat pair,
+    U = d/dt, h and the geodesic part; A, F and the connection are its own."""
+
+    def test_presets_of_one_n_share_the_frame_and_of_two_do_not(self):
+        a, b = flat_structure(2), standard_structure(2, var(3, 1) ** 2)
+        for name in ("base", "u", "transverse", "geodesic_part"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert a.a_form != b.a_form and a.force is not b.force
+        assert a.induced_connection() is not flat_structure(2).induced_connection()
+        c = flat_structure(3)
+        assert c.transverse is not a.transverse
+        assert c.geodesic_part is not a.geodesic_part
+
+    def test_the_frame_is_built_and_checked_once_per_n(self, monkeypatch):
+        fresh_frames()
+        transverse = counting(monkeypatch, ncw.structures, "transverse_metric")
+        points = counting(monkeypatch, GalileiStructure, "_check_point")
+        pairs = counting(monkeypatch, GalileiStructure.__dict__["_valid_pair"], "func")
+        contractions = counting(monkeypatch, NCBStructure.__dict__["_valid_transverse"], "func")
+        for n in (1, 2, 3, 2, 1, 3, 2):
+            x1 = var(n + 1, 1)
+            for s in (flat_structure(n), standard_structure(n, x1**2 - x1)):
+                s.validate()
+                s.induced_nc().validate()
+        assert len(transverse) == len(points) == len(pairs) == len(contractions) == 3
+        # sample points are checked on every call
+        s = flat_structure(2)
+        s.base.validate([(1, 2, 3)])
+        s.base.validate([(1, 2, 3), (0, 1, 0)])
+        assert len(points) == 3 + 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_shared_values_equal_a_fresh_computation(self, n):
+        dim = n + 1
+        one = Poly.const(dim, 1)
+        g = GalileiStructure(
+            n,
+            TensorField(dim, 2, 0, {(a, a): one for a in range(1, dim)}),
+            one_form(dim, [one] + [Poly.zero(dim)] * n),
+        )
+        u = basis_vector(dim, 0)
+        s = standard_structure(n, var(dim, n) ** 2)
+        assert (s.base, s.u) == (g, u)
+        assert s.transverse == transverse_metric(g, u)
+        assert s.geodesic_part == geodesic_connection(g, u)
+
+    def test_a_gauge_document_computes_its_own_h(self, monkeypatch):
+        flat = flat_structure(2)
+        calls = counting(monkeypatch, ncw.structures, "transverse_metric")
+        text = "n = 2\ngamma[1][1] = 1\ngamma[2][2] = 1\ntheta[0] = 1\nU[0] = 1\nA[0] = 0\n"
+        ncb = build_structure(parse_structure(text)).ncb
+        assert len(calls) == 1
+        assert ncb.transverse == flat.transverse and ncb.transverse is not flat.transverse
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 0): 1, (1, 1): 1, (2, 2): 1}, "transverse metric does not annihilate U"),
+            ({(1, 1): 2, (2, 2): 1}, "transverse metric contraction failed"),
+        ],
+    )
+    def test_a_wrong_h_raises_the_same_message_twice(self, entries, message):
+        dim = 3
+        h = TensorField(dim, 0, 2, {k: Poly.const(dim, v) for k, v in entries.items()})
+        u, a = basis_vector(dim, 0), TensorField.zero(dim, 0, 1)
+        s = _on_frame(flat_galilei(2), u, a, transverse=h)
+        for _ in range(2):
+            with pytest.raises(StructureError, match=f"^{message}$"):
+                s.validate()
+        assert "_valid_transverse" not in s.__dict__
+
+    @pytest.mark.parametrize("n", [True, False, 0, -1, 1.0, 2.5, "2", None])
+    def test_an_n_that_is_not_a_positive_int_is_refused_before_the_cache(self, n):
+        fresh_frames()
+        for make in (lambda: flat_structure(n), lambda: standard_structure(n, Poly.zero(2))):
+            with pytest.raises(ValueError, match="^n must be a positive integer$"):
+                make()
+        assert _flat_frame.cache_info().currsize == 0
+
+    def test_importing_the_cli_builds_no_frame(self):
+        code = "import ncw.cli, ncw.structures as s; print(s._flat_frame.cache_info().currsize)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "0\n"
 
 
 class TestOneSource:
