@@ -29,14 +29,14 @@ not approximated.
 Determinants, adjugates and inverses come from one Faddeev-LeVerrier
 recursion, which divides only by the integers 1..n, so it works over ints,
 Fractions and Polys alike.  It keeps A and each M_k as rows of their
-nonzero entries and multiplies only those, so the diagonal N of a preset
-costs n products a step, not n^3.
+nonzero entries and multiplies only those, so a diagonal matrix costs n
+products a step, not n^3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .poly import Scalar, _accumulate, _exact, _q
 
@@ -282,9 +282,19 @@ class SparseEliminator:
         return basis
 
 
-def sparse_kernel(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
+def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
+    """Canonical kernel basis of rows over ncols unknowns.  One-entry rows
+    are added first, so that every later row sees all their known-zero
+    columns, then the others in their order; the reduced echelon form is
+    unique, so the order changes no result."""
     elim = SparseEliminator(ncols)
+    longer = []
     for row in rows:
+        if len(row) > 1:
+            longer.append(row)
+        else:
+            elim.add_row(row)
+    for row in longer:
         elim.add_row(row)
     return elim.kernel()
 

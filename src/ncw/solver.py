@@ -31,7 +31,7 @@ from math import comb
 from operator import add
 from typing import Literal, Sequence
 
-from .linalg import SparseEliminator, SparseRow
+from .linalg import SparseEliminator, SparseRow, sparse_kernel
 from .poly import Exponent, Poly, Scalar, _accumulate, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
@@ -236,23 +236,6 @@ def _form_rows(blocks: Sequence[dict]) -> dict[tuple, object]:
     }
 
 
-def _kernel(rows: dict[tuple, dict[int, Scalar]], ncols: int) -> list[SparseRow]:
-    """Canonical kernel of a stage's rows over ncols unknowns."""
-    elim = SparseEliminator(ncols)
-    # one-entry rows first, so that every later row sees all their
-    # known-zero columns, then the others in stage order; the reduced
-    # echelon form is unique, so no sort is needed
-    longer = []
-    for row in rows.values():
-        if len(row) > 1:
-            longer.append(row)
-        else:
-            elim.add_row(row)
-    for row in longer:
-        elim.add_row(row)
-    return elim.kernel()
-
-
 def _restrict(
     s: NCStructure, flavor: Flavor, kernel: Sequence[SparseRow], monos: Sequence[Exponent]
 ) -> list[SparseRow]:
@@ -265,7 +248,7 @@ def _restrict(
     have it over the ansatz, and are already the canonical basis of the
     joint kernel: no elimination over the ansatz is needed again."""
     out = []
-    for w in _kernel(_connection_rows(s, flavor, kernel, monos), len(kernel)):
+    for w in sparse_kernel(_connection_rows(s, flavor, kernel, monos).values(), len(kernel)):
         vec: SparseRow = {}
         for i, coeff in w.items():
             _accumulate(vec, kernel[i], coeff)
@@ -289,7 +272,7 @@ def solve_symmetries(
     if columns > MAX_ANSATZ_COLUMNS:
         raise ValueError(f"ansatz of {columns} columns exceeds the limit {MAX_ANSATZ_COLUMNS}")
     monos = ansatz_monomials(dim, d)
-    kernel = _kernel(_metric_pair_rows(s, monos), dim * len(monos))
+    kernel = sparse_kernel(_metric_pair_rows(s, monos).values(), dim * len(monos))
     if fl != "coriolis" and kernel:
         kernel = _restrict(s, fl, kernel, monos)
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _exact, _q
+from .poly import Poly, Scalar, _exact
 from .tensors import (
     Connection,
     TensorField,
@@ -137,7 +137,14 @@ class GalileiStructure:
             elim.add_row(reduced)
 
 
+def _check_n(n: object) -> None:
+    """Refuse an n that is not a positive int; a bool is refused too."""
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be a positive integer")
+
+
 def flat_galilei(n: int) -> GalileiStructure:
+    _check_n(n)
     dim = n + 1
     one = Poly.const(dim, 1)
     gamma = TensorField(dim, 2, 0, {(a, a): one for a in range(1, dim)})
@@ -161,26 +168,18 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     adj(N)/det(N); h is polynomial exactly when det(N) is a nonzero
     constant, and StructureError names the determinant otherwise.  W is
     e_j / theta_j for the first constant nonzero theta_j (U when there is
-    none), so that N does not depend on U.  The closed form is written once
-    over two coefficient rings: when gamma, theta and U are constant (every
-    preset), all of it, the adjugate included, runs on their coefficients,
-    and only h's nonzero entries are lifted to constant Polys.
+    none), so that N does not depend on U.  Every h is computed on Poly
+    entries; the presets of one n share the h of their frame, computed once.
     """
     g._valid_pair
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
         raise StructureError("U must satisfy theta(U) = 1")
     origin = (0,) * dim
-    fields = (g.gamma.nonzero, g.theta.nonzero, u.nonzero)
-    # the constant entries' coefficients: all of them for the presets
-    coefficients = [{k: p.terms[origin] for k, p in f.items() if p.terms.keys() == {origin}}
-                    for f in fields]
-    constant = list(map(len, coefficients)) == list(map(len, fields))
-    gamma, theta, uu = coefficients if constant else fields
-    lift = _q if constant else partial(Poly.const, dim)
-    zero = lift(0)
-    j = min((j for (j,), c in g.theta.nonzero.items() if c.total_degree() == 0), default=None)
-    w = uu if j is None else {(j,): lift(Fraction(1, g.theta.comp(j).coefficient(origin)))}
+    zero = Poly.zero(dim)
+    gamma, theta, uu = g.gamma.nonzero, g.theta.nonzero, u.nonzero
+    j = min((j for (j,), c in theta.items() if c.total_degree() == 0), default=None)
+    w = uu if j is None else {(j,): Poly.const(dim, Fraction(1, theta[(j,)].coefficient(origin)))}
     n_entries = _add(gamma, _einsum("a,b->ab", w, w))
     adj, det = adjugate(
         [[n_entries.get((a, b), zero) for b in range(dim)] for a in range(dim)]
@@ -189,12 +188,12 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         raise StructureError(
             "gamma + W(x)W is singular; gamma is rank deficient beyond the theta kernel"
         )
-    if not constant and det.total_degree() > 0:
+    if det.total_degree() > 0:
         raise StructureError(
             f"det(gamma + W(x)W) = {det} is not a nonzero constant; the "
             "transverse metric of U is not polynomial"
         )
-    inverse = _q(Fraction(1, det if constant else det.coefficient(origin)))
+    inverse = Fraction(1, det.coefficient(origin))
     n_inv = {(a, b): v * inverse for a, row in enumerate(adj) for b, v in enumerate(row) if v}
     # expand N^{-1}(PX, PY) with P = 1 - U(x)theta; m = N^{-1}(U, .)
     m = _einsum("k,kb->b", uu, n_inv)
@@ -205,8 +204,6 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
         _neg(_einsum("ba->ab", tm)),
         _einsum("a,b,k,k->ab", theta, theta, m, uu),
     )
-    if constant:
-        entries = {key: Poly._raw(dim, {origin: _q(v)}) for key, v in entries.items()}
     return TensorField._raw(dim, 0, 2, entries)
 
 
@@ -214,30 +211,9 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
 # connection construction
 
 def geodesic_connection(g: GalileiStructure, u: TensorField) -> Connection:
-    """The unique compatible connection making the unit field U geodesic and
-    curl-free:
-
-      UG_ab^c = gamma^{ck}( d_(a h_b)k - d_k h_ab / 2 ) + d_(a theta_b) U^c
-
-    with h the transverse metric of U and round-bracket symmetrization
-    carrying the 1/2 weight.
-    """
-    return _geodesic_connection(g, u, transverse_metric(g, u))
-
-
-def _geodesic_connection(
-    g: GalileiStructure, u: TensorField, h: TensorField
-) -> Connection:
-    """geodesic_connection with the transverse metric h of U given."""
-    if not field_strength(g.theta).is_zero:
-        raise StructureError("geodesic connection needs theta closed")
-    # UG_ab^c = (P_abc + P_bac - gamma^{ck} d_k h_ab) / 2 with
-    # P_abc = gamma^{ck} d_a h_bk + d_a theta_b U^c
-    dh = h.derivative
-    p = _add(_einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", g.theta.derivative, u))
-    ug = _add(p, _einsum("bac->abc", p), _neg(_einsum("kab,ck->abc", dh, g.gamma)))
-    half = Fraction(1, 2)
-    return Connection(g.dimension, {i: v * half for i, v in ug.items()})
+    """The geodesic part of the NCB structure (gamma, theta, U, A = 0); see
+    NCBStructure.geodesic_part."""
+    return NCBStructure(g, u, TensorField.zero(g.dimension, 0, 1)).geodesic_part
 
 
 def field_strength(a_form: TensorField) -> TensorField:
@@ -342,8 +318,26 @@ class NCBStructure:
 
     @cached_property
     def geodesic_part(self) -> Connection:
-        """The geodesic connection of U, on the cached transverse metric."""
-        return _geodesic_connection(self.base, self.u, self.transverse)
+        """The unique compatible connection making the unit field U geodesic
+        and curl-free:
+
+          UG_ab^c = gamma^{ck}( d_(a h_b)k - d_k h_ab / 2 ) + d_(a theta_b) U^c
+
+        with h the cached transverse metric of U and round-bracket
+        symmetrization carrying the 1/2 weight.
+        """
+        g, h = self.base, self.transverse
+        if not field_strength(g.theta).is_zero:
+            raise StructureError("geodesic connection needs theta closed")
+        # UG_ab^c = (P_abc + P_bac - gamma^{ck} d_k h_ab) / 2 with
+        # P_abc = gamma^{ck} d_a h_bk + d_a theta_b U^c
+        dh = h.derivative
+        p = _add(
+            _einsum("abk,ck->abc", dh, g.gamma), _einsum("ab,c->abc", g.theta.derivative, self.u)
+        )
+        ug = _add(p, _einsum("bac->abc", p), _neg(_einsum("kab,ck->abc", dh, g.gamma)))
+        half = Fraction(1, 2)
+        return Connection(g.dimension, {i: v * half for i, v in ug.items()})
 
     @cached_property
     def _induced(self) -> NCStructure:
@@ -372,35 +366,28 @@ def observer_and_potential(
 def potential_to_gauge(
     g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
 ) -> TensorField:
-    """A = -h(V) + (h(V,V)/2 - phi) theta with h the transverse metric of U.
-
-    Round-trips with observer_and_potential; the standard gauge V = U gives
-    A = -phi.theta.
-    """
-    return _gauge_and_transverse(g, u, v, phi)[0]
+    """The gauge form A of observer_structure(g, u, v, phi)."""
+    return observer_structure(g, u, v, phi).a_form
 
 
-def _gauge_and_transverse(
+def observer_structure(
     g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
-) -> tuple[TensorField, TensorField]:
-    """potential_to_gauge's A, and the transverse metric of U it used."""
+) -> NCBStructure:
+    """The NCB structure of observer data (gamma, theta, U, V, phi), with
+
+      A = -h(V) + (h(V,V)/2 - phi) theta
+
+    and h the transverse metric of U, which the structure keeps instead of
+    computing it again.  Round-trips with observer_and_potential; the
+    standard gauge V = U gives A = -phi.theta.
+    """
     dim = g.dimension
     if pairing(g.theta, v) != Poly.const(dim, 1):
         raise StructureError("V must satisfy theta(V) = 1")
     h = transverse_metric(g, u)
     lowered = apply_metric(h, v)
     scalar = pairing(lowered, v) * Fraction(1, 2) - phi
-    return g.theta.scale(scalar) - lowered, h
-
-
-def observer_structure(
-    g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
-) -> NCBStructure:
-    """The NCB structure of observer data (gamma, theta, U, V, phi): the gauge
-    form A of potential_to_gauge, on the transverse metric of U that it
-    computed, which the structure keeps instead of computing it again."""
-    a_form, h = _gauge_and_transverse(g, u, v, phi)
-    return _on_frame(g, u, a_form, transverse=h)
+    return _on_frame(g, u, g.theta.scale(scalar) - lowered, transverse=h)
 
 
 _FRAME_VALUES = ("transverse", "_valid_transverse", "geodesic_part")
@@ -447,8 +434,7 @@ def _flat_frame(n: int) -> NCBStructure:
 def _frame(n: int) -> NCBStructure:
     """_flat_frame(n) for a positive int n, checked before the cache is
     consulted: a bool is an int too, and True == 1 would be its key."""
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_n(n)
     return _flat_frame(n)
 
 

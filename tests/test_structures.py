@@ -56,6 +56,14 @@ from ncw.tensors import (
 )
 
 
+def open_clock_galilei():
+    """theta = dt + t dx1, which is not closed, with gamma = v(x)v for
+    v = -t d_t + d_x1 in its kernel; det(gamma + d_t(x)d_t) = 1."""
+    t, one = var(2, 0), Poly.const(2, 1)
+    gamma = TensorField(2, 2, 0, {(0, 0): t * t, (0, 1): -t, (1, 0): -t, (1, 1): one})
+    return GalileiStructure(1, gamma, one_form(2, [one, t]))
+
+
 def sheared_galilei():
     """Spatial block [[1, x1], [x1, 1 + x1^2]]: unimodular, curved-looking
     coefficients, exercises the generic polynomial solve."""
@@ -455,6 +463,18 @@ class TestGeodesicConnection:
         with pytest.raises(ValueError, match=match):
             call()
 
+    def test_an_open_clock_is_refused_after_the_transverse_metric(self):
+        g = open_clock_galilei()
+        u = basis_vector(2, 0)
+        transverse_metric(g, u)
+        with pytest.raises(StructureError, match="^geodesic connection needs theta closed$"):
+            geodesic_connection(g, u)
+
+    def test_a_unit_field_error_comes_before_the_open_clock(self):
+        u = vector(2, [Poly.const(2, 2), Poly.zero(2)])
+        with pytest.raises(StructureError, match=r"^U must satisfy theta\(U\) = 1$"):
+            geodesic_connection(open_clock_galilei(), u)
+
 
 class TestFieldStrength:
     def test_exact_form_closed(self):
@@ -580,6 +600,14 @@ class TestObserverDictionary:
             assert (v2 - v).is_zero
             assert phi2 == phi
 
+    def test_an_observer_error_comes_before_the_transverse_metric(self):
+        # theta(V) = 1 is checked before h is built, so a bad U is not reached
+        g = flat_galilei(2)
+        twice = vector(3, [Poly.const(3, 2), Poly.zero(3), Poly.zero(3)])
+        for u in (basis_vector(3, 0), twice):
+            with pytest.raises(StructureError, match=r"^V must satisfy theta\(V\) = 1$"):
+                potential_to_gauge(g, u, twice, Poly.zero(3))
+
 
 class TestNCBInvariants:
     def test_standard_validates(self):
@@ -683,7 +711,11 @@ class TestPresetFrame:
     @pytest.mark.parametrize("n", [True, False, 0, -1, 1.0, 2.5, "2", None])
     def test_an_n_that_is_not_a_positive_int_is_refused_before_the_cache(self, n):
         fresh_frames()
-        for make in (lambda: flat_structure(n), lambda: standard_structure(n, Poly.zero(2))):
+        for make in (
+            lambda: flat_structure(n),
+            lambda: standard_structure(n, Poly.zero(2)),
+            lambda: flat_galilei(n),
+        ):
             with pytest.raises(ValueError, match="^n must be a positive integer$"):
                 make()
         assert _flat_frame.cache_info().currsize == 0

@@ -126,8 +126,7 @@ def test_transverse_metric_matches_the_sympy_inverse():
     # gamma = L L^T on the spatial block, L unit lower triangular, so
     # det(gamma + U U^T) = 1; with U^0 = 1 the transverse metric is
     # (gamma + U U^T)^{-1} - theta theta^T for theta = dt.  Each case draws
-    # polynomial entries, then constant ones, whose adjugate is taken over
-    # the coefficients
+    # polynomial entries, then constant ones; both run on Poly entries
     from ncw.structures import GalileiStructure, transverse_metric
     from ncw.tensors import one_form, vector
 

@@ -555,15 +555,14 @@ class TestAbsentMeansZero:
 
         x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
         sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
-        # gamma, theta and U are constant for the presets, so the whole
-        # closed form runs on their coefficients, and the one Poly product
-        # is theta(U)'s, of two constants 1; the sheared N is polynomial, and
-        # the adjugate's one product by the integer 0 makes its zero entry
+        # every h is computed on Poly entries, so the one product with a zero
+        # operand is the adjugate's product by the integer 0 that makes its
+        # zero entry; no product walks an absent entry
         structures = {
-            "flat n=2": (flat_structure(2), None),
-            "flat n=3": (flat_structure(3), None),
-            "oscillator n=2": (standard_structure(2, x1**2 + x2**2), None),
-            "sheared": (build_structure(parse_structure(sheared.read_text())).ncb, [0]),
+            "flat n=2": flat_structure(2),
+            "flat n=3": flat_structure(3),
+            "oscillator n=2": standard_structure(2, x1**2 + x2**2),
+            "sheared": build_structure(parse_structure(sheared.read_text())).ncb,
         }
         original = Poly.__mul__
         operands = []
@@ -574,16 +573,12 @@ class TestAbsentMeansZero:
 
         monkeypatch.setattr(Poly, "__mul__", recorded)
         monkeypatch.setattr(Poly, "__rmul__", recorded)
-        for name, (s, zero_operands) in structures.items():
+        for name, s in structures.items():
             operands.clear()
             h = transverse_metric(s.base, s.u)
             assert h == s.transverse, name
-            if zero_operands is None:
-                one = Poly.const(s.base.dimension, 1)
-                assert operands == [(one, one)], name
-                continue
             assert operands, name
-            assert [b for a, b in operands if not (a and b)] == zero_operands, name
+            assert [b for a, b in operands if not (a and b)] == [0], name
 
     def test_contractions_leave_no_reference_cycles(self):
         from ncw.solver import solve_symmetries
