@@ -32,7 +32,6 @@ from .structures import (
     geodesic_connection,
     ncb_structure,
     observer_and_potential,
-    potential_to_gauge,
     standard_structure,
     transverse_metric,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "geodesic_connection",
     "ncb_structure",
     "observer_and_potential",
-    "potential_to_gauge",
     "standard_structure",
     "transverse_metric",
     "AffineDiffeo",

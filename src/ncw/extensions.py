@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _exact, _q, time_part
+from .poly import Poly, _exact, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -333,6 +333,8 @@ class Extension:
 def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
     """Solve the flavor's basis of s up to the degree bound and extend it.
     The solve proved every field a member, so none is checked again."""
+    if not isinstance(s, NCBStructure):
+        raise TypeError(f"extend needs an NCBStructure, not {type(s).__name__}")
     basis = solve_symmetries(s.induced_nc(), flavor, degree)
     fl = basis.flavor
     if fl == "coriolis":
@@ -441,24 +443,6 @@ def cocycle_triviality(
         return TrivialityResult(True, solution[0], None, tuple(pairs))
     certificate = inconsistency_certificate(matrix, rhs)
     return TrivialityResult(False, None, certificate, tuple(pairs))
-
-
-def coboundary_from_functional(
-    basis: SymmetryBasis, functional: Sequence[object]
-) -> list[list[Fraction]]:
-    """The coboundary (d lambda)(X_i, X_j) = lambda([X_i, X_j]); handy for
-    building known-trivial cocycles."""
-    k = len(basis.fields)
-    if len(functional) != k:
-        raise CocycleError(f"functional has {len(functional)} entries, the basis {k} fields")
-    lam = [_exact(v) for v in functional]
-    constants, closed = structure_constants(basis)
-    if not closed:
-        raise CocycleError("basis does not close")
-    return [
-        [_q(sum(constants[i][j][m] * lam[m] for m in range(k))) for j in range(k)]
-        for i in range(k)
-    ]
 
 
 # ----------------------------------------------------------------------

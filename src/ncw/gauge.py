@@ -31,7 +31,6 @@ from .poly import Poly, Scalar, _exact, _q
 from .structures import (
     GalileiStructure,
     NCBStructure,
-    metric_gradient,
     ncb_structure,
     observer_structure,
 )
@@ -108,7 +107,7 @@ def infinitesimal_gauge(s: NCBStructure, e: GaugeElement) -> NCBVariation:
         d_gamma=lie_derivative(e.x, g.gamma),
         d_theta=lie_derivative(e.x, g.theta),
         d_u=lie_derivative(e.x, s.u) + apply_metric(g.gamma, e.psi),
-        d_v=lie_derivative(e.x, s.v) + metric_gradient(g, e.f),
+        d_v=lie_derivative(e.x, s.v) + apply_metric(g.gamma, gradient(e.f)),
         d_phi=pairing(s.dphi, e.x) + directional(s.v, e.f),
     )
 

@@ -36,7 +36,7 @@ products a step, not n^3.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .poly import Scalar, _accumulate, _exact, _q
 
@@ -264,13 +264,17 @@ class SparseEliminator:
         return pivots
 
     def kernel(self) -> list[SparseRow]:
-        """Canonical kernel basis, one sparse vector per free column (ascending)."""
+        """Canonical kernel basis, one sparse vector per free column
+        (ascending).  A row on a column outside range(ncols) is refused
+        here, once: every column of an absorbed row is a lead or sits in a
+        reduced pivot row."""
         pivots = self.reduced_rows()
         held_by: dict[int, list[int]] = {}
         for lead in sorted(lead for lead, row in pivots.items() if len(row) > 1):
             for c in pivots[lead]:
                 if c != lead:
                     held_by.setdefault(c, []).append(lead)
+        _check_columns((*pivots, *held_by), self.ncols)
         basis: list[SparseRow] = []
         for fc in range(self.ncols):
             if fc in pivots:
@@ -280,6 +284,12 @@ class SparseEliminator:
                 v[lead] = -pivots[lead][fc]
             basis.append(v)
         return basis
+
+
+def _check_columns(columns: Collection[int], ncols: int) -> None:
+    if columns and not (0 <= min(columns) and max(columns) < ncols):
+        bad = min(c for c in columns if not 0 <= c < ncols)
+        raise ValueError(f"column {bad} is outside range({ncols})")
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
@@ -311,6 +321,7 @@ def sparse_solve(
         raise ValueError("right-hand side length does not match row count")
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
+        _check_columns(row, ncols)
         augmented = dict(row)
         bb = _exact(b)
         if bb:

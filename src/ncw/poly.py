@@ -213,7 +213,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         result = Poly.const(self.dimension, 1)
         base = self
@@ -244,11 +244,7 @@ class Poly:
     def partial(self, axis: int) -> "Poly":
         """Formal partial derivative with respect to coordinate ``axis``."""
         if type(axis) is not int or not 0 <= axis < self.dimension:  # one test: hot
-            raise ValueError(
-                f"axis {axis} out of range for dimension {self.dimension}"
-                if type(axis) is int
-                else f"axis {axis!r} is not an int"
-            )
+            raise self._axis_error(axis)
         # distinct terms have distinct derivative monomials: nothing cancels
         out: dict[Exponent, Scalar] = {}
         for exps, coeff in self.terms.items():
@@ -267,7 +263,17 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
+    def _axis_error(self, axis: object) -> ValueError:
+        return ValueError(
+            f"axis {axis} out of range for dimension {self.dimension}"
+            if type(axis) is int
+            else f"axis {axis!r} is not an int"
+        )
+
     def degree_in(self, axis: int) -> int:
+        """Degree in coordinate ``axis``; -1 for the zero polynomial."""
+        if type(axis) is not int or not 0 <= axis < self.dimension:
+            raise self._axis_error(axis)
         if not self.terms:
             return -1
         return max(e[axis] for e in self.terms)
@@ -280,7 +286,12 @@ class Poly:
         )
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self.dimension:
+            raise ValueError(
+                f"exponent tuple of length {len(exps)} for dimension {self.dimension}"
+            )
+        return self.terms.get(exps, 0)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a rational point, in canonical form; a coordinate

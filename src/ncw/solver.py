@@ -260,10 +260,14 @@ def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
+    if not isinstance(s, NCStructure):
+        raise TypeError(f"solve_symmetries needs an NCStructure, not {type(s).__name__}")
     # stage one reads one triangle of L_X gamma, which needs gamma symmetric
     s.base._valid_pair
     fl = canonical_flavor(flavor)
-    d = int(degree)
+    d = degree
+    if type(d) is not int:
+        raise ValueError(f"degree bound must be an int, not {type(d).__name__}")
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     dim = s.base.dimension

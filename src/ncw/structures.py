@@ -363,13 +363,6 @@ def observer_and_potential(
     return v, phi
 
 
-def potential_to_gauge(
-    g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
-) -> TensorField:
-    """The gauge form A of observer_structure(g, u, v, phi)."""
-    return observer_structure(g, u, v, phi).a_form
-
-
 def observer_structure(
     g: GalileiStructure, u: TensorField, v: TensorField, phi: Poly
 ) -> NCBStructure:
@@ -458,32 +451,3 @@ def standard_structure(n: int, phi: Poly) -> NCBStructure:
 def flat_structure(n: int) -> NCBStructure:
     return standard_structure(n, Poly.zero(_frame(n).base.dimension))
 
-
-def metric_gradient(g: GalileiStructure, f: Poly) -> TensorField:
-    """gamma(df) as a vector field."""
-    return apply_metric(g.gamma, gradient(f))
-
-
-def geodesic_defect(conn: Connection, u: TensorField) -> TensorField:
-    """U^a (nabla_a U)^c = U^a (d_a U^c + G_ab^c U^b) as a vector field, the
-    covariant derivative of U contracted with U; zero iff U is geodesic."""
-    _check_vector(conn, u)
-    du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
-    return TensorField(conn.dimension, 1, 0, _einsum("a,ca->c", u, du))
-
-
-def curl_defect(
-    conn: Connection, u: TensorField, h: TensorField
-) -> TensorField:
-    """Antisymmetric part of the h-lowered covariant derivative of U."""
-    _check_vector(conn, u)
-    if (h.p, h.q) != (0, 2) or h.dimension != conn.dimension:
-        raise ValueError("h must be a (0,2) tensor of the connection's dimension")
-    du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
-    q = _einsum("bk,ka->ab", h, du)
-    return TensorField(conn.dimension, 0, 2, _add(q, _neg(_einsum("ba->ab", q))))
-
-
-def _check_vector(conn: Connection, u: TensorField) -> None:
-    if (u.p, u.q) != (1, 0) or u.dimension != conn.dimension:
-        raise ValueError("U must be a vector field of the connection's dimension")

@@ -53,7 +53,7 @@ with its mirror, ``_asymmetry``.
 Every other contraction goes through one sparse kernel, ``_einsum(spec,
 *factors)``: raising indices with gamma, ``apply_metric``,
 ``check_newtonian``, the transverse metric, the pushforward of tensors,
-``tensor_product`` and ``contract``.  The spec uses numpy's subscripts: one
+and ``tensor_product``.  The spec uses numpy's subscripts: one
 letter per slot of each factor, in the factor's index order above, then
 ``->`` and the letters of the result, so ``_einsum("bk,akcd->acbd", gamma,
 r)`` is gamma^{bk} R_akc^d keyed (a, c, b, d).  A letter repeated across or
@@ -399,17 +399,6 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
     entries = _einsum(f"{ua}{la},{ub}{lb}->{ua}{ub}{la}{lb}", a, b)
     return TensorField._raw(a.dimension, a.p + b.p, a.q + b.q, entries)
-
-
-def contract(t: TensorField, upper_slot: int, lower_slot: int) -> TensorField:
-    """Contract one contravariant slot against one covariant slot."""
-    if not 0 <= upper_slot < t.p or not 0 <= lower_slot < t.q:
-        raise ValueError("contraction slots out of range")
-    ups, lows = _slots(t.p, t.q)
-    term = ups + lows[:lower_slot] + ups[upper_slot] + lows[lower_slot + 1 :]
-    kept = ups[:upper_slot] + ups[upper_slot + 1 :] + lows[:lower_slot] + lows[lower_slot + 1 :]
-    entries = _einsum(f"{term}->{kept}", t)
-    return TensorField._raw(t.dimension, t.p - 1, t.q - 1, entries)
 
 
 def apply_metric(t: TensorField, w: TensorField) -> TensorField:

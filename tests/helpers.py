@@ -1,11 +1,26 @@
 """Shared builders for the test suite."""
 
+import functools
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from ncw.poly import Poly
-from ncw.tensors import Connection, one_form, vector
+from ncw.extensions import CocycleError
+from ncw.poly import Poly, _exact, _q
+from ncw.solver import structure_constants
+from ncw.tensors import (
+    Connection,
+    TensorField,
+    _add,
+    _einsum,
+    _neg,
+    _slots,
+    covariant_derivative,
+    one_form,
+    vector,
+)
 
 
 def is_canonical(c):
@@ -54,6 +69,17 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@functools.cache
+def bench_tracing():
+    """bench/tracing.py, loaded as a module of its own and read only: its
+    SPANNED table names the ncw functions the benchmark's tracer wraps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("ncw_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fresh_frames():
@@ -151,3 +177,56 @@ def random_milne_field(rng, n, degree=2):
             omega[(b, a)] = -w
     rho = tuple(time_poly(rng, dim, degree) for _ in range(n))
     return coriolis_field(n, omega, rho, Fraction(rng.randint(-2, 2)))
+
+
+# ----------------------------------------------------------------------
+# oracles and builders that only the tests call
+
+def contract(t, upper_slot, lower_slot):
+    """Contract one contravariant slot of t against one covariant slot."""
+    if not 0 <= upper_slot < t.p or not 0 <= lower_slot < t.q:
+        raise ValueError("contraction slots out of range")
+    ups, lows = _slots(t.p, t.q)
+    term = ups + lows[:lower_slot] + ups[upper_slot] + lows[lower_slot + 1 :]
+    kept = ups[:upper_slot] + ups[upper_slot + 1 :] + lows[:lower_slot] + lows[lower_slot + 1 :]
+    entries = _einsum(f"{term}->{kept}", t)
+    return TensorField._raw(t.dimension, t.p - 1, t.q - 1, entries)
+
+
+def geodesic_defect(conn, u):
+    """U^a (nabla_a U)^c = U^a (d_a U^c + G_ab^c U^b) as a vector field, the
+    covariant derivative of U contracted with U; zero iff U is geodesic."""
+    _check_vector(conn, u)
+    du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
+    return TensorField(conn.dimension, 1, 0, _einsum("a,ca->c", u, du))
+
+
+def curl_defect(conn, u, h):
+    """Antisymmetric part of the h-lowered covariant derivative of U."""
+    _check_vector(conn, u)
+    if (h.p, h.q) != (0, 2) or h.dimension != conn.dimension:
+        raise ValueError("h must be a (0,2) tensor of the connection's dimension")
+    du = covariant_derivative(conn, u)  # comp(c, a): index order upper, deriv
+    q = _einsum("bk,ka->ab", h, du)
+    return TensorField(conn.dimension, 0, 2, _add(q, _neg(_einsum("ba->ab", q))))
+
+
+def _check_vector(conn, u):
+    if (u.p, u.q) != (1, 0) or u.dimension != conn.dimension:
+        raise ValueError("U must be a vector field of the connection's dimension")
+
+
+def coboundary_from_functional(basis, functional):
+    """The coboundary (d lambda)(X_i, X_j) = lambda([X_i, X_j]), a cocycle
+    known to be trivial."""
+    k = len(basis.fields)
+    if len(functional) != k:
+        raise CocycleError(f"functional has {len(functional)} entries, the basis {k} fields")
+    lam = [_exact(v) for v in functional]
+    constants, closed = structure_constants(basis)
+    if not closed:
+        raise CocycleError("basis does not close")
+    return [
+        [_q(sum(constants[i][j][m] * lam[m] for m in range(k))) for j in range(k)]
+        for i in range(k)
+    ]

@@ -8,19 +8,12 @@ a per-layer figure that quietly drops.  These tests read ``bench/`` and
 change nothing there.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import ncw.cli  # noqa: F401  (loads every ncw module, as the tracer does)
+from helpers import bench_tracing
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-_spec = importlib.util.spec_from_file_location("ncw_bench_tracing", TRACING)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+tracing = bench_tracing()
 
 TRACED = [
     (group, module, qualname)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ncw.extensions
 from helpers import (
     basis_vector,
+    coboundary_from_functional,
     counting,
     is_canonical,
     nonzero_coefficients,
@@ -28,7 +29,6 @@ from ncw.extensions import (
     MilneStandardElement,
     bargmann_bracket,
     boost_for_coriolis,
-    coboundary_from_functional,
     cocycle_triviality,
     extended_cor_bracket,
     extended_gal_bracket,
@@ -999,6 +999,21 @@ def _run_extend(sample, flavor, degree, capsys):
             "--degree", str(degree)]
     assert ncw.cli.main(argv) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("degree", [1.5, True], ids=["float", "bool"])
+def test_extend_refuses_a_degree_that_is_not_an_int(degree):
+    # int(degree) extended each of these at degree 1
+    with pytest.raises(ValueError, match=f"degree bound must be an int, not {type(degree).__name__}$"):
+        extend(flat_structure(1), "gal", degree)
+
+
+@pytest.mark.parametrize("flavor", ["cor", "mil", "gal"])
+def test_extend_refuses_a_structure_that_is_not_an_ncb_structure(flavor):
+    # an NC structure failed with "'NCStructure' object has no attribute
+    # 'induced_nc'"; the message names the type, not the data
+    with pytest.raises(TypeError, match="^extend needs an NCBStructure, not NCStructure$"):
+        extend(flat_structure(1).induced_nc(), flavor, 1)
 
 
 @pytest.mark.parametrize("flavor", ["milne", "galilei"])

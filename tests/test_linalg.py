@@ -7,6 +7,7 @@ inverses are read off an AffineDiffeo's inverse images.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -486,6 +487,24 @@ class TestMatrixOps:
         for solve in (lambda: sparse_solve(rows, rhs, 2), lambda: solve_inhomogeneous(m, rhs)):
             with pytest.raises(ValueError, match="right-hand side length does not match row count"):
                 solve()
+
+    @pytest.mark.parametrize(
+        "solve, column",
+        [
+            # column 2 was read as the right-hand side: ([5, 0], [{1: 1}])
+            (lambda: sparse_solve([{0: 1, 2: 5}], [0], 2), 2),
+            # x3 was dropped: x0 = 1 came back as the whole answer
+            (lambda: sparse_solve([{0: 1, 3: 1}], [1], 2), 3),
+            # x5 was dropped: [{1: 1}] came back
+            (lambda: sparse_kernel([{0: 1, 5: 1}], 2), 5),
+            # a pivot was taken at -1
+            (lambda: sparse_kernel([{-1: 1}], 2), -1),
+        ],
+        ids=["solve-on-the-rhs-column", "solve-past-it", "kernel-past-ncols", "kernel-negative"],
+    )
+    def test_a_column_outside_the_unknowns_is_refused(self, solve, column):
+        with pytest.raises(ValueError, match=re.escape(f"column {column} is outside range(2)")):
+            solve()
 
     def test_entries_are_canonical(self):
         m = RationalMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [5, 0]])

@@ -74,6 +74,30 @@ class TestPartial:
         with pytest.raises(ValueError, match=re.escape(f"axis {index!r} is not an int")):
             Poly.variable(3, 1).partial(index)
 
+    @pytest.mark.parametrize("axis", [-1, 3, 5])
+    def test_degree_in_refuses_an_axis_out_of_range(self, axis):
+        # -1 read the last variable, and 5 raised an IndexError
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for dimension 3"):
+            Poly.variable(3, 1).degree_in(axis)
+
+    @pytest.mark.parametrize("axis", [True, 1.0])
+    def test_degree_in_refuses_an_axis_that_is_not_an_int(self, axis):
+        with pytest.raises(ValueError, match=re.escape(f"axis {axis!r} is not an int")):
+            Poly.variable(3, 1).degree_in(axis)
+
+    @pytest.mark.parametrize("exps", [(1,), (0, 1, 0)])
+    def test_coefficient_refuses_an_exponent_tuple_of_the_wrong_length(self, exps):
+        # (1,) read as a missing monomial and returned 0
+        with pytest.raises(ValueError, match=f"exponent tuple of length {len(exps)} for dimension 2"):
+            x1.coefficient(exps)
+        assert x1.coefficient((0, 1)) == 1
+
+    @pytest.mark.parametrize("power", [True, False, 2.0, -1])
+    def test_a_power_that_is_not_a_non_negative_int_is_refused(self, power):
+        # x1 ** True returned x1
+        with pytest.raises(ValueError, match="polynomial powers must be non-negative integers"):
+            x1**power
+
 
 def small_fractions():
     return st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -433,6 +433,8 @@ class TestStructureConstantsContract:
 
         monkeypatch.setattr(ncw.linalg, "sparse_solve", no_solve)
         monkeypatch.setattr(ncw.solver, "sparse_solve", no_solve, raising=False)
+        # a preset frame adds rows of its own the first time it is built
+        flat_structure(1), flat_structure(2)
         return counting(monkeypatch, SparseEliminator, "add_row")
 
     def test_dependent_basis_with_a_bracket_in_its_span_raises(self, counted):
@@ -731,6 +733,22 @@ def test_solve_refuses_an_asymmetric_gamma():
     for flavor in FLAVORS:
         with pytest.raises(StructureError, match=r"^gamma not symmetric at \(1,2\)$"):
             solve_symmetries(s, flavor, 1)
+
+
+@pytest.mark.parametrize("degree", [1.9, True, "1", 1.0], ids=["float", "bool", "str", "integral-float"])
+def test_a_degree_that_is_not_an_int_is_refused(degree):
+    # int(degree) solved each of these at degree 1
+    s = flat_structure(1).induced_nc()
+    with pytest.raises(ValueError, match=f"degree bound must be an int, not {type(degree).__name__}$"):
+        solve_symmetries(s, "cor", degree)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_a_structure_that_is_not_an_nc_structure_is_refused(flavor):
+    # an NCB structure failed with AttributeError for milne and galilei,
+    # and coriolis quietly solved it
+    with pytest.raises(TypeError, match="^solve_symmetries needs an NCStructure, not NCBStructure$"):
+        solve_symmetries(flat_structure(1), flavor, 1)
 
 
 def test_rows_and_basis_stay_canonical_on_a_fractional_metric():

@@ -16,7 +16,9 @@ import ncw.structures
 from helpers import (
     basis_vector,
     counting,
+    curl_defect,
     fresh_frames,
+    geodesic_defect,
     is_canonical,
     random_one_form,
     random_poly,
@@ -32,15 +34,13 @@ from ncw.structures import (
     _flat_frame,
     _on_frame,
     assemble_connection,
-    curl_defect,
     field_strength,
     flat_galilei,
     flat_structure,
     geodesic_connection,
-    geodesic_defect,
     ncb_structure,
     observer_and_potential,
-    potential_to_gauge,
+    observer_structure,
     standard_structure,
     transverse_metric,
 )
@@ -572,7 +572,7 @@ class TestObserverDictionary:
         g = flat_galilei(2)
         u = basis_vector(3, 0)
         phi = var(3, 1) * var(3, 2)
-        a = potential_to_gauge(g, u, u, phi)
+        a = observer_structure(g, u, u, phi).a_form
         for k in range(3):
             assert a.comp(k) == -phi * g.theta.comp(k)
 
@@ -583,7 +583,7 @@ class TestObserverDictionary:
         for _ in range(10):
             a = random_one_form(rng, 3)
             v, phi = observer_and_potential(g, u, a)
-            back = potential_to_gauge(g, u, v, phi)
+            back = observer_structure(g, u, v, phi).a_form
             assert (back - a).is_zero
 
     def test_roundtrip_from_observer(self):
@@ -595,7 +595,7 @@ class TestObserverDictionary:
                 3, [Poly.const(3, 1), random_poly(rng, 3), random_poly(rng, 3)]
             )
             phi = random_poly(rng, 3)
-            a = potential_to_gauge(g, u, v, phi)
+            a = observer_structure(g, u, v, phi).a_form
             v2, phi2 = observer_and_potential(g, u, a)
             assert (v2 - v).is_zero
             assert phi2 == phi
@@ -606,7 +606,7 @@ class TestObserverDictionary:
         twice = vector(3, [Poly.const(3, 2), Poly.zero(3), Poly.zero(3)])
         for u in (basis_vector(3, 0), twice):
             with pytest.raises(StructureError, match=r"^V must satisfy theta\(V\) = 1$"):
-                potential_to_gauge(g, u, twice, Poly.zero(3))
+                observer_structure(g, u, twice, Poly.zero(3)).a_form
 
 
 class TestNCBInvariants:

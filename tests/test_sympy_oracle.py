@@ -325,7 +325,7 @@ def test_push_tensor_matches_sympy_sums():
 
 
 def test_geodesic_and_curl_defects_match_sympy_sums():
-    from ncw.structures import curl_defect, geodesic_defect
+    from helpers import curl_defect, geodesic_defect
 
     for rng, dim, xs in cases():
         sym, conn = random_connection(rng, xs)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SHAPES, nonzero_coefficients, shaped_polys
+from helpers import SHAPES, contract, nonzero_coefficients, shaped_polys
 from ncw.poly import Poly, _q
 from ncw.solver import _generic_field, ansatz_monomials
 from ncw.structures import field_strength, standard_structure
@@ -24,7 +24,6 @@ from ncw.tensors import (
     _plan,
     apply_metric,
     check_newtonian,
-    contract,
     covariant_derivative,
     curvature,
     directional,
