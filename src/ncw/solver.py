@@ -21,6 +21,12 @@ connection condition on the kernel's coordinates alone and map the result
 back.  Kernels come out in canonical reduced echelon form, so bases are
 reproducible regardless of evaluation order, and the chain gives the very
 basis one joint system over the full ansatz would.
+
+Stage one depends only on the Galilei pair and the degree bound, so the
+pair keeps its Coriolis kernel once per bound, computed on the first solve
+that passes every check and read, never changed, by every later one.  The
+flat and standard presets of one n share their frame's pair, and so solve
+stage one once per (n, d); any other structure's pair keeps its own.
 """
 
 from __future__ import annotations
@@ -59,10 +65,10 @@ _ALIASES = {
 
 
 def canonical_flavor(name: str) -> Flavor:
-    try:
-        return _ALIASES[name.lower()]  # type: ignore[return-value]
-    except KeyError:
-        raise ValueError(f"unknown symmetry flavor {name!r}") from None
+    flavor = _ALIASES.get(name.lower()) if isinstance(name, str) else None
+    if flavor is None:
+        raise ValueError(f"unknown symmetry flavor {name!r}")
+    return flavor  # type: ignore[return-value]
 
 
 # desk-scale guard, like the DSL's input limits: the most ansatz columns
@@ -256,12 +262,17 @@ def _restrict(
     return out
 
 
+def _check_nc(s: object, caller: str) -> None:
+    """Refuse a structure that is not an NCStructure, naming its type."""
+    if not isinstance(s, NCStructure):
+        raise TypeError(f"{caller} needs an NCStructure, not {type(s).__name__}")
+
+
 def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
-    if not isinstance(s, NCStructure):
-        raise TypeError(f"solve_symmetries needs an NCStructure, not {type(s).__name__}")
+    _check_nc(s, "solve_symmetries")
     # stage one reads one triangle of L_X gamma, which needs gamma symmetric
     s.base._valid_pair
     fl = canonical_flavor(flavor)
@@ -276,7 +287,11 @@ def solve_symmetries(
     if columns > MAX_ANSATZ_COLUMNS:
         raise ValueError(f"ansatz of {columns} columns exceeds the limit {MAX_ANSATZ_COLUMNS}")
     monos = ansatz_monomials(dim, d)
-    kernel = sparse_kernel(_metric_pair_rows(s, monos).values(), dim * len(monos))
+    kernels = s.base._coriolis_kernels
+    kernel = kernels.get(d)
+    if kernel is None:
+        kernel = sparse_kernel(_metric_pair_rows(s, monos).values(), dim * len(monos))
+        kernels[d] = kernel
     if fl != "coriolis" and kernel:
         kernel = _restrict(s, fl, kernel, monos)
 
@@ -317,6 +332,7 @@ class ClassifyFlags:
 
 def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
     """Exact membership flags; nesting enforced (galilei => milne => coriolis)."""
+    _check_nc(s, "classify")
     g = s.base
     cor = (
         lie_derivative(x, g.gamma).is_zero

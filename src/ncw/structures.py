@@ -22,6 +22,9 @@ The presets of one n (standard_structure, flat_structure) share one frame,
 built on the first preset of that n and never at import: the flat pair with
 its global and origin checks, U = d/dt, the transverse metric h with its
 contractions, and the geodesic part of U, all checked once per process.
+The pair also keeps its canonical Coriolis kernel once per degree bound
+(GalileiStructure._coriolis_kernels, filled by solver.solve_symmetries), so
+the presets of one n solve the metric-pair stage once per (n, d).
 Each preset computes its own A = -phi.theta, force form F and assembled
 connection with its torsion check, and NCStructure.validate checks its
 parallelism, curvature and Newtonian symmetry; sample points are checked on
@@ -103,6 +106,14 @@ class GalileiStructure:
             (a,) = min(kernel)
             raise StructureError(f"theta is not in the kernel of gamma (component {a})")
         return True
+
+    @cached_property
+    def _coriolis_kernels(self) -> dict[int, list[dict[int, Scalar]]]:
+        """The canonical Coriolis kernel of this pair by degree bound, filled
+        by solver.solve_symmetries, so that every structure on one pair
+        solves stage one once per bound; a kernel is shared and never
+        changed in place."""
+        return {}
 
     def _check_point(self, point: Sequence[Scalar]) -> None:
         where = f"({', '.join(map(str, point))})"
@@ -435,6 +446,8 @@ def standard_structure(n: int, phi: Poly) -> NCBStructure:
     """The flat pair with U = d/dt and gauge form A = -phi.theta.  Every
     preset of one n shares that n's frame: the pair, U, h and the geodesic
     part, checked once; A, F and the connection are its own."""
+    if not isinstance(phi, Poly):
+        raise TypeError(f"the potential must be a Poly, not {type(phi).__name__}")
     frame = _frame(n)
     g = frame.base
     dim = g.dimension

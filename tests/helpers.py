@@ -83,9 +83,10 @@ def bench_tracing():
 
 
 def fresh_frames():
-    """Clear the preset frames that ncw.structures builds once per n, so
-    that a test counting the frame's work on a preset sees all of it,
-    whichever tests ran before."""
+    """Clear the preset frames that ncw.structures builds once per n, and
+    with each frame its pair's Coriolis kernels, so that a test counting
+    the frame's work or stage one's on a preset sees all of it, whichever
+    tests ran before."""
     import ncw.structures
 
     ncw.structures._flat_frame.cache_clear()

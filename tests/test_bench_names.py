@@ -11,7 +11,7 @@ change nothing there.
 import pytest
 
 import ncw.cli  # noqa: F401  (loads every ncw module, as the tracer does)
-from helpers import bench_tracing
+from helpers import bench_tracing, fresh_frames
 
 tracing = bench_tracing()
 
@@ -33,10 +33,12 @@ def test_the_tracer_sees_the_solvers_operator_calls():
     # tracer spans; a private copy of one would hide assembly from the
     # tensors.lie group.  A milne solve takes L_X gamma and L_X theta, then
     # L_Y G and its raised transport, each once (L_Y G spans a Lie
-    # derivative of its own)
+    # derivative of its own); on a fresh frame, whose pair has no Coriolis
+    # kernel yet
     import ncw.solver
     from ncw.structures import flat_structure
 
+    fresh_frames()
     s = flat_structure(2).induced_nc()
     tracer = tracing.Tracer()
     tracer.install()

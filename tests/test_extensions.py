@@ -1008,6 +1008,13 @@ def test_extend_refuses_a_degree_that_is_not_an_int(degree):
         extend(flat_structure(1), "gal", degree)
 
 
+@pytest.mark.parametrize("flavor", [3, None])
+def test_extend_refuses_a_flavor_that_is_not_a_string(flavor):
+    # .lower() raised AttributeError on each of these
+    with pytest.raises(ValueError, match=f"^unknown symmetry flavor {flavor}$"):
+        extend(flat_structure(1), flavor, 1)
+
+
 @pytest.mark.parametrize("flavor", ["cor", "mil", "gal"])
 def test_extend_refuses_a_structure_that_is_not_an_ncb_structure(flavor):
     # an NC structure failed with "'NCStructure' object has no attribute

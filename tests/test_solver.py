@@ -17,6 +17,7 @@ from helpers import (
     basis_vector,
     coriolis_field,
     counting,
+    fresh_frames,
     is_canonical,
     nonzero_coefficients,
     shaped_polys,
@@ -853,6 +854,108 @@ def test_empty_coriolis_kernel():
         assert _restrict(flat, flavor, [], monos) == []
 
 
+# ----------------------------------------------------------------------
+# the Coriolis kernel kept on the Galilei pair, once per degree bound
+
+
+def oscillator(n):
+    """The potential x1^2 + ... + xn^2 of the standard oscillator preset."""
+    return sum((var(n + 1, a) ** 2 for a in range(1, n + 1)), Poly.zero(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_a_preset_basis_is_the_basis_on_a_pair_of_its_own(n, d):
+    # the flat and oscillator presets of one n hold the frame's pair: the
+    # first solve of (n, d) fills its kernel and the second reads it, and
+    # each equals the solve on a fresh flat pair with the same connection
+    for flavor in FLAVORS:
+        fresh_frames()
+        presets = [flat_structure(n).induced_nc(), standard_structure(n, oscillator(n)).induced_nc()]
+        assert presets[0].base is presets[1].base
+        assert d not in presets[0].base._coriolis_kernels
+        for s in presets:
+            own = NCStructure(flat_galilei(n), s.connection)
+            fields = solve_symmetries(s, flavor, d).fields
+            assert fields == solve_symmetries(own, flavor, d).fields, flavor
+            assert d in s.base._coriolis_kernels
+
+
+def test_a_second_preset_solve_adds_no_stage_one_rows(monkeypatch):
+    fresh_frames()
+    flat, osc = flat_structure(2).induced_nc(), standard_structure(2, oscillator(2)).induced_nc()
+    calls = counting(monkeypatch, ncw.solver, "lie_derivative")
+    solve_symmetries(flat, "coriolis", 1)
+    assert [args[1] for args in calls] == [flat.base.gamma, flat.base.theta]
+    for flavor in FLAVORS:
+        calls.clear()
+        solve_symmetries(osc, flavor, 1)
+        solve_symmetries(flat, flavor, 1)
+        assert not any(args[1] is osc.base.gamma for args in calls), flavor
+    # another bound is another stage one
+    solve_symmetries(osc, "milne", 2)
+    assert sum(args[1] is osc.base.gamma for args in calls) == 1
+
+
+@pytest.mark.parametrize("sample", ["flat2", "oscillator", "sheared"])
+def test_the_cached_kernel_is_not_changed_by_stage_two(sample):
+    # the flat2 and oscillator documents hold the frame's pair
+    fresh_frames()
+    s = build_structure(parse_structure((SAMPLES / f"{sample}.ncw").read_text())).nc
+    coriolis = solve_symmetries(s, "coriolis", 2).fields
+    kernel = s.base._coriolis_kernels[2]
+    before = copy.deepcopy(kernel)
+    assert solve_symmetries(s, "milne", 2).dimension
+    assert solve_symmetries(s, "galilei", 2).dimension
+    assert s.base._coriolis_kernels[2] is kernel
+    assert kernel == before
+    assert solve_symmetries(s, "coriolis", 2).fields == coriolis
+
+
+@pytest.mark.parametrize(
+    "flavor, degree",
+    [("cor", True), ("cor", -1), ("cor", 1.5), ("cor", 200), ("lorentz", 1), (1, 1)],
+    ids=["bool", "negative", "float", "too-many-columns", "unknown-flavor", "int-flavor"],
+)
+def test_a_refused_solve_leaves_the_cache_empty(flavor, degree):
+    # every check runs before the lookup: True is never read as key 1
+    s = NCStructure(flat_galilei(2), flat_structure(2).induced_connection())
+    with pytest.raises(ValueError):
+        solve_symmetries(s, flavor, degree)
+    assert s.base._coriolis_kernels == {}
+    solve_symmetries(s, "cor", 1)
+    assert list(s.base._coriolis_kernels) == [1]
+
+
+def test_two_parsed_documents_do_not_share_their_cache():
+    text = (SAMPLES / "sheared.ncw").read_text()
+    first, second = (build_structure(parse_structure(text)).nc for _ in range(2))
+    assert first.base is not second.base
+    solve_symmetries(first, "coriolis", 1)
+    assert second.base._coriolis_kernels == {}
+    solve_symmetries(second, "coriolis", 1)
+    ours, theirs = first.base._coriolis_kernels[1], second.base._coriolis_kernels[1]
+    assert ours == theirs and ours is not theirs
+
+
+@pytest.mark.parametrize("flavor", [1, None, 1.0, ["gal"]])
+def test_a_flavor_that_is_not_a_string_is_refused(flavor):
+    # .lower() raised AttributeError on each of these
+    with pytest.raises(ValueError, match="^unknown symmetry flavor "):
+        solve_symmetries(flat_structure(1).induced_nc(), flavor, 1)
+
+
+def test_classify_refuses_a_structure_that_is_not_an_nc_structure():
+    # an NCB structure failed with "'NCBStructure' object has no attribute
+    # 'connection'"
+    x = basis_vector(3, 0)
+    for s in (flat_structure(2), flat_galilei(2), None):
+        with pytest.raises(TypeError, match=f"^classify needs an NCStructure, not {type(s).__name__}$"):
+            classify(x, s)
+    with pytest.raises(TypeError, match="^classify needs an NCStructure, not NCBStructure$"):
+        verify_coriolis_identity(x, flat_structure(2))
+
+
 @st.composite
 def form_polys(draw, dimension=2):
     """A _FormPoly over columns 0..3 whose terms often share one form."""
@@ -925,7 +1028,9 @@ def test_assembly_and_solve_change_none_of_their_operands(text, flavor, monkeypa
     # products by 1, monomial shifts, sums and partials share forms and Poly
     # terms with their operands, and the map back reads the Coriolis kernel
     # vectors after stage two has used them: none of them may be changed in
-    # place
+    # place.  A fresh frame, whose pair has no Coriolis kernel yet, makes
+    # the solve run stage one
+    fresh_frames()
     s = build_structure(parse_structure(text + "\n")).nc
 
     def structure_terms():

@@ -720,6 +720,15 @@ class TestPresetFrame:
                 make()
         assert _flat_frame.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("phi", [5, Fraction(1, 2), None, "x1"])
+    def test_a_potential_that_is_not_a_poly_is_refused_before_the_cache(self, phi):
+        # an int failed with "'int' object has no attribute 'dimension'",
+        # after the frame was built
+        fresh_frames()
+        with pytest.raises(TypeError, match=f"^the potential must be a Poly, not {type(phi).__name__}$"):
+            standard_structure(2, phi)
+        assert _flat_frame.cache_info().currsize == 0
+
     def test_importing_the_cli_builds_no_frame(self):
         code = "import ncw.cli, ncw.structures as s; print(s._flat_frame.cache_info().currsize)"
         src = str(Path(__file__).resolve().parent.parent / "src")
