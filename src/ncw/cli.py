@@ -78,7 +78,7 @@ def _structure_summary(built: BuiltStructure) -> dict:
         out["preset"] = doc.preset
     if doc.phi is not None:
         out["phi"] = str(doc.potential)
-    out["shape"] = doc.data_shape()
+    out["shape"] = doc.data_shape
     return out
 
 

@@ -152,9 +152,6 @@ class ExpressionParser:
         self.dimension = dimension
         self.depth = 0
 
-    def parse(self) -> Poly:
-        return self._expr()
-
     def _descend(self, tok: Token) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -295,7 +292,7 @@ def parse_expression(text: str, dimension: int) -> Poly:
 def _parse_tokens(tokens: list[Token], dimension: int) -> Poly:
     """Parse one expression from its tokens; errors carry their positions."""
     stream = _TokenStream(tokens)
-    poly = ExpressionParser(stream, dimension).parse()
+    poly = ExpressionParser(stream, dimension)._expr()
     tok = stream.peek()
     if tok.kind not in ("NEWLINE", "END"):
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
@@ -329,15 +326,12 @@ class StructureDocument:
         "observer": ("gamma", "theta", "U", "V", "phi"),
     }
 
+    @cached_property
     def data_shape(self) -> str:
         """Which of the four data shapes the document carries; data the
         shape does not read is refused, never dropped.  Found on the first
-        call, which parse_structure makes once it has read the whole
+        read, which parse_structure makes once it has read the whole
         document, and kept."""
-        return self._shape
-
-    @cached_property
-    def _shape(self) -> str:
         shapes = []
         if self.preset:
             shapes.append("preset")
@@ -389,7 +383,7 @@ def parse_structure(text: str) -> StructureDocument:
             _parse_assignment(stream, doc)
     if doc.n is None:
         raise StructureError("spatial dimension n is required")
-    doc.data_shape()
+    doc.data_shape  # found, and refused if ambiguous or stray, once here
     return doc
 
 
@@ -532,7 +526,7 @@ class BuiltStructure:
             ("metric-pair", lambda: self.base.validate(points)),
             ("connection-compatibility-and-symmetry", lambda: self.nc.validate()),
         ]
-        if self.doc.data_shape() != "explicit":
+        if self.doc.data_shape != "explicit":
             checks.append(("gauge-presentation", lambda: self.ncb.validate()))
         return checks
 
@@ -545,7 +539,7 @@ def build_structure(doc: StructureDocument, validate: bool = True) -> BuiltStruc
     runs, and the first violation raises StructureError.  Check-style
     commands build with validate=False and report violations as verdicts
     instead."""
-    shape = doc.data_shape()
+    shape = doc.data_shape
     dim = doc.n + 1
     if shape == "preset":
         ncb = standard_structure(doc.n, doc.potential)  # a flat preset's phi is 0

@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _exact, time_part
+from .poly import Poly, _check_type, _exact, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -81,6 +81,8 @@ class ExtendedElement:
 
 def boost_for_coriolis(x: TensorField, s: NCBStructure) -> TensorField:
     """The unique boost 1-form (modulo theta) fixing U: psi = h([U, X])."""
+    _check_type("boost_for_coriolis", x, TensorField)
+    _check_type("boost_for_coriolis", s, NCBStructure)
     _require(x, s, "coriolis")
     return _boost(x, s)
 
@@ -277,6 +279,8 @@ def noncentrality_check(
     Checks every element first, through its parameter solve, then scans
     brackets against pure parameters t^k, k up to the basis degree, for the
     first witness (basis index, parameter output)."""
+    _check_type("noncentrality_check", s, NCBStructure)
+    _check_type("noncentrality_check", basis, SymmetryBasis)
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
     found = [_parameter(x, s, "milne") for x in basis.fields]
@@ -308,6 +312,8 @@ def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fr
     """The central 2-cocycle induced on a full-symmetry basis: c_ij is the
     constant parameter output of the bracket of (X_i, 0) and (X_j, 0).
     Every element is checked first, through its parameter solve."""
+    _check_type("gal_extension_cocycle", basis, SymmetryBasis)
+    _check_type("gal_extension_cocycle", s, NCBStructure)
     found = [_parameter(x, s, "galilei") for x in basis.fields]
     return _algebra(s, basis, "galilei", found).cocycle
 
@@ -333,8 +339,7 @@ class Extension:
 def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
     """Solve the flavor's basis of s up to the degree bound and extend it.
     The solve proved every field a member, so none is checked again."""
-    if not isinstance(s, NCBStructure):
-        raise TypeError(f"extend needs an NCBStructure, not {type(s).__name__}")
+    _check_type("extend", s, NCBStructure)
     basis = solve_symmetries(s.induced_nc(), flavor, degree)
     fl = basis.flavor
     if fl == "coriolis":
@@ -502,11 +507,9 @@ def _constant_rotation(e: ExtendedElement) -> tuple[tuple, list[dict], Fraction]
     if any(w.keys() != {0} for w in omega.values()):
         raise ExtensionError("rotation part is not constant")
     n = e.x.dimension - 1
-    rows = [[0] * n for _ in range(n)]
-    # the reading holds both omega^A_B and omega^B_A
-    for (a, b), w in omega.items():
-        rows[a - 1][b - 1] = w[0]
-    return tuple(map(tuple, rows)), [rho.get(a, {}) for a in range(1, n + 1)], tau
+    # the reading holds both omega^A_B and omega^B_A = -omega^A_B
+    rows = _rotation_rows(n, {(a, b): w[0] for (a, b), w in omega.items() if a < b})
+    return rows, [rho.get(a, {}) for a in range(1, n + 1)], tau
 
 
 @dataclass(frozen=True)
@@ -572,6 +575,8 @@ def bargmann_bracket(b1: BargmannElement, b2: BargmannElement) -> BargmannElemen
         tau''   = 0
         xi''    = sigma . beta' - sigma' . beta
     """
+    _check_type("bargmann_bracket", b1, BargmannElement)
+    _check_type("bargmann_bracket", b2, BargmannElement)
     if b1.n != b2.n:
         raise ValueError("dimension mismatch")
     n = b1.n
@@ -635,6 +640,7 @@ class MilneStandardElement:
 
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
+    _check_type("milne_standard_from_field", e, ExtendedElement)
     omega, rho, tau = _constant_rotation(e)
     if not e.f.depends_only_on([0]):
         raise ExtensionError("parameter must depend on time only")
@@ -645,6 +651,7 @@ def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
 def bargmann_from_field(e: ExtendedElement) -> BargmannElement:
     """Exact refit of an extended element of the flat structure to its
     Bargmann parameters: rho = beta t + sigma and a constant parameter."""
+    _check_type("bargmann_from_field", e, ExtendedElement)
     omega, rho, tau = _constant_rotation(e)
     if any(r.keys() - {0, 1} for r in rho):
         raise ExtensionError("translation part is not affine in time")

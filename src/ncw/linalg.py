@@ -21,10 +21,12 @@ is scaled to a leading 1 in the cheapest exact way: a lead of -1 negates
 the row; any other int lead p divides each int entry in ints (``//``)
 where p divides it and makes Fraction(v, p) where it does not; only a
 Fraction lead takes a Fraction multiplication.  A
-RationalMatrix, and the right-hand side of sparse_solve,
-solve_inhomogeneous and inconsistency_certificate, take only int and
-Fraction entries (``poly._exact``); a float, a string or a bool is refused,
-not approximated.
+RationalMatrix, the rows and right-hand side of sparse_solve, and the
+right-hand side of solve_inhomogeneous and inconsistency_certificate, take
+only int and Fraction entries (``poly._exact``); a float, a string or a
+bool is refused, not approximated.  sparse_kernel and
+SparseEliminator.add_row, the symmetry solver's hot path, take their rows
+unchecked: their callers build them from canonical coefficients.
 
 Determinants, adjugates and inverses come from one Faddeev-LeVerrier
 recursion, which divides only by the integers 1..n, so it works over ints,
@@ -120,6 +122,8 @@ def inconsistency_certificate(
     matrix: RationalMatrix, rhs: Sequence[object]
 ) -> Optional[Vector]:
     """A row combination y with y.M = 0 but y.b != 0, if the system is inconsistent."""
+    if len(rhs) != matrix.rows:
+        raise ValueError("right-hand side length does not match row count")
     vec = [_exact(b) for b in rhs]
     for y in nullspace(matrix.transpose()):
         value = sum((a * b for a, b in zip(y, vec)), Fraction(0))
@@ -322,7 +326,7 @@ def sparse_solve(
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
         _check_columns(row, ncols)
-        augmented = dict(row)
+        augmented = {c: _exact(v) for c, v in row.items()}
         bb = _exact(b)
         if bb:
             augmented[ncols] = bb

@@ -55,6 +55,16 @@ def _exact(value: object) -> Scalar:
     return _q(value)
 
 
+def _check_type(caller: str, value: object, kind: type) -> None:
+    """Refuse an argument that is not a kind with a TypeError naming the
+    type expected and the type given.  A public operation checks each
+    argument once per call, never per entry."""
+    if not isinstance(value, kind):
+        name = kind.__name__
+        article = "an" if name[0] in "AEIOU" or name.startswith("NC") else "a"
+        raise TypeError(f"{caller} needs {article} {name}, not {type(value).__name__}")
+
+
 def _accumulate(target: dict, source: Mapping, factor: Scalar = 1) -> None:
     """target += factor * source, in place: each new or summed value is
     stored canonical and a zero sum is deleted.  The one sparse exact sum,
@@ -80,8 +90,8 @@ class Poly:
     terms: dict[Exponent, int | Fraction]
 
     def __init__(self, dimension: int, terms: Mapping[Exponent, Scalar] | None = None):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if type(dimension) is not int or dimension < 1:  # a bool is an int too
+            raise ValueError(f"dimension {dimension!r} is not a positive int")
         clean: dict[Exponent, Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -182,9 +192,10 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            c = _exact(other)  # a bool is refused
+            if c == 0:
                 return Poly._raw(self.dimension, {})
-            return Poly._raw(self.dimension, {e: _q(k * other) for e, k in self.terms.items()})
+            return Poly._raw(self.dimension, {e: _q(k * c) for e, k in self.terms.items()})
         p = self._coerce(other)
         if p is None:
             return NotImplemented

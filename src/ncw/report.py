@@ -29,54 +29,44 @@ class Report:
     structure: dict[str, Any] = field(default_factory=dict)
     results: dict[str, Any] = field(default_factory=dict)
 
-    def to_structured(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "command": self.command,
-            "flags": self.flags,
-            "structure": self.structure,
-            "results": self.results,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for key, value in sorted(self.flags.items()):
-            lines.append(f"  {key}: {value}")
-        if self.structure:
-            lines.append("structure:")
-            for key, value in sorted(self.structure.items()):
-                lines.append(f"  {key}: {value}")
-        lines.append("results:")
-        lines.extend(_text_block(self.results, indent=2))
-        return "\n".join(lines) + "\n"
-
-
-def _text_block(value: Any, indent: int) -> list[str]:
-    pad = " " * indent
-    out: list[str] = []
-    if isinstance(value, dict):
-        for key in sorted(value):
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
-                out.append(f"{pad}{key}:")
-                out.extend(_text_block(sub, indent + 2))
-            else:
-                out.append(f"{pad}{key}: {sub}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                out.append(f"{pad}-")
-                out.extend(_text_block(item, indent + 2))
-            else:
-                out.append(f"{pad}- {item}")
-    else:
-        out.append(f"{pad}{value}")
-    return out
-
 
 def emit_report(report: Report, structured: bool) -> str:
-    return report.to_structured() if structured else report.to_text()
+    """The report as sorted, indented JSON, or as its text layout."""
+    if structured:
+        payload = {
+            "schema": SCHEMA,
+            "command": report.command,
+            "flags": report.flags,
+            "structure": report.structure,
+            "results": report.results,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2)
+    lines = [f"command: {report.command}"]
+    lines += [f"  {key}: {value}" for key, value in sorted(report.flags.items())]
+    if report.structure:
+        lines.append("structure:")
+        lines += [f"  {key}: {value}" for key, value in sorted(report.structure.items())]
+    lines.append("results:")
+    lines += _text_block(report.results, indent=2)
+    return "\n".join(lines) + "\n"
+
+
+def _text_block(value: dict | list, indent: int) -> list[str]:
+    """The lines of a dict, by sorted key, or of a list, each nested dict
+    or list below its own line, indented two more."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        entries = [(f"{key}:", value[key]) for key in sorted(value)]
+    else:
+        entries = [("-", item) for item in value]
+    out: list[str] = []
+    for head, sub in entries:
+        if isinstance(sub, (dict, list)):
+            out.append(f"{pad}{head}")
+            out.extend(_text_block(sub, indent + 2))
+        else:
+            out.append(f"{pad}{head} {sub}")
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from operator import add
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator, SparseRow, sparse_kernel
-from .poly import Exponent, Poly, Scalar, _accumulate, _q, grlex_monomials
+from .poly import Exponent, Poly, Scalar, _accumulate, _check_type, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
     Connection,
@@ -262,17 +262,11 @@ def _restrict(
     return out
 
 
-def _check_nc(s: object, caller: str) -> None:
-    """Refuse a structure that is not an NCStructure, naming its type."""
-    if not isinstance(s, NCStructure):
-        raise TypeError(f"{caller} needs an NCStructure, not {type(s).__name__}")
-
-
 def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
-    _check_nc(s, "solve_symmetries")
+    _check_type("solve_symmetries", s, NCStructure)
     # stage one reads one triangle of L_X gamma, which needs gamma symmetric
     s.base._valid_pair
     fl = canonical_flavor(flavor)
@@ -332,7 +326,8 @@ class ClassifyFlags:
 
 def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
     """Exact membership flags; nesting enforced (galilei => milne => coriolis)."""
-    _check_nc(s, "classify")
+    _check_type("classify", x, TensorField)
+    _check_type("classify", s, NCStructure)
     g = s.base
     cor = (
         lie_derivative(x, g.gamma).is_zero
@@ -372,6 +367,7 @@ def structure_constants(
     False when some bracket leaves the span (degree truncation need not be
     bracket-stable), in which case that pair's constants are zero.
     """
+    _check_type("structure_constants", basis, SymmetryBasis)
     fields = basis.fields
     k = len(fields)
     rows = [_form_rows([f.nonzero]) for f in fields]

@@ -39,7 +39,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _exact
+from .poly import Poly, Scalar, _check_type, _exact
 from .tensors import (
     Connection,
     TensorField,
@@ -239,6 +239,9 @@ def assemble_connection(
     ug: Connection, theta: TensorField, force: TensorField, gamma: TensorField
 ) -> Connection:
     """G_ab^c = UG_ab^c + theta_(a F_b)k gamma^{kc} with the 1/2 weight."""
+    _check_type("assemble_connection", ug, Connection)
+    for t in (theta, force, gamma):
+        _check_type("assemble_connection", t, TensorField)
     f = force.nonzero
     if any(f.get((b, a)) != -v for (a, b), v in f.items()):
         raise StructureError("force form must be antisymmetric")

@@ -110,7 +110,7 @@ from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, _check_type
 
 Index = tuple[int, ...]
 
@@ -134,12 +134,21 @@ def _check_index(dimension: int, rank: int, indices: Sequence[int]) -> None:
             raise ValueError(f"index {i!r} out of range for dimension {dimension}")
 
 
+def _check_size(name: str, value: object, least: int) -> None:
+    """Refuse a size that is not an int >= least; a bool is an int too,
+    but no size."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} {value!r} is not a {kind} int")
+
+
 class _Entries:
     """What the three field classes share.  ``nonzero`` maps index tuples of
     ``rank`` indices in range(dimension) to nonzero components of the field's
-    dimension; absent entries are zero."""
+    dimension; absent entries are zero.  The dimension is a positive int."""
 
     def __post_init__(self):
+        _check_size("dimension", self.dimension, 1)
         if not isinstance(self.nonzero, Mapping):
             raise ValueError(
                 "a field takes a mapping from index tuple to nonzero component, "
@@ -272,16 +281,13 @@ def _nonzero(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
     return {key: value for key, value in entries.items() if value}
 
 
-def _collect(pairs: Iterable[tuple[Index, Poly]]) -> dict[Index, Poly]:
-    out: dict[Index, Poly] = {}
-    for key, value in pairs:
-        out[key] = out[key] + value if key in out else value
-    return _nonzero(out)
-
-
 def _add(*parts: Mapping[Index, Poly]) -> dict[Index, Poly]:
     """Entrywise sum of sparse entries, zero sums left out."""
-    return _collect(pair for part in parts for pair in part.items())
+    out: dict[Index, Poly] = {}
+    for part in parts:
+        for key, value in part.items():
+            out[key] = out[key] + value if key in out else value
+    return _nonzero(out)
 
 
 def _neg(entries: Mapping[Index, Poly]) -> dict[Index, Poly]:
@@ -319,6 +325,11 @@ class TensorField(_Entries):
     p: int
     q: int
     nonzero: dict[Index, Poly]
+
+    def __post_init__(self):
+        _check_size("p", self.p, 0)
+        _check_size("q", self.q, 0)
+        super().__post_init__()
 
     @property
     def rank(self) -> int:
@@ -394,6 +405,8 @@ def _listed(dimension: int, components: Sequence[Poly]) -> dict[Index, Poly]:
 
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Tensor product; upper slots of a then of b, lower slots likewise."""
+    _check_type("tensor_product", a, TensorField)
+    _check_type("tensor_product", b, TensorField)
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
     ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
@@ -422,12 +435,15 @@ def pairing(form: TensorField, vec: TensorField) -> Poly:
 
 def gradient(f: Poly) -> TensorField:
     """The 1-form df."""
+    _check_type("gradient", f, Poly)
     n = f.dimension
     return TensorField._raw(n, 0, 1, {(a,): d for a in range(n) if (d := f.partial(a))})
 
 
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
+    _check_type("directional", vec, TensorField)
+    _check_type("directional", f, Poly)
     if (vec.p, vec.q) != (1, 0) or vec.dimension != f.dimension:
         raise ValueError("directional needs a vector field and a function of one dimension")
     return _dot(vec.nonzero, gradient(f).nonzero, vec.dimension)
@@ -460,6 +476,8 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     summed over every slot: the derivative term, then the slot action
     ``_act`` of -dX, keyed (k, a) = d_k X^a.
     """
+    _check_type("lie_derivative", x, TensorField)
+    _check_type("lie_derivative", t, TensorField)
     if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
         raise ValueError("lie_derivative needs a vector field of matching dimension")
     symmetric = t.q != 1 and t.p + t.q > 1 and t._pair_asymmetry is None
@@ -602,6 +620,8 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     slot.  (DT) = d_c T, plus G_ck^a T with a contravariant slot's k swapped
     for a, minus G_cb^k T with a covariant slot's k swapped for b: d_c T and
     the slot action ``_act`` of G_c, both keyed (c, *idx), then re-keyed."""
+    _check_type("covariant_derivative", g, Connection)
+    _check_type("covariant_derivative", t, TensorField)
     if g.dimension != t.dimension:
         raise ValueError("dimension mismatch")
     p = t.p

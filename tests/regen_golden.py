@@ -1,11 +1,14 @@
 """The golden report corpus: exit code, stdout and stderr of a fixed matrix
 of ``ncw`` runs, in both report formats.
 
-    PYTHONPATH=src python3 tests/regen_golden.py
+    PYTHONPATH=src python3 tests/regen_golden.py [--check]
 
 rewrites ``tests/golden/*.out`` from the current code, and the
 ``ncw --help`` and ``ncw <command> --help`` text in ``tests/golden/help/``;
-``test_golden.py`` compares every case against its file.  Each case runs
+``test_golden.py`` compares every case against its file.  With ``--check``
+nothing is written: every case and help screen is replayed and compared
+with its file, each mismatch is printed, and the exit status is 1 if there
+is any; this needs no pytest, so it runs on every supported interpreter.  Each case runs
 ``ncw.cli.main`` once with ``--format json``; the text report is rendered
 from the same ``Report`` object, exactly as ``--format text`` would print
 it.  Inputs are the files in ``samples/`` and ``tests/golden/inputs/``;
@@ -15,7 +18,9 @@ report.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import os
 import sys
@@ -154,18 +159,51 @@ def help_path(name: str) -> Path:
     return GOLDEN / "help" / f"{name}.out"
 
 
-def main() -> None:
-    for old in GOLDEN.glob("*.out"):
-        old.unlink()
+def rendered() -> dict[Path, str]:
+    """Every golden file's path and the text the current code gives it."""
+    files = {}
     for name, argv in CASES.items():
         for fmt, body in run_case(argv).items():
-            golden_path(name, fmt).write_text(body, encoding="utf-8")
-    help_path("ncw").parent.mkdir(exist_ok=True)
+            files[golden_path(name, fmt)] = body
     for name, argv in HELP.items():
-        help_path(name).write_text(run_help(argv), encoding="utf-8")
-    print(f"wrote {2 * len(CASES) + len(HELP)} files to {GOLDEN.relative_to(ROOT)}")
+        files[help_path(name)] = run_help(argv)
+    return files
+
+
+def check() -> int:
+    """Replay the corpus without writing; print each mismatched, missing or
+    stray file and return 1 if there is any, else 0."""
+    files = rendered()
+    mismatched = [
+        path for path, body in files.items()
+        if not path.exists() or path.read_text(encoding="utf-8") != body
+    ]
+    for path in mismatched:
+        stored = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+        name = str(path.relative_to(ROOT))
+        diff = difflib.unified_diff(stored, files[path].splitlines(), name, "now", lineterm="", n=1)
+        print(f"mismatch: {name}", *diff, sep="\n")
+    stray = sorted((set(GOLDEN.glob("*.out")) | set(GOLDEN.glob("help/*.out"))) - files.keys())
+    for path in stray:
+        print(f"stray: {path.relative_to(ROOT)}, which no case writes")
+    print(f"{len(files) - len(mismatched)} of {len(files)} files match")
+    return 1 if mismatched or stray else 0
+
+
+def main() -> None:
+    files = rendered()
+    for old in GOLDEN.glob("*.out"):
+        old.unlink()
+    help_path("ncw").parent.mkdir(exist_ok=True)
+    for path, body in files.items():
+        path.write_text(body, encoding="utf-8")
+    print(f"wrote {len(files)} files to {GOLDEN.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden report corpus.")
+    parser.add_argument("--check", action="store_true", help="compare only; exit 1 on a mismatch")
+    if parser.parse_args().check:
+        sys.exit(check())
     main()

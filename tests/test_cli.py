@@ -393,7 +393,7 @@ class TestConnectionAndCurvature:
         # parse_structure, build_structure, the summary and validate all ask
         from ncw.dsl import StructureDocument
 
-        shapes = counting(monkeypatch, StructureDocument.__dict__["_shape"], "func")
+        shapes = counting(monkeypatch, StructureDocument.__dict__["data_shape"], "func")
         sheared = Path(__file__).parent.parent / "samples" / "sheared.ncw"
         assert run(capsys, "validate", "--input", str(sheared))[0] == 0
         assert len(shapes) == 1

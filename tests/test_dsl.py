@@ -194,7 +194,7 @@ class TestDocuments:
 
     def test_observer_data_reads_every_field_it_may_carry(self):
         text = "n = 1\ngamma[1][1] = 1\ntheta[0] = 1\nU[0] = 1\nV[0] = 1\nphi = x1\n"
-        assert parse_structure(text).data_shape() == "observer"
+        assert parse_structure(text).data_shape == "observer"
         # the remaining fields each make a second shape
         for extra, shape in (("A[0] = 0", "gauge"), ("Gamma[0][0][1] = 0", "explicit")):
             with pytest.raises(StructureError, match=f"exactly one.*'{shape}'"):

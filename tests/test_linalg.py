@@ -479,14 +479,35 @@ class TestMatrixOps:
 
     @pytest.mark.parametrize(
         "rows, rhs",
-        [([{0: 1}, {1: 1}], [1]), ([{0: 1}], [1, 5])],
-        ids=["row-without-rhs", "rhs-without-row"],
+        [([{0: 1}, {1: 1}], [1]), ([{0: 1}], [1, 5]), ([{0: 1}, {0: 1}], [1])],
+        ids=["row-without-rhs", "rhs-without-row", "dependent-rows"],
     )
     def test_right_hand_side_of_the_wrong_length_is_refused(self, rows, rhs):
+        # inconsistency_certificate's zip dropped the unmatched entries: the
+        # dependent rows with [1] gave the certificate (-1, 1)
         m = RationalMatrix.from_rows([[row.get(c, 0) for c in range(2)] for row in rows])
-        for solve in (lambda: sparse_solve(rows, rhs, 2), lambda: solve_inhomogeneous(m, rhs)):
+        for solve in (
+            lambda: sparse_solve(rows, rhs, 2),
+            lambda: solve_inhomogeneous(m, rhs),
+            lambda: inconsistency_certificate(m, rhs),
+        ):
             with pytest.raises(ValueError, match="right-hand side length does not match row count"):
                 solve()
+
+    def test_a_consistent_system_has_no_certificate(self):
+        m = RationalMatrix.from_rows([[1, 1], [2, 2]])
+        assert inconsistency_certificate(m, [1, 2]) is None
+        assert inconsistency_certificate(m, [0, 0]) is None
+        assert inconsistency_certificate(identity(2), [3, Fraction(1, 2)]) is None
+
+    @pytest.mark.parametrize("entry", [0.5, True, "1"], ids=["float", "bool", "str"])
+    def test_sparse_solve_refuses_inexact_row_entries(self, entry):
+        # 0.5 raised AttributeError ('float' object has no attribute
+        # 'denominator'), and True was read as 1: ([1, 0], [{1: 1, 0: -1}])
+        message = f"^coefficient {re.escape(repr(entry))} is not an int or a Fraction$"
+        for rows in ([{0: entry, 1: 1}], [{1: 1}, {0: 1, 1: entry}]):
+            with pytest.raises(TypeError, match=message):
+                sparse_solve(rows, [1] * len(rows), 2)
 
     @pytest.mark.parametrize(
         "solve, column",

@@ -252,6 +252,26 @@ class TestExactCoefficients:
         with pytest.raises(ValueError, match=f"exponents in {re.escape(repr(exps))}"):
             Poly(2, {exps: 1})
 
+    @pytest.mark.parametrize("dimension", [True, False, 2.5, 0, -1, "2"])
+    def test_a_dimension_that_is_not_a_positive_int_is_refused(self, dimension):
+        # Poly(True) gave Poly[True](0), and Poly(2.5) was taken
+        message = f"^dimension {re.escape(repr(dimension))} is not a positive int$"
+        makers = [lambda: Poly(dimension), lambda: Poly.zero(dimension)]
+        if type(dimension) is bool:  # const builds a tuple of that length first
+            makers.append(lambda: Poly.const(dimension, 1))
+        for make in makers:
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_scalar_is_refused_in_a_product(self, flag):
+        # x1 * True returned x1, while x1 + True and Poly.const(2, True)
+        # were refused
+        for product in (lambda: x1 * flag, lambda: flag * x1):
+            with pytest.raises(TypeError, match=f"^coefficient {flag} is not an int or a Fraction$"):
+                product()
+        assert x1 * 1 == x1 and x1 * Fraction(1, 2) == Poly.monomial(2, (0, 1), Fraction(1, 2))
+
     def test_float_scalars_are_refused(self):
         with pytest.raises(TypeError):
             x1 * 0.5

@@ -4,6 +4,7 @@ Newtonian symmetry check, all against hand-expanded oracles."""
 import copy
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import SHAPES, contract, fresh_frames, nonzero_coefficients, shaped_polys
+from ncw.gauge import GaugeElement
 from ncw.poly import Poly, _q
 from ncw.solver import _generic_field, ansatz_monomials
 from ncw.structures import field_strength, standard_structure
@@ -847,6 +849,28 @@ class TestIndexRange:
         for entries in bad:
             with pytest.raises(ValueError):
                 make(entries)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: TensorField(2, -1, 1, {}), "p -1 is not a non-negative int"),
+            (lambda: TensorField(2, True, 0, {}), "p True is not a non-negative int"),
+            (lambda: TensorField(2, 0, 1.0, {}), "q 1.0 is not a non-negative int"),
+            (lambda: TensorField(2, 1, False, {}), "q False is not a non-negative int"),
+            (lambda: TensorField(2.5, 1, 0, {}), "dimension 2.5 is not a positive int"),
+            (lambda: TensorField(0, 1, 0, {}), "dimension 0 is not a positive int"),
+            (lambda: TensorField.zero(True, 1, 0), "dimension True is not a positive int"),
+            (lambda: Connection(True, {}), "dimension True is not a positive int"),
+            (lambda: CurvatureField(0, {}), "dimension 0 is not a positive int"),
+            (lambda: GaugeElement.zero(True), "dimension True is not a positive int"),
+        ],
+        ids=["p-negative", "p-bool", "q-float", "q-bool", "dimension-float", "dimension-zero",
+             "zero-bool", "connection-bool", "curvature-zero", "gauge-element-bool"],
+    )
+    def test_a_size_that_is_not_an_int_in_range_is_refused(self, make, message):
+        # each was taken: GaugeElement.zero(True) built fields of dimension True
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_bool_index_is_refused(self):
         # True == 1 and hash(True) == hash(1), but an index is an int
