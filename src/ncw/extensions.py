@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _check_type, _exact, time_part
+from .poly import Poly, _exact, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -44,6 +44,7 @@ from .solver import (
 from .structures import NCBStructure, field_strength
 from .tensors import (
     TensorField,
+    _check_type,
     apply_metric,
     gradient,
     pairing,
@@ -82,7 +83,7 @@ class ExtendedElement:
 def boost_for_coriolis(x: TensorField, s: NCBStructure) -> TensorField:
     """The unique boost 1-form (modulo theta) fixing U: psi = h([U, X])."""
     _check_type("boost_for_coriolis", x, TensorField)
-    _check_type("boost_for_coriolis", s, NCBStructure)
+    _check_type("boost_for_coriolis", s, NCBStructure, "an")
     _require(x, s, "coriolis")
     return _boost(x, s)
 
@@ -279,7 +280,7 @@ def noncentrality_check(
     Checks every element first, through its parameter solve, then scans
     brackets against pure parameters t^k, k up to the basis degree, for the
     first witness (basis index, parameter output)."""
-    _check_type("noncentrality_check", s, NCBStructure)
+    _check_type("noncentrality_check", s, NCBStructure, "an")
     _check_type("noncentrality_check", basis, SymmetryBasis)
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
@@ -313,7 +314,7 @@ def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fr
     constant parameter output of the bracket of (X_i, 0) and (X_j, 0).
     Every element is checked first, through its parameter solve."""
     _check_type("gal_extension_cocycle", basis, SymmetryBasis)
-    _check_type("gal_extension_cocycle", s, NCBStructure)
+    _check_type("gal_extension_cocycle", s, NCBStructure, "an")
     found = [_parameter(x, s, "galilei") for x in basis.fields]
     return _algebra(s, basis, "galilei", found).cocycle
 
@@ -339,7 +340,7 @@ class Extension:
 def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
     """Solve the flavor's basis of s up to the degree bound and extend it.
     The solve proved every field a member, so none is checked again."""
-    _check_type("extend", s, NCBStructure)
+    _check_type("extend", s, NCBStructure, "an")
     basis = solve_symmetries(s.induced_nc(), flavor, degree)
     fl = basis.flavor
     if fl == "coriolis":
@@ -640,7 +641,7 @@ class MilneStandardElement:
 
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
-    _check_type("milne_standard_from_field", e, ExtendedElement)
+    _check_type("milne_standard_from_field", e, ExtendedElement, "an")
     omega, rho, tau = _constant_rotation(e)
     if not e.f.depends_only_on([0]):
         raise ExtensionError("parameter must depend on time only")
@@ -651,7 +652,7 @@ def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
 def bargmann_from_field(e: ExtendedElement) -> BargmannElement:
     """Exact refit of an extended element of the flat structure to its
     Bargmann parameters: rho = beta t + sigma and a constant parameter."""
-    _check_type("bargmann_from_field", e, ExtendedElement)
+    _check_type("bargmann_from_field", e, ExtendedElement, "an")
     omega, rho, tau = _constant_rotation(e)
     if any(r.keys() - {0, 1} for r in rho):
         raise ExtensionError("translation part is not affine in time")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import adjugate
-from .poly import Poly, Scalar, _check_type, _exact, _q
+from .poly import Poly, Scalar, _exact, _q
 from .structures import (
     GalileiStructure,
     NCBStructure,
@@ -36,6 +36,7 @@ from .structures import (
 )
 from .tensors import (
     TensorField,
+    _check_type,
     _einsum,
     _slots,
     apply_metric,
@@ -237,7 +238,7 @@ def _shifted(s: NCBStructure, boost: TensorField, scalar: Poly) -> NCBStructure:
 def finite_gauge_apply(s: NCBStructure, gt: FiniteGauge) -> NCBStructure:
     """Shift (U, V, phi) by (boost, scalar), rebuild the gauge form from the
     shifted observer data, then push everything forward."""
-    _check_type("finite_gauge_apply", s, NCBStructure)
+    _check_type("finite_gauge_apply", s, NCBStructure, "an")
     _check_type("finite_gauge_apply", gt, FiniteGauge)
     if gt.diffeo.dimension != s.base.dimension:
         raise ValueError("dimension mismatch")
@@ -254,7 +255,7 @@ def nc_projection_invariance_check(
     """True iff the reassembled connection from the (boost, scalar)-shifted
     NCB data equals the original, exactly.  The shift keeps the base, so
     no diffeomorphism is applied."""
-    _check_type("nc_projection_invariance_check", s, NCBStructure)
+    _check_type("nc_projection_invariance_check", s, NCBStructure, "an")
     _check_type("nc_projection_invariance_check", boost, TensorField)
     _check_type("nc_projection_invariance_check", scalar, Poly)
     return _shifted(s, boost, scalar).induced_connection() == s.induced_connection()

@@ -55,16 +55,6 @@ def _exact(value: object) -> Scalar:
     return _q(value)
 
 
-def _check_type(caller: str, value: object, kind: type) -> None:
-    """Refuse an argument that is not a kind with a TypeError naming the
-    type expected and the type given.  A public operation checks each
-    argument once per call, never per entry."""
-    if not isinstance(value, kind):
-        name = kind.__name__
-        article = "an" if name[0] in "AEIOU" or name.startswith("NC") else "a"
-        raise TypeError(f"{caller} needs {article} {name}, not {type(value).__name__}")
-
-
 def _accumulate(target: dict, source: Mapping, factor: Scalar = 1) -> None:
     """target += factor * source, in place: each new or summed value is
     stored canonical and a zero sum is deleted.  The one sparse exact sum,

@@ -38,11 +38,12 @@ from operator import add
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator, SparseRow, sparse_kernel
-from .poly import Exponent, Poly, Scalar, _accumulate, _check_type, _q, grlex_monomials
+from .poly import Exponent, Poly, Scalar, _accumulate, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
     Connection,
     TensorField,
+    _check_type,
     lie_derivative,
     lie_derivative_connection,
     raise_connection_transport,
@@ -266,7 +267,7 @@ def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
-    _check_type("solve_symmetries", s, NCStructure)
+    _check_type("solve_symmetries", s, NCStructure, "an")
     # stage one reads one triangle of L_X gamma, which needs gamma symmetric
     s.base._valid_pair
     fl = canonical_flavor(flavor)
@@ -327,7 +328,7 @@ class ClassifyFlags:
 def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
     """Exact membership flags; nesting enforced (galilei => milne => coriolis)."""
     _check_type("classify", x, TensorField)
-    _check_type("classify", s, NCStructure)
+    _check_type("classify", s, NCStructure, "an")
     g = s.base
     cor = (
         lie_derivative(x, g.gamma).is_zero

@@ -39,11 +39,12 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _check_type, _exact
+from .poly import Poly, Scalar, _exact
 from .tensors import (
     Connection,
     TensorField,
     _add,
+    _check_type,
     _einsum,
     _neg,
     apply_metric,

@@ -110,7 +110,7 @@ from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Poly, Scalar, _check_type
+from .poly import Poly, Scalar
 
 Index = tuple[int, ...]
 
@@ -140,6 +140,14 @@ def _check_size(name: str, value: object, least: int) -> None:
     if type(value) is not int or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} {value!r} is not a {kind} int")
+
+
+def _check_type(caller: str, value: object, kind: type, article: str = "a") -> None:
+    """Refuse an argument that is not a kind with a TypeError naming the
+    type expected, after its article, and the type given.  A public
+    operation checks each argument once per call, never per entry."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{caller} needs {article} {kind.__name__}, not {type(value).__name__}")
 
 
 class _Entries:

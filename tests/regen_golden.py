@@ -4,11 +4,12 @@ of ``ncw`` runs, in both report formats.
     PYTHONPATH=src python3 tests/regen_golden.py [--check]
 
 rewrites ``tests/golden/*.out`` from the current code, and the
-``ncw --help`` and ``ncw <command> --help`` text in ``tests/golden/help/``;
-``test_golden.py`` compares every case against its file.  With ``--check``
-nothing is written: every case and help screen is replayed and compared
-with its file, each mismatch is printed, and the exit status is 1 if there
-is any; this needs no pytest, so it runs on every supported interpreter.  Each case runs
+``ncw --help`` and ``ncw <command> --help`` text in ``tests/golden/help/``.
+With ``--check`` nothing is written: every case and help screen is replayed
+and compared with its file by ``mismatches``, each mismatch is printed, and
+the exit status is 1 if there is any; this needs no pytest, so it runs on
+every supported interpreter.  ``test_golden.py`` makes the same comparison
+under pytest.  Each case runs
 ``ncw.cli.main`` once with ``--format json``; the text report is rendered
 from the same ``Report`` object, exactly as ``--format text`` would print
 it.  Inputs are the files in ``samples/`` and ``tests/golden/inputs/``;
@@ -24,6 +25,7 @@ import difflib
 import io
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from unittest import mock
 
@@ -159,39 +161,52 @@ def help_path(name: str) -> Path:
     return GOLDEN / "help" / f"{name}.out"
 
 
-def rendered() -> dict[Path, str]:
-    """Every golden file's path and the text the current code gives it."""
-    files = {}
-    for name, argv in CASES.items():
-        for fmt, body in run_case(argv).items():
-            files[golden_path(name, fmt)] = body
-    for name, argv in HELP.items():
-        files[help_path(name)] = run_help(argv)
-    return files
+def report_files() -> dict[Path, str]:
+    """Every report case's golden file and the text the current code gives it."""
+    return {
+        golden_path(name, fmt): body
+        for name, argv in CASES.items()
+        for fmt, body in run_case(argv).items()
+    }
+
+
+def help_files() -> dict[Path, str]:
+    """Every help screen's golden file and the text the current code gives it."""
+    return {help_path(name): run_help(argv) for name, argv in HELP.items()}
+
+
+def mismatches(files: dict[Path, str], stored: Iterable[Path]) -> list[str]:
+    """One message for each of ``files`` whose stored text differs or is
+    missing, with a diff, and one for each ``stored`` file that no entry of
+    ``files`` writes."""
+    problems = []
+    for path, body in files.items():
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if old != body:
+            name = str(path.relative_to(ROOT))
+            diff = difflib.unified_diff(
+                (old or "").splitlines(), body.splitlines(), name, "now", lineterm="", n=1
+            )
+            problems.append("\n".join([f"mismatch: {name}", *diff]))
+    for path in sorted(set(stored) - files.keys()):
+        problems.append(f"stray: {path.relative_to(ROOT)}, which no case writes")
+    return problems
 
 
 def check() -> int:
     """Replay the corpus without writing; print each mismatched, missing or
     stray file and return 1 if there is any, else 0."""
-    files = rendered()
-    mismatched = [
-        path for path, body in files.items()
-        if not path.exists() or path.read_text(encoding="utf-8") != body
-    ]
-    for path in mismatched:
-        stored = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
-        name = str(path.relative_to(ROOT))
-        diff = difflib.unified_diff(stored, files[path].splitlines(), name, "now", lineterm="", n=1)
-        print(f"mismatch: {name}", *diff, sep="\n")
-    stray = sorted((set(GOLDEN.glob("*.out")) | set(GOLDEN.glob("help/*.out"))) - files.keys())
-    for path in stray:
-        print(f"stray: {path.relative_to(ROOT)}, which no case writes")
-    print(f"{len(files) - len(mismatched)} of {len(files)} files match")
-    return 1 if mismatched or stray else 0
+    reports, helps = report_files(), help_files()
+    problems = (mismatches(reports, GOLDEN.glob("*.out"))
+                + mismatches(helps, GOLDEN.glob("help/*.out")))
+    print(*problems, sep="\n")
+    total = len(reports) + len(helps)
+    print(f"{len(problems)} problems among {total} files" if problems else f"all {total} files match")
+    return 1 if problems else 0
 
 
 def main() -> None:
-    files = rendered()
+    files = {**report_files(), **help_files()}
     for old in GOLDEN.glob("*.out"):
         old.unlink()
     help_path("ncw").parent.mkdir(exist_ok=True)

@@ -6,35 +6,22 @@ A change that alters a report on purpose regenerates the corpus with
 ``PYTHONPATH=src python3 tests/regen_golden.py`` and names the changed files.
 """
 
-import difflib
-
 from helpers import is_canonical
 from ncw.cli import COMMANDS
 from ncw.linalg import SparseEliminator
 from ncw.poly import Poly
-from regen_golden import CASES, GOLDEN, HELP, golden_path, help_path, run_case, run_help
+from regen_golden import CASES, GOLDEN, HELP, help_files, mismatches, report_files, run_case
 
 
 def test_reports_match_the_golden_corpus():
-    expected = {golden_path(name, fmt) for name in CASES for fmt in ("json", "text")}
-    assert set(GOLDEN.glob("*.out")) == expected
-    mismatched = []
-    for name, argv in CASES.items():
-        for fmt, body in run_case(argv).items():
-            stored = golden_path(name, fmt).read_text(encoding="utf-8")
-            if body != stored:
-                diff = difflib.unified_diff(
-                    stored.splitlines(), body.splitlines(), "golden", "now", lineterm="", n=1
-                )
-                mismatched.append(f"{name}.{fmt}:\n" + "\n".join(list(diff)[:12]))
-    assert not mismatched, "\n\n".join(mismatched)
+    problems = mismatches(report_files(), GOLDEN.glob("*.out"))
+    assert not problems, "\n\n".join(problems)
 
 
 def test_help_matches_its_golden_file():
     assert list(HELP) == ["ncw", *COMMANDS]
-    assert set((GOLDEN / "help").glob("*.out")) == {help_path(name) for name in HELP}
-    for name, argv in HELP.items():
-        assert run_help(argv) == help_path(name).read_text(encoding="utf-8"), name
+    problems = mismatches(help_files(), GOLDEN.glob("help/*.out"))
+    assert not problems, "\n\n".join(problems)
 
 
 def test_golden_runs_make_only_canonical_exact_coefficients(monkeypatch):

@@ -115,6 +115,20 @@ def test_every_entry_of_all_resolves_to_a_guarded_name():
     assert not unguarded, f"ncw.__all__ entries not defined at the top of a module: {unguarded}"
 
 
+def test_all_is_every_name_init_imports_and_the_version():
+    """``__all__`` is derived from the imports of ``__init__.py``: a
+    re-export the derivation drops, or a private helper it lets in, fails."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(ncw.__all__) == sorted(imported + ["__version__"])
+    private = [n for n in ncw.__all__ if n.startswith("_") and n != "__version__"]
+    assert not private, f"private names in ncw.__all__: {private}"
+
+
 @pytest.mark.parametrize("name", sorted(REASONS))
 def test_no_reason_is_stale(name):
     defined, called = package_names()
