@@ -199,7 +199,8 @@ def check() -> int:
     reports, helps = report_files(), help_files()
     problems = (mismatches(reports, GOLDEN.glob("*.out"))
                 + mismatches(helps, GOLDEN.glob("help/*.out")))
-    print(*problems, sep="\n")
+    for problem in problems:
+        print(problem)
     total = len(reports) + len(helps)
     print(f"{len(problems)} problems among {total} files" if problems else f"all {total} files match")
     return 1 if problems else 0
