@@ -252,12 +252,17 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # the usage wrapped as argparse wraps it before 3.13, which keeps "..."
+    # on the line of the commands: one help screen on every version.  With a
+    # usage given, each command's usage line needs its prefix given too
+    indent = "\n" + " " * len("usage: ncw ")
     parser = _Parser(
         prog="ncw",
+        usage=f"%(prog)s [-h]{indent}{{{','.join(COMMANDS)}}}{indent}...",
         description="Exact workbench for Newton-Cartan structures and their "
         "Galilean symmetry algebras",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="ncw")
 
     def common(p):
         p.add_argument("--input", required=True, help="structure file")

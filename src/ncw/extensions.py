@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _exact, time_part
+from .poly import Poly, _check_size, _exact, _operands, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -44,7 +44,6 @@ from .solver import (
 from .structures import NCBStructure, field_strength
 from .tensors import (
     TensorField,
-    _check_type,
     apply_metric,
     gradient,
     pairing,
@@ -70,20 +69,12 @@ class ExtendedElement:
     f: Poly
 
     def __post_init__(self):
-        if not isinstance(self.x, TensorField):
-            raise TypeError(f"{self.x!r} is not a TensorField")
-        if not isinstance(self.f, Poly):
-            raise TypeError(f"{self.f!r} is not a Poly")
-        if (self.x.p, self.x.q) != (1, 0):
-            raise ValueError("extended element needs a vector field")
-        if self.x.dimension != self.f.dimension:
-            raise ValueError("field and parameter dimensions disagree")
+        _operands("ExtendedElement", (self.x, TensorField, (1, 0)), (self.f, Poly, "any"))
 
 
 def boost_for_coriolis(x: TensorField, s: NCBStructure) -> TensorField:
     """The unique boost 1-form (modulo theta) fixing U: psi = h([U, X])."""
-    _check_type("boost_for_coriolis", x, TensorField)
-    _check_type("boost_for_coriolis", s, NCBStructure, "an")
+    _operands("boost_for_coriolis", (x, TensorField, (1, 0)), (s, NCBStructure, "any"))
     _require(x, s, "coriolis")
     return _boost(x, s)
 
@@ -112,6 +103,7 @@ def extended_cor_bracket(
 ) -> ExtendedElement:
     """Semidirect bracket ([X, X'], X(f') - X'(f)) on metric-pair
     stabilizer pairs."""
+    _operands("extended_cor_bracket", (e1, ExtendedElement), (e2, ExtendedElement), (s, NCBStructure))
     _require(e1.x, s, "coriolis")
     _require(e2.x, s, "coriolis")
     return _bracket(e1.x, gradient(e1.f), e2.x, gradient(e2.f), s, "coriolis")
@@ -258,6 +250,7 @@ def milne_f_split(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
     this into d_A f = h([V, X])_A, so f_X is the radial primitive of that
     form over the spatial axes.  Returns (f_X, True), or (0, False) when the
     form is not closed: X does not extend to the observer stabilizer."""
+    _operands("milne_f_split", (x, TensorField, (1, 0)), (s, NCBStructure, "any"))
     return _split(_parameter(x, s, "milne"), s)
 
 
@@ -268,6 +261,7 @@ def extended_mil_bracket(
 
     The parameter part X(xi' + f_X') - X'(xi + f_X) - f_[X,X'] is the time
     part of X(xi' + f_X') - X'(xi + f_X)."""
+    _operands("extended_mil_bracket", (e1, ExtendedElement), (e2, ExtendedElement), (s, NCBStructure))
     return _checked_bracket(e1, e2, s, "milne")
 
 
@@ -280,8 +274,7 @@ def noncentrality_check(
     Checks every element first, through its parameter solve, then scans
     brackets against pure parameters t^k, k up to the basis degree, for the
     first witness (basis index, parameter output)."""
-    _check_type("noncentrality_check", s, NCBStructure, "an")
-    _check_type("noncentrality_check", basis, SymmetryBasis)
+    _operands("noncentrality_check", (s, NCBStructure), (basis, SymmetryBasis))
     if basis.flavor != "milne":
         raise ValueError(f"noncentrality needs a milne basis, got {basis.flavor}")
     found = [_parameter(x, s, "milne") for x in basis.fields]
@@ -297,6 +290,7 @@ def galilei_f_solve(x: TensorField, s: NCBStructure) -> tuple[Poly, bool]:
 
     Returns (f, True) with the primitive vanishing at the origin, or
     (0, False) when the right side is not closed (X does not extend)."""
+    _operands("galilei_f_solve", (x, TensorField, (1, 0)), (s, NCBStructure, "any"))
     return _split(_parameter(x, s, "galilei"), s)
 
 
@@ -306,6 +300,7 @@ def extended_gal_bracket(
     """Bracket on full-stabilizer pairs (X, xi) with constant xi; the
     parameter output is the value of X(xi' + f_X') - X'(xi + f_X) at the
     origin, again constant (central extension)."""
+    _operands("extended_gal_bracket", (e1, ExtendedElement), (e2, ExtendedElement), (s, NCBStructure))
     return _checked_bracket(e1, e2, s, "galilei")
 
 
@@ -313,8 +308,7 @@ def gal_extension_cocycle(basis: SymmetryBasis, s: NCBStructure) -> list[list[Fr
     """The central 2-cocycle induced on a full-symmetry basis: c_ij is the
     constant parameter output of the bracket of (X_i, 0) and (X_j, 0).
     Every element is checked first, through its parameter solve."""
-    _check_type("gal_extension_cocycle", basis, SymmetryBasis)
-    _check_type("gal_extension_cocycle", s, NCBStructure, "an")
+    _operands("gal_extension_cocycle", (basis, SymmetryBasis), (s, NCBStructure))
     found = [_parameter(x, s, "galilei") for x in basis.fields]
     return _algebra(s, basis, "galilei", found).cocycle
 
@@ -340,7 +334,7 @@ class Extension:
 def extend(s: NCBStructure, flavor: str, degree: int) -> Extension:
     """Solve the flavor's basis of s up to the degree bound and extend it.
     The solve proved every field a member, so none is checked again."""
-    _check_type("extend", s, NCBStructure, "an")
+    _operands("extend", (s, NCBStructure))
     basis = solve_symmetries(s.induced_nc(), flavor, degree)
     fl = basis.flavor
     if fl == "coriolis":
@@ -414,6 +408,7 @@ def cocycle_triviality(
     Checks antisymmetry and the cocycle identity first (raises
     CocycleError); returns either the coboundary witness lambda or an exact
     inconsistency certificate over the listed index pairs."""
+    _operands("cocycle_triviality", (basis, SymmetryBasis))
     k = len(basis.fields)
     c = [[_exact(v) for v in row] for row in cocycle]
     if len(c) != k or any(len(row) != k for row in c):
@@ -539,13 +534,16 @@ class BargmannElement:
     def n(self) -> int:
         return len(self.beta)
 
+    @property
+    def dimension(self) -> int:
+        return self.n + 1
+
     @classmethod
     def make(cls, n, omega=None, beta=None, sigma=None, tau=0, xi=0) -> "BargmannElement":
         """An element from 1-based parameter entries, zero elsewhere; an n
         that is not a non-negative int, or a key with an index outside 1..n,
         is refused."""
-        if type(n) is not int or n < 0:
-            raise ValueError(f"dimension {n!r} is not a non-negative int")
+        _check_size("n", n, 0)
 
         def checked(key, *indices):
             if not all(type(a) is int and 1 <= a <= n for a in indices):
@@ -576,10 +574,7 @@ def bargmann_bracket(b1: BargmannElement, b2: BargmannElement) -> BargmannElemen
         tau''   = 0
         xi''    = sigma . beta' - sigma' . beta
     """
-    _check_type("bargmann_bracket", b1, BargmannElement)
-    _check_type("bargmann_bracket", b2, BargmannElement)
-    if b1.n != b2.n:
-        raise ValueError("dimension mismatch")
+    _operands("bargmann_bracket", (b1, BargmannElement, "any"), (b2, BargmannElement, "any"))
     n = b1.n
 
     def matmul(m1, m2):
@@ -615,9 +610,7 @@ class MilneStandardElement:
     xi: Poly  # function of time only
 
     def __post_init__(self):
-        for p in (*self.rho, self.xi):
-            if not isinstance(p, Poly):
-                raise TypeError(f"{p!r} is not a Poly")
+        _operands("MilneStandardElement", *((p, Poly) for p in (*self.rho, self.xi)))
         if any(p.dimension != self.n + 1 for p in (*self.rho, self.xi)):
             raise ValueError(f"translation and parameter must have dimension {self.n + 1}")
         object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
@@ -641,7 +634,7 @@ class MilneStandardElement:
 
 def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
     """Exact refit of an extended element to the standard-case template."""
-    _check_type("milne_standard_from_field", e, ExtendedElement, "an")
+    _operands("milne_standard_from_field", (e, ExtendedElement))
     omega, rho, tau = _constant_rotation(e)
     if not e.f.depends_only_on([0]):
         raise ExtensionError("parameter must depend on time only")
@@ -652,7 +645,7 @@ def milne_standard_from_field(e: ExtendedElement) -> MilneStandardElement:
 def bargmann_from_field(e: ExtendedElement) -> BargmannElement:
     """Exact refit of an extended element of the flat structure to its
     Bargmann parameters: rho = beta t + sigma and a constant parameter."""
-    _check_type("bargmann_from_field", e, ExtendedElement, "an")
+    _operands("bargmann_from_field", (e, ExtendedElement))
     omega, rho, tau = _constant_rotation(e)
     if any(r.keys() - {0, 1} for r in rho):
         raise ExtensionError("translation part is not affine in time")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import adjugate
-from .poly import Poly, Scalar, _exact, _q
+from .poly import Poly, Scalar, _check_size, _exact, _operands, _q
 from .structures import (
     GalileiStructure,
     NCBStructure,
@@ -36,7 +36,6 @@ from .structures import (
 )
 from .tensors import (
     TensorField,
-    _check_type,
     _einsum,
     _slots,
     apply_metric,
@@ -57,18 +56,12 @@ class GaugeElement:
     f: Poly
 
     def __post_init__(self):
-        for value in (self.x, self.psi):
-            if not isinstance(value, TensorField):
-                raise TypeError(f"{value!r} is not a TensorField")
-        if not isinstance(self.f, Poly):
-            raise TypeError(f"{self.f!r} is not a Poly")
-        if (self.x.p, self.x.q) != (1, 0):
-            raise ValueError("X must be a vector field")
-        if (self.psi.p, self.psi.q) != (0, 1):
-            raise ValueError("psi must be a 1-form")
-        dims = {self.x.dimension, self.psi.dimension, self.f.dimension}
-        if len(dims) != 1:
-            raise ValueError("gauge element dimensions disagree")
+        _operands("GaugeElement", (self.x, TensorField, (1, 0)), (self.psi, TensorField, (0, 1)),
+                  (self.f, Poly, "any"))
+
+    @property
+    def dimension(self) -> int:
+        return self.x.dimension
 
     @classmethod
     def zero(cls, dimension: int) -> "GaugeElement":
@@ -101,8 +94,7 @@ class NCBVariation:
 
 
 def infinitesimal_gauge(s: NCBStructure, e: GaugeElement) -> NCBVariation:
-    if e.x.dimension != s.base.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("infinitesimal_gauge", (s, NCBStructure, "any"), (e, GaugeElement, "any"))
     g = s.base
     return NCBVariation(
         d_gamma=lie_derivative(e.x, g.gamma),
@@ -114,8 +106,7 @@ def infinitesimal_gauge(s: NCBStructure, e: GaugeElement) -> NCBVariation:
 
 
 def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
-    if e1.x.dimension != e2.x.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("gauge_bracket", (e1, GaugeElement, "any"), (e2, GaugeElement, "any"))
     return GaugeElement(
         x=vector_bracket(e1.x, e2.x),
         psi=lie_derivative(e1.x, e2.psi) - lie_derivative(e2.x, e1.psi),
@@ -162,6 +153,7 @@ class AffineDiffeo:
 
     @classmethod
     def identity(cls, dimension: int) -> "AffineDiffeo":
+        _check_size("dimension", dimension, 1)
         rows = tuple(tuple(int(i == j) for j in range(dimension)) for i in range(dimension))
         return cls(rows, (0,) * dimension)
 
@@ -182,11 +174,13 @@ class AffineDiffeo:
         return [images.get((a,)) or Poly.zero(dim) for a in range(dim)]
 
     def push_scalar(self, f: Poly) -> Poly:
+        _operands("push_scalar", (self, AffineDiffeo, "any"), (f, Poly, "any"))
         return f.substitute(self.inverse_images())
 
     def push_tensor(self, t: TensorField) -> TensorField:
         """Pushforward: L on each upper slot, L^{-1} transposed on each lower,
         components composed with the inverse map."""
+        _operands("push_tensor", (self, AffineDiffeo, "any"), (t, TensorField, "any"))
         images = self.inverse_images()
         moved = {idx: c.substitute(images) for idx, c in t.nonzero.items()}
         linear, inverse = self._maps
@@ -207,15 +201,12 @@ class FiniteGauge:
     scalar: Poly
 
     def __post_init__(self):
-        for value, article, kind in (
-            (self.diffeo, "an", AffineDiffeo),
-            (self.boost, "a", TensorField),
-            (self.scalar, "a", Poly),
-        ):
-            if not isinstance(value, kind):
-                raise TypeError(f"{value!r} is not {article} {kind.__name__}")
-        if (self.boost.p, self.boost.q) != (0, 1):
-            raise ValueError("boost must be a 1-form")
+        _operands("FiniteGauge", (self.diffeo, AffineDiffeo, "any"),
+                  (self.boost, TensorField, (0, 1)), (self.scalar, Poly, "any"))
+
+    @property
+    def dimension(self) -> int:
+        return self.diffeo.dimension
 
 
 def _shifted(s: NCBStructure, boost: TensorField, scalar: Poly) -> NCBStructure:
@@ -238,10 +229,7 @@ def _shifted(s: NCBStructure, boost: TensorField, scalar: Poly) -> NCBStructure:
 def finite_gauge_apply(s: NCBStructure, gt: FiniteGauge) -> NCBStructure:
     """Shift (U, V, phi) by (boost, scalar), rebuild the gauge form from the
     shifted observer data, then push everything forward."""
-    _check_type("finite_gauge_apply", s, NCBStructure, "an")
-    _check_type("finite_gauge_apply", gt, FiniteGauge)
-    if gt.diffeo.dimension != s.base.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("finite_gauge_apply", (s, NCBStructure, "any"), (gt, FiniteGauge, "any"))
     shifted = _shifted(s, gt.boost, gt.scalar)
     g = shifted.base
     push = gt.diffeo.push_tensor
@@ -255,7 +243,6 @@ def nc_projection_invariance_check(
     """True iff the reassembled connection from the (boost, scalar)-shifted
     NCB data equals the original, exactly.  The shift keeps the base, so
     no diffeomorphism is applied."""
-    _check_type("nc_projection_invariance_check", s, NCBStructure, "an")
-    _check_type("nc_projection_invariance_check", boost, TensorField)
-    _check_type("nc_projection_invariance_check", scalar, Poly)
+    _operands("nc_projection_invariance_check", (s, NCBStructure, "any"),
+              (boost, TensorField, (0, 1)), (scalar, Poly, "any"))
     return _shifted(s, boost, scalar).induced_connection() == s.induced_connection()

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
-from .poly import Scalar, _accumulate, _exact, _q
+from .poly import Scalar, _accumulate, _check_size, _exact, _operands, _q
 
 Vector = tuple[Scalar, ...]
 
@@ -52,6 +52,8 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[object]]):
+        _check_size("rows", rows, 0)
+        _check_size("cols", cols, 0)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match rows x cols")
         self.rows = rows
@@ -98,6 +100,7 @@ def nullspace(matrix: RationalMatrix) -> list[Vector]:
     (ascending), carrying 1 in its own free column and 0 in every other free
     column, so the output is deterministic.
     """
+    _operands("nullspace", (matrix, RationalMatrix))
     kernel = sparse_kernel(_sparse_rows(matrix), matrix.cols)
     return [_dense(v, matrix.cols) for v in kernel]
 
@@ -111,6 +114,7 @@ def solve_inhomogeneous(
     solution (free variables set to 0) together with the canonical kernel
     basis of M.
     """
+    _operands("solve_inhomogeneous", (matrix, RationalMatrix))
     solution = sparse_solve(_sparse_rows(matrix), rhs, matrix.cols)
     if solution is None:
         return None
@@ -122,6 +126,7 @@ def inconsistency_certificate(
     matrix: RationalMatrix, rhs: Sequence[object]
 ) -> Optional[Vector]:
     """A row combination y with y.M = 0 but y.b != 0, if the system is inconsistent."""
+    _operands("inconsistency_certificate", (matrix, RationalMatrix))
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     vec = [_exact(b) for b in rhs]

@@ -28,6 +28,10 @@ product takes the operand with fewer terms as its multiplier and runs no
 double loop when it has one term: a zero gives zero, the constant 1 gives
 the other Poly itself (shared, which immutability makes safe), another
 constant scales every coefficient and a monomial shifts every exponent.
+
+Every argument refusal of ncw's public operations is made by the two
+checks here, in the module every other one imports: ``_check_size`` for a
+size and ``_operands`` for the class, (p, q) and dimension of the operands.
 """
 
 from __future__ import annotations
@@ -55,6 +59,44 @@ def _exact(value: object) -> Scalar:
     return _q(value)
 
 
+def _check_size(name: str, value: object, least: int) -> None:
+    """Refuse a size that is not an int >= least, 0 or 1, with a ValueError;
+    a bool is an int too, but no size."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} {value!r} is not a {kind} int")
+
+
+def _operands(operation: str, *operands: tuple) -> None:
+    """Refuse the operands of a public operation, checked once per call and
+    never per entry.  Each operand is (value, kind) or (value, kind, shape);
+    a value that is not a kind is a TypeError naming the kind expected and
+    the type given.  A shape, a field's (p, q) or "any", also asks for a
+    dimension: a field of another (p, q), or shaped operands of more than one
+    dimension, is a ValueError naming the operation, expected and given."""
+    dimension = None
+    for spec in operands:  # indexed, not unpacked: this runs on hot paths
+        value = spec[0]
+        if not isinstance(value, spec[1]):
+            name = spec[1].__name__
+            # "an" before a vowel sound: a vowel, or a letter said by its
+            # name at the head of an initialism, as in "an NCStructure"
+            sounds = "AEIOU" + ("FHLMNRSX" if name[1:2].isupper() else "")
+            article = "an" if name[0] in sounds else "a"
+            raise TypeError(f"{operation} needs {article} {name}, not {type(value).__name__}")
+        if len(spec) > 2:
+            want = spec[2]
+            if want != "any" and want != (value.p, value.q):
+                raise ValueError("{} needs a ({},{}) field, not a ({},{}) field".format(
+                    operation, *want, value.p, value.q
+                ))
+            if dimension is None:
+                dimension = value.dimension
+            elif value.dimension != dimension:
+                given = f"{dimension} and {value.dimension}"
+                raise ValueError(f"{operation} needs operands of one dimension, not {given}")
+
+
 def _accumulate(target: dict, source: Mapping, factor: Scalar = 1) -> None:
     """target += factor * source, in place: each new or summed value is
     stored canonical and a zero sum is deleted.  The one sparse exact sum,
@@ -80,8 +122,7 @@ class Poly:
     terms: dict[Exponent, int | Fraction]
 
     def __init__(self, dimension: int, terms: Mapping[Exponent, Scalar] | None = None):
-        if type(dimension) is not int or dimension < 1:  # a bool is an int too
-            raise ValueError(f"dimension {dimension!r} is not a positive int")
+        _check_size("dimension", dimension, 1)
         clean: dict[Exponent, Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -119,11 +160,13 @@ class Poly:
 
     @classmethod
     def const(cls, dimension: int, value: Scalar) -> "Poly":
+        _check_size("dimension", dimension, 1)
         return cls(dimension, {(0,) * dimension: value})
 
     @classmethod
     def variable(cls, dimension: int, index: int) -> "Poly":
         """The coordinate polynomial x_index (index 0 is time)."""
+        _check_size("dimension", dimension, 1)
         if type(index) is not int:  # a bool is an int too, but no index
             raise ValueError(f"variable index {index!r} is not an int")
         if not 0 <= index < dimension:
@@ -141,10 +184,8 @@ class Poly:
 
     def _coerce(self, other: object) -> "Poly | None":
         if isinstance(other, Poly):
-            if other.dimension != self.dimension:
-                raise ValueError(
-                    f"dimension mismatch: {self.dimension} vs {other.dimension}"
-                )
+            if other.dimension != self.dimension:  # refused with the operand check's message
+                _operands("Poly arithmetic", (self, Poly, "any"), (other, Poly, "any"))
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.dimension, other)
@@ -214,8 +255,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
-        if type(power) is not int or power < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
+        _check_size("power", power, 0)
         result = Poly.const(self.dimension, 1)
         base = self
         k = power
@@ -328,6 +368,7 @@ class Poly:
 
     def extended(self, new_dimension: int) -> "Poly":
         """Reinterpret in a larger coordinate ring (new variables appended)."""
+        _check_size("dimension", new_dimension, 1)
         if new_dimension < self.dimension:
             raise ValueError("cannot shrink dimension")
         pad = (0,) * (new_dimension - self.dimension)

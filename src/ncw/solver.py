@@ -38,12 +38,11 @@ from operator import add
 from typing import Literal, Sequence
 
 from .linalg import SparseEliminator, SparseRow, sparse_kernel
-from .poly import Exponent, Poly, Scalar, _accumulate, _q, grlex_monomials
+from .poly import Exponent, Poly, Scalar, _accumulate, _check_size, _operands, _q, grlex_monomials
 from .structures import NCStructure
 from .tensors import (
     Connection,
     TensorField,
-    _check_type,
     lie_derivative,
     lie_derivative_connection,
     raise_connection_transport,
@@ -267,15 +266,12 @@ def solve_symmetries(
     s: NCStructure, flavor: str, degree: int
 ) -> SymmetryBasis:
     """Exact kernel of the flavor's defining equations over the ansatz."""
-    _check_type("solve_symmetries", s, NCStructure, "an")
+    _operands("solve_symmetries", (s, NCStructure))
     # stage one reads one triangle of L_X gamma, which needs gamma symmetric
     s.base._valid_pair
     fl = canonical_flavor(flavor)
     d = degree
-    if type(d) is not int:
-        raise ValueError(f"degree bound must be an int, not {type(d).__name__}")
-    if d < 0:
-        raise ValueError("degree bound must be non-negative")
+    _check_size("degree", d, 0)
     dim = s.base.dimension
     # components x monomials t^j x^alpha, j <= d, |alpha| <= d + 1 - j
     columns = dim * sum(comb(d + dim - j, dim - 1) for j in range(d + 1))
@@ -327,8 +323,7 @@ class ClassifyFlags:
 
 def classify(x: TensorField, s: NCStructure) -> ClassifyFlags:
     """Exact membership flags; nesting enforced (galilei => milne => coriolis)."""
-    _check_type("classify", x, TensorField)
-    _check_type("classify", s, NCStructure, "an")
+    _operands("classify", (x, TensorField, (1, 0)), (s, NCStructure))
     g = s.base
     cor = (
         lie_derivative(x, g.gamma).is_zero
@@ -368,7 +363,7 @@ def structure_constants(
     False when some bracket leaves the span (degree truncation need not be
     bracket-stable), in which case that pair's constants are zero.
     """
-    _check_type("structure_constants", basis, SymmetryBasis)
+    _operands("structure_constants", (basis, SymmetryBasis))
     fields = basis.fields
     k = len(fields)
     rows = [_form_rows([f.nonzero]) for f in fields]
@@ -418,8 +413,7 @@ def _time_terms(
     tau, omega^A_B keyed (A, B) and rho^A keyed A, each of omega and rho as
     {t-exponent: coefficient} with only nonzero entries kept; None when the
     field does not have the shape.  Antisymmetry is checked on the dicts."""
-    if (x.p, x.q) != (1, 0):
-        raise ValueError(f"a time template needs a vector field, not a ({x.p},{x.q}) field")
+    _operands("a time template", (x, TensorField, (1, 0)))
     dim = x.dimension
     origin = (0,) * dim
     tau: Scalar = 0

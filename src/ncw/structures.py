@@ -39,12 +39,11 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _exact
+from .poly import Poly, Scalar, _check_size, _exact, _operands
 from .tensors import (
     Connection,
     TensorField,
     _add,
-    _check_type,
     _einsum,
     _neg,
     apply_metric,
@@ -149,14 +148,8 @@ class GalileiStructure:
             elim.add_row(reduced)
 
 
-def _check_n(n: object) -> None:
-    """Refuse an n that is not a positive int; a bool is refused too."""
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be a positive integer")
-
-
 def flat_galilei(n: int) -> GalileiStructure:
-    _check_n(n)
+    _check_size("n", n, 1)
     dim = n + 1
     one = Poly.const(dim, 1)
     gamma = TensorField(dim, 2, 0, {(a, a): one for a in range(1, dim)})
@@ -183,6 +176,7 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
     none), so that N does not depend on U.  Every h is computed on Poly
     entries; the presets of one n share the h of their frame, computed once.
     """
+    _operands("transverse_metric", (g, GalileiStructure, "any"), (u, TensorField, (1, 0)))
     g._valid_pair
     dim = g.dimension
     if pairing(g.theta, u) != Poly.const(dim, 1):
@@ -225,13 +219,13 @@ def transverse_metric(g: GalileiStructure, u: TensorField) -> TensorField:
 def geodesic_connection(g: GalileiStructure, u: TensorField) -> Connection:
     """The geodesic part of the NCB structure (gamma, theta, U, A = 0); see
     NCBStructure.geodesic_part."""
+    _operands("geodesic_connection", (g, GalileiStructure, "any"), (u, TensorField, (1, 0)))
     return NCBStructure(g, u, TensorField.zero(g.dimension, 0, 1)).geodesic_part
 
 
 def field_strength(a_form: TensorField) -> TensorField:
     """F_ab = d_a A_b - d_b A_a; closed by construction."""
-    if (a_form.p, a_form.q) != (0, 1):
-        raise ValueError("field_strength needs a 1-form")
+    _operands("field_strength", (a_form, TensorField, (0, 1)))
     d = a_form.derivative
     return TensorField._raw(a_form.dimension, 0, 2, _add(d, _neg(_einsum("ba->ab", d))))
 
@@ -240,9 +234,8 @@ def assemble_connection(
     ug: Connection, theta: TensorField, force: TensorField, gamma: TensorField
 ) -> Connection:
     """G_ab^c = UG_ab^c + theta_(a F_b)k gamma^{kc} with the 1/2 weight."""
-    _check_type("assemble_connection", ug, Connection)
-    for t in (theta, force, gamma):
-        _check_type("assemble_connection", t, TensorField)
+    _operands("assemble_connection", (ug, Connection, "any"), (theta, TensorField, (0, 1)),
+              (force, TensorField, (0, 2)), (gamma, TensorField, (2, 0)))
     f = force.nonzero
     if any(f.get((b, a)) != -v for (a, b), v in f.items()):
         raise StructureError("force form must be antisymmetric")
@@ -281,6 +274,10 @@ class NCBStructure:
     base: GalileiStructure
     u: TensorField
     a_form: TensorField
+
+    @property
+    def dimension(self) -> int:
+        return self.base.dimension
 
     @cached_property
     def _observer(self) -> tuple[TensorField, Poly]:
@@ -372,6 +369,8 @@ def observer_and_potential(
     g: GalileiStructure, u: TensorField, a_form: TensorField
 ) -> tuple[TensorField, Poly]:
     """V = U - gamma(A);  phi = gamma(A,A)/2 - A(U)."""
+    _operands("observer_and_potential", (g, GalileiStructure, "any"), (u, TensorField, (1, 0)),
+              (a_form, TensorField, (0, 1)))
     raised = apply_metric(g.gamma, a_form)
     v = u - raised
     phi = pairing(a_form, raised) * Fraction(1, 2) - pairing(a_form, u)
@@ -389,6 +388,8 @@ def observer_structure(
     computing it again.  Round-trips with observer_and_potential; the
     standard gauge V = U gives A = -phi.theta.
     """
+    _operands("observer_structure", (g, GalileiStructure, "any"), (u, TensorField, (1, 0)),
+              (v, TensorField, (1, 0)), (phi, Poly, "any"))
     dim = g.dimension
     if pairing(g.theta, v) != Poly.const(dim, 1):
         raise StructureError("V must satisfy theta(V) = 1")
@@ -418,8 +419,8 @@ def ncb_structure(
     """The NCB structure of (gamma, theta, U, A).  The transverse metric of U
     is computed here, so that a U without a polynomial one is refused when
     the structure is built; V, phi and F wait for their first use."""
-    if (a_form.p, a_form.q) != (0, 1) or a_form.dimension != g.dimension:
-        raise ValueError("the gauge form A must be a 1-form of the structure's dimension")
+    _operands("ncb_structure", (g, GalileiStructure, "any"), (u, TensorField, (1, 0)),
+              (a_form, TensorField, (0, 1)))
     s = NCBStructure(g, u, a_form)
     s.transverse
     return s
@@ -442,7 +443,7 @@ def _flat_frame(n: int) -> NCBStructure:
 def _frame(n: int) -> NCBStructure:
     """_flat_frame(n) for a positive int n, checked before the cache is
     consulted: a bool is an int too, and True == 1 would be its key."""
-    _check_n(n)
+    _check_size("n", n, 1)
     return _flat_frame(n)
 
 
@@ -450,8 +451,7 @@ def standard_structure(n: int, phi: Poly) -> NCBStructure:
     """The flat pair with U = d/dt and gauge form A = -phi.theta.  Every
     preset of one n shares that n's frame: the pair, U, h and the geodesic
     part, checked once; A, F and the connection are its own."""
-    if not isinstance(phi, Poly):
-        raise TypeError(f"the potential must be a Poly, not {type(phi).__name__}")
+    _operands("standard_structure", (phi, Poly))
     frame = _frame(n)
     g = frame.base
     dim = g.dimension

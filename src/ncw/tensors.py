@@ -110,7 +110,7 @@ from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, _check_size, _operands
 
 Index = tuple[int, ...]
 
@@ -134,22 +134,6 @@ def _check_index(dimension: int, rank: int, indices: Sequence[int]) -> None:
             raise ValueError(f"index {i!r} out of range for dimension {dimension}")
 
 
-def _check_size(name: str, value: object, least: int) -> None:
-    """Refuse a size that is not an int >= least; a bool is an int too,
-    but no size."""
-    if type(value) is not int or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} {value!r} is not a {kind} int")
-
-
-def _check_type(caller: str, value: object, kind: type, article: str = "a") -> None:
-    """Refuse an argument that is not a kind with a TypeError naming the
-    type expected, after its article, and the type given.  A public
-    operation checks each argument once per call, never per entry."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{caller} needs {article} {kind.__name__}, not {type(value).__name__}")
-
-
 class _Entries:
     """What the three field classes share.  ``nonzero`` maps index tuples of
     ``rank`` indices in range(dimension) to nonzero components of the field's
@@ -169,7 +153,7 @@ class _Entries:
             if not value:
                 raise ValueError(f"zero component stored at {idx}")
             if getattr(value, "dimension", None) != self.dimension:
-                raise ValueError("component polynomial dimension mismatch")
+                raise ValueError(f"component at {idx} is not of dimension {self.dimension}")
 
     @classmethod
     def _raw(cls, *values):
@@ -369,18 +353,15 @@ class TensorField(_Entries):
     # ------------------------------------------------------------------
     # pointwise algebra
 
-    def _check_same_shape(self, other: "TensorField") -> None:
-        if (self.dimension, self.p, self.q) != (other.dimension, other.p, other.q):
-            raise ValueError("tensor shape mismatch")
-
     def __add__(self, other: "TensorField") -> "TensorField":
-        self._check_same_shape(other)
+        if not isinstance(other, TensorField):
+            return NotImplemented
+        shape = (self.p, self.q)
+        _operands("tensor addition", (self, TensorField, shape), (other, TensorField, shape))
         return TensorField._raw(self.dimension, self.p, self.q, _add(self.nonzero, other.nonzero))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
-        self._check_same_shape(other)
-        entries = _add(self.nonzero, _neg(other.nonzero))
-        return TensorField._raw(self.dimension, self.p, self.q, entries)
+        return self + -other if isinstance(other, TensorField) else NotImplemented
 
     def __neg__(self) -> "TensorField":
         return TensorField._raw(self.dimension, self.p, self.q, _neg(self.nonzero))
@@ -413,10 +394,7 @@ def _listed(dimension: int, components: Sequence[Poly]) -> dict[Index, Poly]:
 
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Tensor product; upper slots of a then of b, lower slots likewise."""
-    _check_type("tensor_product", a, TensorField)
-    _check_type("tensor_product", b, TensorField)
-    if a.dimension != b.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("tensor_product", (a, TensorField, "any"), (b, TensorField, "any"))
     ua, la, ub, lb = _slots(a.p, a.q, b.p, b.q)
     entries = _einsum(f"{ua}{la},{ub}{lb}->{ua}{ub}{la}{lb}", a, b)
     return TensorField._raw(a.dimension, a.p + b.p, a.q + b.q, entries)
@@ -426,34 +404,28 @@ def apply_metric(t: TensorField, w: TensorField) -> TensorField:
     """Contract a 2-tensor with a field on its second slot: t^{ak} w_k for a
     (2,0) tensor and a 1-form (a vector), t_{ak} V^k for a (0,2) tensor and a
     vector field (a 1-form)."""
-    if (t.p, t.q, w.p, w.q) not in ((2, 0, 0, 1), (0, 2, 1, 0)) or t.dimension != w.dimension:
-        raise ValueError(
-            "apply_metric needs a (2,0) tensor with a 1-form or a (0,2) tensor "
-            "with a vector field, of one dimension"
-        )
+    upper = getattr(t, "p", 0) == 2  # the pair's shapes, read before the check
+    _operands("apply_metric", (t, TensorField, (2, 0) if upper else (0, 2)),
+              (w, TensorField, (0, 1) if upper else (1, 0)))
     return TensorField._raw(t.dimension, w.q, w.p, _einsum("ak,k->a", t, w))
 
 
 def pairing(form: TensorField, vec: TensorField) -> Poly:
     """w_a X^a for a 1-form and a vector field."""
-    if (form.p, form.q, vec.p, vec.q) != (0, 1, 1, 0) or form.dimension != vec.dimension:
-        raise ValueError("pairing needs a 1-form, then a vector field, of one dimension")
+    _operands("pairing", (form, TensorField, (0, 1)), (vec, TensorField, (1, 0)))
     return _dot(form.nonzero, vec.nonzero, form.dimension)
 
 
 def gradient(f: Poly) -> TensorField:
     """The 1-form df."""
-    _check_type("gradient", f, Poly)
+    _operands("gradient", (f, Poly))
     n = f.dimension
     return TensorField._raw(n, 0, 1, {(a,): d for a in range(n) if (d := f.partial(a))})
 
 
 def directional(vec: TensorField, f: Poly) -> Poly:
     """X(f) = X^k d_k f."""
-    _check_type("directional", vec, TensorField)
-    _check_type("directional", f, Poly)
-    if (vec.p, vec.q) != (1, 0) or vec.dimension != f.dimension:
-        raise ValueError("directional needs a vector field and a function of one dimension")
+    _operands("directional", (vec, TensorField, (1, 0)), (f, Poly, "any"))
     return _dot(vec.nonzero, gradient(f).nonzero, vec.dimension)
 
 
@@ -471,8 +443,7 @@ def _dot(u: Mapping[Index, Poly], v: Mapping[Index, Poly], dimension: int) -> Po
 
 def vector_bracket(x: TensorField, y: TensorField) -> TensorField:
     """[X, Y]^a = X^k d_k Y^a - Y^k d_k X^a, which is L_X Y."""
-    if (x.p, x.q, y.p, y.q) != (1, 0, 1, 0) or x.dimension != y.dimension:
-        raise ValueError("vector_bracket needs two vector fields of one dimension")
+    _operands("vector_bracket", (x, TensorField, (1, 0)), (y, TensorField, (1, 0)))
     return lie_derivative(x, y)
 
 
@@ -484,10 +455,7 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     summed over every slot: the derivative term, then the slot action
     ``_act`` of -dX, keyed (k, a) = d_k X^a.
     """
-    _check_type("lie_derivative", x, TensorField)
-    _check_type("lie_derivative", t, TensorField)
-    if x.dimension != t.dimension or (x.p, x.q) != (1, 0):
-        raise ValueError("lie_derivative needs a vector field of matching dimension")
+    _operands("lie_derivative", (x, TensorField, (1, 0)), (t, TensorField, "any"))
     symmetric = t.q != 1 and t.p + t.q > 1 and t._pair_asymmetry is None
     xs = x.nonzero
     out: dict[Index, Poly] = {}
@@ -580,8 +548,7 @@ def lie_derivative_connection(x: TensorField, g: Connection) -> TensorField:
     The first four terms are the tensor Lie derivative of the symbols'
     (1,2) view, ``g.as_field``; only d_a d_b X^c is added here, per a <= b.
     """
-    if x.dimension != g.dimension or (x.p, x.q) != (1, 0):
-        raise ValueError("lie_derivative_connection needs a matching vector field")
+    _operands("lie_derivative_connection", (x, TensorField, (1, 0)), (g, Connection, "any"))
     out = lie_derivative(x, g.as_field).nonzero  # its field is dropped: out is ours
     for (b, c), d in x.derivative.items():
         for a in range(b + 1):
@@ -598,8 +565,7 @@ def raise_connection(g: Connection, gamma: TensorField, slots: int) -> TensorFie
     The symbols' (1,2) view ``g.as_field`` is raised by
     raise_connection_transport.
     """
-    if gamma.dimension != g.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("raise_connection", (g, Connection, "any"), (gamma, TensorField, (2, 0)))
     return raise_connection_transport(g.as_field, gamma, slots)
 
 
@@ -611,11 +577,9 @@ def raise_connection_transport(
     With L = lie_derivative_connection(x, g) and L_x gamma = 0 this computes
     the transport of the raised symbols; slots as in raise_connection.
     """
+    _operands("raise_connection_transport", (ld, TensorField, (1, 2)), (gamma, TensorField, (2, 0)))
+    _check_size("slots", slots, 1)
     n = ld.dimension
-    if (ld.p, ld.q, gamma.p, gamma.q) != (1, 2, 2, 0) or gamma.dimension != n:
-        raise ValueError(
-            "raising needs a (1,2)-shaped transport and a (2,0) gamma of one dimension"
-        )
     if slots == 1:
         return TensorField._raw(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
     if slots == 2:
@@ -628,10 +592,7 @@ def covariant_derivative(g: Connection, t: TensorField) -> TensorField:
     slot.  (DT) = d_c T, plus G_ck^a T with a contravariant slot's k swapped
     for a, minus G_cb^k T with a covariant slot's k swapped for b: d_c T and
     the slot action ``_act`` of G_c, both keyed (c, *idx), then re-keyed."""
-    _check_type("covariant_derivative", g, Connection)
-    _check_type("covariant_derivative", t, TensorField)
-    if g.dimension != t.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("covariant_derivative", (g, Connection, "any"), (t, TensorField, "any"))
     p = t.p
     symmetric = t.q != 1 and t.p + t.q > 1 and t._pair_asymmetry is None
     d = t.derivative  # (c, *idx): d_c T_idx
@@ -666,6 +627,7 @@ def curvature(g: Connection) -> CurvatureField:
     Each entry of S is then added, with its sign, to the R_abcd with a < b
     it enters, under either ordering of its symmetric pair; R_bacd = -R_abcd
     is stored with each.  R_aacd is zero and never formed."""
+    _operands("curvature", (g, Connection))
     by_upper: dict[int, list] = {}  # k: [(b, c, G_bc^k)], b <= c
     for (b, c, k), v in g.nonzero.items():
         if b <= c:
@@ -699,7 +661,6 @@ def check_newtonian(
     The right side at (a, c, b, d) is the left side at (c, a, d, b), so one
     contraction gives both, and each entry is compared with that mirror.
     """
-    if r.dimension != gamma.dimension:
-        raise ValueError("dimension mismatch")
+    _operands("check_newtonian", (r, CurvatureField, "any"), (gamma, TensorField, (2, 0)))
     witness = _asymmetry(_einsum("bk,akcd->acbd", gamma, r), itemgetter(1, 0, 3, 2))
     return (True, None) if witness is None else (False, witness)

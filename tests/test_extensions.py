@@ -116,13 +116,13 @@ def mk_milne(n, omega=None, rho=None, tau=0, xi=None):
 
 @pytest.mark.parametrize("f", [0, Fraction(1, 2), "t"], ids=["int", "fraction", "str"])
 def test_extended_element_refuses_a_parameter_that_is_not_a_poly(f):
-    with pytest.raises(TypeError, match=f"^{re.escape(repr(f))} is not a Poly$"):
+    with pytest.raises(TypeError, match=f"^ExtendedElement needs a Poly, not {type(f).__name__}$"):
         ExtendedElement(basis_vector(3, 0), f)
 
 
 @pytest.mark.parametrize("x", [0, "X", Poly.zero(3)], ids=["int", "str", "poly"])
 def test_extended_element_refuses_a_field_that_is_not_a_tensor_field(x):
-    with pytest.raises(TypeError, match=f"^{re.escape(repr(x))} is not a TensorField$"):
+    with pytest.raises(TypeError, match=f"^ExtendedElement needs a TensorField, not {type(x).__name__}$"):
         ExtendedElement(x, Poly.zero(3))
 
 
@@ -277,7 +277,7 @@ class TestExtendedMilne:
         zero = Poly.zero(3)
         fields = {"omega": ((0, 1), (-1, 0)), "rho": (zero, zero), "tau": 1, "xi": zero}
         fields[field] = {"omega": ((0, entry), (0, 0)), "rho": (entry, zero)}.get(field, entry)
-        message = "is not a Poly" if field in ("rho", "xi") else "not an int or a Fraction"
+        message = "needs a Poly" if field in ("rho", "xi") else "not an int or a Fraction"
         with pytest.raises(TypeError, match=message):
             MilneStandardElement(**fields)
 
@@ -685,7 +685,7 @@ class TestBargmann:
 
     @pytest.mark.parametrize("n", [-1, True, 2.0, "2"], ids=["negative", "bool", "float", "str"])
     def test_dimension_that_is_not_a_non_negative_int_is_refused(self, n):
-        with pytest.raises(ValueError, match=re.escape(f"dimension {n!r} is not a non-negative int")):
+        with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not a non-negative int")):
             BargmannElement.make(n)
 
     def test_exact_parameters_are_kept_canonical(self):
@@ -1004,7 +1004,7 @@ def _run_extend(sample, flavor, degree, capsys):
 @pytest.mark.parametrize("degree", [1.5, True], ids=["float", "bool"])
 def test_extend_refuses_a_degree_that_is_not_an_int(degree):
     # int(degree) extended each of these at degree 1
-    with pytest.raises(ValueError, match=f"degree bound must be an int, not {type(degree).__name__}$"):
+    with pytest.raises(ValueError, match=f"^degree {re.escape(repr(degree))} is not a non-negative int$"):
         extend(flat_structure(1), "gal", degree)
 
 

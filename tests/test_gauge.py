@@ -37,14 +37,14 @@ class TestInfinitesimal:
     @pytest.mark.parametrize("f", [0, Fraction(1, 2), "t"], ids=["int", "fraction", "str"])
     def test_a_parameter_that_is_not_a_poly_is_refused(self, f):
         zero = GaugeElement.zero(3)
-        with pytest.raises(TypeError, match=f"^{re.escape(repr(f))} is not a Poly$"):
+        with pytest.raises(TypeError, match=f"^GaugeElement needs a Poly, not {type(f).__name__}$"):
             GaugeElement(zero.x, zero.psi, f)
 
     @pytest.mark.parametrize("slot", ["x", "psi"])
     @pytest.mark.parametrize("value", [0, Poly.zero(3)], ids=["int", "poly"])
     def test_a_field_that_is_not_a_tensor_field_is_refused(self, slot, value):
         parts = vars(GaugeElement.zero(3)) | {slot: value}
-        with pytest.raises(TypeError, match=f"^{re.escape(repr(value))} is not a TensorField$"):
+        with pytest.raises(TypeError, match=f"^GaugeElement needs a TensorField, not {type(value).__name__}$"):
             GaugeElement(**parts)
 
     def test_zero_element(self):
@@ -131,7 +131,7 @@ class TestFiniteAction:
             "boost": TensorField.zero(3, 0, 1),
             "scalar": Poly.zero(3),
         } | {slot: value}
-        with pytest.raises(TypeError, match=f"^{re.escape(repr(value))} is not {kind}$"):
+        with pytest.raises(TypeError, match=f"^FiniteGauge needs {kind}, not {type(value).__name__}$"):
             FiniteGauge(**parts)
 
     def test_identity_fixes_structure(self):

@@ -8,9 +8,12 @@ failure and ``_bracket``'s "does not lie in", which only a symmetry field
 that does not extend would reach.
 """
 
+import inspect
 import re
 
 import pytest
+
+import ncw
 
 from ncw.extensions import (
     BargmannElement,
@@ -43,11 +46,13 @@ from ncw.structures import (
     assemble_connection,
     field_strength,
     flat_structure,
+    observer_structure,
     standard_structure,
 )
 from ncw.tensors import (
     Connection,
     TensorField,
+    apply_metric,
     check_newtonian,
     covariant_derivative,
     curvature,
@@ -55,6 +60,7 @@ from ncw.tensors import (
     gradient,
     lie_derivative,
     lie_derivative_connection,
+    pairing,
     raise_connection,
     raise_connection_transport,
     tensor_product,
@@ -162,11 +168,11 @@ def pair(gamma, theta):
          StructureError, "gamma must be a (2,0) tensor of matching dimension"),
         (lambda: pair(zero(3, 2, 0), zero(3, 2, 0)).validate(),
          StructureError, "theta must be a 1-form of matching dimension"),
-        (lambda: field_strength(X), ValueError, "field_strength needs a 1-form"),
+        (lambda: field_strength(X), ValueError, "field_strength needs a (0,1) field, not a (1,0) field"),
         (lambda: standard_structure(2, P), ValueError, "potential dimension must be n+1"),
         # extensions
         (lambda: ExtendedElement(zero(3, 1, 0), P),
-         ValueError, "field and parameter dimensions disagree"),
+         ValueError, "ExtendedElement needs operands of one dimension, not 3 and 2"),
         (lambda: cocycle_triviality(SymmetryBasis(nc(), "galilei", 0, ()), [[0]]),
          CocycleError, "cocycle matrix size does not match the basis"),
         (lambda: BargmannElement(((0,),), (0, 0), (0, 0), 0, 0),
@@ -180,20 +186,27 @@ def pair(gamma, theta):
         (lambda: MilneStandardElement(((0,),), (Poly.zero(2),), 0, P),
          ValueError, "parameter must depend on time only"),
         (lambda: bargmann_bracket(BargmannElement.make(1), BargmannElement.make(2)),
-         ValueError, "dimension mismatch"),
+         ValueError, "bargmann_bracket needs operands of one dimension, not 2 and 3"),
         # gauge
-        (lambda: infinitesimal_gauge(s(), GaugeElement.zero(3)), ValueError, "dimension mismatch"),
+        (lambda: infinitesimal_gauge(s(), GaugeElement.zero(3)),
+         ValueError, "infinitesimal_gauge needs operands of one dimension, not 2 and 3"),
         (lambda: gauge_bracket(GaugeElement.zero(2), GaugeElement.zero(3)),
-         ValueError, "dimension mismatch"),
+         ValueError, "gauge_bracket needs operands of one dimension, not 2 and 3"),
         (lambda: finite_gauge_apply(
             s(), FiniteGauge(AffineDiffeo.identity(3), zero(3, 0, 1), Poly.zero(3))),
-         ValueError, "dimension mismatch"),
-        (lambda: GaugeElement(ONE_FORM, ONE_FORM, P), ValueError, "X must be a vector field"),
-        (lambda: GaugeElement(X, X, P), ValueError, "psi must be a 1-form"),
-        (lambda: GaugeElement(X, zero(3, 0, 1), P), ValueError, "gauge element dimensions disagree"),
-        (lambda: FiniteGauge(AffineDiffeo.identity(2), X, P), ValueError, "boost must be a 1-form"),
+         ValueError, "finite_gauge_apply needs operands of one dimension, not 2 and 3"),
+        (lambda: GaugeElement(ONE_FORM, ONE_FORM, P),
+         ValueError, "GaugeElement needs a (1,0) field, not a (0,1) field"),
+        (lambda: GaugeElement(X, X, P), ValueError, "GaugeElement needs a (0,1) field, not a (1,0) field"),
+        (lambda: GaugeElement(X, zero(3, 0, 1), P),
+         ValueError, "GaugeElement needs operands of one dimension, not 2 and 3"),
+        (lambda: FiniteGauge(AffineDiffeo.identity(2), X, P),
+         ValueError, "FiniteGauge needs a (0,1) field, not a (1,0) field"),
+        (lambda: AffineDiffeo.identity(True), ValueError, "dimension True is not a positive int"),
         # linalg
         (lambda: RationalMatrix(2, 1, [[1]]), ValueError, "entry grid does not match rows x cols"),
+        (lambda: RationalMatrix(True, 1, [[1]]), ValueError, "rows True is not a non-negative int"),
+        (lambda: RationalMatrix(0, 2.0, []), ValueError, "cols 2.0 is not a non-negative int"),
         # poly
         (lambda: Poly(2, {(1,): 1}), ValueError, "exponent tuple (1,) has length 1, expected 2"),
         (lambda: setattr(P, "terms", {}), AttributeError, "Poly is immutable"),
@@ -202,39 +215,85 @@ def pair(gamma, theta):
         (lambda: P.substitute([P]), ValueError, "need one image polynomial per coordinate"),
         (lambda: P.substitute([Poly.zero(2), Poly.zero(3)]),
          ValueError, "image polynomials must share a dimension"),
+        (lambda: P + Poly.zero(3),
+         ValueError, "Poly arithmetic needs operands of one dimension, not 2 and 3"),
         (lambda: Poly.zero(3).extended(2), ValueError, "cannot shrink dimension"),
+        (lambda: Poly.zero(1).extended(True), ValueError, "dimension True is not a positive int"),
+        (lambda: Poly.zero(2).extended(2.5), ValueError, "dimension 2.5 is not a positive int"),
+        (lambda: Poly.const(2.5, 1), ValueError, "dimension 2.5 is not a positive int"),
+        (lambda: Poly.variable(2.5, 0), ValueError, "dimension 2.5 is not a positive int"),
+        (lambda: Poly.variable(False, 0), ValueError, "dimension False is not a positive int"),
         # tensors
-        (lambda: X + ONE_FORM, ValueError, "tensor shape mismatch"),
+        (lambda: X + ONE_FORM, ValueError, "tensor addition needs a (1,0) field, not a (0,1) field"),
         (lambda: vector(2, [P]), ValueError, "need 2 components, got 1"),
-        (lambda: tensor_product(X, zero(3, 1, 0)), ValueError, "dimension mismatch"),
+        (lambda: tensor_product(X, zero(3, 1, 0)),
+         ValueError, "tensor_product needs operands of one dimension, not 2 and 3"),
         (lambda: vector_bracket(X, ONE_FORM),
-         ValueError, "vector_bracket needs two vector fields of one dimension"),
+         ValueError, "vector_bracket needs a (1,0) field, not a (0,1) field"),
         (lambda: lie_derivative(ONE_FORM, ONE_FORM),
-         ValueError, "lie_derivative needs a vector field of matching dimension"),
+         ValueError, "lie_derivative needs a (1,0) field, not a (0,1) field"),
         (lambda: lie_derivative_connection(zero(3, 1, 0), Connection.zero(2)),
-         ValueError, "lie_derivative_connection needs a matching vector field"),
+         ValueError, "lie_derivative_connection needs operands of one dimension, not 3 and 2"),
         (lambda: raise_connection(Connection.zero(2), zero(3, 2, 0), 1),
-         ValueError, "dimension mismatch"),
+         ValueError, "raise_connection needs operands of one dimension, not 2 and 3"),
+        (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), True),
+         ValueError, "slots True is not a positive int"),
+        (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), 2.0),
+         ValueError, "slots 2.0 is not a positive int"),
+        (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), 3),
+         ValueError, "slots must be 1 or 2"),
         (lambda: raise_connection_transport(zero(2, 1, 1), zero(2, 2, 0), 1),
-         ValueError, "raising needs a (1,2)-shaped transport and a (2,0) gamma of one dimension"),
+         ValueError, "raise_connection_transport needs a (1,2) field, not a (1,1) field"),
         (lambda: covariant_derivative(Connection.zero(2), zero(3, 1, 0)),
-         ValueError, "dimension mismatch"),
+         ValueError, "covariant_derivative needs operands of one dimension, not 2 and 3"),
         (lambda: check_newtonian(curvature(Connection.zero(2)), zero(3, 2, 0)),
-         ValueError, "dimension mismatch"),
+         ValueError, "check_newtonian needs operands of one dimension, not 2 and 3"),
     ],
     ids=[
         "pair-gamma", "pair-theta", "field-strength", "standard-potential",
         "extended-element", "cocycle-size", "rotation-size", "rotation-antisymmetry",
         "bargmann-translation", "milne-translation", "milne-parameter", "bargmann-bracket",
         "infinitesimal-gauge", "gauge-bracket", "finite-gauge", "gauge-x", "gauge-psi",
-        "gauge-dimensions", "finite-gauge-boost", "matrix-grid", "poly-exponents",
-        "poly-immutable", "poly-variable", "poly-evaluate", "poly-substitute-images",
-        "poly-substitute-dimensions", "poly-extended", "tensor-shape", "vector-length",
-        "tensor-product", "vector-bracket", "lie-derivative", "lie-derivative-connection",
-        "raise-connection", "raise-transport", "covariant-derivative", "check-newtonian",
+        "gauge-dimensions", "finite-gauge-boost", "affine-identity-bool", "matrix-grid",
+        "matrix-rows-bool", "matrix-cols-float",
+        "poly-exponents", "poly-immutable", "poly-variable", "poly-evaluate",
+        "poly-substitute-images", "poly-substitute-dimensions", "poly-arithmetic", "poly-extended",
+        "poly-extended-bool", "poly-extended-float", "poly-const-float", "poly-variable-float",
+        "poly-variable-bool", "tensor-shape", "vector-length", "tensor-product",
+        "vector-bracket", "lie-derivative", "lie-derivative-connection", "raise-connection",
+        "raise-connection-slots-bool", "raise-connection-slots-float",
+        "raise-connection-slots-range", "raise-transport", "covariant-derivative",
+        "check-newtonian",
     ],
 )
 def test_each_check_refuses_with_its_own_error(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         call()
     assert type(raised.value) is kind
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: X + 5, lambda: 5 + X, lambda: X - P, lambda: P - X],
+    ids=["field-plus-int", "int-plus-field", "field-minus-poly", "poly-minus-field"],
+)
+def test_field_arithmetic_with_a_non_field_is_refused(call):
+    # X + 5 ended in "'int' object has no attribute 'dimension'"
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        call()
+
+
+PUBLIC_FUNCTIONS = [
+    value for name in ncw.__all__ if inspect.isfunction(value := getattr(ncw, name))
+] + [apply_metric, pairing, raise_connection_transport, observer_structure]
+
+
+@pytest.mark.parametrize("function", PUBLIC_FUNCTIONS, ids=lambda f: f.__name__)
+def test_no_public_function_ends_in_an_attribute_error(function):
+    # a Poly for every required argument; curvature(P) ended in
+    # "'Poly' object has no attribute 'nonzero'"
+    required = [
+        p for p in inspect.signature(function).parameters.values() if p.default is p.empty
+    ]
+    with pytest.raises((TypeError, ValueError)):
+        function(*[P] * len(required))

@@ -3,6 +3,7 @@ and structure constants."""
 
 import copy
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -740,7 +741,7 @@ def test_solve_refuses_an_asymmetric_gamma():
 def test_a_degree_that_is_not_an_int_is_refused(degree):
     # int(degree) solved each of these at degree 1
     s = flat_structure(1).induced_nc()
-    with pytest.raises(ValueError, match=f"degree bound must be an int, not {type(degree).__name__}$"):
+    with pytest.raises(ValueError, match=f"^degree {re.escape(repr(degree))} is not a non-negative int$"):
         solve_symmetries(s, "cor", degree)
 
 
@@ -1292,5 +1293,5 @@ def test_template_fits_refuse_fields_that_are_not_vectors(field):
     # component X^a to read
     # the refits read only an ExtendedElement, which refuses the field first
     for fit in (_time_terms, generator_label, lambda f: ExtendedElement(f, Poly.zero(2))):
-        with pytest.raises(ValueError, match="needs a vector field"):
+        with pytest.raises(ValueError, match=r"needs a \(1,0\) field"):
             fit(field)
