@@ -357,7 +357,7 @@ class TensorField(_Entries):
         if not isinstance(other, TensorField):
             return NotImplemented
         shape = (self.p, self.q)
-        _operands("tensor addition", (self, TensorField, shape), (other, TensorField, shape))
+        _operands("tensor addition", (self, TensorField, "any"), (other, TensorField, shape))
         return TensorField._raw(self.dimension, self.p, self.q, _add(self.nonzero, other.nonzero))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
