@@ -19,19 +19,20 @@ parameters:
   coboundary.
 
 Cocycles, functionals and the constant parameters of a BargmannElement or
-a MilneStandardElement are taken only as ints and Fractions
-(``poly._exact``); a float, a string or a bool is refused.
+a MilneStandardElement are taken only as ints and Fractions, arrays read to
+their sizes (``poly._exact_array``); a float, a string or a bool is refused.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix, inconsistency_certificate, solve_inhomogeneous
-from .poly import Poly, _check_size, _exact, _operands, time_part
+from .poly import Poly, _check_size, _exact, _exact_array, _operands, time_part
 from .solver import (
     NotInFlavorError,
     SymmetryBasis,
@@ -410,9 +411,7 @@ def cocycle_triviality(
     inconsistency certificate over the listed index pairs."""
     _operands("cocycle_triviality", (basis, SymmetryBasis))
     k = len(basis.fields)
-    c = [[_exact(v) for v in row] for row in cocycle]
-    if len(c) != k or any(len(row) != k for row in c):
-        raise CocycleError("cocycle matrix size does not match the basis")
+    c = _exact_array("cocycle_triviality", cocycle, k, k)
     for i in range(k):
         for j in range(k):
             if c[i][j] != -c[j][i]:
@@ -455,12 +454,10 @@ def cocycle_triviality(
 # time).  Each builds its field through _template_field and is refit from a
 # field through solver._time_terms, the one reading of the template.
 
-def _rotation_block(omega: Sequence[Sequence[Fraction]], n: int) -> tuple:
-    """omega with canonical entries; a block that is not an antisymmetric
-    n x n block of ints and Fractions is refused."""
-    omega = tuple(tuple(_exact(v) for v in row) for row in omega)
-    if len(omega) != n or any(len(r) != n for r in omega):
-        raise ValueError("rotation block size mismatch")
+def _rotation_block(operation: str, omega: Sequence[Sequence[Fraction]], n: int) -> tuple:
+    """omega read as an n x n block of canonical entries; a block that is
+    not antisymmetric is refused."""
+    omega = _exact_array(operation, omega, n, n)
     if any(omega[a][b] != -omega[b][a] for a in range(n) for b in range(n)):
         raise ValueError("rotation block must be antisymmetric")
     return omega
@@ -522,13 +519,11 @@ class BargmannElement:
     xi: Fraction
 
     def __post_init__(self):
-        for name in ("beta", "sigma"):
-            object.__setattr__(self, name, tuple(_exact(v) for v in getattr(self, name)))
-        object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
+        object.__setattr__(self, "beta", _exact_array("BargmannElement", self.beta, None))
+        object.__setattr__(self, "sigma", _exact_array("BargmannElement", self.sigma, self.n))
+        object.__setattr__(self, "omega", _rotation_block("BargmannElement", self.omega, self.n))
         object.__setattr__(self, "tau", _exact(self.tau))
         object.__setattr__(self, "xi", _exact(self.xi))
-        if len(self.sigma) != self.n:
-            raise ValueError("translation vector size mismatch")
 
     @property
     def n(self) -> int:
@@ -541,21 +536,27 @@ class BargmannElement:
     @classmethod
     def make(cls, n, omega=None, beta=None, sigma=None, tau=0, xi=0) -> "BargmannElement":
         """An element from 1-based parameter entries, zero elsewhere; an n
-        that is not a non-negative int, or a key with an index outside 1..n,
-        is refused."""
+        that is not a non-negative int, parameters that are not mappings, an
+        omega key that is not a pair, or an index that is not an int in
+        range(1, n + 1), are refused."""
         _check_size("n", n, 0)
+        omega, beta, sigma = omega or {}, beta or {}, sigma or {}
+        _operands("BargmannElement.make", (omega, Mapping), (beta, Mapping), (sigma, Mapping))
 
-        def checked(key, *indices):
-            if not all(type(a) is int and 1 <= a <= n for a in indices):
-                raise ValueError(f"parameter key {key!r} is outside 1..{n}")
+        def checked(name, key, *indices):
+            for a in indices:
+                _check_size(f"{name} index", a, 1, n + 1)
             return key
 
-        rotation = {checked(key, *key): v for key, v in (omega or {}).items()}
+        for key in omega:
+            if type(key) is not tuple or len(key) != 2:
+                _exact_array("BargmannElement.make", key, 2)  # refused here
+        rotation = {checked("omega", key, *key): v for key, v in omega.items()}
         vectors = []
-        for given in (beta, sigma):
+        for name, given in (("beta", beta), ("sigma", sigma)):
             vec = [0] * n
-            for key, v in (given or {}).items():
-                vec[checked(key, key) - 1] = v
+            for key, v in given.items():
+                vec[checked(name, key, key) - 1] = v
             vectors.append(tuple(vec))
         return cls(_rotation_rows(n, rotation), *vectors, tau, xi)
 
@@ -613,7 +614,7 @@ class MilneStandardElement:
         _operands("MilneStandardElement", *((p, Poly) for p in (*self.rho, self.xi)))
         if any(p.dimension != self.n + 1 for p in (*self.rho, self.xi)):
             raise ValueError(f"translation and parameter must have dimension {self.n + 1}")
-        object.__setattr__(self, "omega", _rotation_block(self.omega, self.n))
+        object.__setattr__(self, "omega", _rotation_block("MilneStandardElement", self.omega, self.n))
         object.__setattr__(self, "tau", _exact(self.tau))
         for r in self.rho:
             if not r.depends_only_on([0]):

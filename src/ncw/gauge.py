@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import adjugate
-from .poly import Poly, Scalar, _check_size, _exact, _operands, _q
+from .poly import Poly, Scalar, _check_size, _exact_array, _operands, _q
 from .structures import (
     GalileiStructure,
     NCBStructure,
@@ -120,29 +120,21 @@ def gauge_bracket(e1: GaugeElement, e2: GaugeElement) -> GaugeElement:
 @dataclass(frozen=True)
 class AffineDiffeo:
     """y = L x + c, with L an invertible rational matrix held as a tuple of
-    rows.  The entries of L and c are taken only as ints and Fractions and
-    kept canonical (``poly._exact``).  One adjugate gives det L, for the
-    invertibility check, and L^{-1}; the nonzero entries of L and of
-    L^{-1}, keyed (row, column), are kept once per map for the
-    pushforwards."""
+    rows.  L and c are read to the length of c, their entries taken only as
+    ints and Fractions and kept canonical (``poly._exact_array``).  One
+    adjugate gives det L, for the invertibility check, and L^{-1}; the
+    nonzero entries of L and of L^{-1}, keyed (row, column), are kept once
+    per map for the pushforwards."""
 
     linear: tuple[tuple[Scalar, ...], ...]
     translation: tuple[Scalar, ...]
     _maps: tuple[dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = self.linear
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("entry grid does not match rows x cols")
-        object.__setattr__(self, "linear", tuple(tuple(_exact(v) for v in row) for row in rows))
-        object.__setattr__(self, "translation", tuple(_exact(v) for v in self.translation))
-        n = len(self.linear)
-        if not n:
-            raise ValueError("linear part must not be empty")
-        if any(len(row) != n for row in self.linear):
-            raise ValueError("linear part must be square")
-        if len(self.translation) != n:
-            raise ValueError("translation length mismatch")
+        object.__setattr__(self, "translation", _exact_array("AffineDiffeo", self.translation, None))
+        n = len(self.translation)
+        _check_size("dimension", n, 1)
+        object.__setattr__(self, "linear", _exact_array("AffineDiffeo", self.linear, n, n))
         adj, det = adjugate(self.linear)
         if det == 0:
             raise ValueError("affine map must be invertible")
@@ -159,7 +151,7 @@ class AffineDiffeo:
 
     @classmethod
     def make(cls, linear: Sequence[Sequence[object]], translation: Sequence[object]) -> "AffineDiffeo":
-        return cls(tuple(map(tuple, linear)), tuple(translation))
+        return cls(linear, translation)
 
     @property
     def dimension(self) -> int:

@@ -21,10 +21,10 @@ is scaled to a leading 1 in the cheapest exact way: a lead of -1 negates
 the row; any other int lead p divides each int entry in ints (``//``)
 where p divides it and makes Fraction(v, p) where it does not; only a
 Fraction lead takes a Fraction multiplication.  A
-RationalMatrix, the rows and right-hand side of sparse_solve, and the
-right-hand side of solve_inhomogeneous and inconsistency_certificate, take
-only int and Fraction entries (``poly._exact``); a float, a string or a
-bool is refused, not approximated.  sparse_kernel and
+RationalMatrix and the right-hand sides are read to their sizes, and the
+rows of sparse_solve entry by entry, as int and Fraction entries only
+(``poly._exact_array``, ``poly._exact``); a float, a string or a bool is
+refused, not approximated.  sparse_kernel and
 SparseEliminator.add_row, the symmetry solver's hot path, take their rows
 unchecked: their callers build them from canonical coefficients.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
-from .poly import Scalar, _accumulate, _check_size, _exact, _operands, _q
+from .poly import Scalar, _accumulate, _check_size, _exact, _exact_array, _operands, _q
 
 Vector = tuple[Scalar, ...]
 
@@ -54,19 +54,14 @@ class RationalMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[object]]):
         _check_size("rows", rows, 0)
         _check_size("cols", cols, 0)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match rows x cols")
         self.rows = rows
         self.cols = cols
-        self.entries: tuple[Vector, ...] = tuple(
-            tuple(_exact(v) for v in row) for row in entries
-        )
+        self.entries: tuple[Vector, ...] = _exact_array("RationalMatrix", entries, rows, cols)
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[object]]) -> "RationalMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
+        rows = _exact_array("RationalMatrix", entries, None, None)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -115,6 +110,7 @@ def solve_inhomogeneous(
     basis of M.
     """
     _operands("solve_inhomogeneous", (matrix, RationalMatrix))
+    rhs = _exact_array("solve_inhomogeneous", rhs, matrix.rows)
     solution = sparse_solve(_sparse_rows(matrix), rhs, matrix.cols)
     if solution is None:
         return None
@@ -127,9 +123,7 @@ def inconsistency_certificate(
 ) -> Optional[Vector]:
     """A row combination y with y.M = 0 but y.b != 0, if the system is inconsistent."""
     _operands("inconsistency_certificate", (matrix, RationalMatrix))
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    vec = [_exact(b) for b in rhs]
+    vec = _exact_array("inconsistency_certificate", rhs, matrix.rows)
     for y in nullspace(matrix.transpose()):
         value = sum((a * b for a, b in zip(y, vec)), Fraction(0))
         if value != 0:
@@ -326,15 +320,13 @@ def sparse_solve(
     The right-hand side is carried as an extra trailing column.  Returns
     (particular solution, kernel basis) or None when inconsistent.
     """
-    if len(rhs) != len(rows):
-        raise ValueError("right-hand side length does not match row count")
+    rhs = _exact_array("sparse_solve", rhs, len(rows))
     elim = SparseEliminator(ncols + 1)
     for row, b in zip(rows, rhs):
         _check_columns(row, ncols)
         augmented = {c: _exact(v) for c, v in row.items()}
-        bb = _exact(b)
-        if bb:
-            augmented[ncols] = bb
+        if b:
+            augmented[ncols] = b
         elim.add_row(augmented)
     if ncols in elim.pivot_rows:
         return None

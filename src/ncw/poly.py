@@ -29,16 +29,17 @@ double loop when it has one term: a zero gives zero, the constant 1 gives
 the other Poly itself (shared, which immutability makes safe), another
 constant scales every coefficient and a monomial shifts every exponent.
 
-Every argument refusal of ncw's public operations is made by the two
+Every argument refusal of ncw's public operations is made by the three
 checks here, in the module every other one imports: ``_check_size`` for a
-size and ``_operands`` for the class, (p, q) and dimension of the operands.
+size or an index, ``_operands`` for the class, (p, q) and dimension of the
+operands, and ``_exact_array`` for the lengths and entries of an array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -59,12 +60,31 @@ def _exact(value: object) -> Scalar:
     return _q(value)
 
 
-def _check_size(name: str, value: object, least: int) -> None:
-    """Refuse a size that is not an int >= least, 0 or 1, with a ValueError;
-    a bool is an int too, but no size."""
-    if type(value) is not int or value < least:
+def _check_size(name: str, value: object, least: int, stop: int | None = None) -> None:
+    """Refuse a size that is not an int >= least, 0 or 1, or with stop an
+    index not in range(least, stop), with a ValueError; a bool is an int
+    too, but no size and no index."""
+    if type(value) is not int or value < least or stop is not None and value >= stop:
         kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} {value!r} is not a {kind} int")
+        kind = f"an int in range({least}, {stop})" if stop is not None else f"a {kind} int"
+        raise ValueError(f"{name} {value!r} is not {kind}")
+
+
+def _exact_array(operation: str, value: object, *shape: int | None) -> tuple:
+    """value as nested tuples of entries read through _exact (an int is
+    canonical already), shape giving the length of each level, None for
+    any.  A value that is not a sequence, or is a str, is a TypeError; a
+    length off its shape is a ValueError naming the operation, expected and
+    given."""
+    if type(value) not in (tuple, list) and (
+            isinstance(value, str) or not isinstance(value, Sequence)):
+        raise TypeError(f"{operation} needs a sequence, not {type(value).__name__}")
+    if shape[0] is not None and len(value) != shape[0]:
+        entries = "entry" if shape[0] == 1 else "entries"
+        raise ValueError(f"{operation} needs {shape[0]} {entries}, not {len(value)}")
+    if len(shape) > 1:
+        return tuple([_exact_array(operation, row, *shape[1:]) for row in value])
+    return tuple([v if type(v) is int else _exact(v) for v in value])
 
 
 def _operands(operation: str, *operands: tuple) -> None:
@@ -124,17 +144,17 @@ class Poly:
     def __init__(self, dimension: int, terms: Mapping[Exponent, Scalar] | None = None):
         _check_size("dimension", dimension, 1)
         clean: dict[Exponent, Scalar] = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, dict):  # one test: a dict is the usual mapping
+                _operands("Poly", (terms, Mapping))
             for exps, coeff in terms.items():
-                if len(exps) != dimension:
-                    raise ValueError(
-                        f"exponent tuple {exps} has length {len(exps)}, expected {dimension}"
-                    )
+                if type(exps) is not tuple or len(exps) != dimension:
+                    exps = _exact_array("exponent tuple", exps, dimension)
                 if any(type(e) is not int or e < 0 for e in exps):
                     raise ValueError(f"exponents in {exps!r} must be non-negative ints")
                 c = _exact(coeff)
                 if c != 0:
-                    clean[tuple(exps)] = c
+                    clean[exps] = c
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", clean)
 
@@ -167,17 +187,15 @@ class Poly:
     def variable(cls, dimension: int, index: int) -> "Poly":
         """The coordinate polynomial x_index (index 0 is time)."""
         _check_size("dimension", dimension, 1)
-        if type(index) is not int:  # a bool is an int too, but no index
-            raise ValueError(f"variable index {index!r} is not an int")
-        if not 0 <= index < dimension:
-            raise ValueError(f"variable index {index} out of range for dimension {dimension}")
+        _check_size("variable index", index, 0, dimension)
         exps = [0] * dimension
         exps[index] = 1
-        return cls(dimension, {tuple(exps): 1})
+        return cls._raw(dimension, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, dimension: int, exps: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return cls(dimension, {tuple(exps): coeff})
+        _check_size("dimension", dimension, 1)
+        return cls(dimension, {_exact_array("exponent tuple", exps, dimension): coeff})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -285,7 +303,7 @@ class Poly:
     def partial(self, axis: int) -> "Poly":
         """Formal partial derivative with respect to coordinate ``axis``."""
         if type(axis) is not int or not 0 <= axis < self.dimension:  # one test: hot
-            raise self._axis_error(axis)
+            _check_size("axis", axis, 0, self.dimension)
         # distinct terms have distinct derivative monomials: nothing cancels
         out: dict[Exponent, Scalar] = {}
         for exps, coeff in self.terms.items():
@@ -304,17 +322,10 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def _axis_error(self, axis: object) -> ValueError:
-        return ValueError(
-            f"axis {axis} out of range for dimension {self.dimension}"
-            if type(axis) is int
-            else f"axis {axis!r} is not an int"
-        )
-
     def degree_in(self, axis: int) -> int:
         """Degree in coordinate ``axis``; -1 for the zero polynomial."""
         if type(axis) is not int or not 0 <= axis < self.dimension:
-            raise self._axis_error(axis)
+            _check_size("axis", axis, 0, self.dimension)
         if not self.terms:
             return -1
         return max(e[axis] for e in self.terms)
@@ -327,19 +338,12 @@ class Poly:
         )
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
-        exps = tuple(exps)
-        if len(exps) != self.dimension:
-            raise ValueError(
-                f"exponent tuple of length {len(exps)} for dimension {self.dimension}"
-            )
-        return self.terms.get(exps, 0)
+        return self.terms.get(_exact_array("Poly.coefficient", exps, self.dimension), 0)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a rational point, in canonical form; a coordinate
         that is not an int or a Fraction is refused."""
-        if len(point) != self.dimension:
-            raise ValueError("point has wrong length")
-        vals = [_exact(v) for v in point]
+        vals = _exact_array("Poly.evaluate", point, self.dimension)
         total: Scalar = 0
         for exps, coeff in self.terms.items():
             term = coeff
@@ -350,13 +354,11 @@ class Poly:
         return _q(total)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Substitute coordinate i by images[i]; images share one dimension."""
-        if len(images) != self.dimension:
-            raise ValueError("need one image polynomial per coordinate")
-        dims = {p.dimension for p in images}
-        if len(dims) != 1:
-            raise ValueError("image polynomials must share a dimension")
-        new_dim = dims.pop()
+        """Substitute coordinate i by images[i], a list or tuple of Polys of one dimension."""
+        if not isinstance(images, (list, tuple)) or len(images) != self.dimension:
+            _exact_array("Poly.substitute", images, self.dimension)  # refused here
+        _operands("Poly.substitute", *[(img, Poly, "any") for img in images])
+        new_dim = images[0].dimension
         total = Poly(new_dim)
         for exps, coeff in self.terms.items():
             term = Poly.const(new_dim, coeff)

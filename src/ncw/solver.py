@@ -93,6 +93,13 @@ class SymmetryBasis:
     degree: int
     fields: tuple[TensorField, ...]
 
+    def __post_init__(self):
+        _operands("SymmetryBasis", (self.structure, NCStructure), (self.fields, tuple))
+        object.__setattr__(self, "flavor", canonical_flavor(self.flavor))
+        _check_size("degree", self.degree, 0)
+        _operands("SymmetryBasis", (self.structure, NCStructure, "any"),
+                  *[(x, TensorField, (1, 0)) for x in self.fields])
+
     @property
     def dimension(self) -> int:
         return len(self.fields)

@@ -39,7 +39,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from .linalg import SparseEliminator, adjugate, sparse_kernel
-from .poly import Poly, Scalar, _check_size, _exact, _operands
+from .poly import Poly, Scalar, _check_size, _exact_array, _operands
 from .tensors import (
     Connection,
     TensorField,
@@ -72,14 +72,20 @@ class GalileiStructure:
     gamma: TensorField  # (2,0)
     theta: TensorField  # (0,1)
 
+    def __post_init__(self):
+        _check_size("n", self.n, 1)
+        # the structure itself stands for its dimension n + 1
+        _operands("GalileiStructure", (self, GalileiStructure, "any"),
+                  (self.gamma, TensorField, (2, 0)), (self.theta, TensorField, (0, 1)))
+
     @property
     def dimension(self) -> int:
         return self.n + 1
 
     def validate(self, sample_points: Sequence[Sequence[object]] | None = None) -> None:
         self._valid_at_origin
-        for pt in sample_points or ():
-            self._check_point([_exact(v) for v in pt])
+        for pt in _exact_array("GalileiStructure.validate", sample_points or (), None, self.dimension):
+            self._check_point(pt)
 
     @cached_property
     def _valid_at_origin(self) -> bool:
@@ -93,12 +99,8 @@ class GalileiStructure:
 
     @cached_property
     def _valid_pair(self) -> bool:
-        """Shapes, the symmetry of gamma and gamma(theta) = 0, checked once."""
-        dim = self.dimension
-        if (self.gamma.p, self.gamma.q) != (2, 0) or self.gamma.dimension != dim:
-            raise StructureError("gamma must be a (2,0) tensor of matching dimension")
-        if (self.theta.p, self.theta.q) != (0, 1) or self.theta.dimension != dim:
-            raise StructureError("theta must be a 1-form of matching dimension")
+        """The symmetry of gamma and gamma(theta) = 0, checked once; the
+        shapes were checked when the structure was built."""
         if asymmetry := self.gamma._pair_asymmetry:
             raise StructureError("gamma not symmetric at ({},{})".format(*asymmetry))
         kernel = _einsum("ak,k->a", self.gamma, self.theta)
@@ -253,6 +255,14 @@ class NCStructure:
     base: GalileiStructure
     connection: Connection
 
+    def __post_init__(self):
+        _operands("NCStructure", (self.base, GalileiStructure, "any"),
+                  (self.connection, Connection, "any"))
+
+    @property
+    def dimension(self) -> int:
+        return self.base.dimension
+
     def validate(self) -> None:
         self.base.validate()
         for name in ("gamma", "theta"):
@@ -274,6 +284,10 @@ class NCBStructure:
     base: GalileiStructure
     u: TensorField
     a_form: TensorField
+
+    def __post_init__(self):
+        _operands("NCBStructure", (self.base, GalileiStructure, "any"),
+                  (self.u, TensorField, (1, 0)), (self.a_form, TensorField, (0, 1)))
 
     @property
     def dimension(self) -> int:

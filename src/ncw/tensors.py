@@ -110,7 +110,7 @@ from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Poly, Scalar, _check_size, _operands
+from .poly import Poly, Scalar, _check_size, _exact_array, _operands
 
 Index = tuple[int, ...]
 
@@ -118,6 +118,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwx"  # slot letters; y and z are left free
 
 
 def _index_tuples(dimension: int, rank: int) -> Iterable[Index]:
+    _check_size("dimension", dimension, 1)
     return product(range(dimension), repeat=rank)
 
 
@@ -126,12 +127,10 @@ _zero = cache(Poly.zero)  # the shared zero of each dimension, immutable
 
 def _check_index(dimension: int, rank: int, indices: Sequence[int]) -> None:
     if len(indices) != rank:
-        raise ValueError(f"expected {rank} indices, got {len(indices)}")
+        _exact_array("index tuple", indices, rank)  # refused here
     for i in indices:
-        if type(i) is not int:  # a bool is an int too, but no index
-            raise ValueError(f"index {i!r} is not an int")
-        if not 0 <= i < dimension:
-            raise ValueError(f"index {i!r} out of range for dimension {dimension}")
+        if type(i) is not int or not 0 <= i < dimension:  # one test: hot
+            _check_size("index", i, 0, dimension)
 
 
 class _Entries:
@@ -343,6 +342,8 @@ class TensorField(_Entries):
         q: int,
         fn: Callable[[tuple[int, ...]], Poly],
     ) -> "TensorField":
+        _check_size("p", p, 0)
+        _check_size("q", q, 0)
         entries = {idx: c for idx in _index_tuples(dimension, p + q) if (c := fn(idx))}
         return cls(dimension, p, q, entries)
 
@@ -377,18 +378,19 @@ class TensorField(_Entries):
 
 def vector(dimension: int, components: Sequence[Poly]) -> TensorField:
     """A vector field X = X^a d_a from its component list."""
-    return TensorField(dimension, 1, 0, _listed(dimension, components))
+    return TensorField(dimension, 1, 0, _listed("vector", dimension, components))
 
 
 def one_form(dimension: int, components: Sequence[Poly]) -> TensorField:
     """A 1-form from its component list."""
-    return TensorField(dimension, 0, 1, _listed(dimension, components))
+    return TensorField(dimension, 0, 1, _listed("one_form", dimension, components))
 
 
-def _listed(dimension: int, components: Sequence[Poly]) -> dict[Index, Poly]:
-    """The nonzero entries of a list of one component per index."""
-    if len(components) != dimension:
-        raise ValueError(f"need {dimension} components, got {len(components)}")
+def _listed(operation: str, dimension: int, components: Sequence[Poly]) -> dict[Index, Poly]:
+    """The nonzero entries of a list or tuple of one component per index."""
+    _check_size("dimension", dimension, 1)
+    if not isinstance(components, (list, tuple)) or len(components) != dimension:
+        _exact_array(operation, components, dimension)  # refused here
     return {(a,): c for a, c in enumerate(components) if c}
 
 
@@ -578,13 +580,11 @@ def raise_connection_transport(
     the transport of the raised symbols; slots as in raise_connection.
     """
     _operands("raise_connection_transport", (ld, TensorField, (1, 2)), (gamma, TensorField, (2, 0)))
-    _check_size("slots", slots, 1)
+    _check_size("slots", slots, 1, 3)
     n = ld.dimension
     if slots == 1:
         return TensorField._raw(n, 2, 1, _einsum("cak,bk->bca", ld, gamma))
-    if slots == 2:
-        return TensorField._raw(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
-    raise ValueError("slots must be 1 or 2")
+    return TensorField._raw(n, 3, 0, _einsum("ckl,ak,bl->abc", ld, gamma, gamma))
 
 
 def covariant_derivative(g: Connection, t: TensorField) -> TensorField:

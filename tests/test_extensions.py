@@ -668,19 +668,19 @@ class TestBargmann:
         assert bargmann_bracket(b, b).xi == 0
 
     @pytest.mark.parametrize(
-        "param, entries",
+        "param, entries, index",
         [
-            ("beta", {0: 1}),
-            ("beta", {3: 1}),
-            ("sigma", {-1: 1}),
-            ("omega", {(0, 1): 1}),
-            ("omega", {(1, 3): 1}),
+            ("beta", {0: 1}, 0),
+            ("beta", {3: 1}, 3),
+            ("sigma", {-1: 1}, -1),
+            ("omega", {(0, 1): 1}, 0),
+            ("omega", {(1, 3): 1}, 3),
         ],
         ids=["beta-0", "beta-above", "sigma-negative", "omega-0", "omega-above"],
     )
-    def test_out_of_range_keys_are_refused(self, param, entries):
-        (key,) = entries
-        with pytest.raises(ValueError, match=re.escape(f"parameter key {key!r} is outside 1..2")):
+    def test_out_of_range_keys_are_refused(self, param, entries, index):
+        message = f"{param} index {index} is not an int in range(1, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BargmannElement.make(2, **{param: entries})
 
     @pytest.mark.parametrize("n", [-1, True, 2.0, "2"], ids=["negative", "bool", "float", "str"])

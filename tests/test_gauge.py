@@ -236,15 +236,15 @@ class TestFiniteAction:
     @pytest.mark.parametrize(
         "linear, translation, message",
         [
-            ([], [], "linear part must not be empty"),
-            ([[1, 0], [0]], [0, 0], "entry grid does not match rows x cols"),
-            ([[1, 0]], [0], "linear part must be square"),
-            ([[1, 0], [0, 1]], [0], "translation length mismatch"),
+            ([], [], "dimension 0 is not a positive int"),
+            ([[1, 0], [0]], [0, 0], "AffineDiffeo needs 2 entries, not 1"),
+            ([[1, 0]], [0], "AffineDiffeo needs 1 entry, not 2"),
+            ([[1, 0], [0, 1]], [0], "AffineDiffeo needs 1 entry, not 2"),
         ],
         ids=["empty", "ragged", "not-square", "short-translation"],
     )
     def test_malformed_linear_part_rejected(self, linear, translation, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AffineDiffeo.make(linear, translation)
 
     def test_linear_part_is_inverted_once_per_map(self, monkeypatch):

@@ -486,12 +486,14 @@ class TestMatrixOps:
         # inconsistency_certificate's zip dropped the unmatched entries: the
         # dependent rows with [1] gave the certificate (-1, 1)
         m = RationalMatrix.from_rows([[row.get(c, 0) for c in range(2)] for row in rows])
-        for solve in (
-            lambda: sparse_solve(rows, rhs, 2),
-            lambda: solve_inhomogeneous(m, rhs),
-            lambda: inconsistency_certificate(m, rhs),
+        entries = "entry" if len(rows) == 1 else "entries"
+        for solve, name in (
+            (lambda: sparse_solve(rows, rhs, 2), "sparse_solve"),
+            (lambda: solve_inhomogeneous(m, rhs), "solve_inhomogeneous"),
+            (lambda: inconsistency_certificate(m, rhs), "inconsistency_certificate"),
         ):
-            with pytest.raises(ValueError, match="right-hand side length does not match row count"):
+            message = f"{name} needs {len(rows)} {entries}, not {len(rhs)}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 solve()
 
     def test_a_consistent_system_has_no_certificate(self):

@@ -69,26 +69,31 @@ class TestPartial:
     def test_an_index_or_axis_that_is_not_an_int_is_refused(self, index):
         # a bool is an int, so True read as 1 before; a float failed in
         # list indexing with a TypeError
-        with pytest.raises(ValueError, match=re.escape(f"variable index {index!r} is not an int")):
+        message = f"variable index {index!r} is not an int in range(0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Poly.variable(3, index)
-        with pytest.raises(ValueError, match=re.escape(f"axis {index!r} is not an int")):
+        message = f"axis {index!r} is not an int in range(0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Poly.variable(3, 1).partial(index)
 
     @pytest.mark.parametrize("axis", [-1, 3, 5])
     def test_degree_in_refuses_an_axis_out_of_range(self, axis):
         # -1 read the last variable, and 5 raised an IndexError
-        with pytest.raises(ValueError, match=f"axis {axis} out of range for dimension 3"):
+        message = f"axis {axis} is not an int in range(0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Poly.variable(3, 1).degree_in(axis)
 
     @pytest.mark.parametrize("axis", [True, 1.0])
     def test_degree_in_refuses_an_axis_that_is_not_an_int(self, axis):
-        with pytest.raises(ValueError, match=re.escape(f"axis {axis!r} is not an int")):
+        message = f"axis {axis!r} is not an int in range(0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Poly.variable(3, 1).degree_in(axis)
 
     @pytest.mark.parametrize("exps", [(1,), (0, 1, 0)])
     def test_coefficient_refuses_an_exponent_tuple_of_the_wrong_length(self, exps):
         # (1,) read as a missing monomial and returned 0
-        with pytest.raises(ValueError, match=f"exponent tuple of length {len(exps)} for dimension 2"):
+        message = f"^Poly.coefficient needs 2 entries, not {len(exps)}$"
+        with pytest.raises(ValueError, match=message):
             x1.coefficient(exps)
         assert x1.coefficient((0, 1)) == 1
 

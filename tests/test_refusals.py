@@ -8,8 +8,10 @@ failure and ``_bracket``'s "does not lie in", which only a symmetry field
 that does not extend would reach.
 """
 
+import ast
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,6 @@ import ncw
 
 from ncw.extensions import (
     BargmannElement,
-    CocycleError,
     ExtendedElement,
     MilneStandardElement,
     bargmann_bracket,
@@ -42,7 +43,8 @@ from ncw.poly import Poly
 from ncw.solver import SymmetryBasis, classify, solve_symmetries, structure_constants
 from ncw.structures import (
     GalileiStructure,
-    StructureError,
+    NCBStructure,
+    NCStructure,
     assemble_connection,
     field_strength,
     flat_structure,
@@ -165,26 +167,68 @@ def pair(gamma, theta):
     [
         # structures
         (lambda: pair(zero(3, 0, 1), zero(3, 0, 1)).validate(),
-         StructureError, "gamma must be a (2,0) tensor of matching dimension"),
+         ValueError, "GalileiStructure needs a (2,0) field, not a (0,1) field"),
         (lambda: pair(zero(3, 2, 0), zero(3, 2, 0)).validate(),
-         StructureError, "theta must be a 1-form of matching dimension"),
+         ValueError, "GalileiStructure needs a (0,1) field, not a (2,0) field"),
+        (lambda: pair(zero(2, 2, 0), zero(2, 0, 1)),
+         ValueError, "GalileiStructure needs operands of one dimension, not 3 and 2"),
+        (lambda: GalileiStructure(P, P, P), ValueError, "n Poly[2](x1) is not a positive int"),
+        (lambda: GalileiStructure(1, P, P), TypeError, "GalileiStructure needs a TensorField, not Poly"),
+        (lambda: s().base.validate(5),
+         TypeError, "GalileiStructure.validate needs a sequence, not int"),
+        (lambda: s().base.validate([(0, 0, 0)]),
+         ValueError, "GalileiStructure.validate needs 2 entries, not 3"),
+        (lambda: NCStructure(P, P), TypeError, "NCStructure needs a GalileiStructure, not Poly"),
+        (lambda: NCStructure(s().base, Connection.zero(3)),
+         ValueError, "NCStructure needs operands of one dimension, not 2 and 3"),
+        (lambda: NCBStructure(P, P, P), TypeError, "NCBStructure needs a GalileiStructure, not Poly"),
+        (lambda: NCBStructure(s().base, ONE_FORM, ONE_FORM),
+         ValueError, "NCBStructure needs a (1,0) field, not a (0,1) field"),
+        (lambda: NCBStructure(s().base, X, zero(3, 0, 1)),
+         ValueError, "NCBStructure needs operands of one dimension, not 2 and 3"),
         (lambda: field_strength(X), ValueError, "field_strength needs a (0,1) field, not a (1,0) field"),
         (lambda: standard_structure(2, P), ValueError, "potential dimension must be n+1"),
+        # solver
+        (lambda: SymmetryBasis(P, P, P, P), TypeError, "SymmetryBasis needs an NCStructure, not Poly"),
+        (lambda: SymmetryBasis(nc(), "gal", 0, [X]), TypeError, "SymmetryBasis needs a tuple, not list"),
+        (lambda: SymmetryBasis(nc(), "gravity", 0, (X,)),
+         ValueError, "unknown symmetry flavor 'gravity'"),
+        (lambda: SymmetryBasis(nc(), "gal", -1, (X,)), ValueError, "degree -1 is not a non-negative int"),
+        (lambda: SymmetryBasis(nc(), "gal", 0, (ONE_FORM,)),
+         ValueError, "SymmetryBasis needs a (1,0) field, not a (0,1) field"),
+        (lambda: SymmetryBasis(nc(), "gal", 0, (X, zero(3, 1, 0))),
+         ValueError, "SymmetryBasis needs operands of one dimension, not 2 and 3"),
         # extensions
         (lambda: ExtendedElement(zero(3, 1, 0), P),
          ValueError, "ExtendedElement needs operands of one dimension, not 3 and 2"),
         (lambda: cocycle_triviality(SymmetryBasis(nc(), "galilei", 0, ()), [[0]]),
-         CocycleError, "cocycle matrix size does not match the basis"),
+         ValueError, "cocycle_triviality needs 0 entries, not 1"),
+        (lambda: cocycle_triviality(basis(), 5),
+         TypeError, "cocycle_triviality needs a sequence, not int"),
         (lambda: BargmannElement(((0,),), (0, 0), (0, 0), 0, 0),
-         ValueError, "rotation block size mismatch"),
+         ValueError, "BargmannElement needs 2 entries, not 1"),
+        (lambda: BargmannElement(((0,),), 5, (0,), 0, 0),
+         TypeError, "BargmannElement needs a sequence, not int"),
         (lambda: BargmannElement(((0, 1), (1, 0)), (0, 0), (0, 0), 0, 0),
          ValueError, "rotation block must be antisymmetric"),
         (lambda: BargmannElement(((0, 0), (0, 0)), (0, 0), (0,), 0, 0),
-         ValueError, "translation vector size mismatch"),
+         ValueError, "BargmannElement needs 2 entries, not 1"),
+        (lambda: BargmannElement.make(2, beta=[1]),
+         TypeError, "BargmannElement.make needs a Mapping, not list"),
+        (lambda: BargmannElement.make(2, omega=[1]),
+         TypeError, "BargmannElement.make needs a Mapping, not list"),
+        (lambda: BargmannElement.make(2, sigma=(1,)),
+         TypeError, "BargmannElement.make needs a Mapping, not tuple"),
+        (lambda: BargmannElement.make(2, omega={(1, 2, 1): 1}),
+         ValueError, "BargmannElement.make needs 2 entries, not 3"),
+        (lambda: BargmannElement.make(2, omega={1: 1}),
+         TypeError, "BargmannElement.make needs a sequence, not int"),
         (lambda: MilneStandardElement(((0,),), (P,), 0, Poly.zero(2)),
          ValueError, "translation part must depend on time only"),
         (lambda: MilneStandardElement(((0,),), (Poly.zero(2),), 0, P),
          ValueError, "parameter must depend on time only"),
+        (lambda: MilneStandardElement(((0, 0),), (Poly.zero(2),), 0, Poly.zero(2)),
+         ValueError, "MilneStandardElement needs 1 entry, not 2"),
         (lambda: bargmann_bracket(BargmannElement.make(1), BargmannElement.make(2)),
          ValueError, "bargmann_bracket needs operands of one dimension, not 2 and 3"),
         # gauge
@@ -203,18 +247,29 @@ def pair(gamma, theta):
         (lambda: FiniteGauge(AffineDiffeo.identity(2), X, P),
          ValueError, "FiniteGauge needs a (0,1) field, not a (1,0) field"),
         (lambda: AffineDiffeo.identity(True), ValueError, "dimension True is not a positive int"),
+        (lambda: AffineDiffeo(((1,),), 5), TypeError, "AffineDiffeo needs a sequence, not int"),
+        (lambda: AffineDiffeo.make([[1]], "1"), TypeError, "AffineDiffeo needs a sequence, not str"),
         # linalg
-        (lambda: RationalMatrix(2, 1, [[1]]), ValueError, "entry grid does not match rows x cols"),
+        (lambda: RationalMatrix(2, 1, [[1]]), ValueError, "RationalMatrix needs 2 entries, not 1"),
+        (lambda: RationalMatrix(1, 2, [[1]]), ValueError, "RationalMatrix needs 2 entries, not 1"),
+        (lambda: RationalMatrix.from_rows([[1, 2], [3]]),
+         ValueError, "RationalMatrix needs 2 entries, not 1"),
+        (lambda: RationalMatrix.from_rows(P), TypeError, "RationalMatrix needs a sequence, not Poly"),
         (lambda: RationalMatrix(True, 1, [[1]]), ValueError, "rows True is not a non-negative int"),
         (lambda: RationalMatrix(0, 2.0, []), ValueError, "cols 2.0 is not a non-negative int"),
         # poly
-        (lambda: Poly(2, {(1,): 1}), ValueError, "exponent tuple (1,) has length 1, expected 2"),
+        (lambda: Poly(2, {(1,): 1}), ValueError, "exponent tuple needs 2 entries, not 1"),
+        (lambda: Poly(2, 5), TypeError, "Poly needs a Mapping, not int"),
+        (lambda: Poly(2, {5: 1}), TypeError, "exponent tuple needs a sequence, not int"),
+        (lambda: Poly.monomial(2, (1,)), ValueError, "exponent tuple needs 2 entries, not 1"),
         (lambda: setattr(P, "terms", {}), AttributeError, "Poly is immutable"),
-        (lambda: Poly.variable(2, 2), ValueError, "variable index 2 out of range for dimension 2"),
-        (lambda: P.evaluate([1]), ValueError, "point has wrong length"),
-        (lambda: P.substitute([P]), ValueError, "need one image polynomial per coordinate"),
+        (lambda: Poly.variable(2, 2), ValueError, "variable index 2 is not an int in range(0, 2)"),
+        (lambda: P.evaluate([1]), ValueError, "Poly.evaluate needs 2 entries, not 1"),
+        (lambda: P.evaluate("12"), TypeError, "Poly.evaluate needs a sequence, not str"),
+        (lambda: P.substitute([P]), ValueError, "Poly.substitute needs 2 entries, not 1"),
         (lambda: P.substitute([Poly.zero(2), Poly.zero(3)]),
-         ValueError, "image polynomials must share a dimension"),
+         ValueError, "Poly.substitute needs operands of one dimension, not 2 and 3"),
+        (lambda: P.substitute([1, 2]), TypeError, "Poly.substitute needs a Poly, not int"),
         (lambda: P + Poly.zero(3),
          ValueError, "Poly arithmetic needs operands of one dimension, not 2 and 3"),
         (lambda: Poly.zero(3).extended(2), ValueError, "cannot shrink dimension"),
@@ -225,7 +280,10 @@ def pair(gamma, theta):
         (lambda: Poly.variable(False, 0), ValueError, "dimension False is not a positive int"),
         # tensors
         (lambda: X + ONE_FORM, ValueError, "tensor addition needs a (1,0) field, not a (0,1) field"),
-        (lambda: vector(2, [P]), ValueError, "need 2 components, got 1"),
+        (lambda: vector(2, [P]), ValueError, "vector needs 2 entries, not 1"),
+        (lambda: vector(P, [P]), ValueError, "dimension Poly[2](x1) is not a positive int"),
+        (lambda: X.comp(0, 0), ValueError, "index tuple needs 1 entry, not 2"),
+        (lambda: X.comp(2), ValueError, "index 2 is not an int in range(0, 2)"),
         (lambda: tensor_product(X, zero(3, 1, 0)),
          ValueError, "tensor_product needs operands of one dimension, not 2 and 3"),
         (lambda: vector_bracket(X, ONE_FORM),
@@ -237,11 +295,11 @@ def pair(gamma, theta):
         (lambda: raise_connection(Connection.zero(2), zero(3, 2, 0), 1),
          ValueError, "raise_connection needs operands of one dimension, not 2 and 3"),
         (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), True),
-         ValueError, "slots True is not a positive int"),
+         ValueError, "slots True is not an int in range(1, 3)"),
         (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), 2.0),
-         ValueError, "slots 2.0 is not a positive int"),
+         ValueError, "slots 2.0 is not an int in range(1, 3)"),
         (lambda: raise_connection(Connection.zero(2), zero(2, 2, 0), 3),
-         ValueError, "slots must be 1 or 2"),
+         ValueError, "slots 3 is not an int in range(1, 3)"),
         (lambda: raise_connection_transport(zero(2, 1, 1), zero(2, 2, 0), 1),
          ValueError, "raise_connection_transport needs a (1,2) field, not a (1,1) field"),
         (lambda: covariant_derivative(Connection.zero(2), zero(3, 1, 0)),
@@ -250,16 +308,27 @@ def pair(gamma, theta):
          ValueError, "check_newtonian needs operands of one dimension, not 2 and 3"),
     ],
     ids=[
-        "pair-gamma", "pair-theta", "field-strength", "standard-potential",
-        "extended-element", "cocycle-size", "rotation-size", "rotation-antisymmetry",
-        "bargmann-translation", "milne-translation", "milne-parameter", "bargmann-bracket",
+        "pair-gamma", "pair-theta", "pair-dimension", "pair-n", "pair-field",
+        "validate-points", "validate-point-length", "nc-structure", "nc-dimension",
+        "ncb-structure", "ncb-u", "ncb-dimension", "field-strength", "standard-potential",
+        "basis-structure", "basis-fields", "basis-flavor", "basis-degree", "basis-field-shape",
+        "basis-dimension", "extended-element", "cocycle-size", "cocycle-sequence", "rotation-size",
+        "bargmann-beta-sequence", "rotation-antisymmetry", "bargmann-translation",
+        "bargmann-make-beta", "bargmann-make-omega", "bargmann-make-sigma",
+        "bargmann-make-omega-key", "bargmann-make-omega-int-key", "milne-translation",
+        "milne-parameter", "milne-rotation-size", "bargmann-bracket",
         "infinitesimal-gauge", "gauge-bracket", "finite-gauge", "gauge-x", "gauge-psi",
-        "gauge-dimensions", "finite-gauge-boost", "affine-identity-bool", "matrix-grid",
+        "gauge-dimensions", "finite-gauge-boost", "affine-identity-bool",
+        "affine-translation-sequence", "affine-translation-str", "matrix-grid",
+        "matrix-grid-row", "matrix-from-ragged-rows", "matrix-from-rows-sequence",
         "matrix-rows-bool", "matrix-cols-float",
-        "poly-exponents", "poly-immutable", "poly-variable", "poly-evaluate",
-        "poly-substitute-images", "poly-substitute-dimensions", "poly-arithmetic", "poly-extended",
+        "poly-exponents", "poly-terms-mapping", "poly-exponents-sequence", "poly-monomial",
+        "poly-immutable", "poly-variable", "poly-evaluate", "poly-evaluate-str",
+        "poly-substitute-images", "poly-substitute-dimensions", "poly-substitute-ints",
+        "poly-arithmetic", "poly-extended",
         "poly-extended-bool", "poly-extended-float", "poly-const-float", "poly-variable-float",
-        "poly-variable-bool", "tensor-shape", "vector-length", "tensor-product",
+        "poly-variable-bool", "tensor-shape", "vector-length", "vector-dimension",
+        "tensor-index-count", "tensor-index-range", "tensor-product",
         "vector-bracket", "lie-derivative", "lie-derivative-connection", "raise-connection",
         "raise-connection-slots-bool", "raise-connection-slots-float",
         "raise-connection-slots-range", "raise-transport", "covariant-derivative",
@@ -287,13 +356,57 @@ PUBLIC_FUNCTIONS = [
     value for name in ncw.__all__ if inspect.isfunction(value := getattr(ncw, name))
 ] + [apply_metric, pairing, raise_connection_transport, observer_structure]
 
+PUBLIC_CLASSMETHODS = [
+    getattr(cls, name)
+    for cls in map(vars(ncw).get, ncw.__all__) if inspect.isclass(cls)
+    for name, raw in vars(cls).items()
+    if isinstance(raw, classmethod) and not name.startswith("_")
+]
 
-@pytest.mark.parametrize("function", PUBLIC_FUNCTIONS, ids=lambda f: f.__name__)
-def test_no_public_function_ends_in_an_attribute_error(function):
-    # a Poly for every required argument; curvature(P) ended in
-    # "'Poly' object has no attribute 'nonzero'"
+SWEEP = [(f, P) for f in PUBLIC_FUNCTIONS + PUBLIC_CLASSMETHODS] + [(P.substitute, [1, 2])]
+
+SHARED_CHECKS = {"_check_size", "_operands", "_exact", "_exact_array"}
+
+
+@pytest.mark.parametrize("function, value", SWEEP, ids=[f.__qualname__ for f, _ in SWEEP])
+def test_no_public_function_ends_in_an_attribute_error(function, value):
+    # value, a Poly (images that are not Polys for Poly.substitute), for
+    # every required argument; curvature(P) ended in "'Poly' object has no
+    # attribute 'nonzero'", P.substitute([1, 2]) in "'int' object has no
+    # attribute 'dimension'", and Poly.monomial(P, P) in Python's own
+    # "'Poly' object is not iterable": each is refused by a shared check
     required = [
         p for p in inspect.signature(function).parameters.values() if p.default is p.empty
     ]
-    with pytest.raises((TypeError, ValueError)):
-        function(*[P] * len(required))
+    with pytest.raises((TypeError, ValueError)) as raised:
+        function(*[value] * len(required))
+    assert raised.traceback[-1].name in SHARED_CHECKS
+    assert raised.traceback[-1].path.name == "poly.py"
+
+
+def test_every_type_refusal_is_raised_by_a_shared_check():
+    # a hand-written ``raise TypeError`` outside the shared checks would
+    # bring back a second way to refuse an argument of the wrong type
+    raisers = [
+        (path.name, function, line)
+        for path in sorted(Path(ncw.__file__).parent.glob("*.py"))
+        for function, line in _type_error_raisers(ast.parse(path.read_text()))
+    ]
+    shared = {("poly.py", "_exact"), ("poly.py", "_operands"), ("poly.py", "_exact_array")}
+    assert {(name, function) for name, function, _ in raisers} == shared, raisers
+
+
+def _type_error_raisers(node: ast.AST, function: str | None = None) -> list:
+    """(innermost enclosing function, line) of every ``raise TypeError``
+    under node; None for the function at module level."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _type_error_raisers(child, child.name)
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                found.append((function, child.lineno))
+        found += _type_error_raisers(child, function)
+    return found
